@@ -30,7 +30,7 @@ from .channels import (
 from .certify import (
     CertificateReport,
     Verdict,
-    candidate_degrading_map,
+    degrading_candidate,
     choi_report,
     degradable_ppt_check,
     distillability_witness,

@@ -42,6 +42,7 @@ from .errors import (
     CounterexampleOrBugError,
     FragileSampleError,
     NotPositiveSemidefiniteError,
+    PurityViolationError,
 )
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -76,6 +77,24 @@ DEGRADING_FOUND = "degrading-map-found"
 COMPOSITION_INCONSISTENT = "composition-inconsistent"
 CANDIDATE_NOT_CP = "candidate-not-cp"
 NOT_APPLICABLE = "not-applicable"
+
+# Entanglement-breaking certificate codes of ``eb_rule``, as indices into
+# EB_VERDICTS.
+EB_NO, EB_UNKNOWN, EB_YES = 0, 1, 2
+EB_VERDICTS = ((NO, NOT_PPT), (UNKNOWN, OUTSIDE_LOW_RANK_REGIME), (YES, LOW_RANK_PPT_SEPARABLE))
+EB_CODES = {value: code for code, (value, _) in enumerate(EB_VERDICTS)}
+
+# The proven relations of a complementary pair whose primary map is PPT, in
+# the order ``pair_rules`` tests them; its relation code is 1 + the index of
+# the first that fails.
+RELATIONS = (
+    "Choi rank of a PPT map fell below one of its marginal ranks",
+    "low-rank regime failed to apply to the complement of a PPT map",
+    "PPT and entanglement-breaking certification disagree on the complement",
+    "distillability witness fired on a PPT Choi matrix",
+    "entanglement-breaking certificate returned no for a PPT map",
+    "strict rank gap did not trigger the witness on the complement",
+)
 
 
 @dataclass(frozen=True)
@@ -144,6 +163,48 @@ def _marginal_ranks(
     return whole, left, right
 
 
+def witness_rule(whole, left, right):
+    """Rank-gap witness and low-rank regime flags from rank triples, elementwise.
+
+    Returns ``(fires, regime)``: the witness fires when rank(X) is below the
+    larger marginal rank, and the low-rank regime applies when rank(X) is at
+    most that. Arguments are ints or integer arrays that broadcast together.
+    """
+    top = np.maximum(left, right)
+    return np.less(whole, top), np.less_equal(whole, top)
+
+
+def eb_rule(ppt, regime):
+    """Entanglement-breaking certificate code (EB_NO, EB_UNKNOWN or EB_YES),
+    elementwise: no unless PPT, yes only inside the low-rank regime."""
+    return np.where(ppt, np.where(regime, EB_YES, EB_UNKNOWN), EB_NO)
+
+
+def pair_rules(phi_ppt, psi_ppt, witness_psi, eb_phi, eb_psi, lab, lac, la, lb, lc):
+    """Purity equalities and proven relations of a complementary pair, elementwise.
+
+    Inputs are the PPT flags of both maps, the complement's witness flag, the
+    EB codes of both maps and the five ranks of the purification rank chain,
+    as scalars or arrays over samples that broadcast together. Returns
+    ``(purity, relation)``. ``purity`` holds when rank_lc == rank_lab and
+    rank_lb == rank_lac. ``relation`` is 0 when the primary map is not PPT or
+    every relation in RELATIONS holds, else 1 + the index of the first that
+    fails. This is the only statement of these rules: ``equivalence_check``
+    and the batched harness both call it.
+    """
+    purity = np.equal(lc, lab) & np.equal(lb, lac)
+    failed = np.stack(np.broadcast_arrays(
+        np.less(lab, np.maximum(la, lb)),
+        np.equal(eb_psi, EB_UNKNOWN),
+        np.not_equal(psi_ppt, np.equal(eb_psi, EB_YES)),
+        np.logical_and(witness_psi, psi_ppt),
+        np.equal(eb_phi, EB_NO),
+        np.equal(eb_phi, EB_UNKNOWN) & np.greater(lc, lb) & np.logical_not(witness_psi),
+    ))
+    relation = np.where(np.logical_and(phi_ppt, failed.any(axis=0)), failed.argmax(axis=0) + 1, 0)
+    return purity, relation
+
+
 def distillability_witness(
     x, layout: BipartiteLayout, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> Verdict:
@@ -157,7 +218,8 @@ def distillability_witness(
         raise NotPositiveSemidefiniteError("distillability witness requires a PSD input")
     whole, left, right = _marginal_ranks(x, layout, cfg)
     fragile = whole.fragile or left.fragile or right.fragile
-    if whole.rank < max(left.rank, right.rank):
+    fires, _ = witness_rule(whole.rank, left.rank, right.rank)
+    if fires:
         return Verdict(YES, RANK_GAP_WITNESS, fragile)
     return Verdict(UNKNOWN, NO_RANK_GAP, fragile)
 
@@ -176,7 +238,8 @@ def separability_decision(
         raise NotPositiveSemidefiniteError("separability decision requires a PSD input")
     whole, left, right = _marginal_ranks(x, layout, cfg)
     fragile = whole.fragile or left.fragile or right.fragile
-    if whole.rank > max(left.rank, right.rank):
+    _, regime = witness_rule(whole.rank, left.rank, right.rank)
+    if not regime:
         return Verdict(UNKNOWN, OUTSIDE_LOW_RANK_REGIME, fragile)
     if is_psd(partial_transpose(x, layout, "left"), cfg):
         return Verdict(YES, LOW_RANK_PPT_SEPARABLE, fragile)
@@ -194,8 +257,11 @@ def eb_certificate(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     if not is_psd(choi.matrix, cfg):
         raise NotPositiveSemidefiniteError("eb certificate requires a CP map (PSD Choi matrix)")
     if not is_psd(partial_transpose(choi.matrix, choi.layout, "left"), cfg):
-        return Verdict(NO, NOT_PPT)
-    return separability_decision(choi.matrix, choi.layout, cfg)
+        return Verdict(NO, NOT_PPT)  # eb_rule's verdict outside PPT, with no ranks needed
+    whole, left, right = _marginal_ranks(choi.matrix, choi.layout, cfg)
+    _, regime = witness_rule(whole.rank, left.rank, right.rank)
+    fragile = whole.fragile or left.fragile or right.fragile
+    return Verdict(*EB_VERDICTS[int(eb_rule(True, regime))], fragile)
 
 
 @dataclass(frozen=True)
@@ -238,13 +304,6 @@ def degrading_candidate(
     return DegradingCandidate(choi_omega, verdict, float(residual), spectrum)
 
 
-def candidate_degrading_map(
-    pair: ComplementaryPair, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> tuple[ChoiMatrix, Verdict]:
-    cand = degrading_candidate(pair, cfg)
-    return cand.choi_omega, cand.verdict
-
-
 def _choi_spectra(choi: ChoiMatrix, cfg: ToleranceConfig) -> tuple[PsdCheck, PsdCheck]:
     direct = psd_check(choi.matrix, cfg)
     transposed = psd_check(partial_transpose(choi.matrix, choi.layout, "left"), cfg)
@@ -276,8 +335,11 @@ def equivalence_check(
     complement does not certify PPT (there are PPT maps whose complement is
     NPT with no rank gap), so no assertion is made in that direction.
 
-    Violations raise CounterexampleOrBugError. Fragile rank chains abort
-    with FragileSampleError instead of risking a spurious counterexample.
+    ``pair_rules`` evaluates the relations and the purity equalities.
+    Violations raise CounterexampleOrBugError, and purity equalities that
+    fail on a non-fragile sample raise PurityViolationError. Fragile rank
+    chains abort with FragileSampleError instead of risking a spurious
+    counterexample.
     """
     ctx = dict(context or {})
     ctx.setdefault("dims", [st.d_a, st.d_b, st.d_c])
@@ -287,11 +349,6 @@ def equivalence_check(
 
     report = CertificateReport(tolerances=cfg, chain=chain)
     report.ranks.update({f"l_{key}": dec for key, dec in decisions.items()})
-
-    if not verify_complementarity(pair, cfg):
-        raise CounterexampleOrBugError(
-            "purification marginals disagree with the basis-assembled Choi matrices", ctx
-        )
 
     phi_psd, phi_pt = _choi_spectra(pair.choi_phi, cfg)
     psi_psd, psi_pt = _choi_spectra(pair.choi_psi, cfg)
@@ -322,6 +379,20 @@ def equivalence_check(
         }
     )
 
+    purity, relation = pair_rules(
+        phi_ppt, psi_ppt, witness_psi.is_yes, EB_CODES[eb_phi.value], EB_CODES[eb_psi.value],
+        chain.rank_lab, chain.rank_lac, chain.rank_la, chain.rank_lb, chain.rank_lc,
+    )
+    if not purity and not chain.fragile:
+        raise PurityViolationError(
+            f"purity rank equalities failed on a non-fragile sample: {chain.to_json()}"
+        )
+
+    if not verify_complementarity(pair, cfg):
+        raise CounterexampleOrBugError(
+            "purification marginals disagree with the basis-assembled Choi matrices", ctx
+        )
+
     if chain.fragile:
         raise FragileSampleError(
             "rank chain is fragile; equivalence consistency cannot be certified"
@@ -329,25 +400,12 @@ def equivalence_check(
 
     if phi_ppt:
         report.notes.append("primary map is PPT: consistency relations asserted")
-
-        def fail(message: str) -> None:
-            raise CounterexampleOrBugError(message, {**ctx, "report": report.to_json()})
-
-        if chain.rank_lab < max(chain.rank_la, chain.rank_lb):
-            fail("Choi rank of a PPT map fell below one of its marginal ranks")
-        if eb_psi.value == UNKNOWN:
-            fail("low-rank regime failed to apply to the complement of a PPT map")
-        if psi_ppt != (eb_psi.value == YES):
-            fail("PPT and entanglement-breaking certification disagree on the complement")
-        if witness_psi.value == YES and psi_ppt:
-            fail("distillability witness fired on a PPT Choi matrix")
-        if eb_phi.value == NO:
-            fail("entanglement-breaking certificate returned no for a PPT map")
-        if eb_phi.value == UNKNOWN and chain.rank_lc > chain.rank_lb and witness_psi.value != YES:
-            fail("strict rank gap did not trigger the witness on the complement")
     else:
         report.notes.append("primary map is not PPT: consistency branch vacuous")
-
+    if relation:
+        raise CounterexampleOrBugError(
+            RELATIONS[int(relation) - 1], {**ctx, "report": report.to_json()}
+        )
     return report
 
 

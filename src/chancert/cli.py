@@ -40,19 +40,15 @@ from .errors import (
     NotPositiveSemidefiniteError,
     PurityViolationError,
 )
-from .generate import (
-    GENERATOR_ALGORITHM,
-    SEED_DERIVATION,
-    GeneratorSpec,
-    build,
-    random_stinespring,
-)
+from .generate import GENERATOR_ALGORITHM, SEED_DERIVATION, GeneratorSpec, build
+from .harness import run_harness
 from .io import (
     ParsedMatrix,
     dumps,
     file_digest,
     load_matrix,
     matrix_file_dict,
+    ordered_kraus_files,
     report_envelope,
     save_json,
     text_digest,
@@ -178,12 +174,8 @@ def _load_source(args) -> tuple[str, object]:
     if role is None:
         raise MatrixFileError("input files have no role; pass --from choi|kraus|stinespring")
     if role == "kraus":
-        if any(p.dims is None or len(p.dims) < 2 for p in parsed):
-            raise MatrixFileError("kraus files require dims [d_a, d_b]")
-        d_a, d_b = parsed[0].dims[0], parsed[0].dims[1]
-        ordered = sorted(
-            parsed, key=lambda p: p.kraus_index if p.kraus_index is not None else 0
-        )
+        ordered = ordered_kraus_files(parsed)
+        d_a, d_b = ordered[0].dims[:2]
         return role, KrausSet(d_a, d_b, tuple(p.matrix for p in ordered))
     if len(parsed) != 1:
         raise MatrixFileError(f"role {role!r} expects exactly one input file")
@@ -257,52 +249,7 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
     if args.trials < 1:
         raise MatrixFileError("--trials must be at least 1")
 
-    counts = {
-        "samples": 0,
-        "phi_ppt": 0,
-        "psi_ppt": 0,
-        "both_ppt": 0,
-        "witness_phi_fired": 0,
-        "witness_psi_fired": 0,
-        "eb_psi_yes": 0,
-        "eb_phi_yes": 0,
-        "regime_applied_to_psi_given_phi_ppt": 0,
-        "fragile_discarded": 0,
-    }
-    counterexamples: list[dict] = []
-
-    for index in range(args.trials):
-        st = random_stinespring(*dims, seed=args.seed, index=index)
-        context = {"seed": args.seed, "index": index, "dims": list(dims)}
-        try:
-            report = equivalence_check(st, cfg, context=context)
-        except FragileSampleError:
-            counts["fragile_discarded"] += 1
-            continue
-        except (CounterexampleOrBugError, PurityViolationError) as exc:
-            counterexamples.append(
-                {
-                    "seed": args.seed,
-                    "index": index,
-                    "dims": list(dims),
-                    "type": type(exc).__name__,
-                    "error": str(exc),
-                }
-            )
-            continue
-        counts["samples"] += 1
-        predicates = report.predicates
-        phi_ppt = predicates["ppt_phi"].is_yes
-        psi_ppt = predicates["ppt_psi"].is_yes
-        counts["phi_ppt"] += phi_ppt
-        counts["psi_ppt"] += psi_ppt
-        counts["both_ppt"] += phi_ppt and psi_ppt
-        counts["witness_phi_fired"] += predicates["witness_phi"].is_yes
-        counts["witness_psi_fired"] += predicates["witness_psi"].is_yes
-        counts["eb_phi_yes"] += predicates["eb_phi"].is_yes
-        counts["eb_psi_yes"] += predicates["eb_psi"].is_yes
-        if phi_ppt and predicates["eb_psi"].value != "unknown":
-            counts["regime_applied_to_psi_given_phi_ppt"] += 1
+    result = run_harness(dims, args.trials, args.seed, cfg)
 
     digest = text_digest(f"verify-theorem dims={dims} trials={args.trials} seed={args.seed}")
     envelope = report_envelope("verify-theorem", cfg, digest)
@@ -312,12 +259,12 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
             "dims": list(dims),
             "seed": args.seed,
             "generator": {"algorithm": GENERATOR_ALGORITHM, "seed_derivation": SEED_DERIVATION},
-            "counts": counts,
-            "counterexamples": counterexamples,
+            "counts": result.counts,
+            "counterexamples": result.counterexamples,
         }
     )
     _emit(envelope, args.output)
-    return EXIT_COUNTEREXAMPLE if counterexamples else EXIT_OK
+    return EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

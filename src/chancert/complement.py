@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import ChoiMatrix, StinespringOperator, choi_from_map_action
-from .errors import FragileSampleError, NotPositiveSemidefiniteError, PurityViolationError
+from .errors import NotPositiveSemidefiniteError
 from .linalg import (
     DEFAULT_TOLERANCES,
     RankDecision,
@@ -74,18 +74,26 @@ def common_purification_vector(st: StinespringOperator) -> np.ndarray:
     return st.matrix.T.reshape(-1).copy()
 
 
+def marginals_of(psi: np.ndarray) -> dict[str, np.ndarray]:
+    """All five marginals of |psi><psi| for tripartite vectors of shape
+    ``(..., d_a, d_b, d_c)``, keyed 'ab', 'ac', 'a', 'b', 'c'.
+
+    Leading axes index independent vectors, so one call serves a whole stack.
+    """
+    *lead, d_a, d_b, d_c = psi.shape
+    conj = psi.conj()
+    return {
+        "ab": np.einsum("...abc,...xyc->...abxy", psi, conj).reshape(*lead, d_a * d_b, d_a * d_b),
+        "ac": np.einsum("...abc,...xbz->...acxz", psi, conj).reshape(*lead, d_a * d_c, d_a * d_c),
+        "a": np.einsum("...abc,...xbc->...ax", psi, conj),
+        "b": np.einsum("...abc,...ayc->...by", psi, conj),
+        "c": np.einsum("...abc,...abz->...cz", psi, conj),
+    }
+
+
 def purification_marginals(st: StinespringOperator) -> dict[str, np.ndarray]:
     """All five marginals of |L><L| keyed 'ab', 'ac', 'a', 'b', 'c'."""
-    psi = common_purification_vector(st).reshape(st.d_a, st.d_b, st.d_c)
-    conj = psi.conj()
-    d_a, d_b, d_c = st.d_a, st.d_b, st.d_c
-    return {
-        "ab": np.einsum("abc,xyc->abxy", psi, conj).reshape(d_a * d_b, d_a * d_b),
-        "ac": np.einsum("abc,xbz->acxz", psi, conj).reshape(d_a * d_c, d_a * d_c),
-        "a": np.einsum("abc,xbc->ax", psi, conj),
-        "b": np.einsum("abc,ayc->by", psi, conj),
-        "c": np.einsum("abc,abz->cz", psi, conj),
-    }
+    return marginals_of(common_purification_vector(st).reshape(st.d_a, st.d_b, st.d_c))
 
 
 def complementary_pair_from_stinespring(
@@ -112,32 +120,24 @@ def complementary_pair_from_stinespring(
 
 
 def rank_chain(
-    st: StinespringOperator,
-    cfg: ToleranceConfig = DEFAULT_TOLERANCES,
-    strict_purity: bool = True,
+    st: StinespringOperator, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> tuple[RankChain, dict[str, RankDecision]]:
     """Rank data of all five purification marginals, with audit decisions.
 
-    Raises PurityViolationError when a purity equality fails on a non-fragile
-    sample (strict_purity=True); fragile samples carry the flag instead so a
-    sampling harness can discard them with an audit trail.
+    The purity equalities are not enforced here: ``certify.pair_rules``
+    evaluates them, and ``certify.equivalence_check`` raises
+    PurityViolationError when they fail on a non-fragile sample.
     """
     marginals = purification_marginals(st)
     decisions = {key: rank_decision(m, cfg) for key, m in marginals.items()}
-    fragile = any(d.fragile for d in decisions.values())
     chain = RankChain(
         rank_lab=decisions["ab"].rank,
         rank_lac=decisions["ac"].rank,
         rank_la=decisions["a"].rank,
         rank_lb=decisions["b"].rank,
         rank_lc=decisions["c"].rank,
-        fragile=fragile,
+        fragile=any(d.fragile for d in decisions.values()),
     )
-    purity_ok = chain.rank_lc == chain.rank_lab and chain.rank_lb == chain.rank_lac
-    if strict_purity and not purity_ok and not fragile:
-        raise PurityViolationError(
-            f"purity rank equalities failed on a non-fragile sample: {chain.to_json()}"
-        )
     return chain, decisions
 
 
@@ -161,11 +161,3 @@ def swap_environment(st: StinespringOperator) -> StinespringOperator:
     cube = st.matrix.reshape(st.d_b, st.d_c, st.d_a)
     swapped = cube.transpose(1, 0, 2).reshape(st.d_c * st.d_b, st.d_a)
     return StinespringOperator(st.d_a, st.d_c, st.d_b, swapped)
-
-
-def require_not_fragile(chain: RankChain) -> None:
-    """Abort hard when rank decisions are too close to the cutoff to certify."""
-    if chain.fragile:
-        raise FragileSampleError(
-            "rank decisions within the fragility window; sample cannot be certified"
-        )

@@ -81,14 +81,26 @@ def random_stinespring(
     ``normalize_columns`` the columns are scaled to unit norm, which makes
     the traced map trace-scaled on basis states.
     """
-    if min(d_a, d_b, d_c) < 1:
-        raise DimensionMismatchError("all dimensions must be at least 1")
-    rng = make_rng(seed, index)
-    shape = (d_b * d_c, d_a)
-    m = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    m = random_dilation_stack(d_a, d_b, d_c, seed, [index])[0]
     if normalize_columns:
         m = m / np.linalg.norm(m, axis=0, keepdims=True)
     return StinespringOperator(d_a, d_b, d_c, m)
+
+
+def random_dilation_stack(d_a: int, d_b: int, d_c: int, seed: int, indices) -> np.ndarray:
+    """Matrices of ``random_stinespring(d_a, d_b, d_c, seed, i)`` for each i in
+    ``indices``, bit for bit, stacked into shape ``(len(indices), d_b * d_c, d_a)``.
+
+    An index of None draws from the stream of ``seed`` itself.
+    """
+    if min(d_a, d_b, d_c) < 1:
+        raise DimensionMismatchError("all dimensions must be at least 1")
+    shape = (d_b * d_c, d_a)
+    out = np.empty((len(indices),) + shape, dtype=complex)
+    for k, index in enumerate(indices):
+        rng = make_rng(seed, index)
+        out[k] = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return out
 
 
 def schur_stinespring(t) -> StinespringOperator:

@@ -135,6 +135,11 @@ def parse_matrix_file(obj: dict) -> ParsedMatrix:
             raise MatrixFileError("dims must be a list of positive integers")
         dims = tuple(raw)
 
+    for key, least in (("kraus_index", 0), ("kraus_count", 1)):
+        value = obj.get(key)
+        if value is not None and not (isinstance(value, int) and value >= least):
+            raise MatrixFileError(f"{key} must be an integer >= {least}, got {value!r}")
+
     return ParsedMatrix(
         matrix=matrix,
         role=role,
@@ -143,6 +148,33 @@ def parse_matrix_file(obj: dict) -> ParsedMatrix:
         kraus_index=obj.get("kraus_index"),
         kraus_count=obj.get("kraus_count"),
     )
+
+
+def ordered_kraus_files(parsed: list[ParsedMatrix]) -> list[ParsedMatrix]:
+    """The files of one Kraus set, in kraus_index order, checked to be complete.
+
+    All files must carry the same dims ``[d_a, d_b]`` and a kraus_index. The
+    indices of n files must be 0 .. n-1, each once, and a recorded
+    kraus_count must equal n. A partial or repeated set would silently
+    describe a different map, so it is rejected.
+    """
+    if any(p.dims is None or len(p.dims) < 2 for p in parsed):
+        raise MatrixFileError("kraus files require dims [d_a, d_b]")
+    dims = {p.dims for p in parsed}
+    if len(dims) != 1:
+        raise MatrixFileError(f"kraus files disagree on dims: {sorted(dims)}")
+    n = len(parsed)
+    counts = {p.kraus_count for p in parsed} - {None}
+    if counts - {n}:
+        raise MatrixFileError(f"kraus_count {sorted(counts)} does not match the {n} files given")
+    indices = [p.kraus_index for p in parsed]
+    if None in indices:
+        raise MatrixFileError("every kraus file needs a kraus_index")
+    if sorted(indices) != list(range(n)):
+        raise MatrixFileError(
+            f"kraus_index values {sorted(indices)} are not 0 .. {n - 1}, each once"
+        )
+    return sorted(parsed, key=lambda p: p.kraus_index)
 
 
 def load_matrix(path) -> ParsedMatrix:

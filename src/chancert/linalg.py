@@ -37,7 +37,7 @@ FRAGILITY_FACTOR = 10.0
 class ToleranceConfig:
     """Relative tolerances used by every numerical decision.
 
-    psd_tol      eigenvalue negativity allowance, relative to max(1, lambda_max)
+    psd_tol      eigenvalue negativity allowance, relative to lambda_max
     rank_tol     singular value cutoff, relative to sigma_max * max(dims)
     equality_tol matrix equality, relative Frobenius
     """
@@ -207,6 +207,16 @@ class RankDecision:
         }
 
 
+def rank_cutoff(sigma_max, size: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Singular value cutoff ``rank_tol * sigma_max * size``, elementwise.
+
+    ``size`` is the larger matrix dimension. Values above the cutoff count
+    toward the rank; values within FRAGILITY_FACTOR of it make the decision
+    fragile.
+    """
+    return cfg.rank_tol * sigma_max * size
+
+
 def rank_decision(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RankDecision:
     """Numerical rank with audit data.
 
@@ -219,7 +229,7 @@ def rank_decision(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RankDecision:
     if sigma_max == 0.0:
         return RankDecision(rank=0, cutoff=0.0, smallest_kept=None,
                             largest_discarded=0.0 if sigma.size else None, fragile=False)
-    cutoff = cfg.rank_tol * sigma_max * max(m.shape)
+    cutoff = float(rank_cutoff(sigma_max, max(m.shape), cfg))
     kept = sigma[sigma > cutoff]
     discarded = sigma[sigma <= cutoff]
     near = (sigma > cutoff / FRAGILITY_FACTOR) & (sigma < cutoff * FRAGILITY_FACTOR)
@@ -256,12 +266,21 @@ class PsdCheck:
         }
 
 
+def psd_threshold(lam_max, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+    """Lowest eigenvalue a PSD verdict allows, ``-psd_tol * lambda_max``, elementwise.
+
+    Relative to the spectrum, so no verdict changes under positive scaling.
+    A spectrum with ``lambda_max <= 0`` gets threshold 0: the zero matrix
+    passes (it is vacuously PSD) and every other such matrix fails.
+    """
+    return 0.0 - cfg.psd_tol * np.maximum(lam_max, 0.0)
+
+
 def psd_check(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PsdCheck:
     """PSD test with recorded extremal eigenvalues.
 
     True iff the matrix is Hermitian within ``equality_tol`` and
-    ``lambda_min >= -psd_tol * max(1, lambda_max)``. The max(1, .) floor keeps
-    unnormalized Choi matrices and tiny matrices on the same footing.
+    ``lambda_min >= psd_threshold(lambda_max)``.
     """
     m = as_matrix(x)
     if m.shape[0] != m.shape[1]:
@@ -270,7 +289,7 @@ def psd_check(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PsdCheck:
     w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     lam_min = float(w[0]) if w.size else 0.0
     lam_max = float(w[-1]) if w.size else 0.0
-    threshold = -cfg.psd_tol * max(1.0, lam_max)
+    threshold = float(psd_threshold(lam_max, cfg))
     return PsdCheck(
         psd=bool(hermitian and lam_min >= threshold),
         hermitian=bool(hermitian),

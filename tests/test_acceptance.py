@@ -99,7 +99,7 @@ def test_criterion_2_purification_identities():
 
 
 def test_criterion_3_monte_carlo_harness(tmp_path):
-    with criterion(3, "consistency harness, 500 trials per dimension tuple", 120.0):
+    with criterion(3, "consistency harness, 500 trials per dimension tuple", 10.0):
         for dims in DIM_TUPLES:
             out = tmp_path / f"vt_{dims[0]}{dims[1]}{dims[2]}.json"
             dims_arg = ",".join(str(d) for d in dims)

@@ -10,12 +10,12 @@ from chancert import (
     NotPositiveSemidefiniteError,
     StinespringOperator,
     apply_channel,
-    candidate_degrading_map,
     channels_equal,
     choi_report,
     complementary_pair_from_stinespring,
     compose,
     degradable_ppt_check,
+    degrading_candidate,
     distillability_witness,
     eb_certificate,
     equivalence_check,
@@ -159,7 +159,7 @@ class TestEbCertificate:
 
 
 class TestScalingInvariance:
-    @pytest.mark.parametrize("scale", [1e-3, 0.5, 7.0, 1e3])
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-3, 0.5, 7.0, 1e3, 1e6, 1e12])
     def test_verdicts_survive_positive_scaling(self, cfg, scale):
         rng = np.random.default_rng(2)
         for _ in range(10):
@@ -173,14 +173,27 @@ class TestScalingInvariance:
                 separability_decision(x, layout, cfg).value
                 == separability_decision(scale * x, layout, cfg).value
             )
+            choi = ChoiMatrix(2, 3, x)
+            assert (
+                eb_certificate(choi, cfg).value
+                == eb_certificate(ChoiMatrix(2, 3, scale * x), cfg).value
+            )
+
+    def test_scaled_identity_channel_is_not_ppt(self, cfg):
+        # regression: with an absolute negativity floor, the identity channel
+        # scaled by 1e-10 was reported PPT and entanglement breaking
+        choi = named_channel("identity", 2)
+        report = choi_report(ChoiMatrix(2, 2, 1e-10 * choi.matrix), cfg)
+        assert report.predicates["ppt"].value == "no"
+        assert report.predicates["eb"].value == "no"
 
 
 class TestDegradingCandidate:
     def test_self_complementary_pair(self, cfg):
         pair = schur_multiplier_pair((1.0, 1.0), cfg)
-        omega, verdict = candidate_degrading_map(pair, cfg)
-        assert verdict.value == "yes"
-        composed = compose(omega, pair.choi_psi)
+        cand = degrading_candidate(pair, cfg)
+        assert cand.verdict.value == "yes"
+        composed = compose(cand.choi_omega, pair.choi_psi)
         assert channels_equal(composed, pair.choi_phi, cfg)
 
     def test_zero_phi_any_psi(self, cfg):
@@ -189,18 +202,18 @@ class TestDegradingCandidate:
         zeroed = ComplementaryPair(
             pair.stinespring, ChoiMatrix(2, 2, np.zeros((4, 4))), pair.choi_psi
         )
-        omega, verdict = candidate_degrading_map(zeroed, cfg)
-        assert verdict.value == "yes"
-        assert np.linalg.norm(omega.matrix) <= 1e-12
+        cand = degrading_candidate(zeroed, cfg)
+        assert cand.verdict.value == "yes"
+        assert np.linalg.norm(cand.choi_omega.matrix) <= 1e-12
 
     def test_weighted_multiplier_degradable(self, cfg):
         pair = schur_multiplier_pair((1.0, 0.5), cfg)
-        omega, verdict = candidate_degrading_map(pair, cfg)
-        assert verdict.value == "yes"
+        cand = degrading_candidate(pair, cfg)
+        assert cand.verdict.value == "yes"
         rng = np.random.default_rng(3)
         x = complex_gaussian(rng, (2, 2))
         np.testing.assert_allclose(
-            apply_channel(omega, apply_channel(pair.choi_psi, x)),
+            apply_channel(cand.choi_omega, apply_channel(pair.choi_psi, x)),
             apply_channel(pair.choi_phi, x),
             atol=1e-11,
         )
@@ -212,8 +225,7 @@ class TestDegradingCandidate:
         broken = ComplementaryPair(
             pair.stinespring, pair.choi_phi, ChoiMatrix(2, 2, np.zeros((4, 4)))
         )
-        _, verdict = candidate_degrading_map(broken, cfg)
-        assert verdict.value == "no"
+        assert degrading_candidate(broken, cfg).verdict.value == "no"
 
 
 class TestDegradablePptCheck:

@@ -19,8 +19,6 @@ from chancert import (
     tiles_stinespring,
     verify_complementarity,
 )
-from chancert.complement import require_not_fragile
-from chancert.errors import FragileSampleError
 
 from conftest import complex_gaussian
 
@@ -139,17 +137,6 @@ class TestRankChain:
             w_small = np.sort(np.linalg.eigvalsh(marginals[small]))
             nonzero = w_small[w_small > 1e-10]
             np.testing.assert_allclose(w_big[-nonzero.size:], nonzero, atol=1e-10)
-
-    def test_fragile_guard(self):
-        chain, _ = rank_chain(schur_stinespring([1.0, 1.0]))
-        require_not_fragile(chain)  # no raise
-
-        from chancert import RankChain
-
-        with pytest.raises(FragileSampleError):
-            require_not_fragile(
-                RankChain(rank_lab=1, rank_lac=1, rank_la=1, rank_lb=1, rank_lc=1, fragile=True)
-            )
 
 
 class TestVerifyComplementarity:

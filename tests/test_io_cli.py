@@ -1,6 +1,7 @@
 """Tests for the JSON schemas and the command-line interface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,45 @@ class TestCliGenerateConvert:
         rebuilt = load_matrix(back_path).matrix
         assert np.linalg.norm(rebuilt - original) <= 1e-8 * np.linalg.norm(original)
 
+    @staticmethod
+    def depolarizing_kraus_files(tmp_path) -> list[str]:
+        choi_path = tmp_path / "dep.json"
+        main(["generate", "--kind", "depolarizing", "--dims", "2", "--output", str(choi_path)])
+        assert main(["convert", str(choi_path), "--to", "kraus",
+                     "--output", str(tmp_path / "k.json")]) == 0
+        paths = sorted(str(p) for p in tmp_path.glob("k.k*.json"))
+        assert len(paths) == 4
+        return paths
+
+    @staticmethod
+    def edit(path, **changes):
+        payload = json.loads(Path(path).read_text())
+        payload.update(changes)
+        payload = {k: v for k, v in payload.items() if v is not None}
+        save_json(path, payload)
+
+    def test_partial_kraus_set_rejected(self, tmp_path):
+        paths = self.depolarizing_kraus_files(tmp_path)
+        assert main(["convert", *paths[:2], "--to", "choi",
+                     "--output", str(tmp_path / "back.json")]) == 2
+
+    def test_repeated_kraus_file_rejected(self, tmp_path):
+        paths = self.depolarizing_kraus_files(tmp_path)
+        assert main(["convert", *[paths[0]] * 4, "--to", "choi",
+                     "--output", str(tmp_path / "back.json")]) == 2
+
+    def test_kraus_file_without_index_rejected(self, tmp_path):
+        paths = self.depolarizing_kraus_files(tmp_path)
+        self.edit(paths[3], kraus_index=None)
+        assert main(["convert", *paths, "--to", "choi",
+                     "--output", str(tmp_path / "back.json")]) == 2
+
+    def test_kraus_files_disagreeing_on_dims_rejected(self, tmp_path):
+        paths = self.depolarizing_kraus_files(tmp_path)
+        self.edit(paths[3], dims=[2, 3])
+        assert main(["convert", *paths, "--to", "choi",
+                     "--output", str(tmp_path / "back.json")]) == 2
+
     def test_non_cp_choi_to_kraus_is_precondition_failure(self, tmp_path):
         choi_path = tmp_path / "tr.json"
         main(["generate", "--kind", "transpose", "--dims", "2", "--output", str(choi_path)])
@@ -198,12 +238,17 @@ class TestCliVerifyTheorem:
         assert strip_timestamp(a.read_text()) == strip_timestamp(b.read_text())
 
     def test_counterexample_exit_code(self, tmp_path, monkeypatch):
-        from chancert.errors import CounterexampleOrBugError
+        # force a relation failure on every sample through the shared rule,
+        # which both the batched engine and equivalence_check evaluate
+        import chancert.certify as certify_mod
 
-        def explode(st, cfg, context=None):
-            raise CounterexampleOrBugError("forced failure", context)
+        original = certify_mod.pair_rules
 
-        monkeypatch.setattr("chancert.cli.equivalence_check", explode)
+        def explode(*args):
+            purity, relation = original(*args)
+            return purity, np.ones_like(relation)
+
+        monkeypatch.setattr("chancert.certify.pair_rules", explode)
         out = tmp_path / "vt.json"
         assert main(["verify-theorem", "--trials", "3", "--dims", "2,2,2",
                      "--seed", "1", "--output", str(out)]) == 4

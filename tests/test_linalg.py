@@ -218,6 +218,22 @@ class TestIsPsd:
     def test_non_hermitian_is_not_psd(self):
         assert not is_psd(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_threshold_is_relative_to_the_spectrum(self, cfg):
+        # a negativity that is tiny in absolute terms but large next to
+        # lambda_max is rejected at every scale
+        for scale in (1e-12, 1.0, 1e12):
+            chk = psd_check(scale * np.diag([1.0, -1e-3]), cfg)
+            assert chk.threshold == pytest.approx(-cfg.psd_tol * scale)
+            assert not chk.psd
+
+    def test_zero_matrix_is_vacuously_psd(self, cfg):
+        chk = psd_check(np.zeros((3, 3)), cfg)
+        assert chk.psd
+        assert chk.threshold == 0.0
+
+    def test_negative_semidefinite_is_rejected_at_any_scale(self):
+        assert not is_psd(np.diag([-1e-12, 0.0]))
+
     def test_check_records_spectrum(self, cfg):
         chk = psd_check(np.diag([2.0, -1.0]), cfg)
         assert chk.lambda_max == pytest.approx(2.0)
