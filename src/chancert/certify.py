@@ -25,9 +25,6 @@ from .channels import (
     channels_equal,
     choi_from_transfer,
     compose,
-    is_cocp,
-    is_cp,
-    is_ppt_map,
     is_trace_preserving,
     transfer_from_choi,
 )
@@ -163,6 +160,11 @@ def _marginal_ranks(
     return whole, left, right
 
 
+def _spectra(x, layout: BipartiteLayout, cfg: ToleranceConfig) -> tuple[PsdCheck, PsdCheck]:
+    """PSD records of ``x`` and of its left partial transpose."""
+    return psd_check(x, cfg), psd_check(partial_transpose(x, layout, "left"), cfg)
+
+
 def witness_rule(whole, left, right):
     """Rank-gap witness and low-rank regime flags from rank triples, elementwise.
 
@@ -205,6 +207,48 @@ def pair_rules(phi_ppt, psi_ppt, witness_psi, eb_phi, eb_psi, lab, lac, la, lb, 
     return purity, relation
 
 
+def ppt_rule(direct: PsdCheck, transposed: PsdCheck) -> bool:
+    """PPT from the PSD records of a matrix and of its partial transpose: both pass."""
+    return direct.psd and transposed.psd
+
+
+def _rank_flags(ranks) -> tuple[bool, bool, bool]:
+    """``(fires, regime, fragile)`` of a (whole, left, right) rank decision triple."""
+    whole, left, right = ranks
+    fires, regime = witness_rule(whole.rank, left.rank, right.rank)
+    return bool(fires), bool(regime), whole.fragile or left.fragile or right.fragile
+
+
+def witness_verdict(ranks) -> Verdict:
+    """Distillability witness verdict from the (whole, left, right) rank triple
+    of a PSD matrix: yes when the witness fires, else unknown, never no."""
+    fires, _, fragile = _rank_flags(ranks)
+    if fires:
+        return Verdict(YES, RANK_GAP_WITNESS, fragile)
+    return Verdict(UNKNOWN, NO_RANK_GAP, fragile)
+
+
+def separability_verdict(ppt: bool, ranks) -> Verdict:
+    """Separability verdict of a PSD matrix from its PPT flag and rank triple:
+    decided by ``ppt`` inside the low-rank regime, unknown outside it."""
+    _, regime, fragile = _rank_flags(ranks)
+    if not regime:
+        return Verdict(UNKNOWN, OUTSIDE_LOW_RANK_REGIME, fragile)
+    if ppt:
+        return Verdict(YES, LOW_RANK_PPT_SEPARABLE, fragile)
+    return Verdict(NO, LOW_RANK_NPT, fragile)
+
+
+def eb_verdict(ppt: bool, ranks) -> Verdict:
+    """Entanglement-breaking verdict of a CP map from its PPT flag and the rank
+    triple of its Choi matrix, by ``eb_rule``. Outside PPT the verdict is no
+    and ``ranks`` is not read (it may be None)."""
+    if not ppt:
+        return Verdict(*EB_VERDICTS[EB_NO])
+    _, regime, fragile = _rank_flags(ranks)
+    return Verdict(*EB_VERDICTS[int(eb_rule(True, regime))], fragile)
+
+
 def distillability_witness(
     x, layout: BipartiteLayout, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> Verdict:
@@ -216,12 +260,7 @@ def distillability_witness(
     """
     if not is_psd(x, cfg):
         raise NotPositiveSemidefiniteError("distillability witness requires a PSD input")
-    whole, left, right = _marginal_ranks(x, layout, cfg)
-    fragile = whole.fragile or left.fragile or right.fragile
-    fires, _ = witness_rule(whole.rank, left.rank, right.rank)
-    if fires:
-        return Verdict(YES, RANK_GAP_WITNESS, fragile)
-    return Verdict(UNKNOWN, NO_RANK_GAP, fragile)
+    return witness_verdict(_marginal_ranks(x, layout, cfg))
 
 
 def separability_decision(
@@ -234,16 +273,23 @@ def separability_decision(
     the regime the decision is unknown (deciding it is intractable in
     general and deliberately out of scope).
     """
-    if not is_psd(x, cfg):
+    direct = psd_check(x, cfg)
+    if not direct.psd:
         raise NotPositiveSemidefiniteError("separability decision requires a PSD input")
-    whole, left, right = _marginal_ranks(x, layout, cfg)
-    fragile = whole.fragile or left.fragile or right.fragile
-    _, regime = witness_rule(whole.rank, left.rank, right.rank)
-    if not regime:
-        return Verdict(UNKNOWN, OUTSIDE_LOW_RANK_REGIME, fragile)
-    if is_psd(partial_transpose(x, layout, "left"), cfg):
-        return Verdict(YES, LOW_RANK_PPT_SEPARABLE, fragile)
-    return Verdict(NO, LOW_RANK_NPT, fragile)
+    ranks = _marginal_ranks(x, layout, cfg)
+    transposed = psd_check(partial_transpose(x, layout, "left"), cfg)
+    return separability_verdict(ppt_rule(direct, transposed), ranks)
+
+
+def _eb_certificate(
+    choi: ChoiMatrix, direct: PsdCheck, transposed: PsdCheck, cfg: ToleranceConfig
+) -> Verdict:
+    """``eb_certificate`` from the Choi matrix's PSD records; the ranks are
+    computed only when the map is PPT."""
+    if not direct.psd:
+        raise NotPositiveSemidefiniteError("eb certificate requires a CP map (PSD Choi matrix)")
+    ppt = ppt_rule(direct, transposed)
+    return eb_verdict(ppt, _marginal_ranks(choi.matrix, choi.layout, cfg) if ppt else None)
 
 
 def eb_certificate(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdict:
@@ -254,14 +300,7 @@ def eb_certificate(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     Unknown when the map is PPT but the regime does not apply; a yes is never
     claimed without the rank hypothesis on record.
     """
-    if not is_psd(choi.matrix, cfg):
-        raise NotPositiveSemidefiniteError("eb certificate requires a CP map (PSD Choi matrix)")
-    if not is_psd(partial_transpose(choi.matrix, choi.layout, "left"), cfg):
-        return Verdict(NO, NOT_PPT)  # eb_rule's verdict outside PPT, with no ranks needed
-    whole, left, right = _marginal_ranks(choi.matrix, choi.layout, cfg)
-    _, regime = witness_rule(whole.rank, left.rank, right.rank)
-    fragile = whole.fragile or left.fragile or right.fragile
-    return Verdict(*EB_VERDICTS[int(eb_rule(True, regime))], fragile)
+    return _eb_certificate(choi, *_spectra(choi.matrix, choi.layout, cfg), cfg)
 
 
 @dataclass(frozen=True)
@@ -304,12 +343,6 @@ def degrading_candidate(
     return DegradingCandidate(choi_omega, verdict, float(residual), spectrum)
 
 
-def _choi_spectra(choi: ChoiMatrix, cfg: ToleranceConfig) -> tuple[PsdCheck, PsdCheck]:
-    direct = psd_check(choi.matrix, cfg)
-    transposed = psd_check(partial_transpose(choi.matrix, choi.layout, "left"), cfg)
-    return direct, transposed
-
-
 def equivalence_check(
     st: StinespringOperator,
     cfg: ToleranceConfig = DEFAULT_TOLERANCES,
@@ -350,19 +383,21 @@ def equivalence_check(
     report = CertificateReport(tolerances=cfg, chain=chain)
     report.ranks.update({f"l_{key}": dec for key, dec in decisions.items()})
 
-    phi_psd, phi_pt = _choi_spectra(pair.choi_phi, cfg)
-    psi_psd, psi_pt = _choi_spectra(pair.choi_psi, cfg)
+    phi_psd, phi_pt = _spectra(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
+    psi_psd, psi_pt = _spectra(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
     report.spectra.update(
         {"phi_choi": phi_psd, "phi_choi_pt": phi_pt, "psi_choi": psi_psd, "psi_choi_pt": psi_pt}
     )
+    phi_ppt = ppt_rule(phi_psd, phi_pt)
+    psi_ppt = ppt_rule(psi_psd, psi_pt)
 
-    phi_ppt = phi_psd.psd and phi_pt.psd
-    psi_ppt = psi_psd.psd and psi_pt.psd
-
-    witness_phi = distillability_witness(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
-    witness_psi = distillability_witness(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
-    eb_phi = eb_certificate(pair.choi_phi, cfg)
-    eb_psi = eb_certificate(pair.choi_psi, cfg)
+    # Both Choi matrices passed the PSD assertion of the pair constructor.
+    phi_ranks = _marginal_ranks(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
+    psi_ranks = _marginal_ranks(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
+    witness_phi = witness_verdict(phi_ranks)
+    witness_psi = witness_verdict(psi_ranks)
+    eb_phi = eb_verdict(phi_ppt, phi_ranks)
+    eb_psi = eb_verdict(psi_ppt, psi_ranks)
 
     report.predicates.update(
         {
@@ -426,13 +461,13 @@ def degradable_ppt_check(
     ctx = dict(context or {})
     report = CertificateReport(tolerances=cfg)
 
-    psi_psd, psi_pt = _choi_spectra(pair.choi_psi, cfg)
-    phi_psd, phi_pt = _choi_spectra(pair.choi_phi, cfg)
+    psi_psd, psi_pt = _spectra(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
+    phi_psd, phi_pt = _spectra(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
     report.spectra.update(
         {"phi_choi": phi_psd, "phi_choi_pt": phi_pt, "psi_choi": psi_psd, "psi_choi_pt": psi_pt}
     )
-    psi_ppt = psi_psd.psd and psi_pt.psd
-    phi_ppt = phi_psd.psd and phi_pt.psd
+    psi_ppt = ppt_rule(psi_psd, psi_pt)
+    phi_ppt = ppt_rule(phi_psd, phi_pt)
     report.predicates["ppt_psi"] = _bool_verdict(psi_ppt, PT_SPECTRUM)
     report.predicates["ppt_phi"] = _bool_verdict(phi_ppt, PT_SPECTRUM)
 
@@ -446,8 +481,8 @@ def degradable_ppt_check(
     report.residuals["degrading_residual"] = cand.residual
     report.spectra["omega_choi"] = cand.omega_spectrum
 
-    eb_phi = eb_certificate(pair.choi_phi, cfg)
-    eb_psi = eb_certificate(pair.choi_psi, cfg)
+    eb_phi = _eb_certificate(pair.choi_phi, phi_psd, phi_pt, cfg)
+    eb_psi = _eb_certificate(pair.choi_psi, psi_psd, psi_pt, cfg)
     report.predicates["eb_phi"] = eb_phi
     report.predicates["eb_psi"] = eb_psi
 
@@ -477,16 +512,16 @@ def state_report(
 ) -> CertificateReport:
     """Predicate suite for a bipartite matrix treated as an (unnormalized) state."""
     report = CertificateReport(tolerances=cfg)
-    spectrum = psd_check(x, cfg)
-    pt_spectrum = psd_check(partial_transpose(x, layout, "left"), cfg)
+    spectrum, pt_spectrum = _spectra(x, layout, cfg)
     report.spectra.update({"state": spectrum, "state_pt": pt_spectrum})
-    whole, left, right = _marginal_ranks(x, layout, cfg)
-    report.ranks.update({"state": whole, "marginal_left": left, "marginal_right": right})
+    ranks = _marginal_ranks(x, layout, cfg)
+    report.ranks.update(zip(("state", "marginal_left", "marginal_right"), ranks))
+    ppt = ppt_rule(spectrum, pt_spectrum)
     report.predicates["psd"] = _bool_verdict(spectrum.psd, PSD_SPECTRUM)
-    report.predicates["ppt"] = _bool_verdict(spectrum.psd and pt_spectrum.psd, PT_SPECTRUM)
+    report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
     if spectrum.psd:
-        report.predicates["distillable_witness"] = distillability_witness(x, layout, cfg)
-        report.predicates["separable"] = separability_decision(x, layout, cfg)
+        report.predicates["distillable_witness"] = witness_verdict(ranks)
+        report.predicates["separable"] = separability_verdict(ppt, ranks)
     else:
         report.notes.append("input is not PSD: witness and separability skipped")
     return report
@@ -495,17 +530,17 @@ def state_report(
 def choi_report(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CertificateReport:
     """Predicate suite for a map given by its Choi matrix."""
     report = CertificateReport(tolerances=cfg)
-    direct, transposed = _choi_spectra(choi, cfg)
+    direct, transposed = _spectra(choi.matrix, choi.layout, cfg)
     report.spectra.update({"choi": direct, "choi_pt": transposed})
-    whole, left, right = _marginal_ranks(choi.matrix, choi.layout, cfg)
-    report.ranks.update({"choi": whole, "marginal_a": left, "marginal_b": right})
-    cp = is_cp(choi, cfg)
-    report.predicates["cp"] = _bool_verdict(cp, PSD_SPECTRUM)
-    report.predicates["cocp"] = _bool_verdict(is_cocp(choi, cfg), PT_SPECTRUM)
-    report.predicates["ppt"] = _bool_verdict(is_ppt_map(choi, cfg), PT_SPECTRUM)
+    ranks = _marginal_ranks(choi.matrix, choi.layout, cfg)
+    report.ranks.update(zip(("choi", "marginal_a", "marginal_b"), ranks))
+    ppt = ppt_rule(direct, transposed)
+    report.predicates["cp"] = _bool_verdict(direct.psd, PSD_SPECTRUM)
+    report.predicates["cocp"] = _bool_verdict(transposed.psd, PT_SPECTRUM)
+    report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
     report.predicates["trace_preserving"] = _bool_verdict(is_trace_preserving(choi, cfg), TRACE_BLOCK)
-    if cp:
-        report.predicates["eb"] = eb_certificate(choi, cfg)
+    if direct.psd:
+        report.predicates["eb"] = eb_verdict(ppt, ranks)
     else:
         report.notes.append("map is not CP: entanglement-breaking certificate skipped")
     return report

@@ -40,6 +40,7 @@ from .linalg import (
     numerical_rank,
     partial_trace,
     partial_transpose,
+    psd_check,
 )
 
 
@@ -240,8 +241,12 @@ def is_cocp(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool
 
 
 def is_ppt_map(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
-    """Both CP and coCP. Invariant under which factor is partially transposed."""
-    return is_cp(choi, cfg) and is_cocp(choi, cfg)
+    """Both CP and coCP, by ``certify.ppt_rule``. Invariant under which factor
+    is partially transposed."""
+    from .certify import ppt_rule  # certify imports this module
+
+    direct = psd_check(choi.matrix, cfg)
+    return ppt_rule(direct, psd_check(partial_transpose(choi.matrix, choi.layout, "left"), cfg))
 
 
 def is_trace_preserving(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -10,11 +10,15 @@ failure, 4 counterexample-or-bug (a proven consistency relation failed).
 Default tolerances can be overridden per invocation with --psd-tol,
 --rank-tol, --equality-tol, or globally with the environment variables
 CHANCERT_PSD_TOL, CHANCERT_RANK_TOL, CHANCERT_EQUALITY_TOL.
+
+``main`` may be called repeatedly in one process: the parser is built once,
+and flags, environment and handler are read anew on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -267,7 +271,9 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
     return EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first call; parsing never changes it."""
     parser = argparse.ArgumentParser(
         prog="chancert",
         description="Certify completely positive maps: representations, PPT tests, "
@@ -289,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("input", help="matrix file to analyze")
     analyze.add_argument("--as", dest="role", choices=("choi", "state", "stinespring"),
                          default=None, help="interpretation of the input (default: file role)")
-    analyze.set_defaults(func=cmd_analyze)
 
     generate = sub.add_parser("generate", parents=[common],
                               help="generate a channel, state, or dilation file")
@@ -303,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="derive the stream of the index-th harness sample")
     generate.add_argument("--normalize", action="store_true",
                           help="normalize dilation columns (random-stinespring)")
-    generate.set_defaults(func=cmd_generate)
 
     convert = sub.add_parser("convert", parents=[common],
                              help="convert between choi, kraus, and stinespring files")
@@ -312,24 +316,23 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("choi", "kraus", "stinespring"))
     convert.add_argument("--from", dest="source", choices=("choi", "kraus", "stinespring"),
                          default=None, help="source representation (default: file role)")
-    convert.set_defaults(func=cmd_convert)
 
     verify = sub.add_parser("verify-theorem", parents=[common],
                             help="Monte-Carlo consistency harness over random dilations")
     verify.add_argument("--trials", type=int, required=True)
     verify.add_argument("--dims", required=True, help="d_a,d_b,d_c")
     verify.add_argument("--seed", type=int, required=True)
-    verify.set_defaults(func=cmd_verify_theorem)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, so a wrapper installed on a cmd_* handler applies.
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         cfg = resolve_tolerances(args)
-        return args.func(args, cfg)
+        return handler(args, cfg)
     except MatrixFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE

@@ -12,6 +12,7 @@ Report files are deterministic given (input, flags, seed) except for the
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -89,6 +90,27 @@ def matrix_file_dict(
     return out
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """True iff ``value`` is a JSON integer (a boolean is not) of at least ``least``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _number_array(entries, key: str) -> np.ndarray:
+    """A list of rows of JSON numbers as a float array. Strings and booleans
+    are not numbers; the entry types are read in one pass."""
+    try:
+        kinds = set(map(type, itertools.chain.from_iterable(entries)))
+    except TypeError as exc:
+        raise MatrixFileError(f"{key} must be a list of rows of numbers") from exc
+    bad = sorted(k.__name__ for k in kinds if k is bool or not issubclass(k, (int, float)))
+    if bad:
+        raise MatrixFileError(f"{key} entries must be JSON numbers, got {', '.join(bad)}")
+    try:
+        return np.asarray(entries, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise MatrixFileError(f"re/im arrays are malformed: {exc}") from exc
+
+
 def parse_matrix_file(obj: dict) -> ParsedMatrix:
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise MatrixFileError(
@@ -98,13 +120,10 @@ def parse_matrix_file(obj: dict) -> ParsedMatrix:
         if key not in obj:
             raise MatrixFileError(f"missing required field {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (_is_count(rows) and _is_count(cols)):
         raise MatrixFileError("rows and cols must be positive integers")
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MatrixFileError(f"re/im arrays are malformed: {exc}") from exc
+    re = _number_array(obj["re"], "re")
+    im = _number_array(obj["im"], "im")
     if re.shape != (rows, cols) or im.shape != (rows, cols):
         raise MatrixFileError(
             f"re/im shapes {re.shape}/{im.shape} do not match rows x cols = ({rows}, {cols})"
@@ -120,9 +139,9 @@ def parse_matrix_file(obj: dict) -> ParsedMatrix:
     layout = None
     if obj.get("layout") is not None:
         raw = obj["layout"]
-        if not (isinstance(raw, list) and len(raw) == 2):
-            raise MatrixFileError("layout must be a pair [d_left, d_right]")
-        layout = BipartiteLayout(int(raw[0]), int(raw[1]))
+        if not (isinstance(raw, list) and len(raw) == 2 and all(map(_is_count, raw))):
+            raise MatrixFileError("layout must be a pair of positive integers [d_left, d_right]")
+        layout = BipartiteLayout(*raw)
         if rows != cols or rows != layout.dim:
             raise MatrixFileError(
                 f"layout {raw} inconsistent with matrix shape ({rows}, {cols})"
@@ -131,13 +150,13 @@ def parse_matrix_file(obj: dict) -> ParsedMatrix:
     dims = None
     if obj.get("dims") is not None:
         raw = obj["dims"]
-        if not isinstance(raw, list) or not all(isinstance(d, int) and d > 0 for d in raw):
+        if not isinstance(raw, list) or not all(map(_is_count, raw)):
             raise MatrixFileError("dims must be a list of positive integers")
         dims = tuple(raw)
 
     for key, least in (("kraus_index", 0), ("kraus_count", 1)):
         value = obj.get(key)
-        if value is not None and not (isinstance(value, int) and value >= least):
+        if value is not None and not _is_count(value, least):
             raise MatrixFileError(f"{key} must be an integer >= {least}, got {value!r}")
 
     return ParsedMatrix(

@@ -315,27 +315,20 @@ class TestEquivalenceCheck:
         fired = chain["rank_lac"] < max(chain["rank_lc"], chain["rank_la"])
         assert fired == (data["predicates"]["witness_psi"]["value"] == "yes")
 
-    def test_violation_raises_counterexample_error(self, cfg):
+    def test_violation_raises_counterexample_error(self, cfg, monkeypatch):
         # corrupt a proven relation by feeding an inconsistent report path:
         # a PPT phi whose complement certificate is forced unknown cannot be
         # produced by a genuine dilation, so fabricate one by monkeypatching
+        # the record-level rule that equivalence_check applies to both maps
         st = schur_stinespring([1.0, 1.0])
         import chancert.certify as certify_mod
 
-        original = certify_mod.eb_certificate
+        def broken(ppt, ranks):
+            return certify_mod.Verdict("unknown", OUTSIDE_LOW_RANK_REGIME)
 
-        def broken(choi, cfg_inner=cfg):
-            verdict = original(choi, cfg_inner)
-            if choi.d_b == 2:
-                return certify_mod.Verdict("unknown", OUTSIDE_LOW_RANK_REGIME)
-            return verdict
-
-        certify_mod.eb_certificate = broken
-        try:
-            with pytest.raises(CounterexampleOrBugError):
-                certify_mod.equivalence_check(st, cfg)
-        finally:
-            certify_mod.eb_certificate = original
+        monkeypatch.setattr(certify_mod, "eb_verdict", broken)
+        with pytest.raises(CounterexampleOrBugError):
+            certify_mod.equivalence_check(st, cfg)
 
 
 class TestReportBuilders:
@@ -363,3 +356,41 @@ class TestReportBuilders:
         report = choi_report(named_channel("transpose", 2), cfg)
         assert report.predicates["cp"].value == "no"
         assert "eb" not in report.predicates
+
+
+class TestLapackBudget:
+    """Each report builder computes one spectrum per distinct matrix."""
+
+    @pytest.fixture
+    def lapack_calls(self, monkeypatch):
+        calls = dict.fromkeys(("eigvalsh", "svd", "eigh"), 0)
+        for name in calls:
+            def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "identity", "transpose"])
+    def test_choi_report(self, cfg, lapack_calls, kind):
+        # a PPT map, an NPT CP map and a non-CP map
+        choi_report(named_channel(kind, 3), cfg)
+        assert lapack_calls == {"eigvalsh": 2, "svd": 3, "eigh": 0}
+
+    def test_state_report_on_tiles(self, cfg, lapack_calls):
+        tiles = tiles_upb_choi()
+        state_report(tiles.matrix, tiles.layout, cfg)
+        assert lapack_calls == {"eigvalsh": 2, "svd": 3, "eigh": 0}
+
+    @pytest.mark.parametrize("st", [
+        StinespringOperator(2, 2, 3, complex_gaussian(np.random.default_rng(8), (6, 2))),
+        schur_stinespring([0.5, 0.3, 0.2]),
+    ], ids=["random-2-2-3", "ppt-schur"])
+    def test_equivalence_check(self, cfg, lapack_calls, st):
+        # 4 Choi spectra (the pair constructor repeats the 2 direct ones),
+        # 5 purification marginal ranks and 2 Choi marginal rank triples
+        equivalence_check(st, cfg)
+        assert lapack_calls["eigvalsh"] <= 6
+        assert lapack_calls["svd"] == 11
+        assert lapack_calls["eigh"] == 0

@@ -1,12 +1,24 @@
 """Tests for the JSON schemas and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from chancert import BipartiteLayout, MatrixFileError
+import chancert
+from chancert import BipartiteLayout, MatrixFileError, RankDecision, ToleranceConfig
+from chancert.certify import (
+    EB_CODES,
+    eb_verdict,
+    pair_rules,
+    ppt_rule,
+    separability_verdict,
+    witness_verdict,
+)
 from chancert.cli import main
 from chancert.io import (
     dumps,
@@ -16,6 +28,7 @@ from chancert.io import (
     parse_matrix_file,
     save_json,
 )
+from chancert.linalg import PsdCheck, psd_threshold
 
 from conftest import complex_gaussian
 
@@ -69,6 +82,36 @@ class TestMatrixFiles:
         with pytest.raises(MatrixFileError):
             parse_matrix_file(payload)
 
+    @pytest.mark.parametrize("size, field, value", [
+        (4, "layout", [2.9, 2]),
+        (4, "layout", ["2", "2"]),
+        (4, "layout", [None, 2]),
+        (4, "dims", [True, 4]),
+        (1, "rows", True),
+        (1, "cols", True),
+        (4, "re", "1.5"),
+        (4, "re", True),
+        (4, "im", "1.5"),
+        (4, "im", True),
+        (4, "kraus_index", True),
+    ])
+    def test_mistyped_field_rejected(self, tmp_path, size, field, value):
+        # integer fields must be JSON integers (a boolean is not), and matrix
+        # entries JSON numbers; re/im values replace the first entry
+        d = int(np.sqrt(size))
+        payload = matrix_file_dict(np.eye(size), role="state", dims=(d, d))
+        path = tmp_path / "m.json"
+        save_json(path, payload)
+        assert main(["analyze", str(path)]) == 0  # well formed before the change
+        if field in ("re", "im"):
+            payload[field][0][0] = value
+        else:
+            payload[field] = value
+        save_json(path, payload)
+        with pytest.raises(MatrixFileError):
+            parse_matrix_file(payload)
+        assert main(["analyze", str(path)]) == 2
+
 
 class TestCliAnalyze:
     def test_identity_choi(self, tmp_path, capsys):
@@ -111,23 +154,87 @@ class TestCliAnalyze:
         assert main(["analyze", str(path)]) == 2
 
     def test_verdicts_rederivable_from_report(self, tmp_path):
-        state_path = tmp_path / "tiles.json"
-        report_path = tmp_path / "report.json"
-        main(["generate", "--kind", "tiles", "--output", str(state_path)])
-        main(["analyze", str(state_path), "--output", str(report_path)])
-        analysis = json.loads(report_path.read_text())["analysis"]
-        spectra = analysis["spectra"]
-        ppt = (
-            spectra["state"]["psd"]
-            and spectra["state_pt"]["hermitian"]
-            and spectra["state_pt"]["lambda_min"] >= spectra["state_pt"]["threshold"]
+        # every predicate of the choi, state and stinespring analyses follows
+        # from the recorded spectra, ranks and rank chain by the record-level rules
+        inputs = {
+            "identity": ["--kind", "identity", "--dims", "2"],
+            "depolarizing": ["--kind", "depolarizing", "--dims", "3"],
+            "dephasing": ["--kind", "dephasing", "--dims", "3"],
+            "transpose": ["--kind", "transpose", "--dims", "2"],
+            "tiles": ["--kind", "tiles"],
+            "schur": ["--kind", "schur", "--params", "0.5,0.3,0.2"],
+            "schur-equal": ["--kind", "schur", "--params", "1,1"],
+            "random": ["--kind", "random-stinespring", "--dims", "2,2,3", "--seed", "5"],
+        }
+        roles = set()
+        for name, args in inputs.items():
+            source, report = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+            assert main(["generate", *args, "--output", str(source)]) == 0
+            assert main(["analyze", str(source), "--output", str(report)]) == 0
+            envelope = json.loads(report.read_text())
+            roles.add(envelope["role"])
+            rederive_predicates(envelope["role"], envelope["analysis"])
+        assert roles == {"choi", "state", "stinespring"}
+
+
+def rederive_predicates(role: str, analysis: dict) -> None:
+    """Check each predicate of an ``analyze`` report against its records."""
+    cfg = ToleranceConfig(**analysis["tolerances"])
+    spectra = {key: PsdCheck(**value) for key, value in analysis["spectra"].items()}
+    ranks = {key: RankDecision(**value) for key, value in analysis["ranks"].items()}
+    for record in spectra.values():
+        assert record.threshold == psd_threshold(record.lambda_max, cfg)
+        assert record.psd == (record.hermitian and record.lambda_min >= record.threshold)
+    for record in ranks.values():
+        assert record.smallest_kept is None or record.smallest_kept > record.cutoff
+        assert record.largest_discarded is None or record.largest_discarded <= record.cutoff
+    predicates = analysis["predicates"]
+
+    def value(key):
+        return predicates[key]["value"] == "yes"
+
+    if role == "choi":
+        triple = (ranks["choi"], ranks["marginal_a"], ranks["marginal_b"])
+        ppt = ppt_rule(spectra["choi"], spectra["choi_pt"])
+        assert value("cp") == spectra["choi"].psd
+        assert value("cocp") == spectra["choi_pt"].psd
+        assert value("ppt") == ppt
+        if spectra["choi"].psd:
+            assert predicates["eb"] == eb_verdict(ppt, triple).to_json()
+        else:
+            assert "eb" not in predicates
+    elif role == "state":
+        triple = (ranks["state"], ranks["marginal_left"], ranks["marginal_right"])
+        ppt = ppt_rule(spectra["state"], spectra["state_pt"])
+        assert value("psd") == spectra["state"].psd
+        assert value("ppt") == ppt
+        assert predicates["distillable_witness"] == witness_verdict(triple).to_json()
+        assert predicates["separable"] == separability_verdict(ppt, triple).to_json()
+    else:
+        # The Choi matrices are the purification marginals L_ab and L_ac, with
+        # marginals (L_a, L_b) and (L_a, L_c); their rank decisions are the
+        # recorded chain. Fragility flags of the verdicts come from the Choi
+        # matrices' own marginal ranks, which the report does not record.
+        chain = analysis["rank_chain"]
+        assert chain == {f"rank_l{key}": ranks[f"l_{key}"].rank
+                         for key in ("ab", "ac", "a", "b", "c")} | {"fragile": False}
+        sides = {"phi": ("ab", "a", "b"), "psi": ("ac", "a", "c")}
+        ppt, eb = {}, {}
+        for side, keys in sides.items():
+            triple = tuple(ranks[f"l_{key}"] for key in keys)
+            ppt[side] = ppt_rule(spectra[f"{side}_choi"], spectra[f"{side}_choi_pt"])
+            eb[side] = eb_verdict(ppt[side], triple)
+            assert value(f"cp_{side}") == spectra[f"{side}_choi"].psd
+            assert value(f"ppt_{side}") == ppt[side]
+            assert predicates[f"eb_{side}"]["value"] == eb[side].value
+            assert predicates[f"witness_{side}"]["value"] == witness_verdict(triple).value
+        chain_ranks = [chain[f"rank_l{key}"] for key in ("ab", "ac", "a", "b", "c")]
+        purity, relation = pair_rules(
+            ppt["phi"], ppt["psi"], value("witness_psi"), EB_CODES[eb["phi"].value],
+            EB_CODES[eb["psi"].value], *chain_ranks,
         )
-        assert ppt == (analysis["predicates"]["ppt"]["value"] == "yes")
-        ranks = analysis["ranks"]
-        fired = ranks["state"]["rank"] < max(
-            ranks["marginal_left"]["rank"], ranks["marginal_right"]["rank"]
-        )
-        assert fired == (analysis["predicates"]["distillable_witness"]["value"] == "yes")
+        assert purity and relation == 0
+        assert chain["rank_lc"] == chain["rank_lab"] and chain["rank_lb"] == chain["rank_lac"]
 
 
 class TestCliGenerateConvert:
@@ -255,6 +362,73 @@ class TestCliVerifyTheorem:
         report = json.loads(out.read_text())
         assert len(report["counterexamples"]) == 3
         assert report["counterexamples"][0]["seed"] == 1
+
+
+class TestReentrantMain:
+    """``main`` may be called repeatedly in one process: the parser is built
+    once, and no state carries from one call to the next."""
+
+    @staticmethod
+    def commands(inputs: Path, out: Path) -> list[tuple[list[str], dict]]:
+        """A mixed sequence of (argv, extra environment); sources are read
+        from ``inputs`` and outputs written to ``out``."""
+        return [
+            (["generate", "--kind", "depolarizing", "--dims", "2",
+              "--output", str(out / "dep.json")], {}),
+            (["generate", "--kind", "random-stinespring", "--dims", "2,2,3", "--seed", "7",
+              "--output", str(out / "st.json")], {}),
+            (["analyze", str(inputs / "dep.json"), "--psd-tol", "0.1",
+              "--output", str(out / "dep-loose.json")], {}),
+            (["analyze", str(inputs / "dep.json"), "--output", str(out / "dep-default.json")], {}),
+            (["analyze", str(inputs / "st.json"), "--output", str(out / "st-report.json")], {}),
+            (["convert", str(inputs / "dep.json"), "--to", "kraus",
+              "--output", str(out / "k.json")], {}),
+            (["verify-theorem", "--dims", "2,2,3", "--trials", "20", "--seed", "5",
+              "--output", str(out / "vt.json")], {}),
+            (["analyze", str(inputs / "st.json"), "--output", str(out / "st-env.json")],
+             {"CHANCERT_RANK_TOL": "1e-5"}),
+        ]
+
+    @staticmethod
+    def outcome(rc, stdout: str, stderr: str, out: Path) -> tuple:
+        files = {p.name: strip_timestamp(p.read_text()) for p in out.iterdir()}
+        return rc, stdout.replace(str(out), "OUT"), stderr, files
+
+    def test_repeated_calls_match_fresh_processes(self, tmp_path, capsys, monkeypatch):
+        inputs, fresh = tmp_path / "in-process", tmp_path / "fresh"
+        inputs.mkdir()
+        fresh.mkdir()
+        src = str(Path(chancert.__file__).resolve().parents[1])
+        sequence = zip(self.commands(inputs, inputs), self.commands(inputs, fresh))
+        for (argv, env), (fresh_argv, _) in sequence:
+            for key, val in env.items():
+                monkeypatch.setenv(key, val)
+            rc = main(argv)
+            captured = capsys.readouterr()
+            rc, stdout, stderr, files = self.outcome(rc, captured.out, captured.err, inputs)
+
+            for path in fresh.iterdir():
+                path.unlink()
+            proc = subprocess.run([sys.executable, "-m", "chancert.cli", *fresh_argv],
+                                  capture_output=True, text=True, check=False,
+                                  env={**os.environ, **env, "PYTHONPATH": src})
+            expected = self.outcome(proc.returncode, proc.stdout, proc.stderr, fresh)
+            assert (rc, stdout, stderr) == expected[:3], argv
+            assert expected[3] and expected[3].items() <= files.items(), argv
+
+    def test_handler_patch_after_first_call_applies(self, tmp_path, monkeypatch):
+        path = tmp_path / "id.json"
+        assert main(["generate", "--kind", "identity", "--dims", "2",
+                     "--output", str(path)]) == 0
+        calls = []
+
+        def patched(args, cfg):
+            calls.append(args.input)
+            return 0
+
+        monkeypatch.setattr("chancert.cli.cmd_analyze", patched)
+        assert main(["analyze", str(path)]) == 0
+        assert calls == [str(path)]
 
 
 class TestToleranceOverrides:
