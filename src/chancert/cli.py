@@ -49,7 +49,6 @@ from .harness import run_harness
 from .io import (
     ParsedMatrix,
     dumps,
-    file_digest,
     load_matrix,
     matrix_file_dict,
     ordered_kraus_files,
@@ -132,7 +131,7 @@ def cmd_analyze(args, cfg: ToleranceConfig) -> int:
     role = args.role or parsed.role
     if role is None:
         raise MatrixFileError("input file has no role; pass --as choi|state|stinespring")
-    envelope = report_envelope("analyze", cfg, file_digest(args.input))
+    envelope = report_envelope("analyze", cfg, parsed.digest)
     envelope["role"] = role
     if role == "choi":
         report = choi_report(_choi_from_parsed(parsed), cfg)
@@ -303,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                                    "schur", "tiles", "random-stinespring"))
     generate.add_argument("--dims", default=None, help="comma-separated dimensions")
     generate.add_argument("--params", default=None, help="comma-separated weights (schur)")
-    generate.add_argument("--seed", type=int, default=None, help="64-bit seed")
+    generate.add_argument("--seed", type=int, default=None,
+                          help="any non-negative integer, used whole (random-stinespring)")
     generate.add_argument("--index", type=int, default=None,
                           help="derive the stream of the index-th harness sample")
     generate.add_argument("--normalize", action="store_true",
@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="Monte-Carlo consistency harness over random dilations")
     verify.add_argument("--trials", type=int, required=True)
     verify.add_argument("--dims", required=True, help="d_a,d_b,d_c")
-    verify.add_argument("--seed", type=int, required=True)
+    verify.add_argument("--seed", type=int, required=True,
+                        help="any non-negative integer, used whole")
 
     return parser
 

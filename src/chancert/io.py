@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,6 +39,7 @@ class ParsedMatrix:
     dims: tuple[int, ...] | None
     kraus_index: int | None = None
     kraus_count: int | None = None
+    digest: str | None = None  # "sha256:<hex>" of the bytes parsed, for a loaded file
 
 
 def _reject_constant(token: str):
@@ -197,23 +198,24 @@ def ordered_kraus_files(parsed: list[ParsedMatrix]) -> list[ParsedMatrix]:
 
 
 def load_matrix(path) -> ParsedMatrix:
+    """Read a matrix file once: parse its bytes and record their digest."""
     try:
-        text = Path(path).read_text()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    return parse_matrix_file(loads(text))
+    return replace(parse_matrix_file(loads(data.decode())), digest=bytes_digest(data))
 
 
 def save_json(path, obj: dict) -> None:
     Path(path).write_text(dumps(obj) + "\n")
 
 
-def file_digest(path) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def bytes_digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def text_digest(text: str) -> str:
-    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+    return bytes_digest(text.encode())
 
 
 def report_envelope(command: str, cfg: ToleranceConfig, input_digest: str | None) -> dict:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random.bit_generator import ISeedSequence
 
 from chancert import (
     GeneratorSpec,
@@ -15,7 +18,7 @@ from chancert import (
     tiles_upb_vectors,
 )
 from chancert.errors import DimensionMismatchError
-from chancert.generate import build, make_rng
+from chancert.generate import build, make_rng, random_dilation_stack
 
 from conftest import complex_gaussian
 
@@ -58,6 +61,102 @@ class TestRandomStinespring:
         st = random_stinespring(3, 2, 2, seed=9, normalize_columns=True)
         norms = np.linalg.norm(st.matrix, axis=0)
         np.testing.assert_allclose(norms, np.ones(3), atol=1e-12)
+
+
+def numpy_dilation(d_a, d_b, d_c, seed, index) -> np.ndarray:
+    """The documented stream of a sample, drawn through numpy's own SeedSequence."""
+    spawn_key = () if index is None else (index,)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key)))
+    return complex_gaussian(rng, (d_b * d_c, d_a))
+
+
+def assert_numpy_streams(dims, seed, indices):
+    stack = random_dilation_stack(*dims, seed, indices)
+    assert stack.shape == (len(indices), dims[1] * dims[2], dims[0])
+    for sample, index in zip(stack, indices):
+        expected = numpy_dilation(*dims, seed, index)
+        assert sample.tobytes() == expected.tobytes(), (seed, index)
+        single = random_stinespring(*dims, seed=seed, index=index).matrix
+        assert single.tobytes() == expected.tobytes(), (seed, index)
+
+
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3, 20220404]
+
+
+class TestNumpyStreams:
+    """random_dilation_stack and random_stinespring against numpy itself, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_index_sweep(self, seed):
+        assert_numpy_streams((2, 3, 2), seed, range(60))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("indices", [[0], [5], [None], [2**32], [2**40 + 7]])
+    def test_single_indices(self, seed, indices):
+        assert_numpy_streams((3, 2, 2), seed, indices)
+
+    @pytest.mark.parametrize(
+        "indices",
+        [[9, 2, 7, 0], [3, 3, 3], [5, None, 5, None], [2**40 + 7, 1, 2**32, 0, 2**32]],
+        ids=["unsorted", "repeated", "none-repeated", "wide-unsorted"],
+    )
+    def test_index_lists(self, indices):
+        assert_numpy_streams((2, 2, 3), 11, indices)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (4, 4, 16)])
+    def test_dimension_edges(self, dims):
+        assert_numpy_streams(dims, 3, [0, 1, None])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**140 - 1),
+        index=st.one_of(st.none(), st.integers(0, 2**70 - 1)),
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+    )
+    def test_any_seed_and_index(self, seed, index, dims):
+        assert_numpy_streams(dims, seed, [index])
+
+    def test_numpy_integer_seed_and_index(self):
+        stack = random_dilation_stack(2, 2, 2, np.uint64(2**64 - 1), [np.int64(3)])
+        assert stack[0].tobytes() == numpy_dilation(2, 2, 2, 2**64 - 1, 3).tobytes()
+
+    def test_empty_index_list(self):
+        assert random_dilation_stack(2, 3, 2, 5, []).shape == (0, 6, 2)
+
+    def test_at_most_one_seed_sequence_per_call(self, monkeypatch):
+        """A SeedSequence is built explicitly, or by PCG64 from a seed that is not one."""
+        built = []
+        seed_sequence, pcg64 = np.random.SeedSequence, np.random.PCG64
+
+        def counting_seed_sequence(*args, **kwargs):
+            built.append("SeedSequence")
+            return seed_sequence(*args, **kwargs)
+
+        def counting_pcg64(seed=None):
+            if not isinstance(seed, ISeedSequence):
+                built.append("PCG64")
+            return pcg64(seed)
+
+        indices = range(100, 150)
+        expected = [numpy_dilation(3, 3, 3, 12, i) for i in indices]
+        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+        monkeypatch.setattr(np.random, "PCG64", counting_pcg64)
+
+        stack = random_dilation_stack(3, 3, 3, 12, indices)
+        assert len(built) <= 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(stack, expected))
+        # the wrappers do see numpy's own per-sample derivation
+        built.clear()
+        for i in indices:
+            numpy_dilation(3, 3, 3, 12, i)
+        assert len(built) == len(indices)
+
+    @pytest.mark.parametrize("seed, indices, name", [(-1, [0], "seed"), (4, [0, -3], "index")])
+    def test_negative_seed_or_index_rejected(self, seed, indices, name):
+        with pytest.raises(ValueError, match=name):
+            random_dilation_stack(2, 2, 2, seed, indices)
+        with pytest.raises(ValueError, match=name):
+            random_stinespring(2, 2, 2, seed=seed, index=indices[-1])
 
 
 class TestSchurFamily:

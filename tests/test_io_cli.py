@@ -1,5 +1,6 @@
 """Tests for the JSON schemas and the command-line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -125,7 +126,22 @@ class TestCliAnalyze:
         assert predicates["cp"]["value"] == "yes"
         assert predicates["ppt"]["value"] == "no"
         assert predicates["trace_preserving"]["value"] == "yes"
-        assert report["input_digest"].startswith("sha256:")
+        assert report["input_digest"] == "sha256:" + hashlib.sha256(choi_path.read_bytes()).hexdigest()
+
+    def test_input_read_once(self, tmp_path, monkeypatch):
+        choi_path = tmp_path / "id.json"
+        assert main(["generate", "--kind", "identity", "--dims", "2",
+                     "--output", str(choi_path)]) == 0
+        opened = []
+        original = Path.open
+
+        def counting_open(self, *args, **kwargs):  # read_bytes and read_text open through it
+            opened.append(self)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        assert main(["analyze", str(choi_path), "--output", str(tmp_path / "r.json")]) == 0
+        assert opened.count(choi_path) == 1
 
     def test_tiles_state(self, tmp_path):
         state_path = tmp_path / "tiles.json"
@@ -247,6 +263,25 @@ class TestCliGenerateConvert:
         assert payload["dims"] == [2, 2, 2]
         assert payload["generator"]["seed"] == 11
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--index", "-3")])
+    def test_negative_seed_or_index_is_parse_error(self, tmp_path, capsys, flag, value):
+        path = tmp_path / "l.json"
+        args = {"--seed": "3", "--index": "0", flag: value}
+        assert main(["generate", "--kind", "random-stinespring", "--dims", "2,2,2",
+                     "--seed", args["--seed"], "--index", args["--index"],
+                     "--output", str(path)]) == 2
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not path.exists()
+
+    def test_seed_is_used_whole(self, tmp_path):
+        path = tmp_path / "l.json"
+        seed = 2**64 + 5
+        assert main(["generate", "--kind", "random-stinespring", "--dims", "2,2,2",
+                     "--seed", str(seed), "--index", "7", "--output", str(path)]) == 0
+        matrix = load_matrix(path).matrix
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(7,))))
+        assert matrix.tobytes() == complex_gaussian(rng, (4, 2)).tobytes()
+
     def test_generate_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["generate", "--kind", "random-stinespring", "--dims", "3,2,2", "--seed", "4"]
@@ -336,6 +371,13 @@ class TestCliVerifyTheorem:
         assert report["counterexamples"] == []
         # regime must have applied whenever phi was PPT
         assert counts["regime_applied_to_psi_given_phi_ppt"] == counts["phi_ppt"]
+
+    def test_negative_seed_is_parse_error(self, tmp_path, capsys):
+        out = tmp_path / "vt.json"
+        assert main(["verify-theorem", "--trials", "3", "--dims", "2,2,2",
+                     "--seed", "-1", "--output", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_replay_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
