@@ -56,7 +56,7 @@ from .io import (
     save_json,
     text_digest,
 )
-from .linalg import BipartiteLayout, ToleranceConfig
+from .linalg import BipartiteLayout, ToleranceConfig, single_threaded_blas
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -252,7 +252,9 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
     if args.trials < 1:
         raise MatrixFileError("--trials must be at least 1")
 
-    result = run_harness(dims, args.trials, args.seed, cfg)
+    # BLAS threads are process-wide policy, so the CLI sets it, not run_harness.
+    with single_threaded_blas():
+        result = run_harness(dims, args.trials, args.seed, cfg)
 
     digest = text_digest(f"verify-theorem dims={dims} trials={args.trials} seed={args.seed}")
     envelope = report_envelope("verify-theorem", cfg, digest)
@@ -305,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=None,
                           help="any non-negative integer, used whole (random-stinespring)")
     generate.add_argument("--index", type=int, default=None,
-                          help="derive the stream of the index-th harness sample")
+                          help="use the index-th harness sample's stream (random-stinespring)")
     generate.add_argument("--normalize", action="store_true",
                           help="normalize dilation columns (random-stinespring)")
 

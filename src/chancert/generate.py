@@ -57,6 +57,11 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise DimensionMismatchError(f"unknown generator kind {self.kind!r}")
+        if self.kind != "random-stinespring":
+            for name in ("seed", "index"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies only to random-stinespring; "
+                                     f"{self.kind} draws no randomness")
 
     def to_json(self) -> dict:
         return {

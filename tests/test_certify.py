@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chancert import (
     BipartiteLayout,
     ChoiMatrix,
     ComplementaryPair,
+    KrausSet,
     NotPositiveSemidefiniteError,
     StinespringOperator,
     apply_channel,
@@ -20,6 +23,7 @@ from chancert import (
     eb_certificate,
     equivalence_check,
     named_channel,
+    random_stinespring,
     schur_multiplier_pair,
     schur_stinespring,
     separability_decision,
@@ -35,7 +39,9 @@ from chancert.certify import (
     NOT_PPT,
     OUTSIDE_LOW_RANK_REGIME,
     RANK_GAP_WITNESS,
+    witness_verdict,
 )
+from chancert.channels import choi_from_kraus, kraus_from_stinespring
 from chancert.errors import CounterexampleOrBugError
 
 from conftest import complex_gaussian, random_psd
@@ -186,6 +192,41 @@ class TestScalingInvariance:
         report = choi_report(ChoiMatrix(2, 2, 1e-10 * choi.matrix), cfg)
         assert report.predicates["ppt"].value == "no"
         assert report.predicates["eb"].value == "no"
+
+
+def _choi_verdicts(choi: ChoiMatrix) -> dict:
+    """choi_report's verdicts, the witness on its recorded ranks, and its ranks."""
+    report = choi_report(choi)
+    ranks = tuple(report.ranks[k] for k in ("choi", "marginal_a", "marginal_b"))
+    verdicts = {k: v.to_json() for k, v in report.predicates.items()}
+    verdicts["witness"] = witness_verdict(ranks).to_json()
+    verdicts["ranks"] = {k: (r.rank, r.fragile) for k, r in report.ranks.items()}
+    return verdicts
+
+
+class TestKrausInvariance:
+    """Verdicts and ranks of a map do not depend on how its Kraus operators
+    are listed, nor on a unitary applied to its output."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 4)),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_verdicts_survive_reordering_and_output_unitary(self, dims, seed, data):
+        d_a, d_b, d_c = dims
+        kraus = kraus_from_stinespring(random_stinespring(d_a, d_b, d_c, seed=seed)).operators
+        expected = _choi_verdicts(choi_from_kraus(KrausSet(d_a, d_b, kraus)))
+
+        order = data.draw(st.permutations(range(d_c)))
+        reordered = KrausSet(d_a, d_b, tuple(kraus[k] for k in order))
+        assert _choi_verdicts(choi_from_kraus(reordered)) == expected
+
+        q, r = np.linalg.qr(complex_gaussian(np.random.default_rng(seed), (d_b, d_b)))
+        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+        rotated = KrausSet(d_a, d_b, tuple(unitary @ k for k in kraus))
+        assert _choi_verdicts(choi_from_kraus(rotated)) == expected
 
 
 class TestDegradingCandidate:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 
 import chancert
-from chancert import BipartiteLayout, MatrixFileError, RankDecision, ToleranceConfig
+import chancert.cli
+from chancert import BipartiteLayout, MatrixFileError, RankDecision, ToleranceConfig, linalg
 from chancert.certify import (
     EB_CODES,
     eb_verdict,
@@ -29,6 +31,7 @@ from chancert.io import (
     parse_matrix_file,
     save_json,
 )
+from chancert.errors import PurityViolationError
 from chancert.linalg import PsdCheck, psd_threshold
 
 from conftest import complex_gaussian
@@ -273,6 +276,20 @@ class TestCliGenerateConvert:
         assert flag.lstrip("-") in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("spec, extra, name", [
+        (["--kind", "identity", "--dims", "2"], ["--seed", "-5", "--index", "3"], "seed"),
+        (["--kind", "depolarizing", "--dims", "3"], ["--seed", "5"], "seed"),
+        (["--kind", "tiles"], ["--index", "0"], "index"),
+        (["--kind", "schur", "--params", "1,0.5"], ["--index", "2"], "index"),
+    ])
+    def test_seed_or_index_of_non_random_kind_is_parse_error(
+        self, tmp_path, capsys, spec, extra, name
+    ):
+        path = tmp_path / "g.json"
+        assert main(["generate", *spec, *extra, "--output", str(path)]) == 2
+        assert name in capsys.readouterr().err
+        assert not path.exists()
+
     def test_seed_is_used_whole(self, tmp_path):
         path = tmp_path / "l.json"
         seed = 2**64 + 5
@@ -404,6 +421,98 @@ class TestCliVerifyTheorem:
         report = json.loads(out.read_text())
         assert len(report["counterexamples"]) == 3
         assert report["counterexamples"][0]["seed"] == 1
+
+
+def numpy_uses_openblas() -> bool:
+    return "openblas" in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
+    if not numpy_uses_openblas():
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    controls = linalg._openblas_thread_controls()
+    assert controls is not None, "numpy uses OpenBLAS, but the lookup did not find it"
+    get_threads, set_threads = controls
+    before = get_threads()
+    set_threads(2)
+    try:
+        yield get_threads
+    finally:
+        set_threads(before)
+
+
+class TestBlasThreadPin:
+    """``verify-theorem`` runs its harness with OpenBLAS held to one thread
+    and leaves the thread count as it found it, however the harness ends."""
+
+    ARGV = ["verify-theorem", "--trials", "3", "--dims", "2,2,2", "--seed", "1"]
+
+    @staticmethod
+    def spy_harness(monkeypatch, get_threads, error=None) -> list:
+        """Record the thread count inside every run_harness call, then run or raise."""
+        seen = []
+        original = chancert.cli.run_harness
+
+        def spy(*args):
+            seen.append(get_threads())
+            if error is not None:
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr("chancert.cli.run_harness", spy)
+        return seen
+
+    def test_harness_runs_on_one_thread(self, tmp_path, monkeypatch, blas_threads):
+        seen = self.spy_harness(monkeypatch, blas_threads)
+        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_count_restored_on_counterexample(self, tmp_path, monkeypatch, blas_threads):
+        original = chancert.certify.pair_rules
+
+        def explode(*args):
+            purity, relation = original(*args)
+            return purity, np.ones_like(relation)
+
+        monkeypatch.setattr("chancert.certify.pair_rules", explode)
+        seen = self.spy_harness(monkeypatch, blas_threads)
+        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 4
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("error, rc", [
+        (PurityViolationError("forced"), 4),
+        (RuntimeError("forced"), None),
+    ])
+    def test_count_restored_when_harness_raises(self, monkeypatch, blas_threads, error, rc):
+        seen = self.spy_harness(monkeypatch, blas_threads, error)
+        if rc is None:
+            with pytest.raises(RuntimeError, match="forced"):
+                main(self.ARGV)
+        else:
+            assert main(self.ARGV) == rc
+        assert seen == [1]
+        assert blas_threads() == 2
+
+    def test_no_op_without_openblas(self, tmp_path, monkeypatch, blas_threads):
+        monkeypatch.setattr("chancert.linalg._openblas_thread_controls", lambda: None)
+        seen = self.spy_harness(monkeypatch, blas_threads)
+        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
+        assert seen == [2]
+        assert blas_threads() == 2
+
+    def test_lookup_loads_no_second_copy(self, tmp_path, monkeypatch, blas_threads):
+        # a copy of numpy's OpenBLAS is a library the process has not loaded
+        wheel_copies = list(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
+        if not wheel_copies:
+            pytest.skip("numpy's OpenBLAS is not a wheel copy")
+        copy = tmp_path / wheel_copies[0].name
+        shutil.copyfile(wheel_copies[0], copy)
+        monkeypatch.setattr("chancert.linalg._openblas_paths", lambda: iter([copy]))
+        assert linalg._openblas_thread_controls.__wrapped__() is None
 
 
 class TestReentrantMain:
