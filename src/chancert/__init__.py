@@ -76,11 +76,9 @@ from .linalg import (
     ToleranceConfig,
     hermitian_eigensystem,
     is_psd,
-    numerical_rank,
     partial_trace,
     partial_transpose,
     psd_check,
-    purify,
     rank_decision,
 )
 

@@ -31,7 +31,7 @@ from .channels import (
 from .complement import (
     ComplementaryPair,
     RankChain,
-    complementary_pair_from_stinespring,
+    _pair_and_spectra,
     rank_chain,
     verify_complementarity,
 )
@@ -48,11 +48,12 @@ from .linalg import (
     RankDecision,
     ToleranceConfig,
     frobenius,
-    is_psd,
+    hermitian_part_spectrum,
+    hermitian_spectrum,
     partial_trace,
     partial_transpose,
     psd_check,
-    rank_decision,
+    rank_record,
 )
 
 YES = "yes"
@@ -74,6 +75,9 @@ DEGRADING_FOUND = "degrading-map-found"
 COMPOSITION_INCONSISTENT = "composition-inconsistent"
 CANDIDATE_NOT_CP = "candidate-not-cp"
 NOT_APPLICABLE = "not-applicable"
+
+# Ranks come from eigenvalues; no verdict on a non-Hermitian matrix reads them.
+NOT_HERMITIAN_NOTE = "matrix is not Hermitian: rank records skipped"
 
 # Entanglement-breaking certificate codes of ``eb_rule``, as indices into
 # EB_VERDICTS.
@@ -147,22 +151,28 @@ def _bool_verdict(flag: bool, reason: str, fragile: bool = False) -> Verdict:
 
 
 def _marginal_ranks(
-    x: np.ndarray, layout: BipartiteLayout, cfg: ToleranceConfig
+    x, w: np.ndarray, layout: BipartiteLayout, cfg: ToleranceConfig
 ) -> tuple[RankDecision, RankDecision, RankDecision]:
-    """Rank decisions for (x, left marginal, right marginal).
+    """Rank decisions for (x, left marginal, right marginal) of a Hermitian
+    ``x`` with spectrum ``w``; the marginals are Hermitian too, so no deviation
+    check precedes their spectra.
 
     The "left marginal" is what remains after tracing out the right factor,
     and vice versa.
     """
-    whole = rank_decision(x, cfg)
-    left = rank_decision(partial_trace(x, layout, "right"), cfg)
-    right = rank_decision(partial_trace(x, layout, "left"), cfg)
-    return whole, left, right
+    return (
+        rank_record(w, cfg),
+        rank_record(hermitian_part_spectrum(partial_trace(x, layout, "right")), cfg),
+        rank_record(hermitian_part_spectrum(partial_trace(x, layout, "left")), cfg),
+    )
 
 
-def _spectra(x, layout: BipartiteLayout, cfg: ToleranceConfig) -> tuple[PsdCheck, PsdCheck]:
-    """PSD records of ``x`` and of its left partial transpose."""
-    return psd_check(x, cfg), psd_check(partial_transpose(x, layout, "left"), cfg)
+def _spectra(
+    x, layout: BipartiteLayout, cfg: ToleranceConfig
+) -> tuple[np.ndarray, PsdCheck, PsdCheck]:
+    """Ascending spectrum of ``x``, and the PSD records of ``x`` and of its
+    left partial transpose."""
+    return (*hermitian_spectrum(x, cfg), psd_check(partial_transpose(x, layout, "left"), cfg))
 
 
 def witness_rule(whole, left, right):
@@ -258,9 +268,10 @@ def distillability_witness(
     and in particular cannot be PPT. A silent witness proves nothing, so the
     alternative is unknown, never no.
     """
-    if not is_psd(x, cfg):
+    w, direct = hermitian_spectrum(x, cfg)
+    if not direct.psd:
         raise NotPositiveSemidefiniteError("distillability witness requires a PSD input")
-    return witness_verdict(_marginal_ranks(x, layout, cfg))
+    return witness_verdict(_marginal_ranks(x, w, layout, cfg))
 
 
 def separability_decision(
@@ -273,23 +284,23 @@ def separability_decision(
     the regime the decision is unknown (deciding it is intractable in
     general and deliberately out of scope).
     """
-    direct = psd_check(x, cfg)
+    w, direct = hermitian_spectrum(x, cfg)
     if not direct.psd:
         raise NotPositiveSemidefiniteError("separability decision requires a PSD input")
-    ranks = _marginal_ranks(x, layout, cfg)
+    ranks = _marginal_ranks(x, w, layout, cfg)
     transposed = psd_check(partial_transpose(x, layout, "left"), cfg)
     return separability_verdict(ppt_rule(direct, transposed), ranks)
 
 
 def _eb_certificate(
-    choi: ChoiMatrix, direct: PsdCheck, transposed: PsdCheck, cfg: ToleranceConfig
+    choi: ChoiMatrix, w: np.ndarray, direct: PsdCheck, transposed: PsdCheck, cfg: ToleranceConfig
 ) -> Verdict:
-    """``eb_certificate`` from the Choi matrix's PSD records; the ranks are
-    computed only when the map is PPT."""
+    """``eb_certificate`` from the Choi matrix's spectrum ``w`` and PSD
+    records; the marginal ranks are computed only when the map is PPT."""
     if not direct.psd:
         raise NotPositiveSemidefiniteError("eb certificate requires a CP map (PSD Choi matrix)")
     ppt = ppt_rule(direct, transposed)
-    return eb_verdict(ppt, _marginal_ranks(choi.matrix, choi.layout, cfg) if ppt else None)
+    return eb_verdict(ppt, _marginal_ranks(choi.matrix, w, choi.layout, cfg) if ppt else None)
 
 
 def eb_certificate(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdict:
@@ -377,14 +388,14 @@ def equivalence_check(
     ctx = dict(context or {})
     ctx.setdefault("dims", [st.d_a, st.d_b, st.d_c])
 
-    pair = complementary_pair_from_stinespring(st, cfg)
+    pair, ((phi_w, phi_psd), (psi_w, psi_psd)) = _pair_and_spectra(st, cfg)
     chain, decisions = rank_chain(st, cfg)
 
     report = CertificateReport(tolerances=cfg, chain=chain)
     report.ranks.update({f"l_{key}": dec for key, dec in decisions.items()})
 
-    phi_psd, phi_pt = _spectra(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
-    psi_psd, psi_pt = _spectra(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
+    phi_pt = psd_check(partial_transpose(pair.choi_phi.matrix, pair.choi_phi.layout, "left"), cfg)
+    psi_pt = psd_check(partial_transpose(pair.choi_psi.matrix, pair.choi_psi.layout, "left"), cfg)
     report.spectra.update(
         {"phi_choi": phi_psd, "phi_choi_pt": phi_pt, "psi_choi": psi_psd, "psi_choi_pt": psi_pt}
     )
@@ -392,8 +403,8 @@ def equivalence_check(
     psi_ppt = ppt_rule(psi_psd, psi_pt)
 
     # Both Choi matrices passed the PSD assertion of the pair constructor.
-    phi_ranks = _marginal_ranks(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
-    psi_ranks = _marginal_ranks(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
+    phi_ranks = _marginal_ranks(pair.choi_phi.matrix, phi_w, pair.choi_phi.layout, cfg)
+    psi_ranks = _marginal_ranks(pair.choi_psi.matrix, psi_w, pair.choi_psi.layout, cfg)
     witness_phi = witness_verdict(phi_ranks)
     witness_psi = witness_verdict(psi_ranks)
     eb_phi = eb_verdict(phi_ppt, phi_ranks)
@@ -461,8 +472,8 @@ def degradable_ppt_check(
     ctx = dict(context or {})
     report = CertificateReport(tolerances=cfg)
 
-    psi_psd, psi_pt = _spectra(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
-    phi_psd, phi_pt = _spectra(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
+    psi_w, psi_psd, psi_pt = _spectra(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
+    phi_w, phi_psd, phi_pt = _spectra(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
     report.spectra.update(
         {"phi_choi": phi_psd, "phi_choi_pt": phi_pt, "psi_choi": psi_psd, "psi_choi_pt": psi_pt}
     )
@@ -481,8 +492,8 @@ def degradable_ppt_check(
     report.residuals["degrading_residual"] = cand.residual
     report.spectra["omega_choi"] = cand.omega_spectrum
 
-    eb_phi = _eb_certificate(pair.choi_phi, phi_psd, phi_pt, cfg)
-    eb_psi = _eb_certificate(pair.choi_psi, psi_psd, psi_pt, cfg)
+    eb_phi = _eb_certificate(pair.choi_phi, phi_w, phi_psd, phi_pt, cfg)
+    eb_psi = _eb_certificate(pair.choi_psi, psi_w, psi_psd, psi_pt, cfg)
     report.predicates["eb_phi"] = eb_phi
     report.predicates["eb_psi"] = eb_psi
 
@@ -512,10 +523,13 @@ def state_report(
 ) -> CertificateReport:
     """Predicate suite for a bipartite matrix treated as an (unnormalized) state."""
     report = CertificateReport(tolerances=cfg)
-    spectrum, pt_spectrum = _spectra(x, layout, cfg)
+    w, spectrum, pt_spectrum = _spectra(x, layout, cfg)
     report.spectra.update({"state": spectrum, "state_pt": pt_spectrum})
-    ranks = _marginal_ranks(x, layout, cfg)
-    report.ranks.update(zip(("state", "marginal_left", "marginal_right"), ranks))
+    if spectrum.hermitian:
+        ranks = _marginal_ranks(x, w, layout, cfg)
+        report.ranks.update(zip(("state", "marginal_left", "marginal_right"), ranks))
+    else:
+        report.notes.append(NOT_HERMITIAN_NOTE)
     ppt = ppt_rule(spectrum, pt_spectrum)
     report.predicates["psd"] = _bool_verdict(spectrum.psd, PSD_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
@@ -530,10 +544,13 @@ def state_report(
 def choi_report(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CertificateReport:
     """Predicate suite for a map given by its Choi matrix."""
     report = CertificateReport(tolerances=cfg)
-    direct, transposed = _spectra(choi.matrix, choi.layout, cfg)
+    w, direct, transposed = _spectra(choi.matrix, choi.layout, cfg)
     report.spectra.update({"choi": direct, "choi_pt": transposed})
-    ranks = _marginal_ranks(choi.matrix, choi.layout, cfg)
-    report.ranks.update(zip(("choi", "marginal_a", "marginal_b"), ranks))
+    if direct.hermitian:
+        ranks = _marginal_ranks(choi.matrix, w, choi.layout, cfg)
+        report.ranks.update(zip(("choi", "marginal_a", "marginal_b"), ranks))
+    else:
+        report.notes.append(NOT_HERMITIAN_NOTE)
     ppt = ppt_rule(direct, transposed)
     report.predicates["cp"] = _bool_verdict(direct.psd, PSD_SPECTRUM)
     report.predicates["cocp"] = _bool_verdict(transposed.psd, PT_SPECTRUM)

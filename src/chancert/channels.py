@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, NotPositiveSemidefiniteError
+from .errors import DimensionMismatchError, NonHermitianError, NotPositiveSemidefiniteError
 from .linalg import (
     DEFAULT_TOLERANCES,
     BipartiteLayout,
@@ -37,10 +37,11 @@ from .linalg import (
     close_frobenius,
     hermitian_eigensystem,
     is_psd,
-    numerical_rank,
     partial_trace,
     partial_transpose,
     psd_check,
+    psd_rule,
+    rank_record,
 )
 
 
@@ -182,16 +183,22 @@ def choi_from_transfer(s, d_a: int, d_b: int) -> ChoiMatrix:
 def kraus_from_choi(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> KrausSet:
     """Extract Kraus operators from a PSD Choi matrix by eigendecomposition.
 
-    The number of operators equals the numerical rank of the Choi matrix.
+    The number of operators equals the numerical rank of the Choi matrix;
+    the PSD test and the rank read the eigenvalues of the one decomposition.
     The all-zero Choi matrix (zero map) yields a single zero operator so the
     set stays well formed.
     """
-    if not is_psd(choi.matrix, cfg):
+    try:
+        w, v = hermitian_eigensystem(choi.matrix, cfg)
+    except NonHermitianError:
+        psd = False
+    else:
+        psd = psd_rule(w[::-1], cfg)[0]
+    if not psd:
         raise NotPositiveSemidefiniteError("Choi matrix is not PSD: the map is not CP")
-    rank = numerical_rank(choi.matrix, cfg)
+    rank = rank_record(w, cfg).rank
     if rank == 0:
         return KrausSet(choi.d_a, choi.d_b, (np.zeros((choi.d_b, choi.d_a), dtype=complex),))
-    w, v = hermitian_eigensystem(choi.matrix, cfg)
     ops = []
     for k in range(rank):
         vec = np.sqrt(max(w[k], 0.0)) * v[:, k]
@@ -222,7 +229,7 @@ def kraus_from_stinespring(st: StinespringOperator) -> KrausSet:
     return KrausSet(st.d_a, st.d_b, ops)
 
 
-def choi_from_stinespring(st: StinespringOperator, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> ChoiMatrix:
+def choi_from_stinespring(st: StinespringOperator) -> ChoiMatrix:
     """Choi matrix of X -> Tr_C(L X L^dagger)."""
     layout = st.output_layout
     return choi_from_map_action(

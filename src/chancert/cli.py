@@ -156,7 +156,7 @@ def cmd_generate(args, cfg: ToleranceConfig) -> int:
         index=args.index,
         normalize_columns=args.normalize,
     )
-    role, obj = build(spec, cfg)
+    role, obj = build(spec)
     if role in ("choi", "state"):
         layout = obj.layout
         payload = matrix_file_dict(
@@ -199,7 +199,7 @@ def cmd_convert(args, cfg: ToleranceConfig) -> int:
         elif role == "kraus":
             choi = choi_from_kraus(obj)
         else:
-            choi = choi_from_stinespring(obj, cfg)
+            choi = choi_from_stinespring(obj)
         payload = matrix_file_dict(
             choi.matrix, role="choi", layout=choi.layout, dims=(choi.d_a, choi.d_b)
         )

@@ -27,9 +27,10 @@ from .linalg import (
     RankDecision,
     ToleranceConfig,
     close_frobenius,
-    is_psd,
+    hermitian_part_spectrum,
+    hermitian_spectrum,
     partial_trace,
-    rank_decision,
+    rank_record,
 )
 
 
@@ -59,14 +60,7 @@ class RankChain:
     fragile: bool
 
     def to_json(self) -> dict:
-        return {
-            "rank_lab": self.rank_lab,
-            "rank_lac": self.rank_lac,
-            "rank_la": self.rank_la,
-            "rank_lb": self.rank_lb,
-            "rank_lc": self.rank_lc,
-            "fragile": self.fragile,
-        }
+        return dict(vars(self))
 
 
 def common_purification_vector(st: StinespringOperator) -> np.ndarray:
@@ -104,6 +98,12 @@ def complementary_pair_from_stinespring(
     Both are PSD by construction; this is asserted within psd_tol as a
     numerical sanity check.
     """
+    return _pair_and_spectra(st, cfg)[0]
+
+
+def _pair_and_spectra(st: StinespringOperator, cfg: ToleranceConfig):
+    """``complementary_pair_from_stinespring``, with the ``(spectrum, PsdCheck)``
+    of each Choi matrix, phi then psi, that its assertion read."""
     layout = st.output_layout
     choi_phi = choi_from_map_action(
         lambda e: partial_trace(st.conjugate(e), layout, "right"), st.d_a, st.d_b
@@ -111,25 +111,29 @@ def complementary_pair_from_stinespring(
     choi_psi = choi_from_map_action(
         lambda e: partial_trace(st.conjugate(e), layout, "left"), st.d_a, st.d_c
     )
+    records = []
     for name, choi in (("phi", choi_phi), ("psi", choi_psi)):
-        if not is_psd(choi.matrix, cfg):
+        w, check = hermitian_spectrum(choi.matrix, cfg)
+        if not check.psd:
             raise NotPositiveSemidefiniteError(
                 f"Choi matrix of {name} is not PSD; numerical breakdown in pair construction"
             )
-    return ComplementaryPair(st, choi_phi, choi_psi)
+        records.append((w, check))
+    return ComplementaryPair(st, choi_phi, choi_psi), tuple(records)
 
 
 def rank_chain(
     st: StinespringOperator, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> tuple[RankChain, dict[str, RankDecision]]:
-    """Rank data of all five purification marginals, with audit decisions.
+    """Rank data of all five purification marginals, with audit decisions. They
+    are Hermitian by construction, so no deviation check precedes their spectra.
 
     The purity equalities are not enforced here: ``certify.pair_rules``
     evaluates them, and ``certify.equivalence_check`` raises
     PurityViolationError when they fail on a non-fragile sample.
     """
     marginals = purification_marginals(st)
-    decisions = {key: rank_decision(m, cfg) for key, m in marginals.items()}
+    decisions = {key: rank_record(hermitian_part_spectrum(m), cfg) for key, m in marginals.items()}
     chain = RankChain(
         rank_lab=decisions["ab"].rank,
         rank_lac=decisions["ac"].rank,

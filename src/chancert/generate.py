@@ -62,18 +62,25 @@ class GeneratorSpec:
                 if getattr(self, name) is not None:
                     raise ValueError(f"{name} applies only to random-stinespring; "
                                      f"{self.kind} draws no randomness")
+            if self.normalize_columns:
+                raise ValueError(f"normalize applies only to random-stinespring, not {self.kind}")
+        if self.params and self.kind != "schur":
+            raise ValueError(f"params applies only to schur, not {self.kind}")
+        if self.dims and self.kind in ("tiles", "schur"):
+            raise ValueError(f"dims does not apply to {self.kind}, which fixes its own dimensions")
 
     def to_json(self) -> dict:
-        return {
+        record = {
             "kind": self.kind,
             "dims": list(self.dims),
             "params": list(self.params),
             "seed": self.seed,
             "index": self.index,
             "normalize_columns": self.normalize_columns,
-            "algorithm": GENERATOR_ALGORITHM,
-            "seed_derivation": SEED_DERIVATION,
         }
+        if self.kind == "random-stinespring":
+            record.update(algorithm=GENERATOR_ALGORITHM, seed_derivation=SEED_DERIVATION)
+        return record
 
 
 # numpy's SeedSequence, replicated for ``random_dilation_stack``: its
@@ -187,11 +194,6 @@ class _PoolSeed(ISeedSequence):
             high = (high ^ xor_high) * mult_high & _MASK32
             state.append((low ^ low >> 16) | (high ^ high >> 16) << 32)
         return np.array(state, dtype=np.uint64)
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Deterministic PCG64 stream of a seed: ``SeedSequence(seed)``."""
-    return np.random.Generator(np.random.PCG64(seed))
 
 
 def random_stinespring(
@@ -313,7 +315,7 @@ def named_channel(kind: str, d: int) -> ChoiMatrix:
     raise DimensionMismatchError(f"unknown channel kind {kind!r}")
 
 
-def build(spec: GeneratorSpec, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
+def build(spec: GeneratorSpec):
     """Materialize a GeneratorSpec into (role, object).
 
     Roles: 'choi' yields a ChoiMatrix, 'state' a ChoiMatrix-shaped bipartite

@@ -11,9 +11,8 @@ array program over a sample axis:
 3. cross-check both Choi matrices against the Kraus-vector route
    ``V V^dagger``, which reads the dilation through a different reshape;
 4. run one stacked ``eigvalsh`` per matrix kind, seven per chunk, and derive
-   PSD flags, ranks and fragility from the eigenvalues. The singular values
-   of a Hermitian matrix are the moduli of its eigenvalues, so the rank
-   cutoff is the one ``rank_decision`` applies;
+   PSD flags, ranks and fragility from the eigenvalues with ``psd_rule`` and
+   ``rank_rule``, the rules behind every ``PsdCheck`` and ``RankDecision``;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
@@ -35,7 +34,7 @@ from . import certify
 from .complement import marginals_of
 from .errors import CounterexampleOrBugError, FragileSampleError, PurityViolationError
 from .generate import random_dilation_stack, random_stinespring
-from .linalg import FRAGILITY_FACTOR, ToleranceConfig, psd_threshold, rank_cutoff
+from .linalg import FRAGILITY_FACTOR, ToleranceConfig, psd_rule, rank_rule
 
 # Memory budget of a chunk: complex entries in its largest stacked matrix
 # array (64 KiB). Larger chunks save little per-call overhead but raise the
@@ -121,20 +120,19 @@ def _partial_transpose_left(x: np.ndarray, d_left: int, d_right: int) -> np.ndar
 def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """PSD verdicts of ascending spectra, and whether lambda_min is too close
     to the threshold to vouch for the verdict."""
+    psd, threshold = psd_rule(w, cfg)
     lam_min = w[:, 0]
-    threshold = psd_threshold(w[:, -1], cfg)
     near = (lam_min > ESCALATION_MARGIN * threshold) & (lam_min < threshold / ESCALATION_MARGIN)
-    return lam_min >= threshold, near
+    return psd, near
 
 
 def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
-    """Ranks, fragility, and closeness to the fragility window, from spectra."""
-    sigma = np.abs(w)
-    cutoff = rank_cutoff(sigma.max(axis=1), w.shape[1], cfg)[:, None]
-    fragile = (sigma > cutoff / FRAGILITY_FACTOR) & (sigma < cutoff * FRAGILITY_FACTOR)
-    wide = FRAGILITY_FACTOR * ESCALATION_MARGIN
-    margin = (sigma > cutoff / wide) & (sigma < cutoff * wide) & ~fragile
-    return (sigma > cutoff).sum(axis=1), fragile.any(axis=1), margin.any(axis=1)
+    """Ranks and fragility of spectra, and whether a singular value lies within
+    a factor ESCALATION_MARGIN outside the fragility window."""
+    rank, cutoff, near = rank_rule(w, cfg)
+    sigma, wide = np.abs(w), FRAGILITY_FACTOR * ESCALATION_MARGIN
+    margin = (sigma > cutoff[:, None] / wide) & (sigma < cutoff[:, None] * wide) & ~near
+    return rank, near.any(axis=1), margin.any(axis=1)
 
 
 def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: HarnessResult):

@@ -30,7 +30,6 @@ from .errors import (
     DimensionMismatchError,
     EigensolverError,
     NonHermitianError,
-    NotPositiveSemidefiniteError,
 )
 
 SIDES = ("left", "right")
@@ -205,52 +204,7 @@ class RankDecision:
     fragile: bool
 
     def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "cutoff": self.cutoff,
-            "smallest_kept": self.smallest_kept,
-            "largest_discarded": self.largest_discarded,
-            "fragile": self.fragile,
-        }
-
-
-def rank_cutoff(sigma_max, size: int, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Singular value cutoff ``rank_tol * sigma_max * size``, elementwise.
-
-    ``size`` is the larger matrix dimension. Values above the cutoff count
-    toward the rank; values within FRAGILITY_FACTOR of it make the decision
-    fragile.
-    """
-    return cfg.rank_tol * sigma_max * size
-
-
-def rank_decision(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RankDecision:
-    """Numerical rank with audit data.
-
-    Counts singular values above ``rank_tol * sigma_max * max(rows, cols)``.
-    The zero matrix has rank 0 and is never fragile.
-    """
-    m = as_matrix(x)
-    sigma = np.linalg.svd(m, compute_uv=False)
-    sigma_max = float(sigma[0]) if sigma.size else 0.0
-    if sigma_max == 0.0:
-        return RankDecision(rank=0, cutoff=0.0, smallest_kept=None,
-                            largest_discarded=0.0 if sigma.size else None, fragile=False)
-    cutoff = float(rank_cutoff(sigma_max, max(m.shape), cfg))
-    kept = sigma[sigma > cutoff]
-    discarded = sigma[sigma <= cutoff]
-    near = (sigma > cutoff / FRAGILITY_FACTOR) & (sigma < cutoff * FRAGILITY_FACTOR)
-    return RankDecision(
-        rank=int(kept.size),
-        cutoff=float(cutoff),
-        smallest_kept=float(kept[-1]) if kept.size else None,
-        largest_discarded=float(discarded[0]) if discarded.size else None,
-        fragile=bool(np.any(near)),
-    )
-
-
-def numerical_rank(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> int:
-    return rank_decision(x, cfg).rank
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -264,77 +218,91 @@ class PsdCheck:
     threshold: float
 
     def to_json(self) -> dict:
-        return {
-            "psd": self.psd,
-            "hermitian": self.hermitian,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "threshold": self.threshold,
-        }
+        return dict(vars(self))
 
 
-def psd_threshold(lam_max, cfg: ToleranceConfig = DEFAULT_TOLERANCES):
-    """Lowest eigenvalue a PSD verdict allows, ``-psd_tol * lambda_max``, elementwise.
+def psd_rule(w: np.ndarray, cfg: ToleranceConfig):
+    """``(psd, threshold)`` of ascending spectra on the last axis, elementwise
+    over leading axes: PSD when ``lambda_min >= -psd_tol * lambda_max``.
 
-    Relative to the spectrum, so no verdict changes under positive scaling.
-    A spectrum with ``lambda_max <= 0`` gets threshold 0: the zero matrix
-    passes (it is vacuously PSD) and every other such matrix fails.
+    The threshold is relative to the spectrum, so no verdict changes under
+    positive scaling. A spectrum with ``lambda_max <= 0`` gets threshold 0:
+    the zero matrix passes (it is vacuously PSD) and every other one fails.
     """
-    return 0.0 - cfg.psd_tol * np.maximum(lam_max, 0.0)
+    threshold = 0.0 - cfg.psd_tol * np.maximum(w[..., -1], 0.0)
+    return w[..., 0] >= threshold, threshold
+
+
+def rank_rule(w: np.ndarray, cfg: ToleranceConfig):
+    """``(rank, cutoff, near)`` of Hermitian spectra on the last axis,
+    elementwise over leading axes. The singular values are the moduli of the
+    eigenvalues; those above ``rank_tol * sigma_max * dim`` count toward the
+    rank. ``near`` marks, per eigenvalue, the singular values within
+    FRAGILITY_FACTOR of that cutoff; any one makes the decision fragile."""
+    sigma = np.abs(w)
+    cutoff = cfg.rank_tol * sigma.max(axis=-1) * w.shape[-1]
+    edge = cutoff[..., None]
+    near = (sigma > edge / FRAGILITY_FACTOR) & (sigma < edge * FRAGILITY_FACTOR)
+    return (sigma > edge).sum(axis=-1), cutoff, near
+
+
+def hermitian_part_spectrum(x: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of ``(x + x^dagger) / 2``, for square ``x``."""
+    return np.linalg.eigvalsh((x + x.conj().T) / 2.0)
+
+
+def hermitian_spectrum(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, PsdCheck]:
+    """The ascending spectrum of a square matrix's Hermitian part, and its PSD
+    record by ``psd_rule``, which also requires Hermitian within equality_tol."""
+    m = as_matrix(x)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+    w = hermitian_part_spectrum(m)
+    hermitian = hermitian_deviation(m) <= cfg.equality_tol
+    psd, threshold = psd_rule(w, cfg)
+    return w, PsdCheck(
+        psd=bool(hermitian and psd),
+        hermitian=bool(hermitian),
+        lambda_min=float(w[0]),
+        lambda_max=float(w[-1]),
+        threshold=float(threshold),
+    )
+
+
+def rank_record(w: np.ndarray, cfg: ToleranceConfig) -> RankDecision:
+    """Rank decision of one Hermitian spectrum, with its gap around the cutoff."""
+    rank, cutoff, near = rank_rule(w, cfg)
+    sigma = np.abs(w)
+    kept, discarded = sigma[sigma > cutoff], sigma[sigma <= cutoff]
+    return RankDecision(
+        rank=int(rank),
+        cutoff=float(cutoff),
+        smallest_kept=float(kept.min()) if kept.size else None,
+        largest_discarded=float(discarded.max()) if discarded.size else None,
+        fragile=bool(near.any()),
+    )
+
+
+def rank_decision(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RankDecision:
+    """Numerical rank of a Hermitian matrix with audit data, by ``rank_rule``.
+    Raises NonHermitianError if ``||x - x^dagger||_F > equality_tol * ||x||_F``."""
+    w, check = hermitian_spectrum(x, cfg)
+    if not check.hermitian:
+        raise NonHermitianError(f"matrix is not Hermitian within equality_tol={cfg.equality_tol}")
+    return rank_record(w, cfg)
 
 
 def psd_check(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PsdCheck:
     """PSD test with recorded extremal eigenvalues.
 
-    True iff the matrix is Hermitian within ``equality_tol`` and
-    ``lambda_min >= psd_threshold(lambda_max)``.
+    True iff the matrix is Hermitian within ``equality_tol`` and its
+    spectrum passes ``psd_rule``.
     """
-    m = as_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-    hermitian = hermitian_deviation(m) <= cfg.equality_tol
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-    lam_min = float(w[0]) if w.size else 0.0
-    lam_max = float(w[-1]) if w.size else 0.0
-    threshold = float(psd_threshold(lam_max, cfg))
-    return PsdCheck(
-        psd=bool(hermitian and lam_min >= threshold),
-        hermitian=bool(hermitian),
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        threshold=threshold,
-    )
+    return hermitian_spectrum(x, cfg)[1]
 
 
 def is_psd(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     return psd_check(x, cfg).psd
-
-
-def purify(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, int]:
-    """Purify a PSD matrix into a bipartite vector with a rank-sized environment.
-
-    Returns ``(vec, d_env)`` where ``vec`` lives in C^dim (x) C^d_env with
-    composite index ``system * d_env + environment``,
-    ``d_env = numerical_rank(x)``, and
-
-        vec = sum_k sqrt(lambda_k) |v_k> (x) |k>
-
-    over the eigenpairs above the rank cutoff. Tracing out the environment
-    recovers ``x`` within ``equality_tol * ||x||_F``; the environment marginal
-    shares the nonzero spectrum of ``x``.
-    """
-    m = as_matrix(x)
-    if not is_psd(m, cfg):
-        raise NotPositiveSemidefiniteError("purify requires a PSD matrix")
-    d_env = numerical_rank(m, cfg)
-    if d_env == 0:
-        # Zero matrix: a zero vector with a one-dimensional environment.
-        return np.zeros(m.shape[0], dtype=complex), 1
-    w, v = hermitian_eigensystem(m, cfg)
-    vec = np.zeros((m.shape[0], d_env), dtype=complex)
-    for k in range(d_env):
-        vec[:, k] = np.sqrt(max(w[k], 0.0)) * v[:, k]
-    return vec.reshape(-1), d_env
 
 
 # Symbol prefixes and suffixes of OpenBLAS's thread-count functions: numpy's

@@ -36,7 +36,7 @@ from chancert import (
     tiles_upb_vectors,
 )
 from chancert.cli import main
-from chancert.generate import make_rng, random_stinespring
+from chancert.generate import random_stinespring
 
 CFG = DEFAULT_TOLERANCES
 DIM_TUPLES = list(itertools.product((2, 3), repeat=3))
@@ -61,7 +61,7 @@ def complex_gaussian(rng, shape):
 
 def test_criterion_1_representation_round_trips():
     with criterion(1, "choi/kraus/stinespring round trips", 10.0):
-        rng = make_rng(1001)
+        rng = np.random.default_rng(1001)
         pairs = [(a, b) for a in (1, 2, 3, 4) for b in (1, 2, 3, 4)]
         for trial in range(500):
             d_a, d_b = pairs[trial % len(pairs)]
@@ -76,7 +76,7 @@ def test_criterion_1_representation_round_trips():
             assert np.linalg.norm(via_kraus.matrix - choi.matrix) <= 1e-8 * norm
 
             st = stinespring_from_kraus(kraus)
-            via_st = choi_from_stinespring(st, CFG)
+            via_st = choi_from_stinespring(st)
             assert np.linalg.norm(via_st.matrix - choi.matrix) <= 1e-8 * norm
 
 
@@ -163,7 +163,7 @@ def test_criterion_7_pure_state_oracle_cross_check():
             s = np.linalg.svd(vec.reshape(d_a, d_b), compute_uv=False)
             return int(np.sum(s > 1e-8 * s[0] * max(d_a, d_b)))
 
-        rng = make_rng(7007)
+        rng = np.random.default_rng(7007)
         for d_a, d_b in ((2, 2), (2, 3)):
             layout = BipartiteLayout(d_a, d_b)
             for trial in range(200):

@@ -41,7 +41,7 @@ from chancert.certify import (
     RANK_GAP_WITNESS,
     witness_verdict,
 )
-from chancert.channels import choi_from_kraus, kraus_from_stinespring
+from chancert.channels import choi_from_kraus, kraus_from_choi, kraus_from_stinespring
 from chancert.errors import CounterexampleOrBugError
 
 from conftest import complex_gaussian, random_psd
@@ -400,7 +400,8 @@ class TestReportBuilders:
 
 
 class TestLapackBudget:
-    """Each report builder computes one spectrum per distinct matrix."""
+    """Each report builder computes one spectrum per distinct matrix, and
+    derives both its PSD record and its rank decision from it."""
 
     @pytest.fixture
     def lapack_calls(self, monkeypatch):
@@ -415,23 +416,35 @@ class TestLapackBudget:
 
     @pytest.mark.parametrize("kind", ["depolarizing", "identity", "transpose"])
     def test_choi_report(self, cfg, lapack_calls, kind):
-        # a PPT map, an NPT CP map and a non-CP map
+        # a PPT map, an NPT CP map and a non-CP map: the Choi matrix, its
+        # partial transpose and its two marginals
         choi_report(named_channel(kind, 3), cfg)
-        assert lapack_calls == {"eigvalsh": 2, "svd": 3, "eigh": 0}
+        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
 
     def test_state_report_on_tiles(self, cfg, lapack_calls):
         tiles = tiles_upb_choi()
         state_report(tiles.matrix, tiles.layout, cfg)
-        assert lapack_calls == {"eigvalsh": 2, "svd": 3, "eigh": 0}
+        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
 
     @pytest.mark.parametrize("st", [
         StinespringOperator(2, 2, 3, complex_gaussian(np.random.default_rng(8), (6, 2))),
         schur_stinespring([0.5, 0.3, 0.2]),
     ], ids=["random-2-2-3", "ppt-schur"])
     def test_equivalence_check(self, cfg, lapack_calls, st):
-        # 4 Choi spectra (the pair constructor repeats the 2 direct ones),
-        # 5 purification marginal ranks and 2 Choi marginal rank triples
+        # 4 Choi spectra (the pair constructor's PSD assertion reads the 2
+        # direct ones), 5 purification marginals and 4 Choi marginals
         equivalence_check(st, cfg)
-        assert lapack_calls["eigvalsh"] <= 6
-        assert lapack_calls["svd"] == 11
-        assert lapack_calls["eigh"] == 0
+        assert lapack_calls == {"eigvalsh": 13, "svd": 0, "eigh": 0}
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "dephasing"])
+    def test_kraus_from_choi(self, cfg, lapack_calls, kind):
+        kraus_from_choi(named_channel(kind, 3), cfg)
+        assert lapack_calls == {"eigvalsh": 0, "svd": 0, "eigh": 1}
+
+    @pytest.mark.parametrize("pair", [schur_multiplier_pair([0.5, 0.3, 0.2])], ids=["schur"])
+    def test_degradable_ppt_check_on_psi_ppt_pair(self, cfg, lapack_calls, pair):
+        # 4 Choi spectra, the degrading candidate's and 2 marginals per PPT
+        # member; the candidate's pinv calls none of the counted routines
+        report = degradable_ppt_check(pair, cfg)
+        assert report.predicates["ppt_psi"].is_yes and report.predicates["ppt_phi"].is_yes
+        assert lapack_calls == {"eigvalsh": 9, "svd": 0, "eigh": 0}

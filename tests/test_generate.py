@@ -10,15 +10,15 @@ from chancert import (
     GeneratorSpec,
     apply_channel,
     named_channel,
-    numerical_rank,
     random_stinespring,
+    rank_decision,
     schur_multiplier_pair,
     schur_stinespring,
     tiles_upb_choi,
     tiles_upb_vectors,
 )
 from chancert.errors import DimensionMismatchError
-from chancert.generate import build, make_rng, random_dilation_stack
+from chancert.generate import build, random_dilation_stack
 
 from conftest import complex_gaussian
 
@@ -54,8 +54,8 @@ class TestRandomStinespring:
         from chancert import choi_from_stinespring
 
         st = random_stinespring(2, 2, 4, seed=17)
-        choi = choi_from_stinespring(st, cfg)
-        assert numerical_rank(choi.matrix, cfg) == 4
+        choi = choi_from_stinespring(st)
+        assert rank_decision(choi.matrix, cfg).rank == 4
 
     def test_column_normalization(self):
         st = random_stinespring(3, 2, 2, seed=9, normalize_columns=True)
@@ -204,7 +204,7 @@ class TestTiles:
     def test_state_properties(self, cfg):
         tiles = tiles_upb_choi()
         assert np.trace(tiles.matrix).real == pytest.approx(1.0, abs=1e-14)
-        assert numerical_rank(tiles.matrix, cfg) == 4
+        assert rank_decision(tiles.matrix, cfg).rank == 4
         vectors = tiles_upb_vectors()
         for k in range(5):
             assert np.linalg.norm(tiles.matrix @ vectors[k]) <= 1e-12
@@ -215,7 +215,7 @@ class TestNamedChannels:
         from chancert import is_ppt_map
 
         choi = named_channel("identity", 2)
-        assert numerical_rank(choi.matrix, cfg) == 1
+        assert rank_decision(choi.matrix, cfg).rank == 1
         assert not is_ppt_map(choi, cfg)
 
     def test_depolarizing_is_exact_scaled_identity(self):
@@ -261,7 +261,3 @@ class TestGeneratorSpec:
         _, first = build(spec)
         _, second = build(spec)
         np.testing.assert_array_equal(first.matrix, second.matrix)
-
-    def test_make_rng_is_pcg64(self):
-        rng = make_rng(0)
-        assert type(rng.bit_generator).__name__ == "PCG64"

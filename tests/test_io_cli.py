@@ -16,6 +16,7 @@ import chancert.cli
 from chancert import BipartiteLayout, MatrixFileError, RankDecision, ToleranceConfig, linalg
 from chancert.certify import (
     EB_CODES,
+    NOT_HERMITIAN_NOTE,
     eb_verdict,
     pair_rules,
     ppt_rule,
@@ -32,7 +33,7 @@ from chancert.io import (
     save_json,
 )
 from chancert.errors import PurityViolationError
-from chancert.linalg import PsdCheck, psd_threshold
+from chancert.linalg import PsdCheck, psd_rule
 
 from conftest import complex_gaussian
 
@@ -167,6 +168,21 @@ class TestCliAnalyze:
         assert predicates["eb_phi"]["value"] == "yes"
         assert predicates["eb_psi"]["value"] == "yes"
 
+    @pytest.mark.parametrize("role, psd_key", [("choi", "cp"), ("state", "psd")])
+    def test_non_hermitian_input_gets_no_rank_records(self, tmp_path, role, psd_key):
+        # ranks come from eigenvalues, and no verdict on a matrix that is not
+        # Hermitian reads them
+        path, report_path = tmp_path / "m.json", tmp_path / "r.json"
+        m = np.eye(4, dtype=complex)
+        m[0, 1] = 1.0
+        save_json(path, matrix_file_dict(m, role=role, layout=BipartiteLayout(2, 2)))
+        assert main(["analyze", str(path), "--output", str(report_path)]) == 0
+        analysis = json.loads(report_path.read_text())["analysis"]
+        assert analysis["ranks"] == {}
+        assert NOT_HERMITIAN_NOTE in analysis["notes"]
+        assert analysis["predicates"][psd_key]["value"] == "no"
+        assert not analysis["spectra"][role]["hermitian"]
+
     def test_missing_role_is_parse_error(self, tmp_path):
         path = tmp_path / "bare.json"
         save_json(path, matrix_file_dict(np.eye(4)))
@@ -202,8 +218,9 @@ def rederive_predicates(role: str, analysis: dict) -> None:
     spectra = {key: PsdCheck(**value) for key, value in analysis["spectra"].items()}
     ranks = {key: RankDecision(**value) for key, value in analysis["ranks"].items()}
     for record in spectra.values():
-        assert record.threshold == psd_threshold(record.lambda_max, cfg)
-        assert record.psd == (record.hermitian and record.lambda_min >= record.threshold)
+        psd, threshold = psd_rule(np.array([record.lambda_min, record.lambda_max]), cfg)
+        assert record.threshold == threshold
+        assert record.psd == (record.hermitian and psd)
     for record in ranks.values():
         assert record.smallest_kept is None or record.smallest_kept > record.cutoff
         assert record.largest_discarded is None or record.largest_discarded <= record.cutoff
@@ -265,6 +282,9 @@ class TestCliGenerateConvert:
         assert payload["role"] == "stinespring"
         assert payload["dims"] == [2, 2, 2]
         assert payload["generator"]["seed"] == 11
+        assert payload["generator"]["seed_derivation"] == chancert.generate.SEED_DERIVATION
+        assert main(["generate", "--kind", "identity", "--dims", "2", "--output", str(path)]) == 0
+        assert "seed_derivation" not in json.loads(path.read_text())["generator"]
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--index", "-3")])
     def test_negative_seed_or_index_is_parse_error(self, tmp_path, capsys, flag, value):
@@ -281,6 +301,12 @@ class TestCliGenerateConvert:
         (["--kind", "depolarizing", "--dims", "3"], ["--seed", "5"], "seed"),
         (["--kind", "tiles"], ["--index", "0"], "index"),
         (["--kind", "schur", "--params", "1,0.5"], ["--index", "2"], "index"),
+        (["--kind", "identity", "--dims", "2"], ["--normalize"], "normalize"),
+        (["--kind", "identity", "--dims", "2"], ["--params", "0.3,7"], "params"),
+        (["--kind", "tiles"], ["--dims", "5"], "dims"),
+        (["--kind", "schur", "--params", "1,0.5"], ["--dims", "7"], "dims"),
+        (["--kind", "random-stinespring", "--dims", "2,2,2", "--seed", "3"], ["--params", "3"],
+         "params"),
     ])
     def test_seed_or_index_of_non_random_kind_is_parse_error(
         self, tmp_path, capsys, spec, extra, name

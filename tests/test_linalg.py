@@ -8,18 +8,16 @@ from hypothesis import strategies as st
 from chancert import (
     BipartiteLayout,
     NonHermitianError,
-    NotPositiveSemidefiniteError,
     ToleranceConfig,
     hermitian_eigensystem,
     is_psd,
-    numerical_rank,
     partial_trace,
     partial_transpose,
     psd_check,
-    purify,
     rank_decision,
 )
 from chancert.errors import DimensionMismatchError
+from chancert.linalg import FRAGILITY_FACTOR
 
 from conftest import complex_gaussian, random_hermitian, random_psd
 
@@ -176,16 +174,16 @@ class TestHermitianEigensystem:
 
 class TestNumericalRank:
     def test_zero_matrix(self):
-        assert numerical_rank(np.zeros((4, 4))) == 0
+        assert rank_decision(np.zeros((4, 4))).rank == 0
 
     def test_bell_projector_rank_one(self):
-        assert numerical_rank(bell_projector()) == 1
+        assert rank_decision(bell_projector()).rank == 1
 
     def test_kron_rank_multiplies(self):
         rng = np.random.default_rng(7)
         a = random_psd(rng, 3, rank=2)
         b = random_psd(rng, 4, rank=3)
-        assert numerical_rank(np.kron(a, b)) == 6
+        assert rank_decision(np.kron(a, b)).rank == 6
 
     def test_decision_gap_fields(self, cfg):
         x = np.diag([1.0, 1e-3, 0.0])
@@ -200,6 +198,41 @@ class TestNumericalRank:
         # cutoff = 1e-6 * 1 * 2; a singular value at 5e-6 sits inside the window
         dec = rank_decision(np.diag([1.0, 5e-6]), cfg)
         assert dec.fragile
+
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(NonHermitianError):
+            rank_decision(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 16),
+           kind=st.sampled_from(["psd", "indefinite", "rank-deficient", "near-cutoff"]),
+           log_scale=st.floats(-12.0, 12.0))
+    def test_agrees_with_svd_reference(self, seed, n, kind, log_scale):
+        # the singular values of a Hermitian matrix are the moduli of its
+        # eigenvalues, so the decision matches one taken on svd
+        cfg = ToleranceConfig()
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(n)
+        if kind == "psd":
+            w = np.abs(w)
+        elif kind == "rank-deficient":
+            w[rng.integers(0, n + 1):] = 0.0
+        elif kind == "near-cutoff":  # one eigenvalue around the fragility window
+            w[-1] = np.abs(w).max() * cfg.rank_tol * n * 10.0 ** rng.uniform(-1.5, 1.5)
+        q, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+        x = 10.0**log_scale * (q * w) @ q.conj().T
+
+        sigma = np.linalg.svd(x, compute_uv=False)
+        cutoff = cfg.rank_tol * sigma[0] * n
+        kept, discarded = sigma[sigma > cutoff], sigma[sigma <= cutoff]
+        fragile = np.any((sigma > cutoff / FRAGILITY_FACTOR) & (sigma < cutoff * FRAGILITY_FACTOR))
+        dec = rank_decision(x, cfg)
+        assert (dec.rank, dec.fragile) == (kept.size, fragile)
+        gap = 1e-12 * sigma[0]
+        assert abs(dec.cutoff - cutoff) <= gap
+        for got, want in ((dec.smallest_kept, kept[-1:]), (dec.largest_discarded, discarded[:1])):
+            assert (got is None) == (want.size == 0)
+            assert want.size == 0 or abs(got - want[0]) <= gap
 
 
 class TestIsPsd:
@@ -239,38 +272,3 @@ class TestIsPsd:
         assert chk.lambda_max == pytest.approx(2.0)
         assert chk.lambda_min == pytest.approx(-1.0)
         assert not chk.psd
-
-
-class TestPurify:
-    def test_pure_state(self):
-        vec, d_env = purify(np.diag([1.0, 0.0]))
-        assert d_env == 1
-        np.testing.assert_allclose(vec, [1.0, 0.0], atol=1e-14)
-
-    def test_maximally_mixed(self):
-        x = np.eye(2) / 2.0
-        vec, d_env = purify(x)
-        assert d_env == 2
-        m = vec.reshape(2, 2)
-        np.testing.assert_allclose(m @ m.conj().T, x, atol=1e-12)
-        np.testing.assert_allclose(m.conj().T @ m, x, atol=1e-12)
-
-    def test_rejects_non_psd(self):
-        with pytest.raises(NotPositiveSemidefiniteError):
-            purify(np.diag([1.0, -1.0]))
-
-    def test_random_low_rank_reconstruction(self, cfg):
-        rng = np.random.default_rng(8)
-        for _ in range(25):
-            x = random_psd(rng, 5, rank=3)
-            vec, d_env = purify(x, cfg)
-            assert d_env == 3
-            m = vec.reshape(5, d_env)
-            sys_marginal = m @ m.conj().T
-            env_marginal = m.conj().T @ m
-            assert np.linalg.norm(sys_marginal - x) <= cfg.equality_tol * np.linalg.norm(x)
-            # environment marginal shares rank and nonzero spectrum
-            assert numerical_rank(env_marginal, cfg) == 3
-            w_sys = np.sort(np.linalg.eigvalsh(x))[-3:]
-            w_env = np.sort(np.linalg.eigvalsh(env_marginal))
-            np.testing.assert_allclose(w_env, w_sys, atol=1e-10 * max(1.0, w_sys[-1]))
