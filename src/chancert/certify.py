@@ -31,9 +31,10 @@ from .channels import (
 from .complement import (
     ComplementaryPair,
     RankChain,
+    _chain_of,
+    _marginals_match,
     _pair_and_spectra,
-    rank_chain,
-    verify_complementarity,
+    purification_marginals,
 )
 from .errors import (
     CounterexampleOrBugError,
@@ -389,7 +390,8 @@ def equivalence_check(
     ctx.setdefault("dims", [st.d_a, st.d_b, st.d_c])
 
     pair, ((phi_w, phi_psd), (psi_w, psi_psd)) = _pair_and_spectra(st, cfg)
-    chain, decisions = rank_chain(st, cfg)
+    marginals = purification_marginals(st)
+    chain, decisions = _chain_of(marginals, cfg)
 
     report = CertificateReport(tolerances=cfg, chain=chain)
     report.ranks.update({f"l_{key}": dec for key, dec in decisions.items()})
@@ -434,7 +436,7 @@ def equivalence_check(
             f"purity rank equalities failed on a non-fragile sample: {chain.to_json()}"
         )
 
-    if not verify_complementarity(pair, cfg):
+    if not _marginals_match(marginals, pair, cfg):
         raise CounterexampleOrBugError(
             "purification marginals disagree with the basis-assembled Choi matrices", ctx
         )

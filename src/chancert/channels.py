@@ -41,7 +41,7 @@ from .linalg import (
     partial_transpose,
     psd_check,
     psd_rule,
-    rank_record,
+    rank_rule,
 )
 
 
@@ -183,10 +183,12 @@ def choi_from_transfer(s, d_a: int, d_b: int) -> ChoiMatrix:
 def kraus_from_choi(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> KrausSet:
     """Extract Kraus operators from a PSD Choi matrix by eigendecomposition.
 
-    The number of operators equals the numerical rank of the Choi matrix;
-    the PSD test and the rank read the eigenvalues of the one decomposition.
-    The all-zero Choi matrix (zero map) yields a single zero operator so the
-    set stays well formed.
+    Each eigenvalue above the rank cutoff of ``rank_rule`` gives one
+    operator; the PSD test and the cutoff read the eigenvalues of the one
+    decomposition. A negative eigenvalue that a loose ``psd_tol`` admits
+    counts toward the rank but gives no operator. A Choi matrix with no
+    eigenvalue above the cutoff (the zero map) yields a single zero
+    operator so the set stays well formed.
     """
     try:
         w, v = hermitian_eigensystem(choi.matrix, cfg)
@@ -196,13 +198,10 @@ def kraus_from_choi(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
         psd = psd_rule(w[::-1], cfg)[0]
     if not psd:
         raise NotPositiveSemidefiniteError("Choi matrix is not PSD: the map is not CP")
-    rank = rank_record(w, cfg).rank
-    if rank == 0:
+    kept = np.flatnonzero(w > rank_rule(w, cfg)[1])
+    if kept.size == 0:
         return KrausSet(choi.d_a, choi.d_b, (np.zeros((choi.d_b, choi.d_a), dtype=complex),))
-    ops = []
-    for k in range(rank):
-        vec = np.sqrt(max(w[k], 0.0)) * v[:, k]
-        ops.append(vec.reshape(choi.d_a, choi.d_b).T.copy())
+    ops = [(np.sqrt(w[k]) * v[:, k]).reshape(choi.d_a, choi.d_b).T.copy() for k in kept]
     return KrausSet(choi.d_a, choi.d_b, tuple(ops))
 
 

@@ -132,7 +132,11 @@ def rank_chain(
     evaluates them, and ``certify.equivalence_check`` raises
     PurityViolationError when they fail on a non-fragile sample.
     """
-    marginals = purification_marginals(st)
+    return _chain_of(purification_marginals(st), cfg)
+
+
+def _chain_of(marginals: dict[str, np.ndarray], cfg: ToleranceConfig):
+    """``rank_chain`` of the purification marginals ``marginals``."""
     decisions = {key: rank_record(hermitian_part_spectrum(m), cfg) for key, m in marginals.items()}
     chain = RankChain(
         rank_lab=decisions["ab"].rank,
@@ -154,7 +158,13 @@ def verify_complementarity(
     whose psi was conjugated by a nontrivial unitary on C fails this check
     even though it represents "the same" complement abstractly.
     """
-    marginals = purification_marginals(pair.stinespring)
+    return _marginals_match(purification_marginals(pair.stinespring), pair, cfg)
+
+
+def _marginals_match(
+    marginals: dict[str, np.ndarray], pair: ComplementaryPair, cfg: ToleranceConfig
+) -> bool:
+    """``verify_complementarity`` of ``pair`` against its purification marginals."""
     return close_frobenius(
         marginals["ab"], pair.choi_phi.matrix, cfg.equality_tol
     ) and close_frobenius(marginals["ac"], pair.choi_psi.matrix, cfg.equality_tol)

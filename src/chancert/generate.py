@@ -7,9 +7,12 @@ exactly from the (seed, index) pair recorded in its report. Seeds and
 indices may be any non-negative integers.
 
 ``random_dilation_stack`` computes those seed sequences in bulk instead of
-building a ``SeedSequence`` per sample: the mixing of the seed's words is a
-pure function of the seed and is cached, each index only mixes in its own
-words, and the stream state words reach ``PCG64`` through numpy's
+building a ``SeedSequence`` per sample. The mixing of the seed's words is a
+pure function of the seed and is cached. The indices' words are mixed in,
+and PCG64's four seed words (``generate_state(4, np.uint64)``) are hashed
+out, for all samples at once: as uint64 arrays of 32-bit words, one column
+per word, where an index with fewer words leaves its pool unchanged in the
+extra columns. Each sample's seed words reach ``PCG64`` through numpy's
 ``ISeedSequence`` interface, so PCG64 seeds itself from them as it would
 from the ``SeedSequence``. The replica follows numpy's ``SeedSequence``
 (``numpy/random/bit_generator.pyx``) with its default pool of four words;
@@ -109,31 +112,43 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix: the hashed value and the next hash constant."""
-    value ^= hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
+# The mixing functions act elementwise on Python ints and on uint64 arrays
+# of 32-bit words: every product of two words fits 64 bits, and a difference
+# that wraps around 2**64 keeps its residue modulo 2**32.
+
+
+def _hashmix(value, hash_const, mult: int = _MULT_A):
+    """SeedSequence's hashmix: the hashed value and the next hash constant.
+    With ``mult = _MULT_B`` it is the hash of a ``generate_state`` word."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
     value = value * hash_const & _MASK32
     return value ^ value >> 16, hash_const
 
 
-def _mix(x: int, y: int) -> int:
+def _mix(x, y):
     """SeedSequence's mix of a hashed value y into a pool word x."""
     result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
     return result ^ result >> 16
 
 
-def _mix_word(pool: tuple, hash_const: int, word: int) -> tuple[tuple, int]:
-    """Mix an entropy word past the pool size into every pool word."""
-    mixed = []
-    for x in pool:
-        value, hash_const = _hashmix(word, hash_const)
-        mixed.append(_mix(x, value))
-    return tuple(mixed), hash_const
+def _hash_run(hash_const: int, count: int, mult: int = _MULT_A) -> np.ndarray:
+    """The hash constants of ``count`` successive hashmix calls, from hash_const on."""
+    run = [hash_const]
+    for _ in range(count - 1):
+        run.append(run[-1] * mult & _MASK32)
+    return np.array(run, dtype=np.uint64)
+
+
+def _mix_word(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
+    """Mix an entropy word past the pool size into every pool word; the pool
+    words lie on the last axis."""
+    values, consts = _hashmix(word, _hash_run(hash_const, _POOL_SIZE))
+    return _mix(pool, values), int(consts[-1])
 
 
 @functools.lru_cache(maxsize=32)
-def _seed_pool(seed: int) -> tuple[tuple, int]:
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     """Pool and hash constant of ``SeedSequence(seed, spawn_key=key)`` once
     the seed's words are mixed in; the words of ``key`` follow.
 
@@ -153,47 +168,59 @@ def _seed_pool(seed: int) -> tuple[tuple, int]:
             if i_src != i_dst:
                 value, hash_const = _hashmix(pool[i_src], hash_const)
                 pool[i_dst] = _mix(pool[i_dst], value)
-    pool = tuple(pool)
+    pool = np.array(pool, dtype=np.uint64)
     for word in entropy[_POOL_SIZE:]:
         pool, hash_const = _mix_word(pool, hash_const, word)
+    pool.flags.writeable = False
     return pool, hash_const
 
 
-def _pcg64_state_hashes() -> tuple[tuple[int, int, int, int], ...]:
-    """Hash constants of SeedSequence.generate_state's first 8 uint32 words,
-    paired into the 4 little-endian uint64 words PCG64 seeds itself from.
+def _index_words(indices) -> tuple[np.ndarray, np.ndarray]:
+    """The spawn-key words of each index, one row per index: a uint64 array
+    of 32-bit words, little-endian along the columns, and which of them exist.
+    An index of None has no words."""
+    values = [None if i is None else _non_negative("index", i) for i in indices]
+    counts = [0 if v is None else (v.bit_length() + 31) // 32 or 1 for v in values]
+    width = max(counts, default=0)
+    rest = np.array([v or 0 for v in values], dtype=object)
+    words = np.empty((len(values), width), dtype=np.uint64)
+    for t in range(width):
+        words[:, t] = rest & _MASK32
+        rest >>= 32
+    return words, np.arange(width) < np.array(counts)[:, None]
 
-    Word i is xor'ed with constant i and multiplied by constant i + 1.
-    """
-    c = [_INIT_B]
-    for _ in range(8):
-        c.append(c[-1] * _MULT_B & _MASK32)
-    return tuple((c[i], c[i + 1], c[i + 1], c[i + 2]) for i in range(0, 8, 2))
+
+# generate_state(4, np.uint64) hashes 8 uint32 words, cycling through the
+# pool twice, and reads them in pairs as little-endian uint64 words.
+_STATE_WORDS = np.arange(8) % _POOL_SIZE
+_STATE_HASHES = _hash_run(_INIT_B, 8, _MULT_B)
 
 
-_PCG64_STATE_HASHES = _pcg64_state_hashes()
+def _stream_states(seed: int, indices) -> np.ndarray:
+    """PCG64's seed words of ``SeedSequence(seed, spawn_key=(i,))`` for each i
+    in ``indices``: ``generate_state(4, np.uint64)``, one row per index."""
+    words, present = _index_words(indices)
+    seed_pool, hash_const = _seed_pool(_non_negative("seed", seed))
+    pool = np.tile(seed_pool, (len(words), 1))
+    for t in range(words.shape[1]):
+        mixed, hash_const = _mix_word(pool, hash_const, words[:, t, None])
+        pool = np.where(present[:, t, None], mixed, pool)
+    state, _ = _hashmix(pool[:, _STATE_WORDS], _STATE_HASHES, _MULT_B)
+    return state.astype(np.uint32, order="C").view(np.uint64)
 
 
-class _PoolSeed(ISeedSequence):
-    """The seed sequence of a mixed pool, as PCG64 reads it: ``generate_state(4, np.uint64)``."""
+class _StreamSeed(ISeedSequence):
+    """A seed sequence as PCG64 reads it: its ``generate_state(4, np.uint64)``."""
 
-    __slots__ = ("pool",)
+    __slots__ = ("state",)
 
-    def __init__(self, pool: tuple):
-        self.pool = pool
+    def __init__(self, state: np.ndarray):
+        self.state = state
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
         if n_words != 4 or np.dtype(dtype) != np.uint64:
             raise ValueError("only PCG64's request, 4 uint64 words, is supported")
-        p0, p1, p2, p3 = self.pool  # the 8 uint32 words cycle through the pool twice
-        state = []
-        for (low, high), (xor_low, mult_low, xor_high, mult_high) in zip(
-            ((p0, p1), (p2, p3), (p0, p1), (p2, p3)), _PCG64_STATE_HASHES
-        ):
-            low = (low ^ xor_low) * mult_low & _MASK32
-            high = (high ^ xor_high) * mult_high & _MASK32
-            state.append((low ^ low >> 16) | (high ^ high >> 16) << 32)
-        return np.array(state, dtype=np.uint64)
+        return self.state
 
 
 def random_stinespring(
@@ -223,19 +250,16 @@ def random_dilation_stack(d_a: int, d_b: int, d_c: int, seed: int, indices) -> n
     Sample i draws the real parts, then the imaginary parts, from
     ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and divides by
     sqrt(2). An index of None draws from the stream of ``seed`` itself.
-    Raises ValueError for a negative seed or index.
+    The streams' seed words are derived for all indices at once; each sample
+    then costs one ``PCG64``, one ``Generator`` and its draw. Raises
+    ValueError for a negative seed or index.
     """
     if min(d_a, d_b, d_c) < 1:
         raise DimensionMismatchError("all dimensions must be at least 1")
-    pool, hash_const = _seed_pool(_non_negative("seed", seed))
-    draws = np.empty((len(indices), 2, d_b * d_c, d_a))
-    for k, index in enumerate(indices):
-        sample_pool, sample_hash = pool, hash_const
-        if index is not None:
-            for word in _uint32_words(_non_negative("index", index)):
-                sample_pool, sample_hash = _mix_word(sample_pool, sample_hash, word)
-        generator = np.random.Generator(np.random.PCG64(_PoolSeed(sample_pool)))
-        generator.standard_normal(out=draws[k])
+    states = _stream_states(seed, indices)
+    draws = np.empty((len(states), 2, d_b * d_c, d_a))
+    for state, out in zip(states, draws):
+        np.random.Generator(np.random.PCG64(_StreamSeed(state))).standard_normal(out=out)
     return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
 
 

@@ -9,7 +9,10 @@ array program over a sample axis:
 2. form the five purification marginals with stacked einsums, and the
    partial transposes of both Choi matrices with reshapes;
 3. cross-check both Choi matrices against the Kraus-vector route
-   ``V V^dagger``, which reads the dilation through a different reshape;
+   ``V V^dagger``, which reads the dilation through a different reshape,
+   and take each marginal's Hermitian part in one pass that also measures
+   its deviation; Frobenius norms sum over the float64 view, each
+   marginal's once;
 4. run one stacked ``eigvalsh`` per matrix kind, seven per chunk, and derive
    PSD flags, ranks and fragility from the eigenvalues with ``psd_rule`` and
    ``rank_rule``, the rules behind every ``PsdCheck`` and ``RankDecision``;
@@ -37,9 +40,9 @@ from .generate import random_dilation_stack, random_stinespring
 from .linalg import FRAGILITY_FACTOR, ToleranceConfig, psd_rule, rank_rule
 
 # Memory budget of a chunk: complex entries in its largest stacked matrix
-# array (64 KiB). Larger chunks save little per-call overhead but raise the
+# array (256 KiB). Larger chunks save little per-call overhead but raise the
 # peak memory of the widest tuples.
-CHUNK_ENTRIES = 4096
+CHUNK_ENTRIES = 16384
 # An eigenvalue this factor or less outside a decision window (the PSD
 # threshold, the fragility window around a rank cutoff) escalates its sample.
 ESCALATION_MARGIN = 2.0
@@ -93,20 +96,27 @@ def run_harness(dims, trials: int, seed: int, cfg: ToleranceConfig) -> HarnessRe
 
 
 def _frobenius(x: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(x, axis=(-2, -1))
+    """Frobenius norms of a stack of complex matrices, summed over their float64 view."""
+    parts = x.view(np.float64)
+    return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
 
 
-def _hermitian_part(x: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(x + x^dagger) / 2 per matrix, and whether x is clearly Hermitian."""
+def _hermitian_part(
+    x: np.ndarray, norm: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x + x^dagger) / 2 per matrix, and whether x is clearly Hermitian;
+    ``norm`` holds the Frobenius norms of x."""
     adjoint = x.conj().swapaxes(-2, -1)
-    deviation = _frobenius(x - adjoint)
-    clear = deviation <= cfg.equality_tol / EQUALITY_MARGIN * _frobenius(x)
-    return (x + adjoint) / 2.0, clear
+    clear = _frobenius(x - adjoint) <= cfg.equality_tol / EQUALITY_MARGIN * norm
+    part = x + adjoint
+    part *= 0.5
+    return part, clear
 
 
-def _agrees(x: np.ndarray, y: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Per-matrix relative Frobenius agreement, inside the escalation margin."""
-    scale = np.maximum(_frobenius(x), _frobenius(y))
+def _agrees(x: np.ndarray, norm: np.ndarray, y: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """Per-matrix relative Frobenius agreement, inside the escalation margin;
+    ``norm`` holds the Frobenius norms of x."""
+    scale = np.maximum(norm, _frobenius(y))
     return _frobenius(x - y) <= cfg.equality_tol / EQUALITY_MARGIN * scale
 
 
@@ -147,12 +157,13 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
     cube = stack.reshape(n, d_b, d_c, d_a)
     v_phi = cube.transpose(0, 3, 1, 2).reshape(n, d_a * d_b, d_c)
     v_psi = cube.transpose(0, 3, 2, 1).reshape(n, d_a * d_c, d_b)
-    checks = _agrees(marginals["ab"], v_phi @ v_phi.conj().swapaxes(1, 2), cfg)
-    checks &= _agrees(marginals["ac"], v_psi @ v_psi.conj().swapaxes(1, 2), cfg)
+    norms = {key: _frobenius(matrix) for key, matrix in marginals.items()}
+    checks = _agrees(marginals["ab"], norms["ab"], v_phi @ v_phi.conj().swapaxes(1, 2), cfg)
+    checks &= _agrees(marginals["ac"], norms["ac"], v_psi @ v_psi.conj().swapaxes(1, 2), cfg)
 
     hermitian = {}
     for key, matrix in marginals.items():
-        hermitian[key], clear = _hermitian_part(matrix, cfg)
+        hermitian[key], clear = _hermitian_part(matrix, norms[key], cfg)
         checks &= clear
     spectra = {key: np.linalg.eigvalsh(matrix) for key, matrix in hermitian.items()}
     spectra["ab_pt"] = np.linalg.eigvalsh(_partial_transpose_left(hermitian["ab"], d_a, d_b))

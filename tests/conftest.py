@@ -22,3 +22,10 @@ def random_psd(rng: np.random.Generator, n: int, rank: int | None = None) -> np.
     k = n if rank is None else rank
     g = complex_gaussian(rng, (n, k))
     return g @ g.conj().T
+
+
+def slightly_negative_choi() -> np.ndarray:
+    """A 4x4 Hermitian matrix with eigenvalues (1, 0.5, 0, -0.05): PSD only
+    under a loose psd_tol, and with a negative eigenvalue above any rank cutoff."""
+    hadamard = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]) / 2.0
+    return (hadamard * [1.0, 0.5, 0.0, -0.05]) @ hadamard.T + 0j

@@ -41,6 +41,7 @@ from chancert.certify import (
     RANK_GAP_WITNESS,
     witness_verdict,
 )
+import chancert.complement
 from chancert.channels import choi_from_kraus, kraus_from_choi, kraus_from_stinespring
 from chancert.errors import CounterexampleOrBugError
 
@@ -290,6 +291,14 @@ class TestDegradablePptCheck:
 
 
 class TestEquivalenceCheck:
+    def test_purification_marginals_formed_once(self, cfg, monkeypatch):
+        calls = []
+        marginals_of = chancert.complement.marginals_of
+        monkeypatch.setattr(chancert.complement, "marginals_of",
+                            lambda psi: calls.append(psi.shape) or marginals_of(psi))
+        equivalence_check(schur_stinespring([0.5, 0.3, 0.2]), cfg)
+        assert calls == [(3, 3, 3)]
+
     def test_identity_dilation_vacuous_branch(self, cfg):
         st = StinespringOperator(2, 2, 1, np.eye(2, dtype=complex))
         report = equivalence_check(st, cfg)

@@ -8,6 +8,7 @@ from chancert import (
     KrausSet,
     NotPositiveSemidefiniteError,
     StinespringOperator,
+    ToleranceConfig,
     apply_channel,
     choi_from_kraus,
     choi_from_map_action,
@@ -27,7 +28,7 @@ from chancert import (
     transfer_from_choi,
 )
 
-from conftest import complex_gaussian, random_psd
+from conftest import complex_gaussian, random_psd, slightly_negative_choi
 
 
 def random_cp_choi(rng, d_a, d_b, rank=None):
@@ -156,6 +157,17 @@ class TestKrausConversions:
         kraus = kraus_from_choi(zero, cfg)
         assert len(kraus.operators) == 1
         np.testing.assert_array_equal(kraus.operators[0], np.zeros((2, 2)))
+
+    def test_admitted_negative_eigenvalue_gives_no_operator(self):
+        choi = ChoiMatrix(2, 2, slightly_negative_choi())
+        cfg = ToleranceConfig(psd_tol=0.1)
+        assert rank_decision(choi.matrix, cfg).rank == 3
+        kraus = kraus_from_choi(choi, cfg)
+        assert len(kraus.operators) == 2
+        assert all(np.linalg.norm(k) > 0.5 for k in kraus.operators)
+        # the kept part of the spectrum, (1, 0.5), is rebuilt
+        w = np.linalg.eigvalsh(choi_from_kraus(kraus).matrix)
+        np.testing.assert_allclose(w, [0.0, 0.0, 0.5, 1.0], atol=1e-12)
 
     def test_operator_count_equals_choi_rank(self, cfg):
         rng = np.random.default_rng(8)

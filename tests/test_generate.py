@@ -1,5 +1,7 @@
 """Tests for the instance generators."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from chancert import (
     tiles_upb_choi,
     tiles_upb_vectors,
 )
+from chancert import generate
 from chancert.errors import DimensionMismatchError
 from chancert.generate import build, random_dilation_stack
 
@@ -97,8 +100,10 @@ class TestNumpyStreams:
 
     @pytest.mark.parametrize(
         "indices",
-        [[9, 2, 7, 0], [3, 3, 3], [5, None, 5, None], [2**40 + 7, 1, 2**32, 0, 2**32]],
-        ids=["unsorted", "repeated", "none-repeated", "wide-unsorted"],
+        [[9, 2, 7, 0], [3, 3, 3], [5, None, 5, None], [2**40 + 7, 1, 2**32, 0, 2**32],
+         [2**32 - 1, 0, None, 2**32, 2**64 + 1], range(3, 200, 7), range(2**32 + 40, 2**32 - 40, -9)],
+        ids=["unsorted", "repeated", "none-repeated", "wide-unsorted", "mixed-widths",
+             "stepped-range", "descending-range-across-words"],
     )
     def test_index_lists(self, indices):
         assert_numpy_streams((2, 2, 3), 11, indices)
@@ -150,6 +155,26 @@ class TestNumpyStreams:
         for i in indices:
             numpy_dilation(3, 3, 3, 12, i)
         assert len(built) == len(indices)
+
+    def test_mixing_calls_independent_of_sample_count(self, monkeypatch):
+        """Stream seeds are mixed column by column for all samples at once."""
+        calls = Counter()
+        for name in ("_hashmix", "_mix"):
+            def counted(*args, _original=getattr(generate, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(generate, name, counted)
+
+        def mixing_calls(indices):
+            calls.clear()
+            random_dilation_stack(3, 3, 3, 12, indices)
+            return dict(calls)
+
+        mixing_calls([0])  # caches the pool of seed 12
+        one = mixing_calls([100])
+        assert one == {"_hashmix": 2, "_mix": 1}
+        assert mixing_calls(range(100, 150)) == one
 
     @pytest.mark.parametrize("seed, indices, name", [(-1, [0], "seed"), (4, [0, -3], "index")])
     def test_negative_seed_or_index_rejected(self, seed, indices, name):

@@ -8,6 +8,7 @@ must actually reach escalation, fragile discards and the PPT branch.
 
 import itertools
 import json
+import tracemalloc
 
 import pytest
 
@@ -95,6 +96,27 @@ def test_loose_psd_tolerance_reaches_escalation_and_ppt_branch():
     result, _ = assert_agrees((2, 2, 3), 300, 3003, ToleranceConfig(psd_tol=0.1))
     assert len(result.escalated) > 0
     assert result.counts["phi_ppt"] > 0
+
+
+@pytest.mark.parametrize("dims", [(4, 4, 16), (3, 3, 9)], ids=dims_id)
+def test_escalations_inside_wide_chunks_agree(dims):
+    size = chunk_size(dims)
+    assert size > 1
+    result, _ = assert_agrees(dims, 3 * size, 3003, ToleranceConfig(psd_tol=0.1))
+    assert any(index % size not in (0, size - 1) for index in result.escalated)
+
+
+def test_chunk_peak_allocation():
+    # (4,4,16) runs 4 samples per chunk, about 1.0 MiB at peak; at four
+    # times the budget all 8 samples share one chunk and peak near 1.8 MiB
+    run_harness((4, 4, 16), 8, 3003, DEFAULT_TOLERANCES)
+    tracemalloc.start()
+    try:
+        run_harness((4, 4, 16), 8, 3003, DEFAULT_TOLERANCES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20
 
 
 def test_coarse_rank_tolerance_makes_every_sample_fragile():

@@ -35,7 +35,7 @@ from chancert.io import (
 from chancert.errors import PurityViolationError
 from chancert.linalg import PsdCheck, psd_rule
 
-from conftest import complex_gaussian
+from conftest import complex_gaussian, slightly_negative_choi
 
 
 def strip_timestamp(text: str) -> dict:
@@ -395,6 +395,16 @@ class TestCliGenerateConvert:
         self.edit(paths[3], dims=[2, 3])
         assert main(["convert", *paths, "--to", "choi",
                      "--output", str(tmp_path / "back.json")]) == 2
+
+    def test_admitted_negative_eigenvalue_writes_no_zero_operator(self, tmp_path):
+        choi_path = tmp_path / "j.json"
+        save_json(choi_path, matrix_file_dict(slightly_negative_choi(), role="choi",
+                                              layout=BipartiteLayout(2, 2)))
+        assert main(["convert", str(choi_path), "--to", "kraus", "--psd-tol", "0.1",
+                     "--output", str(tmp_path / "k.json")]) == 0
+        kraus_paths = sorted(tmp_path.glob("k.k*.json"))
+        assert len(kraus_paths) == 2
+        assert all(np.linalg.norm(load_matrix(p).matrix) > 0.5 for p in kraus_paths)
 
     def test_non_cp_choi_to_kraus_is_precondition_failure(self, tmp_path):
         choi_path = tmp_path / "tr.json"
