@@ -6,16 +6,19 @@ array program over a sample axis:
 1. draw the chunk's dilations from the per-sample streams
    ``SeedSequence(seed, spawn_key=(index,))`` that ``random_stinespring``
    uses, bit for bit;
-2. form the five purification marginals with stacked einsums, and the
-   partial transposes of both Choi matrices with reshapes;
+2. form the five purification marginals with stacked einsums;
 3. cross-check both Choi matrices against the Kraus-vector route
    ``V V^dagger``, which reads the dilation through a different reshape,
    and take each marginal's Hermitian part in one pass that also measures
    its deviation; Frobenius norms sum over the float64 view, each
    marginal's once;
-4. run one stacked ``eigvalsh`` per matrix kind, seven per chunk, and derive
+4. run one stacked ``eigvalsh`` per marginal, five per chunk, and derive
    PSD flags, ranks and fragility from the eigenvalues with ``psd_rule`` and
-   ``rank_rule``, the rules behind every ``PsdCheck`` and ``RankDecision``;
+   ``rank_rule``, the rules behind every ``PsdCheck`` and ``RankDecision``.
+   A partial transpose of a Choi matrix gets its PSD flags without a
+   spectrum when a 2x2 principal minor certifies it clearly not PSD
+   (``_certified_npt``); the rest of each kind are formed with reshapes
+   and go to one stacked ``eigvalsh``, at most two more per chunk;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
@@ -50,6 +53,9 @@ ESCALATION_MARGIN = 2.0
 # this factor escalates its sample: the per-sample path measures both on
 # other matrices, equal only up to rounding.
 EQUALITY_MARGIN = 10.0
+# Rounding allowance of the NPT certificate, in units of dim * eps times the
+# Frobenius bound; see _certified_npt.
+MINOR_ROUNDING = 32.0
 
 COUNT_KEYS = (
     "samples",
@@ -136,6 +142,64 @@ def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndar
     return psd, near
 
 
+def _certified_npt(
+    h: np.ndarray, d_left: int, d_right: int, bound: np.ndarray, cfg: ToleranceConfig
+) -> np.ndarray:
+    """Per matrix of a Hermitian stack with Frobenius norms at most ``bound``:
+    whether g + cI, g its left partial transpose, has a negative diagonal
+    entry or 2x2 principal minor, for
+    c = (2 ESCALATION_MARGIN psd_tol + MINOR_ROUNDING dim eps) * bound. Where
+    it holds, ``_psd_flags`` of g's computed spectrum reads psd = near = False.
+    g is read from h, never formed: it has h's diagonal, and its entry
+    ((a, b), (x, z)) is h's entry ((x, b), (a, z)).
+    """
+    # Why. By Cauchy interlacing, a negative entry or minor of g + cI puts
+    # lambda_min(g) below -c. _psd_flags reads psd = near = False when
+    # w_0 < ESCALATION_MARGIN t, t = -psd_tol max(w_max, 0), and
+    # w_max <= ||g||_2 <= ||g||_F = ||h||_F <= bound. The psd_tol term of c is
+    # twice that; the spare factor absorbs the relative rounding of bound, c
+    # and t. The dim eps term absorbs the absolute errors, of two kinds:
+    # - eigvalsh returns each eigenvalue within p(dim) eps ||g||_2, p a
+    #   modestly growing function (LAPACK Users' Guide, error bounds for the
+    #   symmetric eigenproblem). Against 40-digit mpmath spectra of the
+    #   harness's partial transposes, dim 12 to 64, the error stayed below
+    #   dim/4 eps ||g||_2 (11 eps at dim 64).
+    # - The test's own rounding stays below 6 eps bound. A diagonal entry of
+    #   g + cI rounds by eps (|g_ii| + c), and a rounded sum keeps its sign.
+    #   With both entries >= 0, a computed product below |g_ij|^2 leaves the
+    #   exact 2x2 determinant below 4 eps |g_ij|^2; the larger eigenvalue is
+    #   >= |g_ij|, so the smaller one, their quotient, is below 4 eps |g_ij|.
+    # MINOR_ROUNDING dim - 6 bounds p(dim) with ample room.
+    n, dim = h.shape[0], h.shape[-1]
+    eps = np.finfo(np.float64).eps
+    shift = (2 * ESCALATION_MARGIN * cfg.psd_tol + MINOR_ROUNDING * dim * eps) * bound
+    diagonal = h.diagonal(axis1=1, axis2=2).real + shift[:, None]
+    squares = np.square(h.real)
+    squares += np.square(h.imag)
+    squares[:, np.arange(dim), np.arange(dim)] = 0.0
+    products = np.einsum("ni,nj->nij", diagonal, diagonal)
+    # g's squared moduli, as a view of h's
+    facing = squares.reshape(n, d_left, d_right, d_left, d_right).transpose(0, 3, 2, 1, 4)
+    minors = products.reshape(facing.shape) < facing
+    return (diagonal < 0.0).any(axis=1) | minors.any(axis=(1, 2, 3, 4))
+
+
+def _partial_transpose_flags(
+    h: np.ndarray, d_left: int, d_right: int, bound: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_psd_flags`` of the spectra of the left partial transposes of a
+    Hermitian stack with Frobenius norms at most ``bound``, from one stacked
+    ``eigvalsh`` on the matrices that ``_certified_npt`` leaves open, and none
+    when it settles them all."""
+    psd = np.zeros(h.shape[0], dtype=bool)
+    near = np.zeros(h.shape[0], dtype=bool)
+    rest = np.flatnonzero(~_certified_npt(h, d_left, d_right, bound, cfg))
+    if rest.size:
+        spectra = np.linalg.eigvalsh(_partial_transpose_left(h[rest], d_left, d_right))
+        psd[rest], near[rest] = _psd_flags(spectra, cfg)
+    return psd, near
+
+
 def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
     """Ranks and fragility of spectra, and whether a singular value lies within
     a factor ESCALATION_MARGIN outside the fragility window."""
@@ -151,7 +215,9 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
     stack = random_dilation_stack(d_a, d_b, d_c, seed, indices)
 
     # Purification route: |L> indexed (a, b, c), as common_purification_vector.
-    marginals = marginals_of(stack.swapaxes(1, 2).reshape(n, d_a, d_b, d_c))
+    # A contiguous copy: the einsums run faster than on the strided view.
+    vector = np.ascontiguousarray(stack.swapaxes(1, 2)).reshape(n, d_a, d_b, d_c)
+    marginals = marginals_of(vector)
     # Kraus-vector route: K_c[b, a] = L[b * d_c + c, a] for phi, F_b[c, a]
     # for psi, each vectorized with composite index (a, output) as columns of V.
     cube = stack.reshape(n, d_b, d_c, d_a)
@@ -166,13 +232,10 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
         hermitian[key], clear = _hermitian_part(matrix, norms[key], cfg)
         checks &= clear
     spectra = {key: np.linalg.eigvalsh(matrix) for key, matrix in hermitian.items()}
-    spectra["ab_pt"] = np.linalg.eigvalsh(_partial_transpose_left(hermitian["ab"], d_a, d_b))
-    spectra["ac_pt"] = np.linalg.eigvalsh(_partial_transpose_left(hermitian["ac"], d_a, d_c))
-
     phi_psd, near_phi = _psd_flags(spectra["ab"], cfg)
     psi_psd, near_psi = _psd_flags(spectra["ac"], cfg)
-    phi_pt, near_phi_pt = _psd_flags(spectra["ab_pt"], cfg)
-    psi_pt, near_psi_pt = _psd_flags(spectra["ac_pt"], cfg)
+    phi_pt, near_phi_pt = _partial_transpose_flags(hermitian["ab"], d_a, d_b, norms["ab"], cfg)
+    psi_pt, near_psi_pt = _partial_transpose_flags(hermitian["ac"], d_a, d_c, norms["ac"], cfg)
     unsure = near_phi | near_psi | near_phi_pt | near_psi_pt
     ranks, fragile = {}, np.zeros(n, dtype=bool)
     for key in ("ab", "ac", "a", "b", "c"):
