@@ -12,13 +12,18 @@ array program over a sample axis:
    and take each marginal's Hermitian part in one pass that also measures
    its deviation; Frobenius norms sum over the float64 view, each
    marginal's once;
-4. run one stacked ``eigvalsh`` per marginal, five per chunk, and derive
-   PSD flags, ranks and fragility from the eigenvalues with ``psd_rule`` and
-   ``rank_rule``, the rules behind every ``PsdCheck`` and ``RankDecision``.
-   A partial transpose of a Choi matrix gets its PSD flags without a
-   spectrum when a 2x2 principal minor certifies it clearly not PSD
-   (``_certified_npt``); the rest of each kind are formed with reshapes
-   and go to one stacked ``eigvalsh``, at most two more per chunk;
+4. derive PSD flags, ranks and fragility from eigenvalues with
+   ``psd_rule`` and ``rank_rule``, the rules behind every ``PsdCheck`` and
+   ``RankDecision``. The marginals on ``a``, and on the narrower side of each
+   complementary pair ``(ab, c)`` and ``(ac, b)``, get one stacked
+   ``eigvalsh`` each, three per chunk. The wider side shares the narrower
+   one's nonzero spectrum, so its flags follow from that spectrum padded
+   with zeros wherever a Weyl interval leaves no decision open
+   (``_wide_spectra``); the open samples go to one stacked ``eigvalsh``. A
+   partial transpose of a Choi matrix gets its PSD flags without a spectrum
+   when a 2x2 principal minor certifies it clearly not PSD
+   (``_certified_npt``); the rest of each kind are formed with reshapes and
+   go to one stacked ``eigvalsh``. At most four more per chunk;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
@@ -56,6 +61,9 @@ EQUALITY_MARGIN = 10.0
 # Rounding allowance of the NPT certificate, in units of dim * eps times the
 # Frobenius bound; see _certified_npt.
 MINOR_ROUNDING = 32.0
+# Rounding allowance of the complementary-spectrum certificate, in units of
+# the pair's summed dims * eps times the trace; see _wide_spectra.
+SCHMIDT_ROUNDING = 32.0
 
 COUNT_KEYS = (
     "samples",
@@ -200,6 +208,78 @@ def _partial_transpose_flags(
     return psd, near
 
 
+def _wide_spectra(
+    h: np.ndarray, narrow: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig, psd: bool
+) -> np.ndarray:
+    """Spectra standing in for those of a Hermitian stack h of marginals of
+    tripartite vectors with squared norms ``trace``, given ``narrow``, the
+    computed spectra of the complementary marginals, no wider than h.
+
+    A sample is settled when its narrow spectrum padded with zeros, widened
+    by a rounding allowance on each eigenvalue, leaves no choice to
+    ``_rank_flags`` nor, with ``psd``, to ``_psd_flags``. Its row is then the
+    padded spectrum, whose flags are those of h's computed spectrum. The
+    other rows are h's computed spectra, from one stacked ``eigvalsh`` on the
+    open samples, and none when every sample is settled.
+    """
+    # Why. Complementary marginals of one pure vector share their nonzero
+    # spectrum (Schmidt decomposition), so h's exact spectrum is the exact
+    # narrow spectrum padded with zeros. Let k be the narrow width. Both
+    # sides are computed within a multiple of eps * trace of exact:
+    # - an einsum contracting over l terms errs by at most (l + 2) eps/2 *
+    #   trace in Frobenius norm; the narrow marginal contracts over dim terms
+    #   and h over k, (dim + k + 4) eps/2 * trace together;
+    # - each Hermitian part is exactly Hermitian and adds eps * trace;
+    # - eigvalsh adds p(dim) eps ||h||_2, below dim/4 eps ||h||_2 against
+    #   40-digit mpmath spectra (see _certified_npt), and ||h||_2 <= trace.
+    # By Weyl's inequality the i-th computed eigenvalue of h thus lies within
+    # (3/4 (dim + k) + 4) eps * trace <= 3 (dim + k) eps * trace of the i-th
+    # padded narrow one, both ascending. delta is more than ten times that;
+    # the spare factor absorbs the rounding of trace, of delta and of the
+    # interval ends. psd_rule's threshold and rank_rule's cutoff are monotone
+    # in lambda_max and sigma_max, and round monotonically, so where no
+    # interval meets a decision's window at its widest reach, the computed
+    # spectrum and the stand-in get the same flags.
+    n, dim = h.shape[0], h.shape[-1]
+    eps = np.finfo(np.float64).eps
+    delta = SCHMIDT_ROUNDING * (dim + narrow.shape[-1]) * eps * trace
+    w = np.zeros((n, dim))
+    w[:, dim - narrow.shape[-1]:] = narrow
+    w.sort(axis=1)
+    # rank_rule's cutoff at the smallest and the largest sigma_max the
+    # intervals allow, each past the escalation window: no sigma-interval may
+    # meet the span between them
+    sigma = np.abs(w)
+    sigma_max = np.maximum(-w[:, 0], w[:, -1])
+    wide = FRAGILITY_FACTOR * ESCALATION_MARGIN
+    below = cfg.rank_tol * (sigma_max - delta) * dim / wide - delta
+    above = cfg.rank_tol * (sigma_max + delta) * dim * wide + delta
+    settled = ~((sigma > below[:, None]) & (sigma < above[:, None])).any(axis=1)
+    if psd:
+        ends = w - delta[:, None]
+        settled &= ends[:, 0] >= psd_rule(ends, cfg)[1] / ESCALATION_MARGIN
+    if not settled.all():
+        w[~settled] = np.linalg.eigvalsh(h[~settled])
+    return w
+
+
+def _marginal_spectra(
+    hermitian: dict[str, np.ndarray], trace: np.ndarray, cfg: ToleranceConfig
+) -> dict[str, np.ndarray]:
+    """Spectra, for their flags, of the Hermitian parts of the five marginals
+    of vectors with squared norms ``trace``: computed for 'a' and for the
+    narrower side of each complementary pair, the first on a tie, and from
+    ``_wide_spectra`` for the other side. Only Choi matrices need PSD flags."""
+    spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
+    for pair in (("ab", "c"), ("ac", "b")):
+        narrow, wide = sorted(pair, key=lambda key: hermitian[key].shape[-1])
+        spectra[narrow] = np.linalg.eigvalsh(hermitian[narrow])
+        spectra[wide] = _wide_spectra(
+            hermitian[wide], spectra[narrow], trace, cfg, psd=wide in ("ab", "ac")
+        )
+    return spectra
+
+
 def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
     """Ranks and fragility of spectra, and whether a singular value lies within
     a factor ESCALATION_MARGIN outside the fragility window."""
@@ -231,7 +311,7 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
     for key, matrix in marginals.items():
         hermitian[key], clear = _hermitian_part(matrix, norms[key], cfg)
         checks &= clear
-    spectra = {key: np.linalg.eigvalsh(matrix) for key, matrix in hermitian.items()}
+    spectra = _marginal_spectra(hermitian, np.square(_frobenius(stack)), cfg)
     phi_psd, near_phi = _psd_flags(spectra["ab"], cfg)
     psi_psd, near_psi = _psd_flags(spectra["ac"], cfg)
     phi_pt, near_phi_pt = _partial_transpose_flags(hermitian["ab"], d_a, d_b, norms["ab"], cfg)
