@@ -54,6 +54,7 @@ from .errors import (
     CounterexampleOrBugError,
     DimensionMismatchError,
     FragileSampleError,
+    InputScaleError,
     MatrixFileError,
     NonHermitianError,
     NotPositiveSemidefiniteError,

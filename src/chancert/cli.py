@@ -39,6 +39,7 @@ from .errors import (
     CounterexampleOrBugError,
     DimensionMismatchError,
     FragileSampleError,
+    InputScaleError,
     MatrixFileError,
     NonHermitianError,
     NotPositiveSemidefiniteError,
@@ -53,6 +54,7 @@ from .io import (
     matrix_file_dict,
     ordered_kraus_files,
     report_envelope,
+    require_operator_scale,
     save_json,
     text_digest,
 )
@@ -122,6 +124,7 @@ def _choi_from_parsed(parsed: ParsedMatrix) -> ChoiMatrix:
 def _stinespring_from_parsed(parsed: ParsedMatrix) -> StinespringOperator:
     if parsed.dims is None or len(parsed.dims) != 3:
         raise MatrixFileError("stinespring files require dims [d_a, d_b, d_c]")
+    require_operator_scale([parsed], "stinespring")
     d_a, d_b, d_c = parsed.dims
     return StinespringOperator(d_a, d_b, d_c, parsed.matrix)
 
@@ -178,6 +181,7 @@ def _load_source(args) -> tuple[str, object]:
         raise MatrixFileError("input files have no role; pass --from choi|kraus|stinespring")
     if role == "kraus":
         ordered = ordered_kraus_files(parsed)
+        require_operator_scale(ordered, "kraus")
         d_a, d_b = ordered[0].dims[:2]
         return role, KrausSet(d_a, d_b, tuple(p.matrix for p in ordered))
     if len(parsed) != 1:
@@ -341,6 +345,7 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except (
         DimensionMismatchError,
+        InputScaleError,
         NonHermitianError,
         NotPositiveSemidefiniteError,
         FragileSampleError,

@@ -68,20 +68,41 @@ def common_purification_vector(st: StinespringOperator) -> np.ndarray:
     return st.matrix.T.reshape(-1).copy()
 
 
+def choi_marginal(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The marginal of |psi><psi| on the first two factors, as a matrix, for
+    tripartite vectors of shape ``(..., d_a, d_b, d_c)``: the Choi matrix of
+    the map that traces out c. Given ``psi`` with b and c swapped, it is the
+    Choi matrix of the complement. ``out``, a C-contiguous complex array of
+    the result's shape, receives it if given.
+    """
+    *lead, d_a, d_b, _ = psi.shape
+    if out is None:
+        out = np.empty((*lead, d_a * d_b, d_a * d_b), dtype=complex)
+    np.einsum("...abc,...xyc->...abxy", psi, psi.conj(), out=out.reshape(*lead, d_a, d_b, d_a, d_b))
+    return out
+
+
+def factor_marginals(psi: np.ndarray) -> dict[str, np.ndarray]:
+    """The single-factor marginals of |psi><psi| for tripartite vectors of
+    shape ``(..., d_a, d_b, d_c)``, keyed 'a', 'b', 'c'."""
+    conj = psi.conj()
+    return {
+        "a": np.einsum("...abc,...xbc->...ax", psi, conj),
+        "b": np.einsum("...abc,...ayc->...by", psi, conj),
+        "c": np.einsum("...abc,...abz->...cz", psi, conj),
+    }
+
+
 def marginals_of(psi: np.ndarray) -> dict[str, np.ndarray]:
     """All five marginals of |psi><psi| for tripartite vectors of shape
     ``(..., d_a, d_b, d_c)``, keyed 'ab', 'ac', 'a', 'b', 'c'.
 
     Leading axes index independent vectors, so one call serves a whole stack.
     """
-    *lead, d_a, d_b, d_c = psi.shape
-    conj = psi.conj()
     return {
-        "ab": np.einsum("...abc,...xyc->...abxy", psi, conj).reshape(*lead, d_a * d_b, d_a * d_b),
-        "ac": np.einsum("...abc,...xbz->...acxz", psi, conj).reshape(*lead, d_a * d_c, d_a * d_c),
-        "a": np.einsum("...abc,...xbc->...ax", psi, conj),
-        "b": np.einsum("...abc,...ayc->...by", psi, conj),
-        "c": np.einsum("...abc,...abz->...cz", psi, conj),
+        "ab": choi_marginal(psi),
+        "ac": choi_marginal(psi.swapaxes(-2, -1)),
+        **factor_marginals(psi),
     }
 
 

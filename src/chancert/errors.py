@@ -19,6 +19,11 @@ class NonHermitianError(ChancertError):
     """A Hermitian matrix was required but the input is not Hermitian within tolerance."""
 
 
+class InputScaleError(ChancertError):
+    """Input entries lie outside the magnitudes at which the products formed
+    from them stay representable."""
+
+
 class NotPositiveSemidefiniteError(ChancertError):
     """A PSD matrix was required (for example, the Choi matrix of a CP map)."""
 

@@ -1,29 +1,37 @@
 """Batched Monte-Carlo consistency harness behind ``verify-theorem``.
 
 Harness samples are independent, so a chunk of them is evaluated as one
-array program over a sample axis:
+array program over a sample axis. A chunk holds what every sample needs:
+its dilation and its marginals on a, b and c, as many samples as fit the
+largest of those stacks into CHUNK_ENTRIES. A Choi matrix exists only in
+``_complementary_pair``, a block of samples at a time, each block's stack
+within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
+16x16 Choi matrices of a 50-sample run fit one block, and psi's 64x64 ones
+run 4 samples per block.
 
 1. draw the chunk's dilations from the per-sample streams
    ``SeedSequence(seed, spawn_key=(index,))`` that ``random_stinespring``
    uses, bit for bit;
-2. form the five purification marginals with stacked einsums;
-3. cross-check both Choi matrices against the Kraus-vector route
-   ``V V^dagger``, which reads the dilation through a different reshape,
-   and take each marginal's Hermitian part in one pass that also measures
-   its deviation; Frobenius norms sum over the float64 view, each
-   marginal's once;
+2. form the marginals on a, b and c with stacked einsums and take each
+   one's Hermitian part in one pass that also measures its deviation;
+   Frobenius norms sum over the float64 view, each marginal's once;
+3. per complementary pair, phi's Choi matrix with the marginal on c and
+   psi's with the marginal on b (psi is phi of the vector with b and c
+   swapped), block by block: form the Choi matrix by einsum, cross-check it
+   against the Kraus-vector route ``V V^dagger``, a matmul over the same
+   contraction, and take its Hermitian part and its deviation;
 4. derive PSD flags, ranks and fragility from eigenvalues with
    ``psd_rule`` and ``rank_rule``, the rules behind every ``PsdCheck`` and
-   ``RankDecision``. The marginals on ``a``, and on the narrower side of each
-   complementary pair ``(ab, c)`` and ``(ac, b)``, get one stacked
-   ``eigvalsh`` each, three per chunk. The wider side shares the narrower
-   one's nonzero spectrum, so its flags follow from that spectrum padded
-   with zeros wherever a Weyl interval leaves no decision open
-   (``_wide_spectra``); the open samples go to one stacked ``eigvalsh``. A
+   ``RankDecision``. The marginal on a, and the narrower side of each
+   complementary pair, the Choi matrix on a tie, get a stacked ``eigvalsh``:
+   three matrices per sample. The wider side shares the narrower one's
+   nonzero spectrum, so its flags follow from that spectrum padded with
+   zeros wherever a Weyl interval leaves no decision open
+   (``_wide_spectra``); the open samples go to a stacked ``eigvalsh``. A
    partial transpose of a Choi matrix gets its PSD flags without a spectrum
    when a 2x2 principal minor certifies it clearly not PSD
-   (``_certified_npt``); the rest of each kind are formed with reshapes and
-   go to one stacked ``eigvalsh``. At most four more per chunk;
+   (``_certified_npt``); the rest are formed with reshapes and go to a
+   stacked ``eigvalsh``;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
@@ -42,14 +50,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
-from .complement import marginals_of
+from .complement import choi_marginal, factor_marginals
 from .errors import CounterexampleOrBugError, FragileSampleError, PurityViolationError
 from .generate import random_dilation_stack, random_stinespring
 from .linalg import FRAGILITY_FACTOR, ToleranceConfig, psd_rule, rank_rule
 
-# Memory budget of a chunk: complex entries in its largest stacked matrix
-# array (256 KiB). Larger chunks save little per-call overhead but raise the
-# peak memory of the widest tuples.
+# Memory budget of a chunk, and of a block of Choi matrices: complex entries
+# in its largest stacked array (256 KiB). Larger stacks save little per-call
+# overhead but raise the peak memory of the widest tuples.
 CHUNK_ENTRIES = 16384
 # An eigenvalue this factor or less outside a decision window (the PSD
 # threshold, the fragility window around a rank cutoff) escalates its sample.
@@ -90,9 +98,14 @@ class HarnessResult:
 
 
 def chunk_size(dims) -> int:
-    """Samples per chunk: as many as fit the largest matrix kind into CHUNK_ENTRIES."""
+    """Samples per chunk: as many as fit the largest of a sample's dilation and
+    its marginals on a, b and c into CHUNK_ENTRIES."""
     d_a, d_b, d_c = dims
-    side = d_a * max(d_b, d_c)
+    return max(1, CHUNK_ENTRIES // max(d_a * d_b * d_c, d_a * d_a, d_b * d_b, d_c * d_c))
+
+
+def block_size(side: int) -> int:
+    """Samples per block of Choi matrices of side ``side``: as many as fit CHUNK_ENTRIES."""
     return max(1, CHUNK_ENTRIES // (side * side))
 
 
@@ -116,22 +129,27 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(
-    x: np.ndarray, norm: np.ndarray, cfg: ToleranceConfig
+    x: np.ndarray, norm: np.ndarray, cfg: ToleranceConfig, work=(None, None, None)
 ) -> tuple[np.ndarray, np.ndarray]:
     """(x + x^dagger) / 2 per matrix, and whether x is clearly Hermitian;
-    ``norm`` holds the Frobenius norms of x."""
-    adjoint = x.conj().swapaxes(-2, -1)
-    clear = _frobenius(x - adjoint) <= cfg.equality_tol / EQUALITY_MARGIN * norm
-    part = x + adjoint
+    ``norm`` holds the Frobenius norms of x. ``work`` may name C-contiguous
+    arrays shaped like x to receive its conjugate, x - x^dagger and the
+    result; the last may be x itself."""
+    conj, deviation, part = work
+    adjoint = np.conjugate(x, out=conj).swapaxes(-2, -1)
+    clear = _frobenius(np.subtract(x, adjoint, out=deviation)) <= (
+        cfg.equality_tol / EQUALITY_MARGIN * norm
+    )
+    part = np.add(x, adjoint, out=part)
     part *= 0.5
     return part, clear
 
 
 def _agrees(x: np.ndarray, norm: np.ndarray, y: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
     """Per-matrix relative Frobenius agreement, inside the escalation margin;
-    ``norm`` holds the Frobenius norms of x."""
+    ``norm`` holds the Frobenius norms of x. Overwrites y with x - y."""
     scale = np.maximum(norm, _frobenius(y))
-    return _frobenius(x - y) <= cfg.equality_tol / EQUALITY_MARGIN * scale
+    return _frobenius(np.subtract(x, y, out=y)) <= cfg.equality_tol / EQUALITY_MARGIN * scale
 
 
 def _partial_transpose_left(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
@@ -263,21 +281,51 @@ def _wide_spectra(
     return w
 
 
-def _marginal_spectra(
-    hermitian: dict[str, np.ndarray], trace: np.ndarray, cfg: ToleranceConfig
-) -> dict[str, np.ndarray]:
-    """Spectra, for their flags, of the Hermitian parts of the five marginals
-    of vectors with squared norms ``trace``: computed for 'a' and for the
-    narrower side of each complementary pair, the first on a tie, and from
-    ``_wide_spectra`` for the other side. Only Choi matrices need PSD flags."""
-    spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
-    for pair in (("ab", "c"), ("ac", "b")):
-        narrow, wide = sorted(pair, key=lambda key: hermitian[key].shape[-1])
-        spectra[narrow] = np.linalg.eigvalsh(hermitian[narrow])
-        spectra[wide] = _wide_spectra(
-            hermitian[wide], spectra[narrow], trace, cfg, psd=wide in ("ab", "ac")
-        )
-    return spectra
+def _complementary_pair(
+    vector: np.ndarray, environment: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, ...]:
+    """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
+    ``trace``, and ``environment`` the Hermitian parts of their marginals on
+    c: spectra, for their flags, of the Choi matrices of the maps that trace
+    out c and of ``environment``; whether each Choi matrix is clearly
+    Hermitian and agrees with the Kraus-vector route; and ``_psd_flags`` of
+    its partial transpose.
+
+    The Choi matrices are formed here, ``block_size`` samples at a time, and
+    nowhere else. The narrower side of the pair, the Choi matrix on a tie,
+    gets ``eigvalsh`` and the wider one ``_wide_spectra``.
+    """
+    n, d_a, d_b, d_c = vector.shape
+    side = d_a * d_b
+    choi_narrower = side <= d_c
+    env = None if choi_narrower else np.linalg.eigvalsh(environment)
+    spectra = np.empty((n, side))
+    checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
+    size = block_size(side)
+    # Every block writes into these. Fresh arrays of this size in each block
+    # cost page faults: at (4, 4, 16) about 3900 per 50-sample chunk against
+    # 440, and about a fifth of its time. The Choi matrix's buffer takes its
+    # Hermitian part too.
+    choi_out, kraus_out, conj_out = np.empty((3, min(size, n), side, side), dtype=complex)
+    for block in (slice(start, start + size) for start in range(0, n, size)):
+        v = vector[block]
+        m = v.shape[0]
+        choi = choi_marginal(v, out=choi_out[:m])
+        norm = _frobenius(choi)
+        # Kraus-vector route: the rows (a, b) of V hold L's entries over c
+        kraus = v.reshape(m, side, d_c)
+        product = np.matmul(kraus, kraus.conj().swapaxes(1, 2), out=kraus_out[:m])
+        agrees = _agrees(choi, norm, product, cfg)
+        h, clear = _hermitian_part(choi, norm, cfg, (conj_out[:m], kraus_out[:m], choi))
+        checks[block] = agrees & clear
+        if choi_narrower:
+            spectra[block] = np.linalg.eigvalsh(h)
+        else:
+            spectra[block] = _wide_spectra(h, env[block], trace[block], cfg, psd=True)
+        pt_psd[block], pt_near[block] = _partial_transpose_flags(h, d_a, d_b, norm, cfg)
+    if choi_narrower:
+        env = _wide_spectra(environment, spectra, trace, cfg, psd=False)
+    return spectra, env, checks, pt_psd, pt_near
 
 
 def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
@@ -295,27 +343,25 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
     stack = random_dilation_stack(d_a, d_b, d_c, seed, indices)
 
     # Purification route: |L> indexed (a, b, c), as common_purification_vector.
-    # A contiguous copy: the einsums run faster than on the strided view.
+    # Contiguous copies, here and of psi's vector with b and c swapped: the
+    # einsums run faster than on strided views.
     vector = np.ascontiguousarray(stack.swapaxes(1, 2)).reshape(n, d_a, d_b, d_c)
-    marginals = marginals_of(vector)
-    # Kraus-vector route: K_c[b, a] = L[b * d_c + c, a] for phi, F_b[c, a]
-    # for psi, each vectorized with composite index (a, output) as columns of V.
-    cube = stack.reshape(n, d_b, d_c, d_a)
-    v_phi = cube.transpose(0, 3, 1, 2).reshape(n, d_a * d_b, d_c)
-    v_psi = cube.transpose(0, 3, 2, 1).reshape(n, d_a * d_c, d_b)
-    norms = {key: _frobenius(matrix) for key, matrix in marginals.items()}
-    checks = _agrees(marginals["ab"], norms["ab"], v_phi @ v_phi.conj().swapaxes(1, 2), cfg)
-    checks &= _agrees(marginals["ac"], norms["ac"], v_psi @ v_psi.conj().swapaxes(1, 2), cfg)
-
+    trace = np.square(_frobenius(stack))
+    checks = np.ones(n, dtype=bool)
     hermitian = {}
-    for key, matrix in marginals.items():
-        hermitian[key], clear = _hermitian_part(matrix, norms[key], cfg)
+    for key, matrix in factor_marginals(vector).items():
+        hermitian[key], clear = _hermitian_part(matrix, _frobenius(matrix), cfg)
         checks &= clear
-    spectra = _marginal_spectra(hermitian, np.square(_frobenius(stack)), cfg)
+    spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
+    spectra["ab"], spectra["c"], phi_checks, phi_pt, near_phi_pt = _complementary_pair(
+        vector, hermitian["c"], trace, cfg
+    )
+    spectra["ac"], spectra["b"], psi_checks, psi_pt, near_psi_pt = _complementary_pair(
+        np.ascontiguousarray(vector.swapaxes(2, 3)), hermitian["b"], trace, cfg
+    )
+    checks &= phi_checks & psi_checks
     phi_psd, near_phi = _psd_flags(spectra["ab"], cfg)
     psi_psd, near_psi = _psd_flags(spectra["ac"], cfg)
-    phi_pt, near_phi_pt = _partial_transpose_flags(hermitian["ab"], d_a, d_b, norms["ab"], cfg)
-    psi_pt, near_psi_pt = _partial_transpose_flags(hermitian["ac"], d_a, d_c, norms["ac"], cfg)
     unsure = near_phi | near_psi | near_phi_pt | near_psi_pt
     ranks, fragile = {}, np.zeros(n, dtype=bool)
     for key in ("ab", "ac", "a", "b", "c"):

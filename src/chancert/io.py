@@ -20,13 +20,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MatrixFileError
+from .errors import InputScaleError, MatrixFileError
 from .linalg import BipartiteLayout, ToleranceConfig, as_matrix
 
 SCHEMA_VERSION = "1"
 TOOL_VERSION = "0.1.0"
 
 ROLES = ("choi", "state", "stinespring", "kraus")
+
+# A dilation's or a Kraus operator's entries enter its Choi matrix squared,
+# and the Frobenius norms of that matrix to the fourth power. A largest entry
+# of magnitude in this range keeps both finite and above the subnormals, with
+# room for the sums over the dimensions; outside it the Choi matrix can come
+# out zero, or its checks overflow.
+OPERATOR_SCALE_RANGE = (2.0**-240, 2.0**240)
 
 
 @dataclass(frozen=True)
@@ -195,6 +202,19 @@ def ordered_kraus_files(parsed: list[ParsedMatrix]) -> list[ParsedMatrix]:
             f"kraus_index values {sorted(indices)} are not 0 .. {n - 1}, each once"
         )
     return sorted(parsed, key=lambda p: p.kraus_index)
+
+
+def require_operator_scale(parsed: list[ParsedMatrix], role: str) -> None:
+    """Reject the files of a dilation or a Kraus set whose largest entry
+    magnitude lies outside OPERATOR_SCALE_RANGE; all-zero entries pass."""
+    largest = max(float(np.abs(p.matrix).max()) for p in parsed)
+    low, high = OPERATOR_SCALE_RANGE
+    if largest and not low <= largest <= high:
+        raise InputScaleError(
+            f"the largest {role} entry has magnitude {largest:.3g}, outside "
+            f"[{low:.3g}, {high:.3g}]: the Choi matrices, quadratic in the entries, "
+            "would underflow or overflow"
+        )
 
 
 def load_matrix(path) -> ParsedMatrix:

@@ -13,6 +13,13 @@ def complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
+def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A Haar-random unitary: QR of a complex Gaussian, phases of R's diagonal
+    moved into Q."""
+    q, r = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     g = complex_gaussian(rng, (n, n))
     return (g + g.conj().T) / 2.0

@@ -43,9 +43,9 @@ from chancert.certify import (
 )
 import chancert.complement
 from chancert.channels import choi_from_kraus, kraus_from_choi, kraus_from_stinespring
-from chancert.errors import CounterexampleOrBugError
+from chancert.errors import CounterexampleOrBugError, FragileSampleError
 
-from conftest import complex_gaussian, random_psd
+from conftest import complex_gaussian, haar_unitary, random_psd
 
 L22 = BipartiteLayout(2, 2)
 
@@ -224,10 +224,37 @@ class TestKrausInvariance:
         reordered = KrausSet(d_a, d_b, tuple(kraus[k] for k in order))
         assert _choi_verdicts(choi_from_kraus(reordered)) == expected
 
-        q, r = np.linalg.qr(complex_gaussian(np.random.default_rng(seed), (d_b, d_b)))
-        unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+        unitary = haar_unitary(np.random.default_rng(seed), d_b)
         rotated = KrausSet(d_a, d_b, tuple(unitary @ k for k in kraus))
         assert _choi_verdicts(choi_from_kraus(rotated)) == expected
+
+
+def _dilation_verdicts(dilation: StinespringOperator):
+    """equivalence_check's predicate values and rank chain, or None for a
+    fragile sample."""
+    try:
+        report = equivalence_check(dilation)
+    except FragileSampleError:
+        return None
+    return {k: v.value for k, v in report.predicates.items()}, report.chain
+
+
+class TestLocalUnitaryInvariance:
+    """A unitary on the input and unitaries on both outputs of a dilation
+    change neither map's verdicts nor any rank of the purification."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.sampled_from([(2, 2, 3), (2, 3, 2), (3, 3, 3), (2, 2, 6), (3, 2, 3)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_verdicts_survive_local_unitaries(self, dims, seed):
+        d_a, d_b, d_c = dims
+        dilation = random_stinespring(d_a, d_b, d_c, seed=seed)
+        rng = np.random.default_rng(seed)
+        u_b, u_c, v_a = (haar_unitary(rng, d) for d in (d_b, d_c, d_a))
+        rotated = StinespringOperator(d_a, d_b, d_c, np.kron(u_b, u_c) @ dilation.matrix @ v_a)
+        before, after = _dilation_verdicts(dilation), _dilation_verdicts(rotated)
+        if before is not None and after is not None:
+            assert before == after
 
 
 class TestDegradingCandidate:

@@ -5,11 +5,12 @@ The reference is the loop the engine replaces: ``random_stinespring`` then
 counterexample records must be equal, and the non-vacuous configurations
 must actually reach escalation, fragile discards and the PPT branch.
 
-The engine's partial-transpose flags skip the spectrum where a 2 x 2 minor
-certifies the matrix clearly not PSD, and the wider marginal of each
-complementary pair takes its flags from the narrower one's spectrum where
-that leaves no decision open; both must equal the flags of the spectrum
-exactly.
+A chunk holds each sample's dilation and its marginals on a, b and c; the
+Choi matrices are formed in blocks inside it, and only there. The engine's
+partial-transpose flags skip the spectrum where a 2 x 2 minor certifies the
+matrix clearly not PSD, and the wider marginal of each complementary pair
+takes its flags from the narrower one's spectrum where that leaves no
+decision open; both must equal the flags of the spectrum exactly.
 """
 
 import itertools
@@ -34,6 +35,7 @@ from chancert import (
     random_stinespring,
 )
 from chancert.cli import main
+import chancert.harness
 from chancert.complement import marginals_of
 from chancert.harness import (
     CHUNK_ENTRIES,
@@ -41,13 +43,14 @@ from chancert.harness import (
     ESCALATION_MARGIN,
     MINOR_ROUNDING,
     _certified_npt,
+    _complementary_pair,
     _frobenius,
-    _marginal_spectra,
     _partial_transpose_flags,
     _partial_transpose_left,
     _psd_flags,
     _rank_flags,
     _wide_spectra,
+    block_size,
     chunk_size,
     run_harness,
 )
@@ -138,8 +141,9 @@ def test_escalations_inside_wide_chunks_agree(dims):
 
 
 def test_chunk_peak_allocation():
-    # (4,4,16) runs 4 samples per chunk, about 1.0 MiB at peak; at four
-    # times the budget all 8 samples share one chunk and peak near 1.8 MiB
+    # (4,4,16) forms psi's 64 x 64 Choi matrices 4 samples per block, about
+    # 1.25 MiB at peak; at four times the budget all 8 samples share one
+    # block and peak near 2.3 MiB
     run_harness((4, 4, 16), 8, 3003, DEFAULT_TOLERANCES)
     tracemalloc.start()
     try:
@@ -148,6 +152,30 @@ def test_chunk_peak_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 2**20
+
+
+def test_wide_command_draws_once(monkeypatch):
+    # a 50-trial (4,4,16) command is one chunk: one call draws every dilation
+    calls = []
+    draw = chancert.harness.random_dilation_stack
+    monkeypatch.setattr(chancert.harness, "random_dilation_stack",
+                        lambda *args: calls.append(args[-1]) or draw(*args))
+    run_harness((4, 4, 16), 50, 3003, DEFAULT_TOLERANCES)
+    assert calls == [range(50)]
+
+
+def test_wide_command_peak_allocation():
+    # the whole 50-sample chunk, with psi's 64 x 64 Choi matrices formed 4
+    # samples at a time, peaks near 2.1 MiB, and near 5.2 MiB at four times
+    # the budget; 13 chunks of 4 samples peaked near 1.0 MiB
+    run_harness((4, 4, 16), 50, 3003, DEFAULT_TOLERANCES)
+    tracemalloc.start()
+    try:
+        run_harness((4, 4, 16), 50, 3003, DEFAULT_TOLERANCES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2**20
 
 
 def test_coarse_rank_tolerance_makes_every_sample_fragile():
@@ -187,11 +215,17 @@ def test_unit_dimensions_agree(dims):
 
 
 def test_chunk_fits_the_memory_budget():
+    # a chunk holds dilations and marginals on a, b and c; a block holds Choi
+    # matrices; each stack as large as CHUNK_ENTRIES allows
     for dims in ACCEPTANCE_TUPLES + WIDE_TUPLES:
         d_a, d_b, d_c = dims
-        side = d_a * max(d_b, d_c)
+        entries = max(d_a * d_b * d_c, d_a**2, d_b**2, d_c**2)
         size = chunk_size(dims)
-        assert size == 1 or size * side**2 <= CHUNK_ENTRIES < (size + 1) * side**2
+        assert size == 1 or size * entries <= CHUNK_ENTRIES < (size + 1) * entries
+        for side in (d_a * d_b, d_a * d_c):
+            size = block_size(side)
+            assert size == 1 or size * side**2 <= CHUNK_ENTRIES < (size + 1) * side**2
+    assert chunk_size((4, 4, 16)) >= 50 and block_size(4 * 16) == 4
 
 
 def test_cli_report_matches_per_sample_loop(tmp_path):
@@ -249,14 +283,14 @@ def test_no_ac_partial_transpose_reaches_eigvalsh(dims, eigvalsh_stacks):
 def test_no_wide_marginal_reaches_eigvalsh(dims, eigvalsh_stacks):
     # at default tolerances the narrower spectrum settles every wider
     # marginal, and eigvalsh sees three marginals per sample, none wider than
-    # its complement
+    # its complement: the one on a, and the narrower side of each pair
     d_a, d_b, d_c = dims
     trials = 40 if max(dims) > 3 else 200
     run_harness(dims, trials, 3003, DEFAULT_TOLERANCES)
     assert matrices_by_dim(eigvalsh_stacks, "_wide_spectra") == Counter()
-    narrow = {d_a, min(d_a * d_b, d_c), min(d_a * d_c, d_b)}
-    assert set(matrices_by_dim(eigvalsh_stacks, "_marginal_spectra")) == narrow
-    assert sum(matrices_by_dim(eigvalsh_stacks, "_marginal_spectra").values()) == 3 * trials
+    assert matrices_by_dim(eigvalsh_stacks, "_run_chunk") == Counter({d_a: trials})
+    narrow = matrices_by_dim(eigvalsh_stacks, "_complementary_pair")
+    assert narrow == Counter({min(d_a * d_b, d_c): trials}) + Counter({min(d_a * d_c, d_b): trials})
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 6)], ids=dims_id)
@@ -274,11 +308,14 @@ def test_wide_marginal_fallback_agrees(dims, cfg, eigvalsh_stacks):
 def test_open_partial_transposes_reach_eigvalsh(cfg, eigvalsh_stacks):
     # one chunk with PPT samples: the certificate settles some partial
     # transposes at default tolerances and none at psd_tol = 0.1 (c = 0.4 F);
-    # the open ones go to one stacked eigvalsh per kind, after the marginals
-    # on a, c and b, each no wider than its complement
+    # the open ones go to one stacked eigvalsh per kind, each after the
+    # narrower side of its pair, the marginal on c for phi and on b for psi,
+    # and the marginal on a comes first
     result, _ = assert_agrees((2, 2, 3), 300, 3003, cfg)
     assert result.counts["phi_ppt"] > 0
-    assert [dim for _, _, dim in eigvalsh_stacks] == [2, 3, 2, 4, 6]
+    assert [(name, dim) for name, _, dim in eigvalsh_stacks] == [
+        ("_run_chunk", 2), ("_complementary_pair", 3), ("_partial_transpose_flags", 4),
+        ("_complementary_pair", 2), ("_partial_transpose_flags", 6)]
     matrices = matrices_by_dim(eigvalsh_stacks, "_partial_transpose_flags")
     open_ab, open_ac = matrices[4], matrices[6]
     if cfg is DEFAULT_TOLERANCES:
@@ -363,12 +400,17 @@ def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, p
 
 def assert_marginal_flags_match(vector, cfg) -> int:
     """Every marginal of a stack of tripartite vectors gets from
-    ``_marginal_spectra`` the rank flags, and each Choi matrix the PSD flags,
-    of its computed spectrum. Returns the number of stand-in rows, those
-    unequal to the computed spectrum."""
+    ``_complementary_pair`` the rank flags, and each Choi matrix the PSD
+    flags, of its computed spectrum. Returns the number of stand-in rows,
+    those unequal to the computed spectrum."""
     n = vector.shape[0]
     hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals_of(vector).items()}
-    spectra = _marginal_spectra(hermitian, np.square(_frobenius(vector.reshape(n, 1, -1))), cfg)
+    trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
+    spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
+    spectra["ab"], spectra["c"], *_ = _complementary_pair(vector, hermitian["c"], trace, cfg)
+    spectra["ac"], spectra["b"], *_ = _complementary_pair(
+        vector.swapaxes(2, 3), hermitian["b"], trace, cfg
+    )
     stand_ins = 0
     for key, h in hermitian.items():
         w = np.linalg.eigvalsh(h)

@@ -25,6 +25,7 @@ from chancert.certify import (
 )
 from chancert.cli import main
 from chancert.io import (
+    OPERATOR_SCALE_RANGE,
     dumps,
     load_matrix,
     loads,
@@ -411,6 +412,86 @@ class TestCliGenerateConvert:
         main(["generate", "--kind", "transpose", "--dims", "2", "--output", str(choi_path)])
         assert main(["convert", str(choi_path), "--to", "kraus",
                      "--output", str(tmp_path / "k.json")]) == 3
+
+
+def scaled_copy(src: Path, dst: Path, scale: float) -> Path:
+    """``src`` with every entry multiplied by ``scale``, written to ``dst``."""
+    obj = json.loads(src.read_text())
+    for key in ("re", "im"):
+        obj[key] = [[scale * x for x in row] for row in obj[key]]
+    dst.write_text(json.dumps(obj))
+    return dst
+
+
+def largest_entry(path: Path) -> float:
+    return float(np.abs(load_matrix(path).matrix).max())
+
+
+def analyzed_verdicts(path: Path, capsys) -> tuple:
+    """Scale-free verdicts of ``analyze``, and the rank chain where there is one."""
+    capsys.readouterr()
+    assert main(["analyze", str(path)]) == 0
+    analysis = json.loads(capsys.readouterr().out)["analysis"]
+    verdicts = {key: verdict["value"] for key, verdict in analysis["predicates"].items()
+                if key not in ("tp_phi", "tp_psi", "trace_preserving")}
+    return verdicts, analysis.get("rank_chain")
+
+
+class TestOperatorScale:
+    """Dilation and Kraus files whose Choi matrices would underflow or
+    overflow are rejected where they are read; inside the range, and for
+    Choi and state files, verdicts are those at scale 1."""
+
+    @pytest.fixture
+    def dilation(self, tmp_path) -> Path:
+        path = tmp_path / "L.json"
+        assert main(["generate", "--kind", "random-stinespring", "--dims", "2,2,3",
+                     "--seed", "5", "--output", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e150, 1e200])
+    def test_extreme_dilation_is_precondition_failure(self, tmp_path, capsys, dilation, scale):
+        scaled = scaled_copy(dilation, tmp_path / "scaled.json", scale)
+        named = f"magnitude {largest_entry(scaled):.3g}"
+        capsys.readouterr()
+        for argv in (["analyze", str(scaled)],
+                     ["convert", str(scaled), "--to", "choi"],
+                     ["convert", str(scaled), "--to", "kraus", "--output", str(tmp_path / "k.json")]):
+            assert main(argv) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and named in err and err.startswith("precondition failed")
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_kraus_set_is_precondition_failure(self, tmp_path, capsys, dilation, scale):
+        assert main(["convert", str(dilation), "--to", "kraus",
+                     "--output", str(tmp_path / "k.json")]) == 0
+        files = sorted(tmp_path.glob("k.k*.json"))
+        scaled = [str(scaled_copy(path, tmp_path / f"s{i}.json", scale))
+                  for i, path in enumerate(files)]
+        capsys.readouterr()
+        assert main(["convert", *scaled, "--to", "choi"]) == 3
+        assert "magnitude" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_range_ends_keep_scale_one_verdicts(self, tmp_path, capsys, dilation, end):
+        # a power of two puts the largest entry exactly inside the range end
+        expected = analyzed_verdicts(dilation, capsys)
+        exponent = np.log2(OPERATOR_SCALE_RANGE[end]) - np.floor(np.log2(largest_entry(dilation)))
+        scaled = scaled_copy(dilation, tmp_path / "scaled.json", 2.0 ** (exponent - end))
+        assert OPERATOR_SCALE_RANGE[0] <= largest_entry(scaled) <= OPERATOR_SCALE_RANGE[1]
+        assert analyzed_verdicts(scaled, capsys) == expected
+        assert main(["convert", str(scaled), "--to", "choi"]) == 0
+        choi = json.loads(capsys.readouterr().out)
+        assert np.abs(np.array(choi["re"])).max() > 0.0
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e150])
+    @pytest.mark.parametrize("kind", ["identity", "dephasing", "tiles"])
+    def test_choi_and_state_files_keep_verdicts(self, tmp_path, capsys, kind, scale):
+        path = tmp_path / "m.json"
+        dims = [] if kind == "tiles" else ["--dims", "2"]
+        assert main(["generate", "--kind", kind, *dims, "--output", str(path)]) == 0
+        expected = analyzed_verdicts(path, capsys)
+        assert analyzed_verdicts(scaled_copy(path, tmp_path / "s.json", scale), capsys) == expected
 
 
 class TestCliVerifyTheorem:
