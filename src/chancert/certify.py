@@ -23,6 +23,7 @@ from .channels import (
     ChoiMatrix,
     StinespringOperator,
     channels_equal,
+    choi_from_stinespring,
     choi_from_transfer,
     compose,
     is_trace_preserving,
@@ -32,9 +33,9 @@ from .complement import (
     ComplementaryPair,
     RankChain,
     _chain_of,
-    _marginals_match,
-    _pair_and_spectra,
+    _choi_spectrum,
     purification_marginals,
+    swap_environment,
 )
 from .errors import (
     CounterexampleOrBugError,
@@ -362,9 +363,12 @@ def equivalence_check(
 ) -> CertificateReport:
     """Full consistency check of a complementary pair built from one dilation.
 
-    Builds the pair and the purification rank chain, evaluates every
-    predicate, and, whenever the primary map is PPT, asserts the proven
-    consistency relations:
+    The Choi matrices of phi and psi are the purification marginals L_ab
+    and L_ac. One spectrum of each of the five marginals and one of each
+    Choi matrix's partial transpose, seven in all, give the PSD records, the
+    rank chain and both Choi rank triples. Every predicate is read from
+    them, and, whenever the primary map is PPT, the proven consistency
+    relations are asserted:
 
     - the Choi rank of a PPT map is at least both of its marginal ranks;
     - the low-rank regime applies to the complement's Choi matrix, so its
@@ -381,7 +385,8 @@ def equivalence_check(
     NPT with no rank gap), so no assertion is made in that direction.
 
     ``pair_rules`` evaluates the relations and the purity equalities.
-    Violations raise CounterexampleOrBugError, and purity equalities that
+    Violations raise CounterexampleOrBugError, as does a Choi matrix that
+    disagrees with ``choi_from_stinespring``'s, and purity equalities that
     fail on a non-fragile sample raise PurityViolationError. Fragile rank
     chains abort with FragileSampleError instead of risking a spurious
     counterexample.
@@ -389,24 +394,27 @@ def equivalence_check(
     ctx = dict(context or {})
     ctx.setdefault("dims", [st.d_a, st.d_b, st.d_c])
 
-    pair, ((phi_w, phi_psd), (psi_w, psi_psd)) = _pair_and_spectra(st, cfg)
     marginals = purification_marginals(st)
-    chain, decisions = _chain_of(marginals, cfg)
+    choi_phi = ChoiMatrix(st.d_a, st.d_b, marginals["ab"])
+    choi_psi = ChoiMatrix(st.d_a, st.d_c, marginals["ac"])
+    phi_w, phi_psd = _choi_spectrum("phi", choi_phi.matrix, cfg)
+    psi_w, psi_psd = _choi_spectrum("psi", choi_psi.matrix, cfg)
+    spectra = {key: hermitian_part_spectrum(marginals[key]) for key in ("a", "b", "c")}
+    chain, decisions = _chain_of({"ab": phi_w, "ac": psi_w, **spectra}, cfg)
 
     report = CertificateReport(tolerances=cfg, chain=chain)
     report.ranks.update({f"l_{key}": dec for key, dec in decisions.items()})
 
-    phi_pt = psd_check(partial_transpose(pair.choi_phi.matrix, pair.choi_phi.layout, "left"), cfg)
-    psi_pt = psd_check(partial_transpose(pair.choi_psi.matrix, pair.choi_psi.layout, "left"), cfg)
+    phi_pt = psd_check(partial_transpose(choi_phi.matrix, choi_phi.layout, "left"), cfg)
+    psi_pt = psd_check(partial_transpose(choi_psi.matrix, choi_psi.layout, "left"), cfg)
     report.spectra.update(
         {"phi_choi": phi_psd, "phi_choi_pt": phi_pt, "psi_choi": psi_psd, "psi_choi_pt": psi_pt}
     )
     phi_ppt = ppt_rule(phi_psd, phi_pt)
     psi_ppt = ppt_rule(psi_psd, psi_pt)
 
-    # Both Choi matrices passed the PSD assertion of the pair constructor.
-    phi_ranks = _marginal_ranks(pair.choi_phi.matrix, phi_w, pair.choi_phi.layout, cfg)
-    psi_ranks = _marginal_ranks(pair.choi_psi.matrix, psi_w, pair.choi_psi.layout, cfg)
+    phi_ranks = tuple(decisions[key] for key in ("ab", "a", "b"))
+    psi_ranks = tuple(decisions[key] for key in ("ac", "a", "c"))
     witness_phi = witness_verdict(phi_ranks)
     witness_psi = witness_verdict(psi_ranks)
     eb_phi = eb_verdict(phi_ppt, phi_ranks)
@@ -418,8 +426,8 @@ def equivalence_check(
             "cp_psi": _bool_verdict(psi_psd.psd, PSD_SPECTRUM),
             "ppt_phi": _bool_verdict(phi_ppt, PT_SPECTRUM),
             "ppt_psi": _bool_verdict(psi_ppt, PT_SPECTRUM),
-            "tp_phi": _bool_verdict(is_trace_preserving(pair.choi_phi, cfg), TRACE_BLOCK),
-            "tp_psi": _bool_verdict(is_trace_preserving(pair.choi_psi, cfg), TRACE_BLOCK),
+            "tp_phi": _bool_verdict(is_trace_preserving(choi_phi, cfg), TRACE_BLOCK),
+            "tp_psi": _bool_verdict(is_trace_preserving(choi_psi, cfg), TRACE_BLOCK),
             "witness_phi": witness_phi,
             "witness_psi": witness_psi,
             "eb_phi": eb_phi,
@@ -436,9 +444,10 @@ def equivalence_check(
             f"purity rank equalities failed on a non-fragile sample: {chain.to_json()}"
         )
 
-    if not _marginals_match(marginals, pair, cfg):
+    kraus_route = (choi_from_stinespring(st), choi_from_stinespring(swap_environment(st)))
+    if not all(channels_equal(x, y, cfg) for x, y in zip((choi_phi, choi_psi), kraus_route)):
         raise CounterexampleOrBugError(
-            "purification marginals disagree with the basis-assembled Choi matrices", ctx
+            "purification marginals disagree with the Kraus-vector Choi matrices", ctx
         )
 
     if chain.fragile:

@@ -229,11 +229,11 @@ def kraus_from_stinespring(st: StinespringOperator) -> KrausSet:
 
 
 def choi_from_stinespring(st: StinespringOperator) -> ChoiMatrix:
-    """Choi matrix of X -> Tr_C(L X L^dagger)."""
-    layout = st.output_layout
-    return choi_from_map_action(
-        lambda e: partial_trace(st.conjugate(e), layout, "right"), st.d_a, st.d_b
-    )
+    """Choi matrix of X -> Tr_C(L X L^dagger), by the Kraus-vector route
+    V V^dagger: the rows (a, b) of V hold L's entries over c. The einsum of
+    ``complement.choi_marginal`` is the other route to the same matrix."""
+    v = st.matrix.T.reshape(st.d_a * st.d_b, st.d_c)
+    return ChoiMatrix(st.d_a, st.d_b, v @ v.conj().T)
 
 
 def is_cp(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

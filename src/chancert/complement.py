@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChoiMatrix, StinespringOperator, choi_from_map_action
+from .channels import ChoiMatrix, StinespringOperator, choi_from_stinespring
 from .errors import NotPositiveSemidefiniteError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -29,7 +29,6 @@ from .linalg import (
     close_frobenius,
     hermitian_part_spectrum,
     hermitian_spectrum,
-    partial_trace,
     rank_record,
 )
 
@@ -114,33 +113,29 @@ def purification_marginals(st: StinespringOperator) -> dict[str, np.ndarray]:
 def complementary_pair_from_stinespring(
     st: StinespringOperator, cfg: ToleranceConfig = DEFAULT_TOLERANCES
 ) -> ComplementaryPair:
-    """Build both Choi matrices by applying the dilated maps to basis matrices.
+    """Both Choi matrices by ``choi_from_stinespring``: phi's of the dilation,
+    psi's of the dilation with B and C swapped.
 
     Both are PSD by construction; this is asserted within psd_tol as a
     numerical sanity check.
     """
-    return _pair_and_spectra(st, cfg)[0]
+    pair = ComplementaryPair(
+        st, choi_from_stinespring(st), choi_from_stinespring(swap_environment(st))
+    )
+    _choi_spectrum("phi", pair.choi_phi.matrix, cfg)
+    _choi_spectrum("psi", pair.choi_psi.matrix, cfg)
+    return pair
 
 
-def _pair_and_spectra(st: StinespringOperator, cfg: ToleranceConfig):
-    """``complementary_pair_from_stinespring``, with the ``(spectrum, PsdCheck)``
-    of each Choi matrix, phi then psi, that its assertion read."""
-    layout = st.output_layout
-    choi_phi = choi_from_map_action(
-        lambda e: partial_trace(st.conjugate(e), layout, "right"), st.d_a, st.d_b
-    )
-    choi_psi = choi_from_map_action(
-        lambda e: partial_trace(st.conjugate(e), layout, "left"), st.d_a, st.d_c
-    )
-    records = []
-    for name, choi in (("phi", choi_phi), ("psi", choi_psi)):
-        w, check = hermitian_spectrum(choi.matrix, cfg)
-        if not check.psd:
-            raise NotPositiveSemidefiniteError(
-                f"Choi matrix of {name} is not PSD; numerical breakdown in pair construction"
-            )
-        records.append((w, check))
-    return ComplementaryPair(st, choi_phi, choi_psi), tuple(records)
+def _choi_spectrum(name: str, choi: np.ndarray, cfg: ToleranceConfig):
+    """``hermitian_spectrum`` of the Choi matrix ``choi`` of map ``name`` of a
+    dilation; raises NotPositiveSemidefiniteError unless it is PSD."""
+    w, check = hermitian_spectrum(choi, cfg)
+    if not check.psd:
+        raise NotPositiveSemidefiniteError(
+            f"Choi matrix of {name} is not PSD; numerical breakdown in pair construction"
+        )
+    return w, check
 
 
 def rank_chain(
@@ -153,12 +148,14 @@ def rank_chain(
     evaluates them, and ``certify.equivalence_check`` raises
     PurityViolationError when they fail on a non-fragile sample.
     """
-    return _chain_of(purification_marginals(st), cfg)
+    marginals = purification_marginals(st)
+    return _chain_of({key: hermitian_part_spectrum(m) for key, m in marginals.items()}, cfg)
 
 
-def _chain_of(marginals: dict[str, np.ndarray], cfg: ToleranceConfig):
-    """``rank_chain`` of the purification marginals ``marginals``."""
-    decisions = {key: rank_record(hermitian_part_spectrum(m), cfg) for key, m in marginals.items()}
+def _chain_of(spectra: dict[str, np.ndarray], cfg: ToleranceConfig):
+    """``rank_chain`` from the ascending spectra of the purification
+    marginals, keyed as ``purification_marginals``."""
+    decisions = {key: rank_record(w, cfg) for key, w in spectra.items()}
     chain = RankChain(
         rank_lab=decisions["ab"].rank,
         rank_lac=decisions["ac"].rank,
@@ -179,13 +176,7 @@ def verify_complementarity(
     whose psi was conjugated by a nontrivial unitary on C fails this check
     even though it represents "the same" complement abstractly.
     """
-    return _marginals_match(purification_marginals(pair.stinespring), pair, cfg)
-
-
-def _marginals_match(
-    marginals: dict[str, np.ndarray], pair: ComplementaryPair, cfg: ToleranceConfig
-) -> bool:
-    """``verify_complementarity`` of ``pair`` against its purification marginals."""
+    marginals = purification_marginals(pair.stinespring)
     return close_frobenius(
         marginals["ab"], pair.choi_phi.matrix, cfg.equality_tol
     ) and close_frobenius(marginals["ac"], pair.choi_psi.matrix, cfg.equality_tol)

@@ -35,12 +35,16 @@ run 4 samples per block.
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
-``equivalence_check`` stays the oracle. A sample is re-run through it, and
-its outcome is what counts, whenever the batched evaluation cannot vouch for
-the same outcome: a failed check or relation, a Choi matrix that is not
-clearly PSD, or an eigenvalue within a factor ESCALATION_MARGIN outside a
-decision window. Counts, counterexample records, exceptions and exit codes
-are therefore those of a per-sample loop.
+``equivalence_check`` stays the oracle. It reads the same records of one
+sample: its Choi matrices are the marginals on ab and ac from
+``complement.choi_marginal``, cross-checked against the same Kraus-vector
+route, and its seven spectra are those of the five marginals and of the
+two partial transposes. A sample is re-run through it, and its outcome is
+what counts, whenever the batched evaluation cannot vouch for the same
+outcome: a failed check or relation, a Choi matrix that is not clearly
+PSD, or an eigenvalue within a factor ESCALATION_MARGIN outside a decision
+window. Counts, counterexample records, exceptions and exit codes are
+therefore those of a per-sample loop.
 """
 
 from __future__ import annotations

@@ -20,6 +20,7 @@ import contextlib
 import ctypes
 import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,17 +111,31 @@ def _require_side(side: str) -> None:
         raise DimensionMismatchError(f"side must be one of {SIDES}, got {side!r}")
 
 
+def _unit_scale(*xs: np.ndarray) -> float:
+    """A power of two near the largest entry magnitude of ``xs``. Division by
+    it is exact, barring subnormal results, and leaves no entry above 2 in
+    magnitude, so no square in a norm of the quotients overflows and no
+    large one underflows."""
+    largest = max(float(np.abs(x).max(initial=0.0)) for x in xs)
+    return math.ldexp(1.0, min(max(math.frexp(largest)[1], -1021), 1023))
+
+
 def frobenius(x: np.ndarray) -> float:
-    return float(np.linalg.norm(x))
+    """Frobenius norm, taken of x over ``_unit_scale(x)`` and scaled back:
+    np.linalg.norm's value wherever that neither overflows nor underflows."""
+    scale = _unit_scale(x)
+    return scale * float(np.linalg.norm(x / scale))
 
 
 def close_frobenius(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
     """Symmetric relative Frobenius comparison: ||x - y|| <= tol * max(||x||, ||y||).
 
-    Scale invariant; two zero matrices compare equal.
+    Scale invariant at any finite scale: both sides are taken of x and y over
+    their common ``_unit_scale``. Two zero matrices compare equal.
     """
-    scale = max(frobenius(x), frobenius(y))
-    return frobenius(x - y) <= tol * scale
+    scale = _unit_scale(x, y)
+    x, y = x / scale, y / scale
+    return frobenius(x - y) <= tol * max(frobenius(x), frobenius(y))
 
 
 def partial_trace(x, layout: BipartiteLayout, side: str) -> np.ndarray:
@@ -152,7 +167,9 @@ def partial_transpose(x, layout: BipartiteLayout, side: str) -> np.ndarray:
 
 
 def hermitian_deviation(x: np.ndarray) -> float:
-    """Relative Frobenius distance from the Hermitian part, in [0, ~2]."""
+    """Relative Frobenius distance ||x - x^dagger|| / ||x||, in [0, 2], taken
+    of x over its ``_unit_scale`` so that it is finite at any finite scale."""
+    x = x / _unit_scale(x)
     norm = frobenius(x)
     if norm == 0.0:
         return 0.0

@@ -1,5 +1,7 @@
 """Tests for the rank-based decision procedures and consistency checks."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -361,18 +363,26 @@ class TestEquivalenceCheck:
         assert report.chain.rank_lab == report.chain.rank_lb == 2
 
     def test_mirrored_verdicts_under_swap(self, cfg):
-        st = schur_stinespring([1.0, 0.5, 0.25])
-        direct = equivalence_check(st, cfg)
-        mirrored = equivalence_check(swap_environment(st), cfg)
-        for key in ("ppt", "eb", "witness", "cp", "tp"):
-            assert (
-                direct.predicates[f"{key}_phi"].value
-                == mirrored.predicates[f"{key}_psi"].value
-            )
-            assert (
-                direct.predicates[f"{key}_psi"].value
-                == mirrored.predicates[f"{key}_phi"].value
-            )
+        # psi of a dilation is phi of its swap: verdicts and rank records
+        # mirror, on a PPT Schur dilation and on random dilations at the
+        # acceptance tuples and (2,2,6). The swapped marginals are the same
+        # sums in other orders, so cutoffs agree to rounding.
+        mirror = {"ab": "ac", "ac": "ab", "a": "a", "b": "c", "c": "b"}
+        dilations = [schur_stinespring([1.0, 0.5, 0.25])] + [
+            random_stinespring(*dims, seed=20220404, index=index)
+            for dims in [*itertools.product((2, 3), repeat=3), (2, 2, 6)]
+            for index in range(4)
+        ]
+        for st in dilations:
+            direct = equivalence_check(st, cfg)
+            mirrored = equivalence_check(swap_environment(st), cfg)
+            for key in ("ppt", "eb", "witness", "cp", "tp"):
+                assert direct.predicates[f"{key}_phi"] == mirrored.predicates[f"{key}_psi"]
+                assert direct.predicates[f"{key}_psi"] == mirrored.predicates[f"{key}_phi"]
+            for key, other in mirror.items():
+                x, y = direct.ranks[f"l_{key}"], mirrored.ranks[f"l_{other}"]
+                assert (x.rank, x.fragile) == (y.rank, y.fragile)
+                assert x.cutoff == pytest.approx(y.cutoff, rel=1e-12)
 
     def test_report_is_reproducible_from_recorded_data(self, cfg):
         report = equivalence_check(tiles_stinespring(cfg), cfg)
@@ -467,10 +477,10 @@ class TestLapackBudget:
         schur_stinespring([0.5, 0.3, 0.2]),
     ], ids=["random-2-2-3", "ppt-schur"])
     def test_equivalence_check(self, cfg, lapack_calls, st):
-        # 4 Choi spectra (the pair constructor's PSD assertion reads the 2
-        # direct ones), 5 purification marginals and 4 Choi marginals
+        # 5 purification marginals, of which L_ab and L_ac are the Choi
+        # matrices, and the Choi matrices' 2 partial transposes
         equivalence_check(st, cfg)
-        assert lapack_calls == {"eigvalsh": 13, "svd": 0, "eigh": 0}
+        assert lapack_calls == {"eigvalsh": 7, "svd": 0, "eigh": 0}
 
     @pytest.mark.parametrize("kind", ["depolarizing", "dephasing"])
     def test_kraus_from_choi(self, cfg, lapack_calls, kind):

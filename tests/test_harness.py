@@ -36,7 +36,7 @@ from chancert import (
 )
 from chancert.cli import main
 import chancert.harness
-from chancert.complement import marginals_of
+from chancert.complement import common_purification_vector, marginals_of
 from chancert.harness import (
     CHUNK_ENTRIES,
     COUNT_KEYS,
@@ -200,6 +200,52 @@ def test_rounding_level_tolerances_agree(dims, cfg):
 
 def test_default_tolerances_need_no_escalation():
     assert run_harness((2, 2, 3), 500, 3003, DEFAULT_TOLERANCES).escalated == []
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)
+def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
+    # The einsums form bitwise Hermitian marginals, so only an injected fault
+    # makes the engine's Hermitian checks fire. Each chosen sample gets an
+    # anti-Hermitian part i r M on one marginal M, r = 3/40 equality_tol:
+    # its deviation, 2r, fails the check against equality_tol/10, while a
+    # Choi matrix stays within equality_tol/10 of the V V^dagger route. The
+    # oracle forms its marginals through chancert.complement, unpatched.
+    cfg, seed, trials = DEFAULT_TOLERANCES, 3003, 12
+    faults = {"phi": 1, "psi": 5, "a": 7, "b": 9, "c": 10}
+    draws = {key: random_stinespring(*dims, seed=seed, index=i) for key, i in faults.items()}
+    vectors = {key: common_purification_vector(st).reshape(dims) for key, st in draws.items()}
+    vectors["psi"] = vectors["psi"].swapaxes(1, 2)
+    spoil = 1.0 + 0.075j * cfg.equality_tol
+
+    def inject(marginals, key, psi):
+        """Spoil the marginals of the rows of psi that are sample ``key``'s vector."""
+        hits = [k for k in range(len(psi)) if np.array_equal(psi[k], vectors[key])]
+        marginals[hits] *= spoil
+        return len(hits)
+
+    injected = Counter()
+    choi_marginal = chancert.harness.choi_marginal
+    factor_marginals = chancert.harness.factor_marginals
+
+    def spoiled_choi(psi, out=None):
+        choi = choi_marginal(psi, out=out)
+        for key in ("phi", "psi"):
+            injected[key] += inject(choi, key, psi)
+        return choi
+
+    def spoiled_factors(psi):
+        marginals = factor_marginals(psi)
+        for key in ("a", "b", "c"):
+            injected[key] += inject(marginals[key], key, psi)
+        return marginals
+
+    monkeypatch.setattr(chancert.harness, "choi_marginal", spoiled_choi)
+    monkeypatch.setattr(chancert.harness, "factor_marginals", spoiled_factors)
+    result = run_harness(dims, trials, seed, cfg)
+    assert injected == dict.fromkeys(faults, 1)
+    assert sorted(result.escalated) == sorted(faults.values())
+    counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+    assert (result.counts, result.counterexamples) == (counts, counterexamples)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (4, 4, 16)], ids=dims_id)

@@ -209,12 +209,14 @@ class TestCliAnalyze:
             assert main(["analyze", str(source), "--output", str(report)]) == 0
             envelope = json.loads(report.read_text())
             roles.add(envelope["role"])
-            rederive_predicates(envelope["role"], envelope["analysis"])
+            rederive_predicates(envelope["role"], envelope["analysis"],
+                                json.loads(source.read_text()).get("dims"))
         assert roles == {"choi", "state", "stinespring"}
 
 
-def rederive_predicates(role: str, analysis: dict) -> None:
-    """Check each predicate of an ``analyze`` report against its records."""
+def rederive_predicates(role: str, analysis: dict, dims) -> None:
+    """Check each predicate of an ``analyze`` report against its records;
+    ``dims`` are the input's, (d_a, d_b, d_c) for a dilation."""
     cfg = ToleranceConfig(**analysis["tolerances"])
     spectra = {key: PsdCheck(**value) for key, value in analysis["spectra"].items()}
     ranks = {key: RankDecision(**value) for key, value in analysis["ranks"].items()}
@@ -250,21 +252,25 @@ def rederive_predicates(role: str, analysis: dict) -> None:
     else:
         # The Choi matrices are the purification marginals L_ab and L_ac, with
         # marginals (L_a, L_b) and (L_a, L_c); their rank decisions are the
-        # recorded chain. Fragility flags of the verdicts come from the Choi
-        # matrices' own marginal ranks, which the report does not record.
+        # recorded chain, and each Choi matrix's rank cutoff is that of its
+        # recorded spectrum.
         chain = analysis["rank_chain"]
         assert chain == {f"rank_l{key}": ranks[f"l_{key}"].rank
                          for key in ("ab", "ac", "a", "b", "c")} | {"fragile": False}
-        sides = {"phi": ("ab", "a", "b"), "psi": ("ac", "a", "c")}
+        d_a, d_b, d_c = dims
+        sides = {"phi": (("ab", "a", "b"), d_a * d_b), "psi": (("ac", "a", "c"), d_a * d_c)}
         ppt, eb = {}, {}
-        for side, keys in sides.items():
+        for side, (keys, dim) in sides.items():
             triple = tuple(ranks[f"l_{key}"] for key in keys)
-            ppt[side] = ppt_rule(spectra[f"{side}_choi"], spectra[f"{side}_choi_pt"])
+            choi = spectra[f"{side}_choi"]
+            sigma_max = max(abs(choi.lambda_min), abs(choi.lambda_max))
+            assert triple[0].cutoff == cfg.rank_tol * sigma_max * dim
+            ppt[side] = ppt_rule(choi, spectra[f"{side}_choi_pt"])
             eb[side] = eb_verdict(ppt[side], triple)
-            assert value(f"cp_{side}") == spectra[f"{side}_choi"].psd
+            assert value(f"cp_{side}") == choi.psd
             assert value(f"ppt_{side}") == ppt[side]
-            assert predicates[f"eb_{side}"]["value"] == eb[side].value
-            assert predicates[f"witness_{side}"]["value"] == witness_verdict(triple).value
+            assert predicates[f"eb_{side}"] == eb[side].to_json()
+            assert predicates[f"witness_{side}"] == witness_verdict(triple).to_json()
         chain_ranks = [chain[f"rank_l{key}"] for key in ("ab", "ac", "a", "b", "c")]
         purity, relation = pair_rules(
             ppt["phi"], ppt["psi"], value("witness_psi"), EB_CODES[eb["phi"].value],
@@ -431,7 +437,9 @@ def analyzed_verdicts(path: Path, capsys) -> tuple:
     """Scale-free verdicts of ``analyze``, and the rank chain where there is one."""
     capsys.readouterr()
     assert main(["analyze", str(path)]) == 0
-    analysis = json.loads(capsys.readouterr().out)["analysis"]
+    out, err = capsys.readouterr()
+    assert err == ""
+    analysis = json.loads(out)["analysis"]
     verdicts = {key: verdict["value"] for key, verdict in analysis["predicates"].items()
                 if key not in ("tp_phi", "tp_psi", "trace_preserving")}
     return verdicts, analysis.get("rank_chain")
@@ -484,14 +492,33 @@ class TestOperatorScale:
         choi = json.loads(capsys.readouterr().out)
         assert np.abs(np.array(choi["re"])).max() > 0.0
 
-    @pytest.mark.parametrize("scale", [1e-300, 1e150])
-    @pytest.mark.parametrize("kind", ["identity", "dephasing", "tiles"])
-    def test_choi_and_state_files_keep_verdicts(self, tmp_path, capsys, kind, scale):
+    @pytest.mark.parametrize("scale", [1e-300, 1e150, 1e200, 1e300])
+    @pytest.mark.parametrize("kind", ["identity", "dephasing", "tiles", "converted"])
+    def test_choi_and_state_files_keep_verdicts(self, tmp_path, capsys, dilation, kind, scale):
+        # from about 1e154 up, unscaled norms overflow: numpy's warning would
+        # reach stderr, and a Hermitian deviation of inf / inf would make a
+        # CP map's Choi matrix read not CP
         path = tmp_path / "m.json"
-        dims = [] if kind == "tiles" else ["--dims", "2"]
-        assert main(["generate", "--kind", kind, *dims, "--output", str(path)]) == 0
+        if kind == "converted":
+            argv = ["convert", str(dilation), "--to", "choi"]
+        else:
+            argv = ["generate", "--kind", kind, *([] if kind == "tiles" else ["--dims", "2"])]
+        assert main([*argv, "--output", str(path)]) == 0
         expected = analyzed_verdicts(path, capsys)
         assert analyzed_verdicts(scaled_copy(path, tmp_path / "s.json", scale), capsys) == expected
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e200, 1e300])
+    @pytest.mark.parametrize("kind", ["identity", "dephasing"])
+    def test_scaled_channel_is_not_trace_preserving(self, tmp_path, capsys, kind, scale):
+        # an overflowing norm would make tol * inf the bound, which every
+        # comparison passes
+        path = tmp_path / "m.json"
+        assert main(["generate", "--kind", kind, "--dims", "2", "--output", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["analyze", str(scaled_copy(path, tmp_path / "s.json", scale))]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert json.loads(out)["analysis"]["predicates"]["trace_preserving"]["value"] == "no"
 
 
 class TestCliVerifyTheorem:
