@@ -49,6 +49,7 @@ from .linalg import (
     PsdCheck,
     RankDecision,
     ToleranceConfig,
+    close_frobenius,
     frobenius,
     hermitian_part_spectrum,
     hermitian_spectrum,
@@ -413,6 +414,11 @@ def equivalence_check(
     phi_ppt = ppt_rule(phi_psd, phi_pt)
     psi_ppt = ppt_rule(psi_psd, psi_pt)
 
+    # Tr_B J_phi and Tr_C J_psi are both L_a: the two maps are trace
+    # preserving together, exactly when the dilation is an isometry.
+    tp = _bool_verdict(
+        close_frobenius(marginals["a"], np.eye(st.d_a), cfg.equality_tol), TRACE_BLOCK
+    )
     phi_ranks = tuple(decisions[key] for key in ("ab", "a", "b"))
     psi_ranks = tuple(decisions[key] for key in ("ac", "a", "c"))
     witness_phi = witness_verdict(phi_ranks)
@@ -426,8 +432,8 @@ def equivalence_check(
             "cp_psi": _bool_verdict(psi_psd.psd, PSD_SPECTRUM),
             "ppt_phi": _bool_verdict(phi_ppt, PT_SPECTRUM),
             "ppt_psi": _bool_verdict(psi_ppt, PT_SPECTRUM),
-            "tp_phi": _bool_verdict(is_trace_preserving(choi_phi, cfg), TRACE_BLOCK),
-            "tp_psi": _bool_verdict(is_trace_preserving(choi_psi, cfg), TRACE_BLOCK),
+            "tp_phi": tp,
+            "tp_psi": tp,
             "witness_phi": witness_phi,
             "witness_psi": witness_psi,
             "eb_phi": eb_phi,

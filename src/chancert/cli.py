@@ -54,6 +54,7 @@ from .io import (
     matrix_file_dict,
     ordered_kraus_files,
     report_envelope,
+    require_matrix_scale,
     require_operator_scale,
     save_json,
     text_digest,
@@ -117,6 +118,7 @@ def _bipartite_layout(parsed: ParsedMatrix) -> BipartiteLayout:
 
 
 def _choi_from_parsed(parsed: ParsedMatrix) -> ChoiMatrix:
+    require_matrix_scale(parsed, "choi")
     layout = _bipartite_layout(parsed)
     return ChoiMatrix(layout.d_left, layout.d_right, parsed.matrix)
 
@@ -139,6 +141,7 @@ def cmd_analyze(args, cfg: ToleranceConfig) -> int:
     if role == "choi":
         report = choi_report(_choi_from_parsed(parsed), cfg)
     elif role == "state":
+        require_matrix_scale(parsed, "state")
         report = state_report(parsed.matrix, _bipartite_layout(parsed), cfg)
     elif role == "stinespring":
         st = _stinespring_from_parsed(parsed)

@@ -7,6 +7,12 @@ NaN and infinity are rejected in both directions.
 
 Report files are deterministic given (input, flags, seed) except for the
 ``timestamp`` field.
+
+Every output file is written by ``save_json``, in place: an existing file
+is overwritten and then cut to the new length, never truncated to zero
+first, so it keeps its inode and permission bits, and a symlink is followed
+to its target. A device or a FIFO is written without truncation. As with a
+plain ``open(path, "w")``, a write is neither atomic nor fsynced.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import stat
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -34,6 +42,11 @@ ROLES = ("choi", "state", "stinespring", "kraus")
 # room for the sums over the dimensions; outside it the Choi matrix can come
 # out zero, or its checks overflow.
 OPERATOR_SCALE_RANGE = (2.0**-240, 2.0**240)
+
+# The eigenvalues, marginals and partial transposes of a Choi or state matrix
+# are bounded by its dimension times its largest entry magnitude. Keeping that
+# product at most this limit keeps them, and sums of two of them, finite.
+MATRIX_SCALE_LIMIT = 2.0**1022
 
 
 @dataclass(frozen=True)
@@ -217,6 +230,18 @@ def require_operator_scale(parsed: list[ParsedMatrix], role: str) -> None:
         )
 
 
+def require_matrix_scale(parsed: ParsedMatrix, role: str) -> None:
+    """Reject a Choi or state file whose largest entry magnitude times its
+    dimension exceeds MATRIX_SCALE_LIMIT."""
+    largest = float(np.abs(parsed.matrix).max())
+    if largest * parsed.matrix.shape[0] > MATRIX_SCALE_LIMIT:
+        raise InputScaleError(
+            f"the largest {role} entry has magnitude {largest:.3g}, above "
+            f"{MATRIX_SCALE_LIMIT:.3g} / {parsed.matrix.shape[0]} (the dimension): "
+            "its spectra would overflow"
+        )
+
+
 def load_matrix(path) -> ParsedMatrix:
     """Read a matrix file once: parse its bytes and record their digest."""
     try:
@@ -227,7 +252,22 @@ def load_matrix(path) -> ParsedMatrix:
 
 
 def save_json(path, obj: dict) -> None:
-    Path(path).write_text(dumps(obj) + "\n")
+    """Write ``obj`` as a report or matrix file at ``path``, in place.
+
+    Opening without ``O_TRUNC`` keeps a file system from flushing an output
+    that was cut to zero bytes and rewritten (ext4's ``auto_da_alloc``). Only
+    a regular file is cut to the written length; a device or a FIFO cannot be.
+    """
+    data = (dumps(obj) + "\n").encode()
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as f:
+            before = os.fstat(fd)
+            f.write(data)
+            if stat.S_ISREG(before.st_mode) and before.st_size > len(data):
+                f.truncate()
+    except OSError as exc:
+        raise MatrixFileError(f"cannot write {path}: {exc}") from exc
 
 
 def bytes_digest(data: bytes) -> str:

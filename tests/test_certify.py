@@ -384,6 +384,26 @@ class TestEquivalenceCheck:
                 assert (x.rank, x.fragile) == (y.rank, y.fragile)
                 assert x.cutoff == pytest.approx(y.cutoff, rel=1e-12)
 
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (3, 3, 3)])
+    def test_trace_preserving_exactly_for_isometries(self, cfg, dims, monkeypatch):
+        # Tr_B J_phi and Tr_C J_psi are both L_a, read once: no Choi matrix
+        # is partially traced
+        import chancert.certify as certify_mod
+
+        monkeypatch.setattr(certify_mod, "is_trace_preserving", None)
+        d_a, d_b, d_c = dims
+        rng = np.random.default_rng(20220404)
+        isometries = [schur_stinespring([1.0, 1.0, 1.0])] + [
+            StinespringOperator(d_a, d_b, d_c, haar_unitary(rng, d_b * d_c)[:, :d_a])
+            for _ in range(3)
+        ]
+        for st in isometries:
+            report = equivalence_check(st, cfg)
+            assert report.predicates["tp_phi"].value == report.predicates["tp_psi"].value == "yes"
+        for index in range(4):
+            report = equivalence_check(random_stinespring(*dims, seed=5, index=index), cfg)
+            assert report.predicates["tp_phi"].value == report.predicates["tp_psi"].value == "no"
+
     def test_report_is_reproducible_from_recorded_data(self, cfg):
         report = equivalence_check(tiles_stinespring(cfg), cfg)
         data = report.to_json()

@@ -2,14 +2,18 @@
 
 import hashlib
 import json
+import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import chancert
 import chancert.cli
@@ -25,6 +29,7 @@ from chancert.certify import (
 )
 from chancert.cli import main
 from chancert.io import (
+    MATRIX_SCALE_LIMIT,
     OPERATOR_SCALE_RANGE,
     dumps,
     load_matrix,
@@ -521,6 +526,91 @@ class TestOperatorScale:
         assert json.loads(out)["analysis"]["predicates"]["trace_preserving"]["value"] == "no"
 
 
+def power_of_two_copy(src: Path, dst: Path, k: int) -> Path:
+    """``src`` with every entry multiplied by 2^k, exactly while it stays normal."""
+    obj = json.loads(src.read_text())
+    for key in ("re", "im"):
+        obj[key] = [[math.ldexp(x, k) for x in row] for row in obj[key]]
+    dst.write_text(json.dumps(obj))
+    return dst
+
+
+def normal_scale_range(path: Path) -> tuple[int, int]:
+    """The k for which every nonzero re and im entry of ``path`` times 2^k is
+    a normal float."""
+    obj = json.loads(path.read_text())
+    entries = [abs(x) for key in ("re", "im") for row in obj[key] for x in row if x]
+    return -1021 - math.frexp(min(entries))[1], 1024 - math.frexp(max(entries))[1]
+
+
+def write_source(tmp_path: Path, kind: str, dims: str = "", seed: int = 0) -> Path:
+    """A Choi file of the named channel ``kind``, the ``convert --to choi``
+    file of a random dilation (``kind="converted"``), or the tiles state."""
+    path = tmp_path / "m.json"
+    if kind == "converted":
+        dilation = tmp_path / "L.json"
+        assert main(["generate", "--kind", "random-stinespring", "--dims", dims,
+                     "--seed", str(seed), "--output", str(dilation)]) == 0
+        argv = ["convert", str(dilation), "--to", "choi"]
+    else:
+        argv = ["generate", "--kind", kind, *(["--dims", dims] if dims else [])]
+    assert main([*argv, "--output", str(path)]) == 0
+    return path
+
+
+def assert_scaled_verdicts(path: Path, capsys, k: int) -> None:
+    """``analyze`` of ``path`` scaled by 2^k gives the verdicts at k = 0, or
+    exit 3 when its largest entry times its dimension exceeds MATRIX_SCALE_LIMIT."""
+    scaled = power_of_two_copy(path, path.with_name("scaled.json"), k)
+    matrix = load_matrix(scaled).matrix
+    if float(np.abs(matrix).max()) * matrix.shape[0] > MATRIX_SCALE_LIMIT:
+        capsys.readouterr()
+        assert main(["analyze", str(scaled)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("precondition failed") and err.count("\n") == 1
+        assert "magnitude" in err
+    else:
+        assert analyzed_verdicts(scaled, capsys) == analyzed_verdicts(path, capsys)
+
+
+SCALABLE_SOURCES = st.one_of(
+    st.tuples(st.sampled_from(["identity", "dephasing", "depolarizing"]),
+              st.sampled_from(["2", "3"]), st.just(0)),
+    st.just(("tiles", "", 0)),
+    st.tuples(st.just("converted"), st.sampled_from(["2,2,3", "2,3,2", "3,3,3", "2,2,6"]),
+              st.integers(0, 2**32 - 1)),
+)
+
+
+class TestPowerOfTwoScaling:
+    """Verdicts of Choi and state files are scale-free: at every scale 2^k
+    that keeps the entries normal, ``analyze`` gives the verdicts at k = 0,
+    or refuses the file where its spectra would overflow."""
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(source=SCALABLE_SOURCES, data=st.data())
+    def test_verdicts_survive_power_of_two_scaling(self, tmp_path, capsys, source, data):
+        path = write_source(tmp_path, *source)
+        k = data.draw(st.integers(*normal_scale_range(path)), label="k")
+        assert_scaled_verdicts(path, capsys, k)
+
+    # Before MATRIX_SCALE_LIMIT, each of these exited 2 after numpy overflow
+    # warnings, on "Eigenvalues did not converge" or on a NaN or infinity
+    # the report encoder refused.
+    @pytest.mark.parametrize("source, k", [
+        (("identity", "2"), 1023),
+        (("dephasing", "2"), 1023),
+        (("depolarizing", "2"), 1023),
+        (("depolarizing", "2"), 1024),
+        (("tiles",), 1025),
+        (("tiles",), 1026),
+        (("converted", "2,2,3", 5), 1021),
+    ])
+    def test_overflowing_spectra_are_refused(self, tmp_path, capsys, source, k):
+        assert_scaled_verdicts(write_source(tmp_path, *source), capsys, k)
+
+
 class TestCliVerifyTheorem:
     def test_small_run_is_clean(self, tmp_path):
         out = tmp_path / "vt.json"
@@ -773,3 +863,110 @@ class TestReportDeterminism:
         stripped_a.pop("timestamp")
         stripped_b.pop("timestamp")
         assert dumps(stripped_a) == dumps(stripped_b)
+
+
+def generated_bytes(tmp_path: Path, argv: list[str]) -> bytes:
+    """The bytes ``generate`` writes for ``argv`` to a fresh path."""
+    fresh = tmp_path / "fresh" / "out.json"
+    fresh.parent.mkdir(exist_ok=True)
+    assert main(["generate", *argv, "--output", str(fresh)]) == 0
+    return fresh.read_bytes()
+
+
+IDENTITY = ["--kind", "identity", "--dims", "2"]
+WIDE_DILATION = ["--kind", "random-stinespring", "--dims", "3,3,9", "--seed", "1"]
+
+
+class TestOutputFiles:
+    """Outputs are rewritten in place: cut to the new length only when a
+    regular file was longer, with its inode, permission bits and symlinks kept."""
+
+    def test_short_output_over_longer_file(self, tmp_path):
+        path = tmp_path / "out.json"
+        assert main(["generate", *WIDE_DILATION, "--output", str(path)]) == 0
+        expected = generated_bytes(tmp_path, IDENTITY)
+        assert path.stat().st_size > len(expected)
+        assert main(["generate", *IDENTITY, "--output", str(path)]) == 0
+        assert path.read_bytes() == expected
+
+    def test_inode_and_permission_bits_kept(self, tmp_path):
+        path = tmp_path / "out.json"
+        path.write_bytes(b"x" * 10_000)
+        path.chmod(0o600)
+        inode = path.stat().st_ino
+        assert main(["generate", *IDENTITY, "--output", str(path)]) == 0
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_bytes() == generated_bytes(tmp_path, IDENTITY)
+
+    def test_symlink_is_followed(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 10_000)
+        link.symlink_to(target)
+        assert main(["generate", *IDENTITY, "--output", str(link)]) == 0
+        assert link.is_symlink() and link.readlink() == target
+        assert target.read_bytes() == generated_bytes(tmp_path, IDENTITY)
+
+    def test_null_device(self, capsys):
+        # a device cannot be truncated: truncate() there raises EINVAL
+        assert main(["generate", *IDENTITY, "--output", os.devnull]) == 0
+        assert capsys.readouterr() == ("", "")
+
+    def test_fifo_reader_gets_whole_text(self, tmp_path):
+        # the read end is open before the write, so the writer does not wait;
+        # the text (about 4.7 KB) fits in the pipe's buffer
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert main(["generate", *WIDE_DILATION, "--output", str(fifo)]) == 0
+            with open(reader, "rb", closefd=False) as f:
+                received = f.read()
+        finally:
+            os.close(reader)
+        assert received == generated_bytes(tmp_path, WIDE_DILATION)
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a one-line parse error (exit 2),
+    for every command that writes one."""
+
+    @staticmethod
+    def commands(tmp_path: Path, output: Path) -> dict[str, tuple[list[str], Path]]:
+        """Per command, (argv writing to ``output``, the first path it writes)."""
+        source = tmp_path / "id.json"
+        assert main(["generate", *IDENTITY, "--output", str(source)]) == 0
+        kraus_file = output.with_name(output.stem + ".k00.json")
+        return {
+            "generate": (["generate", *IDENTITY, "--output", str(output)], output),
+            "analyze": (["analyze", str(source), "--output", str(output)], output),
+            "convert": (["convert", str(source), "--to", "kraus", "--output", str(output)],
+                        kraus_file),
+            "verify-theorem": (["verify-theorem", "--trials", "3", "--dims", "2,2,2",
+                                "--seed", "1", "--output", str(output)], output),
+        }
+
+    @pytest.mark.parametrize("command", ["generate", "analyze", "convert", "verify-theorem"])
+    @pytest.mark.parametrize("problem", ["missing-directory", "directory"])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, command, problem):
+        output = tmp_path / ("missing" if problem == "missing-directory" else "") / "out.json"
+        argv, written = self.commands(tmp_path, output)[command]
+        if problem == "directory":
+            written.mkdir()
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot write {written}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_fresh_process_prints_no_traceback(self, tmp_path):
+        src = str(Path(chancert.__file__).resolve().parents[1])
+        missing = tmp_path / "missing" / "x.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "chancert.cli", "generate", *IDENTITY, "--output", str(missing)],
+            capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: cannot write {missing}: ")
+        assert "Traceback" not in proc.stderr
