@@ -119,17 +119,6 @@ class StinespringOperator:
             )
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def output_layout(self) -> BipartiteLayout:
-        return BipartiteLayout(self.d_b, self.d_c)
-
-    def conjugate(self, x) -> np.ndarray:
-        """L X L^dagger on the full B (x) C output space."""
-        m = as_matrix(x)
-        if m.shape != (self.d_a, self.d_a):
-            raise DimensionMismatchError(f"input shape {m.shape}, expected ({self.d_a}, {self.d_a})")
-        return self.matrix @ m @ self.matrix.conj().T
-
 
 def basis_matrix(d: int, i: int, j: int) -> np.ndarray:
     e = np.zeros((d, d), dtype=complex)

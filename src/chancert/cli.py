@@ -11,6 +11,13 @@ Default tolerances can be overridden per invocation with --psd-tol,
 --rank-tol, --equality-tol, or globally with the environment variables
 CHANCERT_PSD_TOL, CHANCERT_RANK_TOL, CHANCERT_EQUALITY_TOL.
 
+Each file role (choi, state, stinespring, kraus) is handled by one role
+table: ``_load`` checks a role's files and builds its object, ``ANALYSES``
+maps a role to the report ``analyze`` writes, ``CONVERSIONS`` maps a
+``(source, target)`` pair to its library route, and ``_payload`` writes a
+choi, state or stinespring object for ``generate`` and ``convert``. The
+``--as``, ``--from`` and ``--to`` choices are read from these tables.
+
 ``main`` may be called repeatedly in one process: the parser is built once,
 and flags, environment and handler are read anew on every call.
 """
@@ -45,7 +52,7 @@ from .errors import (
     NotPositiveSemidefiniteError,
     PurityViolationError,
 )
-from .generate import GENERATOR_ALGORITHM, SEED_DERIVATION, GeneratorSpec, build
+from .generate import GENERATOR_ALGORITHM, GENERATOR_KINDS, SEED_DERIVATION, GeneratorSpec, build
 from .harness import run_harness
 from .io import (
     ParsedMatrix,
@@ -109,46 +116,71 @@ def _emit(obj: dict, output: str | None) -> None:
         sys.stdout.write(dumps(obj) + "\n")
 
 
-def _bipartite_layout(parsed: ParsedMatrix) -> BipartiteLayout:
-    if parsed.layout is not None:
-        return parsed.layout
-    if parsed.dims is not None and len(parsed.dims) == 2:
-        return BipartiteLayout(*parsed.dims)
-    raise MatrixFileError("matrix file needs a layout or two-entry dims to be analyzed")
+# The report of each role that ``analyze`` reads; any other role cannot be analyzed.
+ANALYSES = {
+    "choi": lambda choi, cfg, path: choi_report(choi, cfg),
+    "state": lambda state, cfg, path: state_report(*state, cfg),
+    "stinespring": lambda st, cfg, path: equivalence_check(st, cfg, context={"input": str(path)}),
+}
+# The route of each conversion between the roles that ``convert`` reads; any
+# other role cannot be converted, and a role converts to itself unchanged.
+CONVERSIONS = {
+    ("choi", "kraus"): lambda choi, cfg: kraus_from_choi(choi, cfg),
+    ("choi", "stinespring"): lambda choi, cfg: stinespring_from_kraus(kraus_from_choi(choi, cfg)),
+    ("kraus", "choi"): lambda kraus, cfg: choi_from_kraus(kraus),
+    ("kraus", "stinespring"): lambda kraus, cfg: stinespring_from_kraus(kraus),
+    ("stinespring", "choi"): lambda st, cfg: choi_from_stinespring(st),
+    ("stinespring", "kraus"): lambda st, cfg: kraus_from_stinespring(st),
+}
+CONVERTIBLE = tuple(dict.fromkeys(source for source, _ in CONVERSIONS))
 
 
-def _choi_from_parsed(parsed: ParsedMatrix) -> ChoiMatrix:
-    require_matrix_scale(parsed, "choi")
-    layout = _bipartite_layout(parsed)
-    return ChoiMatrix(layout.d_left, layout.d_right, parsed.matrix)
+def _load(parsed: list[ParsedMatrix], role: str, accepted, verb: str):
+    """The object that the files ``parsed`` of ``role`` hold, checked: a
+    ChoiMatrix, a KrausSet, a StinespringOperator, or a state's matrix and
+    layout. A role not in ``accepted`` cannot be ``verb``; only a Kraus set
+    spans several files."""
+    if role != "kraus" and len(parsed) != 1:
+        raise MatrixFileError(f"role {role!r} expects exactly one input file")
+    if role not in accepted:
+        raise MatrixFileError(f"role {role!r} cannot be {verb}")
+    if role == "kraus":
+        ordered = ordered_kraus_files(parsed)
+        require_operator_scale(ordered, role)
+        return KrausSet(*ordered[0].dims[:2], tuple(p.matrix for p in ordered))
+    (p,) = parsed
+    if role == "stinespring":
+        if p.dims is None or len(p.dims) != 3:
+            raise MatrixFileError("stinespring files require dims [d_a, d_b, d_c]")
+        require_operator_scale(parsed, role)
+        return StinespringOperator(*p.dims, p.matrix)
+    require_matrix_scale(p, role)
+    layout = p.layout
+    if layout is None:
+        if p.dims is None or len(p.dims) != 2:
+            raise MatrixFileError("matrix file needs a layout or two-entry dims to be analyzed")
+        layout = BipartiteLayout(*p.dims)
+    if role == "choi":
+        return ChoiMatrix(layout.d_left, layout.d_right, p.matrix)
+    return p.matrix, layout
 
 
-def _stinespring_from_parsed(parsed: ParsedMatrix) -> StinespringOperator:
-    if parsed.dims is None or len(parsed.dims) != 3:
-        raise MatrixFileError("stinespring files require dims [d_a, d_b, d_c]")
-    require_operator_scale([parsed], "stinespring")
-    d_a, d_b, d_c = parsed.dims
-    return StinespringOperator(d_a, d_b, d_c, parsed.matrix)
+def _payload(obj, role: str) -> dict:
+    """The matrix file of a choi, state or stinespring object."""
+    if role == "stinespring":
+        return matrix_file_dict(obj.matrix, role=role, dims=(obj.d_a, obj.d_b, obj.d_c))
+    return matrix_file_dict(obj.matrix, role=role, layout=obj.layout, dims=(obj.d_a, obj.d_b))
 
 
 def cmd_analyze(args, cfg: ToleranceConfig) -> int:
     parsed = load_matrix(args.input)
     role = args.role or parsed.role
     if role is None:
-        raise MatrixFileError("input file has no role; pass --as choi|state|stinespring")
+        raise MatrixFileError(f"input file has no role; pass --as {'|'.join(ANALYSES)}")
+    obj = _load([parsed], role, ANALYSES, "analyzed")
     envelope = report_envelope("analyze", cfg, parsed.digest)
     envelope["role"] = role
-    if role == "choi":
-        report = choi_report(_choi_from_parsed(parsed), cfg)
-    elif role == "state":
-        require_matrix_scale(parsed, "state")
-        report = state_report(parsed.matrix, _bipartite_layout(parsed), cfg)
-    elif role == "stinespring":
-        st = _stinespring_from_parsed(parsed)
-        report = equivalence_check(st, cfg, context={"input": str(args.input)})
-    else:
-        raise MatrixFileError(f"role {role!r} cannot be analyzed")
-    envelope["analysis"] = report.to_json()
+    envelope["analysis"] = ANALYSES[role](obj, cfg, args.input).to_json()
     _emit(envelope, args.output)
     return EXIT_OK
 
@@ -163,93 +195,37 @@ def cmd_generate(args, cfg: ToleranceConfig) -> int:
         normalize_columns=args.normalize,
     )
     role, obj = build(spec)
-    if role in ("choi", "state"):
-        layout = obj.layout
-        payload = matrix_file_dict(
-            obj.matrix, role=role, layout=layout, dims=(obj.d_a, obj.d_b)
-        )
-    else:
-        payload = matrix_file_dict(
-            obj.matrix, role="stinespring", dims=(obj.d_a, obj.d_b, obj.d_c)
-        )
+    payload = _payload(obj, role)
     payload["generator"] = spec.to_json()
     _emit(payload, args.output)
     return EXIT_OK
 
 
-def _load_source(args) -> tuple[str, object]:
+def cmd_convert(args, cfg: ToleranceConfig) -> int:
     parsed = [load_matrix(path) for path in args.inputs]
     role = args.source or parsed[0].role
     if role is None:
-        raise MatrixFileError("input files have no role; pass --from choi|kraus|stinespring")
-    if role == "kraus":
-        ordered = ordered_kraus_files(parsed)
-        require_operator_scale(ordered, "kraus")
-        d_a, d_b = ordered[0].dims[:2]
-        return role, KrausSet(d_a, d_b, tuple(p.matrix for p in ordered))
-    if len(parsed) != 1:
-        raise MatrixFileError(f"role {role!r} expects exactly one input file")
-    if role == "choi":
-        return role, _choi_from_parsed(parsed[0])
-    if role == "stinespring":
-        return role, _stinespring_from_parsed(parsed[0])
-    raise MatrixFileError(f"role {role!r} cannot be converted")
-
-
-def cmd_convert(args, cfg: ToleranceConfig) -> int:
-    role, obj = _load_source(args)
+        raise MatrixFileError(f"input files have no role; pass --from {'|'.join(CONVERTIBLE)}")
+    obj = _load(parsed, role, CONVERTIBLE, "converted")
     target = args.target
-
-    if target == "choi":
-        if role == "choi":
-            choi = obj
-        elif role == "kraus":
-            choi = choi_from_kraus(obj)
-        else:
-            choi = choi_from_stinespring(obj)
+    if role != target:
+        obj = CONVERSIONS[role, target](obj, cfg)
+    if target != "kraus":
+        _emit(_payload(obj, target), args.output)
+        return EXIT_OK
+    if not args.output:
+        raise MatrixFileError("converting to kraus requires --output")
+    base = Path(args.output)
+    stem = base.name[: -len(base.suffix)] if base.suffix else base.name
+    count = len(obj.operators)
+    for index, op in enumerate(obj.operators):
         payload = matrix_file_dict(
-            choi.matrix, role="choi", layout=choi.layout, dims=(choi.d_a, choi.d_b)
+            op, role="kraus", dims=(obj.d_a, obj.d_b), kraus_index=index, kraus_count=count
         )
-        _emit(payload, args.output)
-        return EXIT_OK
-
-    if target == "stinespring":
-        if role == "stinespring":
-            st = obj
-        elif role == "kraus":
-            st = stinespring_from_kraus(obj)
-        else:
-            st = stinespring_from_kraus(kraus_from_choi(obj, cfg))
-        payload = matrix_file_dict(st.matrix, role="stinespring", dims=(st.d_a, st.d_b, st.d_c))
-        _emit(payload, args.output)
-        return EXIT_OK
-
-    if target == "kraus":
-        if role == "kraus":
-            kraus = obj
-        elif role == "stinespring":
-            kraus = kraus_from_stinespring(obj)
-        else:
-            kraus = kraus_from_choi(obj, cfg)
-        if not args.output:
-            raise MatrixFileError("converting to kraus requires --output")
-        base = Path(args.output)
-        stem = base.name[: -len(base.suffix)] if base.suffix else base.name
-        count = len(kraus.operators)
-        for index, op in enumerate(kraus.operators):
-            payload = matrix_file_dict(
-                op,
-                role="kraus",
-                dims=(kraus.d_a, kraus.d_b),
-                kraus_index=index,
-                kraus_count=count,
-            )
-            path = base.with_name(f"{stem}.k{index:02d}{base.suffix or '.json'}")
-            save_json(path, payload)
-            sys.stdout.write(str(path) + "\n")
-        return EXIT_OK
-
-    raise MatrixFileError(f"unknown conversion target {target!r}")
+        path = base.with_name(f"{stem}.k{index:02d}{base.suffix or '.json'}")
+        save_json(path, payload)
+        sys.stdout.write(str(path) + "\n")
+    return EXIT_OK
 
 
 def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
@@ -301,14 +277,12 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", parents=[common],
                              help="run the predicate suite on a matrix file")
     analyze.add_argument("input", help="matrix file to analyze")
-    analyze.add_argument("--as", dest="role", choices=("choi", "state", "stinespring"),
+    analyze.add_argument("--as", dest="role", choices=tuple(ANALYSES),
                          default=None, help="interpretation of the input (default: file role)")
 
     generate = sub.add_parser("generate", parents=[common],
                               help="generate a channel, state, or dilation file")
-    generate.add_argument("--kind", required=True,
-                          choices=("identity", "transpose", "dephasing", "depolarizing",
-                                   "schur", "tiles", "random-stinespring"))
+    generate.add_argument("--kind", required=True, choices=GENERATOR_KINDS)
     generate.add_argument("--dims", default=None, help="comma-separated dimensions")
     generate.add_argument("--params", default=None, help="comma-separated weights (schur)")
     generate.add_argument("--seed", type=int, default=None,
@@ -321,9 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     convert = sub.add_parser("convert", parents=[common],
                              help="convert between choi, kraus, and stinespring files")
     convert.add_argument("inputs", nargs="+", help="input file(s); kraus sets span several")
-    convert.add_argument("--to", dest="target", required=True,
-                         choices=("choi", "kraus", "stinespring"))
-    convert.add_argument("--from", dest="source", choices=("choi", "kraus", "stinespring"),
+    convert.add_argument("--to", dest="target", required=True, choices=CONVERTIBLE)
+    convert.add_argument("--from", dest="source", choices=CONVERTIBLE,
                          default=None, help="source representation (default: file role)")
 
     verify = sub.add_parser("verify-theorem", parents=[common],

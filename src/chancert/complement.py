@@ -92,22 +92,14 @@ def factor_marginals(psi: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def marginals_of(psi: np.ndarray) -> dict[str, np.ndarray]:
-    """All five marginals of |psi><psi| for tripartite vectors of shape
-    ``(..., d_a, d_b, d_c)``, keyed 'ab', 'ac', 'a', 'b', 'c'.
-
-    Leading axes index independent vectors, so one call serves a whole stack.
-    """
+def purification_marginals(st: StinespringOperator) -> dict[str, np.ndarray]:
+    """All five marginals of |L><L| keyed 'ab', 'ac', 'a', 'b', 'c'."""
+    psi = common_purification_vector(st).reshape(st.d_a, st.d_b, st.d_c)
     return {
         "ab": choi_marginal(psi),
         "ac": choi_marginal(psi.swapaxes(-2, -1)),
         **factor_marginals(psi),
     }
-
-
-def purification_marginals(st: StinespringOperator) -> dict[str, np.ndarray]:
-    """All five marginals of |L><L| keyed 'ab', 'ac', 'a', 'b', 'c'."""
-    return marginals_of(common_purification_vector(st).reshape(st.d_a, st.d_b, st.d_c))
 
 
 def complementary_pair_from_stinespring(

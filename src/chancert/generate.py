@@ -43,7 +43,7 @@ GENERATOR_ALGORITHM = "numpy-pcg64"
 SEED_DERIVATION = "SeedSequence(seed, spawn_key=(index,))"
 
 NAMED_CHANNEL_KINDS = ("identity", "transpose", "dephasing", "depolarizing")
-GENERATOR_KINDS = NAMED_CHANNEL_KINDS + ("random-stinespring", "schur", "tiles")
+GENERATOR_KINDS = NAMED_CHANNEL_KINDS + ("schur", "tiles", "random-stinespring")
 
 
 @dataclass(frozen=True)

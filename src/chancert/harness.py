@@ -39,12 +39,13 @@ run 4 samples per block.
 sample: its Choi matrices are the marginals on ab and ac from
 ``complement.choi_marginal``, cross-checked against the same Kraus-vector
 route, and its seven spectra are those of the five marginals and of the
-two partial transposes. A sample is re-run through it, and its outcome is
-what counts, whenever the batched evaluation cannot vouch for the same
-outcome: a failed check or relation, a Choi matrix that is not clearly
-PSD, or an eigenvalue within a factor ESCALATION_MARGIN outside a decision
-window. Counts, counterexample records, exceptions and exit codes are
-therefore those of a per-sample loop.
+two partial transposes. A sample's dilation, as its chunk drew it, is
+re-run through it, and its outcome is what counts, whenever the batched
+evaluation cannot vouch for the same outcome: a failed check or relation,
+a Choi matrix that is not clearly PSD, or an eigenvalue within a factor
+ESCALATION_MARGIN outside a decision window. Counts, counterexample
+records, exceptions and exit codes are therefore those of a per-sample
+loop.
 """
 
 from __future__ import annotations
@@ -54,9 +55,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import certify
+from .channels import StinespringOperator
 from .complement import choi_marginal, factor_marginals
 from .errors import CounterexampleOrBugError, FragileSampleError, PurityViolationError
-from .generate import random_dilation_stack, random_stinespring
+from .generate import random_dilation_stack
 from .linalg import FRAGILITY_FACTOR, ToleranceConfig, psd_rule, rank_rule
 
 # Memory budget of a chunk, and of a block of Choi matrices: complex entries
@@ -385,7 +387,7 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
 
     escalate = ~checks | unsure | ~phi_psd | ~psi_psd | (~fragile & (~purity | (relation != 0)))
     for k in np.flatnonzero(escalate):
-        _escalate(dims, seed, indices[k], cfg, result)
+        _escalate(StinespringOperator(d_a, d_b, d_c, stack[k]), seed, indices[k], cfg, result)
 
     counted = ~escalate & ~fragile
     result.counts["fragile_discarded"] += int(np.count_nonzero(~escalate & fragile))
@@ -393,10 +395,13 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
            witness_psi[counted], eb_phi[counted], eb_psi[counted])
 
 
-def _escalate(dims, seed: int, index: int, cfg: ToleranceConfig, result: HarnessResult):
-    """Run one sample through ``equivalence_check`` and record its outcome."""
+def _escalate(
+    st: StinespringOperator, seed: int, index: int, cfg: ToleranceConfig, result: HarnessResult
+):
+    """Run one sample's dilation, as its chunk drew it, through
+    ``equivalence_check`` and record its outcome."""
     result.escalated.append(index)
-    st = random_stinespring(*dims, seed=seed, index=index)
+    dims = (st.d_a, st.d_b, st.d_c)
     context = {"seed": seed, "index": index, "dims": list(dims)}
     try:
         report = certify.equivalence_check(st, cfg, context=context)

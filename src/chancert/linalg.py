@@ -199,7 +199,7 @@ def hermitian_eigensystem(
             f"matrix is not Hermitian within equality_tol={cfg.equality_tol}"
         )
     try:
-        w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+        w, v = np.linalg.eigh(_hermitian_part(m))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(str(exc)) from exc
     return w[::-1].copy(), v[:, ::-1].copy()
@@ -263,9 +263,16 @@ def rank_rule(w: np.ndarray, cfg: ToleranceConfig):
     return (sigma > edge).sum(axis=-1), cutoff, near
 
 
+def _hermitian_part(x: np.ndarray) -> np.ndarray:
+    """``(x + x^dagger) / 2``, formed as ``x/2 + x^dagger/2``: finite for every
+    finite square ``x``, and the same bits wherever ``x + x^dagger`` neither
+    overflows nor goes subnormal."""
+    return x / 2.0 + x.conj().T / 2.0
+
+
 def hermitian_part_spectrum(x: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of ``(x + x^dagger) / 2``, for square ``x``."""
-    return np.linalg.eigvalsh((x + x.conj().T) / 2.0)
+    return np.linalg.eigvalsh(_hermitian_part(x))
 
 
 def hermitian_spectrum(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, PsdCheck]:

@@ -43,6 +43,7 @@ from chancert.certify import (
     RANK_GAP_WITNESS,
     witness_verdict,
 )
+import chancert.certify
 import chancert.complement
 from chancert.channels import choi_from_kraus, kraus_from_choi, kraus_from_stinespring
 from chancert.errors import CounterexampleOrBugError, FragileSampleError
@@ -196,6 +197,18 @@ class TestScalingInvariance:
         assert report.predicates["ppt"].value == "no"
         assert report.predicates["eb"].value == "no"
 
+    @pytest.mark.parametrize("kind", ["identity", "dephasing", "depolarizing"])
+    def test_verdicts_at_the_largest_power_of_two(self, cfg, kind):
+        # the Hermitian part is formed as x/2 + x^dagger/2: x + x^dagger
+        # would overflow at entries of 2^1023. Only trace preservation reads
+        # the scale.
+        choi = named_channel(kind, 2)
+        verdicts = {k: v.value for k, v in choi_report(choi, cfg).predicates.items()}
+        scaled = choi_report(ChoiMatrix(2, 2, 2.0**1023 * choi.matrix), cfg)
+        assert {k: v.value for k, v in scaled.predicates.items()} == {
+            **verdicts, "trace_preserving": "no"
+        }
+
 
 def _choi_verdicts(choi: ChoiMatrix) -> dict:
     """choi_report's verdicts, the witness on its recorded ranks, and its ranks."""
@@ -322,9 +335,15 @@ class TestDegradablePptCheck:
 class TestEquivalenceCheck:
     def test_purification_marginals_formed_once(self, cfg, monkeypatch):
         calls = []
-        marginals_of = chancert.complement.marginals_of
-        monkeypatch.setattr(chancert.complement, "marginals_of",
-                            lambda psi: calls.append(psi.shape) or marginals_of(psi))
+        marginals = chancert.certify.purification_marginals
+
+        def counting(st):
+            calls.append((st.d_a, st.d_b, st.d_c))
+            return marginals(st)
+
+        # both binding sites: certify's, and complement's behind rank_chain
+        monkeypatch.setattr(chancert.certify, "purification_marginals", counting)
+        monkeypatch.setattr(chancert.complement, "purification_marginals", counting)
         equivalence_check(schur_stinespring([0.5, 0.3, 0.2]), cfg)
         assert calls == [(3, 3, 3)]
 

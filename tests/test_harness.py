@@ -35,8 +35,9 @@ from chancert import (
     random_stinespring,
 )
 from chancert.cli import main
+import chancert.generate
 import chancert.harness
-from chancert.complement import common_purification_vector, marginals_of
+from chancert.complement import choi_marginal, common_purification_vector, factor_marginals
 from chancert.harness import (
     CHUNK_ENTRIES,
     COUNT_KEYS,
@@ -162,6 +163,27 @@ def test_wide_command_draws_once(monkeypatch):
                         lambda *args: calls.append(args[-1]) or draw(*args))
     run_harness((4, 4, 16), 50, 3003, DEFAULT_TOLERANCES)
     assert calls == [range(50)]
+
+
+def test_escalations_check_the_drawn_dilations(monkeypatch):
+    # an escalated sample goes to the oracle as its chunk drew it: one draw
+    # for the whole run, whichever module the draw is reached through
+    calls = []
+    draw = chancert.generate.random_dilation_stack
+
+    def counting(*args):
+        calls.append(args[-1])
+        return draw(*args)
+
+    monkeypatch.setattr(chancert.harness, "random_dilation_stack", counting)
+    monkeypatch.setattr(chancert.generate, "random_dilation_stack", counting)
+    cfg = ToleranceConfig(rank_tol=1e-3)
+    result = run_harness((2, 2, 3), 50, 8, cfg)
+    assert calls == [range(50)]
+    assert result.escalated == [2, 12, 13, 16, 19, 24, 28, 30, 33, 36, 38, 39, 40, 41, 42, 44, 49]
+    monkeypatch.undo()
+    counts, counterexamples, _ = per_sample((2, 2, 3), 50, 8, cfg)
+    assert (result.counts, result.counterexamples) == (counts, counterexamples)
 
 
 def test_wide_command_peak_allocation():
@@ -450,7 +472,9 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     flags, of its computed spectrum. Returns the number of stand-in rows,
     those unequal to the computed spectrum."""
     n = vector.shape[0]
-    hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals_of(vector).items()}
+    marginals = {"ab": choi_marginal(vector), "ac": choi_marginal(vector.swapaxes(2, 3)),
+                 **factor_marginals(vector)}
+    hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals.items()}
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
     spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
     spectra["ab"], spectra["c"], *_ = _complementary_pair(vector, hermitian["c"], trace, cfg)

@@ -425,6 +425,97 @@ class TestCliGenerateConvert:
                      "--output", str(tmp_path / "k.json")]) == 3
 
 
+def choi_of_operators(ops: np.ndarray) -> np.ndarray:
+    """The Choi matrix of Kraus operators stacked as (n, d_b, d_a), written
+    out from its definition: entry ((a, b), (x, y)) is sum_k K_k[b, a] conj(K_k[y, x])."""
+    _, d_b, d_a = ops.shape
+    return np.einsum("kba,kyx->abxy", ops, ops.conj()).reshape(d_a * d_b, d_a * d_b)
+
+
+def choi_of_files(paths: list[Path]) -> np.ndarray:
+    """The Choi matrix that a choi file, a Kraus set or a dilation file holds."""
+    parsed = [load_matrix(p) for p in paths]
+    if parsed[0].role == "choi":
+        return parsed[0].matrix
+    if parsed[0].role == "kraus":
+        ordered = sorted(parsed, key=lambda p: p.kraus_index)
+        return choi_of_operators(np.stack([p.matrix for p in ordered]))
+    d_a, d_b, d_c = parsed[0].dims
+    return choi_of_operators(parsed[0].matrix.reshape(d_b, d_c, d_a).transpose(1, 0, 2))
+
+
+class TestRoleTable:
+    """Every role the command line reads: each conversion keeps the map, and
+    each refusal has its exit code and its one stderr line."""
+
+    @staticmethod
+    def sources(tmp_path: Path) -> dict[str, list[Path]]:
+        choi = tmp_path / "deph.json"
+        dilation = tmp_path / "dil.json"
+        assert main(["generate", "--kind", "dephasing", "--dims", "3", "--output", str(choi)]) == 0
+        assert main(["generate", "--kind", "random-stinespring", "--dims", "2,2,3", "--seed", "5",
+                     "--output", str(dilation)]) == 0
+        assert main(["convert", str(choi), "--to", "kraus",
+                     "--output", str(tmp_path / "k.json")]) == 0
+        return {"choi": [choi], "kraus": sorted(tmp_path.glob("k.k*.json")),
+                "stinespring": [dilation]}
+
+    @pytest.mark.parametrize("target", ["choi", "kraus", "stinespring"])
+    @pytest.mark.parametrize("source", ["choi", "kraus", "stinespring"])
+    def test_conversion_keeps_the_map(self, tmp_path, source, target):
+        inputs = self.sources(tmp_path)[source]
+        out = tmp_path / "out" / "x.json"
+        out.parent.mkdir()
+        assert main(["convert", *map(str, inputs), "--to", target, "--output", str(out)]) == 0
+        written = sorted(out.parent.glob("x.k*.json")) if target == "kraus" else [out]
+        want, got = choi_of_files(inputs), choi_of_files(written)
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    @staticmethod
+    def edited(src: Path, dst: Path, drop=(), **changes) -> str:
+        obj = json.loads(src.read_text())
+        for key in drop:
+            del obj[key]
+        obj.update(changes)
+        dst.write_text(json.dumps(obj))
+        return str(dst)
+
+    def error_table(self, tmp_path: Path) -> list[tuple[list[str], int, str]]:
+        files = self.sources(tmp_path)
+        choi, dilation = str(files["choi"][0]), files["stinespring"][0]
+        state = tmp_path / "tiles.json"
+        assert main(["generate", "--kind", "tiles", "--output", str(state)]) == 0
+        roleless = self.edited(files["choi"][0], tmp_path / "bare.json", drop=("role",))
+        no_dims = self.edited(dilation, tmp_path / "nodims.json", drop=("dims",))
+        bad_state = self.edited(state, tmp_path / "bad.json", drop=("layout",), dims=[3, 2])
+        state = str(state)
+        return [
+            (["analyze", roleless], 2,
+             "error: input file has no role; pass --as choi|state|stinespring"),
+            (["convert", roleless, "--to", "choi"], 2,
+             "error: input files have no role; pass --from choi|kraus|stinespring"),
+            (["analyze", str(files["kraus"][0])], 2, "error: role 'kraus' cannot be analyzed"),
+            (["convert", state, "--to", "choi"], 2, "error: role 'state' cannot be converted"),
+            (["convert", state, state, "--to", "choi"], 2,
+             "error: role 'state' expects exactly one input file"),
+            (["convert", choi, choi, "--to", "kraus", "--output", str(tmp_path / "k2.json")], 2,
+             "error: role 'choi' expects exactly one input file"),
+            (["convert", choi, "--to", "kraus"], 2, "error: converting to kraus requires --output"),
+            (["analyze", no_dims], 2, "error: stinespring files require dims [d_a, d_b, d_c]"),
+            (["convert", no_dims, "--to", "choi"], 2,
+             "error: stinespring files require dims [d_a, d_b, d_c]"),
+            (["analyze", bad_state], 3,
+             "precondition failed: matrix shape (9, 9) does not match layout (3 x 2 = 6)"),
+        ]
+
+    def test_refusals(self, tmp_path, capsys):
+        table = self.error_table(tmp_path)
+        capsys.readouterr()
+        for argv, rc, line in table:
+            assert main(argv) == rc, argv
+            assert capsys.readouterr() == ("", line + "\n"), argv
+
+
 def scaled_copy(src: Path, dst: Path, scale: float) -> Path:
     """``src`` with every entry multiplied by ``scale``, written to ``dst``."""
     obj = json.loads(src.read_text())

@@ -159,6 +159,11 @@ class TestHermitianEigensystem:
         with pytest.raises(NonHermitianError):
             hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_largest_power_of_two_does_not_overflow(self):
+        w, v = hermitian_eigensystem(2.0**1023 * np.eye(3))
+        np.testing.assert_array_equal(w, [2.0**1023] * 3)
+        np.testing.assert_allclose(v @ v.conj().T, np.eye(3), atol=1e-14)
+
     def test_reconstruction_on_many_random_matrices(self, cfg):
         # 1000 random Hermitian matrices up to dimension 16
         rng = np.random.default_rng(6)
