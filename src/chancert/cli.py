@@ -158,7 +158,7 @@ def _load(parsed: list[ParsedMatrix], role: str, accepted, verb: str):
     layout = p.layout
     if layout is None:
         if p.dims is None or len(p.dims) != 2:
-            raise MatrixFileError("matrix file needs a layout or two-entry dims to be analyzed")
+            raise MatrixFileError(f"matrix file needs a layout or two-entry dims to be {verb}")
         layout = BipartiteLayout(*p.dims)
     if role == "choi":
         return ChoiMatrix(layout.d_left, layout.d_right, p.matrix)

@@ -8,6 +8,13 @@ NaN and infinity are rejected in both directions.
 Report files are deterministic given (input, flags, seed) except for the
 ``timestamp`` field.
 
+Every output, file or stdout, is encoded by ``dumps``: chancert's own JSON
+encoder, whose bytes are exactly those of
+``json.dumps(obj, sort_keys=True, allow_nan=False, indent=1)``. The standard
+library encodes through its C accelerator only without ``indent``, so an
+indented dump runs every float through pure-Python generators; ``dumps``
+joins a list of floats with one C-level ``map(float.__repr__, ...)``.
+
 Every output file is written by ``save_json``, in place: an existing file
 is overwritten and then cut to the new length, never truncated to zero
 first, so it keeps its inode and permission bits, and a symlink is followed
@@ -20,10 +27,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import stat
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -77,7 +86,55 @@ def loads(text: str) -> dict:
 
 
 def dumps(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, allow_nan=False, indent=1)
+    """``obj`` as ``json.dumps(obj, sort_keys=True, allow_nan=False, indent=1)``
+    writes it, byte for byte. Dict keys must be strings. A NaN or infinity
+    raises ValueError with json's message, any other type TypeError."""
+    return _encode(obj, "")
+
+
+def _float_list(items, sep: str) -> str | None:
+    """The entries of ``items`` joined by ``sep`` if all are finite floats, else None."""
+    if not isinstance(items[0], float):
+        return None
+    try:
+        text = sep.join(map(float.__repr__, items))
+    except TypeError:  # an entry is not a float
+        return None
+    # "nan", "inf" and "-inf" are the only float reprs with an "n" in them.
+    return None if "n" in text else text
+
+
+def _encode(obj, indent: str) -> str:
+    """``obj`` as ``dumps`` writes it, nested ``len(indent)`` levels deep."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return float.__repr__(obj)
+        raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + " "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        body = _float_list(obj, sep) or sep.join([_encode(x, inner) for x in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = sep.join(
+            [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def matrix_file_dict(

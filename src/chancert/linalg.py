@@ -93,7 +93,7 @@ def as_matrix(x) -> np.ndarray:
     m = np.asarray(x, dtype=complex)
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-d matrix, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise DimensionMismatchError("matrix entries must be finite (no NaN/Inf)")
     return m
 

@@ -124,6 +124,117 @@ class TestMatrixFiles:
         assert main(["analyze", str(path)]) == 2
 
 
+def json_reference(obj) -> str:
+    return json.dumps(obj, sort_keys=True, allow_nan=False, indent=1)
+
+
+JSON_STRINGS = st.one_of(st.text(), st.sampled_from(["", "\x00\x1f\t\n\"\\/", "é€", "\u2028",
+                                                      "\U0001f600", "\ud800"]))
+JSON_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, 1e16, 0.1]))
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-(2**80), 2**80),
+                         JSON_FLOATS, JSON_STRINGS)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(JSON_FLOATS, max_size=5),  # all floats: the joined path
+        st.lists(JSON_FLOATS, min_size=1, max_size=4).map(lambda xs: [*xs, 1, False]),
+        st.dictionaries(JSON_STRINGS, children, max_size=5),
+    ),
+    max_leaves=40,
+)
+
+
+class TestEncoder:
+    """``dumps`` writes exactly the bytes of json.dumps(sort_keys=True,
+    allow_nan=False, indent=1), errors included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=st.dictionaries(JSON_STRINGS, JSON_VALUES, max_size=6))
+    def test_bytes_match_json(self, obj):
+        assert dumps(obj) == json_reference(obj)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+    @pytest.mark.parametrize("place", [
+        lambda x: x,
+        lambda x: {"a": x},
+        lambda x: {"re": [[0.5, 1.0], [0.25, x]]},
+        lambda x: {"a": {"b": [1, "c", (2.0, x)]}, "z": [math.nan]},
+        lambda x: [x, math.nan],
+    ])
+    def test_non_finite_float_raises_json_error(self, bad, place):
+        obj = place(bad)
+        with pytest.raises(ValueError) as expected:
+            json_reference(obj)
+        with pytest.raises(ValueError) as raised:
+            dumps(obj)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"Out of range float values are not JSON compliant: {bad!r}"
+
+    @pytest.mark.parametrize("obj", [
+        {"a": object()}, {"a": np.int64(1)}, {"a": [1.0, {1, 2}]}, {1: "one"}, {"a": b"x"},
+    ])
+    def test_other_types_raise_type_error(self, obj):
+        with pytest.raises(TypeError):
+            dumps(obj)
+
+
+class TestOutputFormat:
+    """Every file and stdout text that a command writes is the text json.dumps
+    writes for the same object, and json.dumps is not called to write it."""
+
+    @staticmethod
+    def commands(tmp_path: Path) -> list[list[str]]:
+        """generate of each kind, analyze of each role, convert to each
+        target and verify-theorem, each writing to stdout and to a file."""
+        sources = {
+            "choi": ["--kind", "depolarizing", "--dims", "3"],
+            "state": ["--kind", "tiles"],
+            "stinespring": ["--kind", "random-stinespring", "--dims", "2,2,3", "--seed", "4"],
+        }
+        argvs = [["generate", *args] for args in (
+            *sources.values(),
+            *(["--kind", kind, "--dims", "2"] for kind in ("identity", "transpose", "dephasing")),
+            ["--kind", "schur", "--params", "0.5,0.3,0.2"],
+            ["--kind", "random-stinespring", "--dims", "3,2,4", "--seed", "9", "--index", "2",
+             "--normalize"],
+        )]
+        argvs.append(["verify-theorem", "--dims", "2,2,3", "--trials", "20", "--seed", "3"])
+        for role, args in sources.items():
+            path = str(tmp_path / f"{role}.json")
+            assert main(["generate", *args, "--output", path]) == 0
+            argvs.append(["analyze", path])
+            if role != "state":
+                argvs += [["convert", path, "--to", target] for target in ("choi", "stinespring")]
+        with_output = [[*argv, "--output", str(tmp_path / "out" / f"{i}.json")]
+                       for i, argv in enumerate(argvs)]
+        kraus = [["convert", str(tmp_path / f"{role}.json"), "--to", "kraus",
+                  "--output", str(tmp_path / "out" / f"{role}-kraus.json")]
+                 for role in ("choi", "stinespring")]
+        return argvs + with_output + kraus
+
+    def test_outputs_are_json_dumps_text(self, tmp_path, capsys, monkeypatch):
+        argvs = self.commands(tmp_path)
+        (tmp_path / "out").mkdir()
+        capsys.readouterr()
+        texts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(json, "dumps", lambda *args, **kwargs: pytest.fail("json.dumps called"))
+            for argv in argvs:
+                assert main(argv) == 0, argv
+                out, err = capsys.readouterr()
+                assert err == ""
+                if "--output" not in argv:
+                    texts.append(out)
+        files = sorted((tmp_path / "out").iterdir())
+        assert len(texts) == 16 and len(files) == 16 + 9 + 3  # the Kraus ranks are 9 and 3
+        texts += [path.read_text() for path in files]
+        for text in texts:
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n"
+
+
 class TestCliAnalyze:
     def test_identity_choi(self, tmp_path, capsys):
         choi_path = tmp_path / "id.json"
@@ -488,6 +599,8 @@ class TestRoleTable:
         roleless = self.edited(files["choi"][0], tmp_path / "bare.json", drop=("role",))
         no_dims = self.edited(dilation, tmp_path / "nodims.json", drop=("dims",))
         bad_state = self.edited(state, tmp_path / "bad.json", drop=("layout",), dims=[3, 2])
+        no_layout = self.edited(files["choi"][0], tmp_path / "nolayout.json",
+                                drop=("layout", "dims"))
         state = str(state)
         return [
             (["analyze", roleless], 2,
@@ -506,6 +619,10 @@ class TestRoleTable:
              "error: stinespring files require dims [d_a, d_b, d_c]"),
             (["analyze", bad_state], 3,
              "precondition failed: matrix shape (9, 9) does not match layout (3 x 2 = 6)"),
+            (["analyze", no_layout], 2,
+             "error: matrix file needs a layout or two-entry dims to be analyzed"),
+            (["convert", no_layout, "--to", "stinespring"], 2,
+             "error: matrix file needs a layout or two-entry dims to be converted"),
         ]
 
     def test_refusals(self, tmp_path, capsys):

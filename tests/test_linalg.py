@@ -17,7 +17,7 @@ from chancert import (
     rank_decision,
 )
 from chancert.errors import DimensionMismatchError
-from chancert.linalg import FRAGILITY_FACTOR
+from chancert.linalg import FRAGILITY_FACTOR, as_matrix
 
 from conftest import complex_gaussian, random_hermitian, random_psd
 
@@ -41,6 +41,21 @@ class TestToleranceConfig:
     def test_rejects_out_of_range(self, bad):
         with pytest.raises(ValueError):
             ToleranceConfig(psd_tol=bad)
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("entry", [
+        complex(float("nan"), 0.0),
+        complex(0.0, float("inf")),
+        complex(0.0, float("-inf")),
+        complex(float("inf"), float("nan")),
+    ])
+    def test_non_finite_entry_rejected(self, entry):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = entry
+        with pytest.raises(DimensionMismatchError) as raised:
+            as_matrix(m)
+        assert str(raised.value) == "matrix entries must be finite (no NaN/Inf)"
 
 
 class TestPartialTrace:
