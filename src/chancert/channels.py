@@ -220,7 +220,8 @@ def kraus_from_stinespring(st: StinespringOperator) -> KrausSet:
 def choi_from_stinespring(st: StinespringOperator) -> ChoiMatrix:
     """Choi matrix of X -> Tr_C(L X L^dagger), by the Kraus-vector route
     V V^dagger: the rows (a, b) of V hold L's entries over c. The einsum of
-    ``complement.choi_marginal`` is the other route to the same matrix."""
+    ``complement.choi_marginal`` is the oracle's other route to the same
+    matrix; the ``verify-theorem`` engine's is a float64 product."""
     v = st.matrix.T.reshape(st.d_a * st.d_b, st.d_c)
     return ChoiMatrix(st.d_a, st.d_b, v @ v.conj().T)
 

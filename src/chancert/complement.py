@@ -67,16 +67,14 @@ def common_purification_vector(st: StinespringOperator) -> np.ndarray:
     return st.matrix.T.reshape(-1).copy()
 
 
-def choi_marginal(psi: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def choi_marginal(psi: np.ndarray) -> np.ndarray:
     """The marginal of |psi><psi| on the first two factors, as a matrix, for
     tripartite vectors of shape ``(..., d_a, d_b, d_c)``: the Choi matrix of
     the map that traces out c. Given ``psi`` with b and c swapped, it is the
-    Choi matrix of the complement. ``out``, a C-contiguous complex array of
-    the result's shape, receives it if given.
+    Choi matrix of the complement.
     """
     *lead, d_a, d_b, _ = psi.shape
-    if out is None:
-        out = np.empty((*lead, d_a * d_b, d_a * d_b), dtype=complex)
+    out = np.empty((*lead, d_a * d_b, d_a * d_b), dtype=complex)
     np.einsum("...abc,...xyc->...abxy", psi, psi.conj(), out=out.reshape(*lead, d_a, d_b, d_a, d_b))
     return out
 

@@ -12,14 +12,18 @@ run 4 samples per block.
 1. draw the chunk's dilations from the per-sample streams
    ``SeedSequence(seed, spawn_key=(index,))`` that ``random_stinespring``
    uses, bit for bit;
-2. form the marginals on a, b and c with stacked einsums and take each
-   one's Hermitian part in one pass that also measures its deviation;
-   Frobenius norms sum over the float64 view, each marginal's once;
+2. form the marginals on a, b and c as stacked Gram products (``matmul``)
+   of reshapes of the chunk's vectors and take each one's Hermitian part
+   in one pass that also measures its deviation; Frobenius norms sum over
+   the float64 view, each marginal's once;
 3. per complementary pair, phi's Choi matrix with the marginal on c and
    psi's with the marginal on b (psi is phi of the vector with b and c
-   swapped), block by block: form the Choi matrix by einsum, cross-check it
-   against the Kraus-vector route ``V V^dagger``, a matmul over the same
-   contraction, and take its Hermitian part and its deviation;
+   swapped), block by block: form the Choi matrix as the same Gram product
+   in real arithmetic, one float64 ``matmul`` (``_purification_choi``),
+   cross-check it against the Kraus-vector route ``V V^dagger``, a complex
+   ``matmul``, and take its Hermitian part and its deviation. The two
+   routes run different BLAS kernels (dgemm and zgemm), so the check
+   compares two computations, not one twice;
 4. derive PSD flags, ranks and fragility from eigenvalues with
    ``psd_rule`` and ``rank_rule``, the rules behind every ``PsdCheck`` and
    ``RankDecision``. The marginal on a, and the narrower side of each
@@ -36,10 +40,13 @@ run 4 samples per block.
    in ``certify`` that ``equivalence_check`` calls as well.
 
 ``equivalence_check`` stays the oracle. It reads the same records of one
-sample: its Choi matrices are the marginals on ab and ac from
-``complement.choi_marginal``, cross-checked against the same Kraus-vector
-route, and its seven spectra are those of the five marginals and of the
-two partial transposes. A sample's dilation, as its chunk drew it, is
+sample, from matrices formed by einsum in ``complement``: its Choi
+matrices are the marginals on ab and ac from ``complement.choi_marginal``,
+cross-checked against the same Kraus-vector route, and its seven spectra
+are those of the five marginals and of the two partial transposes. The
+engine's products round differently, so its matrices match the oracle's
+only to rounding; the escalation margins below absorb that, as they absorb
+the engine's other shortcuts. A sample's dilation, as its chunk drew it, is
 re-run through it, and its outcome is what counts, whenever the batched
 evaluation cannot vouch for the same outcome: a failed check or relation,
 a Choi matrix that is not clearly PSD, or an eigenvalue within a factor
@@ -56,7 +63,6 @@ import numpy as np
 
 from . import certify
 from .channels import StinespringOperator
-from .complement import choi_marginal, factor_marginals
 from .errors import CounterexampleOrBugError, FragileSampleError, PurityViolationError
 from .generate import random_dilation_stack
 from .linalg import FRAGILITY_FACTOR, ToleranceConfig, psd_rule, rank_rule
@@ -132,6 +138,46 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     """Frobenius norms of a stack of complex matrices, summed over their float64 view."""
     parts = x.view(np.float64)
     return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
+
+
+def _factor_marginals(vector: np.ndarray, swapped: np.ndarray) -> dict[str, np.ndarray]:
+    """The marginals on a, b and c of C-contiguous tripartite vectors of shape
+    (n, d_a, d_b, d_c), keyed 'a', 'b', 'c', given ``swapped``, the same
+    vectors with b and c swapped, C-contiguous too: each a stacked Gram
+    product of reshapes, L_a = X X^dagger of the rows a and
+    L_c = Y^T conj(Y) of the columns c, and L_b as L_c of ``swapped``."""
+    n, d_a, d_b, d_c = vector.shape
+    conj, swapped_conj = vector.conj(), swapped.conj()
+    return {
+        "a": np.matmul(vector.reshape(n, d_a, -1), conj.reshape(n, d_a, -1).swapaxes(1, 2)),
+        "b": np.matmul(swapped.reshape(n, -1, d_b).swapaxes(1, 2),
+                       swapped_conj.reshape(n, -1, d_b)),
+        "c": np.matmul(vector.reshape(n, -1, d_c).swapaxes(1, 2), conj.reshape(n, -1, d_c)),
+    }
+
+
+def _purification_choi(v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The marginals on ab of C-contiguous tripartite vectors of shape
+    (m, d_a, d_b, d_c), the Choi matrices of the maps that trace out c,
+    written into ``out``, a C-contiguous complex array of their shape, in
+    real arithmetic.
+
+    With F the float64 view of the rows (a, b) over c, and G their
+    (im, -re) pairs, Re J = F F^T and Im J = G F^T. One float64 matmul
+    forms both, into the float64 view of ``out``: its right factor
+    interleaves the rows of F and of -G, the float64 view of i times the
+    rows. So this route is a real product (dgemm), distinct from the complex
+    one of the Kraus-vector route (zgemm) that ``_agrees`` checks it against.
+    """
+    m, d_a, d_b, d_c = v.shape
+    side = d_a * d_b
+    rows = v.reshape(m, side, d_c)
+    pairs = np.empty((m, side, 2, d_c), dtype=complex)
+    pairs[:, :, 0] = rows
+    np.multiply(rows, 1j, out=pairs[:, :, 1])
+    right = pairs.view(np.float64).reshape(m, 2 * side, 2 * d_c).swapaxes(1, 2)
+    np.matmul(rows.view(np.float64), right, out=out.view(np.float64))
+    return out
 
 
 def _hermitian_part(
@@ -250,14 +296,20 @@ def _wide_spectra(
     # spectrum (Schmidt decomposition), so h's exact spectrum is the exact
     # narrow spectrum padded with zeros. Let k be the narrow width. Both
     # sides are computed within a multiple of eps * trace of exact:
-    # - an einsum contracting over l terms errs by at most (l + 2) eps/2 *
-    #   trace in Frobenius norm; the narrow marginal contracts over dim terms
-    #   and h over k, (dim + k + 4) eps/2 * trace together;
+    # - a Gram product over l complex terms errs by at most 3/2 l eps *
+    #   trace in Frobenius norm, whichever BLAS kernel sums it, since any
+    #   summation order obeys the dot-product bound gamma_n = n eps/2 (to
+    #   first order). The complex route (a factor marginal) errs by
+    #   gamma_{l+2} per unit of the rows' norms, (l + 2) eps/2 <= 3/2 l eps.
+    #   The real route (a Choi matrix) sums 2 l real terms for Re and Im
+    #   each, sqrt(2) gamma_{2l} together, below 3/2 l eps. The narrow
+    #   marginal contracts over dim terms and h over k, 3/2 (dim + k) eps *
+    #   trace together;
     # - each Hermitian part is exactly Hermitian and adds eps * trace;
     # - eigvalsh adds p(dim) eps ||h||_2, below dim/4 eps ||h||_2 against
     #   40-digit mpmath spectra (see _certified_npt), and ||h||_2 <= trace.
     # By Weyl's inequality the i-th computed eigenvalue of h thus lies within
-    # (3/4 (dim + k) + 4) eps * trace <= 3 (dim + k) eps * trace of the i-th
+    # (7/4 (dim + k) + 2) eps * trace <= 3 (dim + k) eps * trace of the i-th
     # padded narrow one, both ascending. delta is more than ten times that;
     # the spare factor absorbs the rounding of trace, of delta and of the
     # interval ends. psd_rule's threshold and rank_rule's cutoff are monotone
@@ -316,7 +368,7 @@ def _complementary_pair(
     for block in (slice(start, start + size) for start in range(0, n, size)):
         v = vector[block]
         m = v.shape[0]
-        choi = choi_marginal(v, out=choi_out[:m])
+        choi = _purification_choi(v, choi_out[:m])
         norm = _frobenius(choi)
         # Kraus-vector route: the rows (a, b) of V hold L's entries over c
         kraus = v.reshape(m, side, d_c)
@@ -349,13 +401,15 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
     stack = random_dilation_stack(d_a, d_b, d_c, seed, indices)
 
     # Purification route: |L> indexed (a, b, c), as common_purification_vector.
-    # Contiguous copies, here and of psi's vector with b and c swapped: the
-    # einsums run faster than on strided views.
+    # Contiguous copies, here and of psi's vector with b and c swapped (psi's
+    # Choi matrices, and the marginal on b): every product reads them through
+    # reshapes and float64 views, which need no copy.
     vector = np.ascontiguousarray(stack.swapaxes(1, 2)).reshape(n, d_a, d_b, d_c)
+    swapped = np.ascontiguousarray(vector.swapaxes(2, 3))
     trace = np.square(_frobenius(stack))
     checks = np.ones(n, dtype=bool)
     hermitian = {}
-    for key, matrix in factor_marginals(vector).items():
+    for key, matrix in _factor_marginals(vector, swapped).items():
         hermitian[key], clear = _hermitian_part(matrix, _frobenius(matrix), cfg)
         checks &= clear
     spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
@@ -363,7 +417,7 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
         vector, hermitian["c"], trace, cfg
     )
     spectra["ac"], spectra["b"], psi_checks, psi_pt, near_psi_pt = _complementary_pair(
-        np.ascontiguousarray(vector.swapaxes(2, 3)), hermitian["b"], trace, cfg
+        swapped, hermitian["b"], trace, cfg
     )
     checks &= phi_checks & psi_checks
     phi_psd, near_phi = _psd_flags(spectra["ab"], cfg)

@@ -45,10 +45,12 @@ from chancert.harness import (
     MINOR_ROUNDING,
     _certified_npt,
     _complementary_pair,
+    _factor_marginals,
     _frobenius,
     _partial_transpose_flags,
     _partial_transpose_left,
     _psd_flags,
+    _purification_choi,
     _rank_flags,
     _wide_spectra,
     block_size,
@@ -226,12 +228,13 @@ def test_default_tolerances_need_no_escalation():
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)
 def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
-    # The einsums form bitwise Hermitian marginals, so only an injected fault
-    # makes the engine's Hermitian checks fire. Each chosen sample gets an
-    # anti-Hermitian part i r M on one marginal M, r = 3/40 equality_tol:
-    # its deviation, 2r, fails the check against equality_tol/10, while a
-    # Choi matrix stays within equality_tol/10 of the V V^dagger route. The
-    # oracle forms its marginals through chancert.complement, unpatched.
+    # The engine's products deviate from Hermitian only by rounding, so only
+    # an injected fault makes its Hermitian checks fire. Each chosen sample
+    # gets an anti-Hermitian part i r M on one marginal M, r = 3/40
+    # equality_tol: its deviation, 2r, fails the check against
+    # equality_tol/10, while a Choi matrix stays within equality_tol/10 of
+    # the V V^dagger route. The oracle forms its marginals through
+    # chancert.complement, unpatched.
     cfg, seed, trials = DEFAULT_TOLERANCES, 3003, 12
     faults = {"phi": 1, "psi": 5, "a": 7, "b": 9, "c": 10}
     draws = {key: random_stinespring(*dims, seed=seed, index=i) for key, i in faults.items()}
@@ -246,28 +249,100 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
         return len(hits)
 
     injected = Counter()
-    choi_marginal = chancert.harness.choi_marginal
-    factor_marginals = chancert.harness.factor_marginals
+    purification_choi = chancert.harness._purification_choi
+    factor_marginals = chancert.harness._factor_marginals
 
-    def spoiled_choi(psi, out=None):
-        choi = choi_marginal(psi, out=out)
+    def spoiled_choi(v, out):
+        choi = purification_choi(v, out)
         for key in ("phi", "psi"):
-            injected[key] += inject(choi, key, psi)
+            injected[key] += inject(choi, key, v)
         return choi
 
-    def spoiled_factors(psi):
-        marginals = factor_marginals(psi)
+    def spoiled_factors(vector, swapped):
+        marginals = factor_marginals(vector, swapped)
         for key in ("a", "b", "c"):
-            injected[key] += inject(marginals[key], key, psi)
+            injected[key] += inject(marginals[key], key, vector)
         return marginals
 
-    monkeypatch.setattr(chancert.harness, "choi_marginal", spoiled_choi)
-    monkeypatch.setattr(chancert.harness, "factor_marginals", spoiled_factors)
+    monkeypatch.setattr(chancert.harness, "_purification_choi", spoiled_choi)
+    monkeypatch.setattr(chancert.harness, "_factor_marginals", spoiled_factors)
     result = run_harness(dims, trials, seed, cfg)
     assert injected == dict.fromkeys(faults, 1)
     assert sorted(result.escalated) == sorted(faults.values())
     counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
     assert (result.counts, result.counterexamples) == (counts, counterexamples)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)
+def test_spoiled_purification_route_escalates_every_sample(dims, monkeypatch):
+    # The purification route formed from the vector with b and c swapped, read
+    # back in the (a, b, c) shape, is another matrix: the cross-check against
+    # V V^dagger fails on every sample, and the oracle decides them all
+    purification_choi = chancert.harness._purification_choi
+
+    def spoiled(v, out):
+        return purification_choi(np.ascontiguousarray(v.swapaxes(2, 3)).reshape(v.shape), out)
+
+    monkeypatch.setattr(chancert.harness, "_purification_choi", spoiled)
+    cfg, seed, trials = DEFAULT_TOLERANCES, 3003, 12
+    result = run_harness(dims, trials, seed, cfg)
+    assert result.escalated == list(range(trials))
+    counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+    assert (result.counts, result.counterexamples) == (counts, counterexamples)
+
+
+def engine_marginals(vector, swapped) -> dict:
+    """The five marginals of C-contiguous tripartite vectors, given also with
+    b and c swapped, formed with the engine's products, keyed as
+    ``purification_marginals``."""
+    marginals = {}
+    for key, v in (("ab", vector), ("ac", swapped)):
+        n, d_a, d_b, _ = v.shape
+        marginals[key] = _purification_choi(v, np.empty((n, d_a * d_b, d_a * d_b), dtype=complex))
+    return {**marginals, **_factor_marginals(vector, swapped)}
+
+
+@pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
+def test_products_within_the_rounding_bound(dims):
+    # _wide_spectra takes every marginal the engine forms, over l complex
+    # terms, within 3/2 l eps tr of exact in Frobenius norm; the einsums of
+    # chancert.complement err by at most (l + 2)/2 eps tr, so the two lie
+    # within (2 l + 1) eps tr of each other, sample by sample
+    d_a, d_b, d_c = dims
+    n, eps = 40, np.finfo(np.float64).eps
+    vector = np.stack([common_purification_vector(random_stinespring(*dims, seed=3003, index=i))
+                       for i in range(n)]).reshape(n, *dims)
+    trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
+    engine = engine_marginals(vector, np.ascontiguousarray(vector.swapaxes(2, 3)))
+    reference = {"ab": choi_marginal(vector), "ac": choi_marginal(vector.swapaxes(2, 3)),
+                 **factor_marginals(vector)}
+    terms = {"ab": d_c, "ac": d_b, "a": d_b * d_c, "b": d_a * d_c, "c": d_a * d_b}
+    for key, l in terms.items():
+        error = _frobenius(engine[key] - reference[key])
+        assert (error <= (2 * l + 1) * eps * trace).all(), key
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)
+def test_products_are_blas_products(dims, monkeypatch):
+    # no complex einsum on the engine's path, and the purification route is
+    # a float64 product: a complex one would make the cross-check against
+    # the complex Kraus-vector route compare a kernel with itself
+    einsums, choi_matmuls = [], []
+
+    def einsum(*args, _original=np.einsum, **kwargs):
+        einsums.extend(x.dtype for x in args[1:])
+        return _original(*args, **kwargs)
+
+    def matmul(*args, _original=np.matmul, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_purification_choi":
+            choi_matmuls.extend(x.dtype for x in args)
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert run_harness(dims, 20, 3003, DEFAULT_TOLERANCES).escalated == []
+    assert set(einsums) == {np.dtype(np.float64)}
+    assert choi_matmuls and set(choi_matmuls) == {np.dtype(np.float64)}
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (4, 4, 16)], ids=dims_id)
@@ -470,16 +545,18 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     """Every marginal of a stack of tripartite vectors gets from
     ``_complementary_pair`` the rank flags, and each Choi matrix the PSD
     flags, of its computed spectrum. Returns the number of stand-in rows,
-    those unequal to the computed spectrum."""
+    those unequal to the computed spectrum. The spectra are those of the
+    matrices the engine forms, with its own products."""
     n = vector.shape[0]
-    marginals = {"ab": choi_marginal(vector), "ac": choi_marginal(vector.swapaxes(2, 3)),
-                 **factor_marginals(vector)}
+    vector = np.ascontiguousarray(vector)
+    swapped = np.ascontiguousarray(vector.swapaxes(2, 3))
+    marginals = engine_marginals(vector, swapped)
     hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals.items()}
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
     spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
     spectra["ab"], spectra["c"], *_ = _complementary_pair(vector, hermitian["c"], trace, cfg)
     spectra["ac"], spectra["b"], *_ = _complementary_pair(
-        vector.swapaxes(2, 3), hermitian["b"], trace, cfg
+        swapped, hermitian["b"], trace, cfg
     )
     stand_ins = 0
     for key, h in hermitian.items():
