@@ -248,8 +248,11 @@ def random_dilation_stack(d_a: int, d_b: int, d_c: int, seed: int, indices) -> n
     ``indices``, bit for bit, stacked into shape ``(len(indices), d_b * d_c, d_a)``.
 
     Sample i draws the real parts, then the imaginary parts, from
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and divides by
-    sqrt(2). An index of None draws from the stream of ``seed`` itself.
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and multiplies
+    them by 1 / sqrt(2), the reciprocal that numpy's complex division by
+    sqrt(2) applies: a nonzero draw gets the bits of
+    ``(re + 1j * im) / np.sqrt(2.0)``, and a zero keeps its sign. An index of
+    None draws from the stream of ``seed`` itself.
     The streams' seed words are derived for all indices at once; each sample
     then costs one ``PCG64``, one ``Generator`` and its draw. Raises
     ValueError for a negative seed or index.
@@ -260,7 +263,10 @@ def random_dilation_stack(d_a: int, d_b: int, d_c: int, seed: int, indices) -> n
     draws = np.empty((len(states), 2, d_b * d_c, d_a))
     for state, out in zip(states, draws):
         np.random.Generator(np.random.PCG64(_StreamSeed(state))).standard_normal(out=out)
-    return (draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2.0)
+    stack = np.empty(draws.shape[:1] + draws.shape[2:], dtype=complex)
+    np.multiply(draws[:, 0], 1.0 / np.sqrt(2.0), out=stack.real)
+    np.multiply(draws[:, 1], 1.0 / np.sqrt(2.0), out=stack.imag)
+    return stack
 
 
 def schur_stinespring(t) -> StinespringOperator:

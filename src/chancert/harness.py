@@ -6,8 +6,8 @@ its dilation and its marginals on a, b and c, as many samples as fit the
 largest of those stacks into CHUNK_ENTRIES. A Choi matrix exists only in
 ``_complementary_pair``, a block of samples at a time, each block's stack
 within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
-16x16 Choi matrices of a 50-sample run fit one block, and psi's 64x64 ones
-run 4 samples per block.
+16x16 Choi matrices of a 50-sample run fit one block, psi's 20x20 cut ones
+(step 4) run 40 samples per block, and its 64x64 ones, where formed, 4.
 
 1. draw the chunk's dilations from the per-sample streams
    ``SeedSequence(seed, spawn_key=(index,))`` that ``random_stinespring``
@@ -35,7 +35,12 @@ run 4 samples per block.
    partial transpose of a Choi matrix gets its PSD flags without a spectrum
    when a 2x2 principal minor certifies it clearly not PSD
    (``_certified_npt``); the rest are formed with reshapes and go to a
-   stacked ``eigvalsh``;
+   stacked ``eigvalsh``. The wider side, when b exceeds d_c + 1, is first
+   formed on the vectors cut to d_c + 1 values of b (``_cut_certificates``):
+   a principal submatrix of rank at most d_c whose marginal on b has rank
+   d_c + 1, so not PPT, and its minors are minors of the full partial
+   transpose. Where they certify it and the padded spectrum is settled, the
+   full matrix is never formed; the other samples form it as above;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
@@ -46,13 +51,14 @@ cross-checked against the same Kraus-vector route, and its seven spectra
 are those of the five marginals and of the two partial transposes. The
 engine's products round differently, so its matrices match the oracle's
 only to rounding; the escalation margins below absorb that, as they absorb
-the engine's other shortcuts. A sample's dilation, as its chunk drew it, is
-re-run through it, and its outcome is what counts, whenever the batched
-evaluation cannot vouch for the same outcome: a failed check or relation,
-a Choi matrix that is not clearly PSD, or an eigenvalue within a factor
-ESCALATION_MARGIN outside a decision window. Counts, counterexample
-records, exceptions and exit codes are therefore those of a per-sample
-loop.
+the engine's other shortcuts. Of a wider Choi matrix read on the cut, the
+engine checks the cut, a principal submatrix of the oracle's matrix. A
+sample's dilation, as its chunk drew it, is re-run through it, and its
+outcome is what counts, whenever the batched evaluation cannot vouch for
+the same outcome: a failed check or relation, a Choi matrix that is not
+clearly PSD, or an eigenvalue within a factor ESCALATION_MARGIN outside a
+decision window. Counts, counterexample records, exceptions and exit codes
+are therefore those of a per-sample loop.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ EQUALITY_MARGIN = 10.0
 # Frobenius bound; see _certified_npt.
 MINOR_ROUNDING = 32.0
 # Rounding allowance of the complementary-spectrum certificate, in units of
-# the pair's summed dims * eps times the trace; see _wide_spectra.
+# the pair's summed dims * eps times the trace; see _stand_in.
 SCHMIDT_ROUNDING = 32.0
 
 COUNT_KEYS = (
@@ -221,7 +227,12 @@ def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndar
 
 
 def _certified_npt(
-    h: np.ndarray, d_left: int, d_right: int, bound: np.ndarray, cfg: ToleranceConfig
+    h: np.ndarray,
+    d_left: int,
+    d_right: int,
+    bound: np.ndarray,
+    cfg: ToleranceConfig,
+    dim: int | None = None,
 ) -> np.ndarray:
     """Per matrix of a Hermitian stack with Frobenius norms at most ``bound``:
     whether g + cI, g its left partial transpose, has a negative diagonal
@@ -229,7 +240,9 @@ def _certified_npt(
     c = (2 ESCALATION_MARGIN psd_tol + MINOR_ROUNDING dim eps) * bound. Where
     it holds, ``_psd_flags`` of g's computed spectrum reads psd = near = False.
     g is read from h, never formed: it has h's diagonal, and its entry
-    ((a, b), (x, z)) is h's entry ((x, b), (a, z)).
+    ((a, b), (x, z)) is h's entry ((x, b), (a, z)). ``dim`` defaults to h's
+    side; ``_cut_certificates`` passes a larger one, h being a principal
+    submatrix of the matrix it certifies.
     """
     # Why. By Cauchy interlacing, a negative entry or minor of g + cI puts
     # lambda_min(g) below -c. _psd_flags reads psd = near = False when
@@ -248,13 +261,13 @@ def _certified_npt(
     #   exact 2x2 determinant below 4 eps |g_ij|^2; the larger eigenvalue is
     #   >= |g_ij|, so the smaller one, their quotient, is below 4 eps |g_ij|.
     # MINOR_ROUNDING dim - 6 bounds p(dim) with ample room.
-    n, dim = h.shape[0], h.shape[-1]
+    n, side = h.shape[0], h.shape[-1]
     eps = np.finfo(np.float64).eps
-    shift = (2 * ESCALATION_MARGIN * cfg.psd_tol + MINOR_ROUNDING * dim * eps) * bound
+    shift = (2 * ESCALATION_MARGIN * cfg.psd_tol + MINOR_ROUNDING * (dim or side) * eps) * bound
     diagonal = h.diagonal(axis1=1, axis2=2).real + shift[:, None]
     squares = np.square(h.real)
     squares += np.square(h.imag)
-    squares[:, np.arange(dim), np.arange(dim)] = 0.0
+    squares[:, np.arange(side), np.arange(side)] = 0.0
     products = np.einsum("ni,nj->nij", diagonal, diagonal)
     # g's squared moduli, as a view of h's
     facing = squares.reshape(n, d_left, d_right, d_left, d_right).transpose(0, 3, 2, 1, 4)
@@ -283,19 +296,34 @@ def _wide_spectra(
 ) -> np.ndarray:
     """Spectra standing in for those of a Hermitian stack h of marginals of
     tripartite vectors with squared norms ``trace``, given ``narrow``, the
-    computed spectra of the complementary marginals, no wider than h.
+    computed spectra of the complementary marginals, no wider than h: the
+    ``_stand_in`` rows of the settled samples, and h's computed spectra, from
+    one stacked ``eigvalsh`` on the open samples, and none when every sample
+    is settled."""
+    w, settled = _stand_in(narrow, trace, h.shape[-1], cfg, psd)
+    if not settled.all():
+        w[~settled] = np.linalg.eigvalsh(h[~settled])
+    return w
 
-    A sample is settled when its narrow spectrum padded with zeros, widened
-    by a rounding allowance on each eigenvalue, leaves no choice to
-    ``_rank_flags`` nor, with ``psd``, to ``_psd_flags``. Its row is then the
-    padded spectrum, whose flags are those of h's computed spectrum. The
-    other rows are h's computed spectra, from one stacked ``eigvalsh`` on the
-    open samples, and none when every sample is settled.
+
+def _stand_in(
+    narrow: np.ndarray, trace: np.ndarray, dim: int, cfg: ToleranceConfig, psd: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stand-ins for the spectra of the marginals of side ``dim`` of
+    tripartite vectors with squared norms ``trace``: ``narrow``, the computed
+    spectra of the complementary marginals, padded with zeros; and whether
+    each sample is settled.
+
+    A sample is settled when its padded spectrum, widened by a rounding
+    allowance on each eigenvalue, leaves no choice to ``_rank_flags`` nor,
+    with ``psd``, to ``_psd_flags``. Its padded spectrum then has the flags
+    of the wider marginal's computed spectrum.
     """
     # Why. Complementary marginals of one pure vector share their nonzero
-    # spectrum (Schmidt decomposition), so h's exact spectrum is the exact
-    # narrow spectrum padded with zeros. Let k be the narrow width. Both
-    # sides are computed within a multiple of eps * trace of exact:
+    # spectrum (Schmidt decomposition), so the exact spectrum of the wider
+    # marginal h is the exact narrow spectrum padded with zeros. Let k be the
+    # narrow width. Both sides are computed within a multiple of eps * trace
+    # of exact:
     # - a Gram product over l complex terms errs by at most 3/2 l eps *
     #   trace in Frobenius norm, whichever BLAS kernel sums it, since any
     #   summation order obeys the dot-product bound gamma_n = n eps/2 (to
@@ -316,7 +344,7 @@ def _wide_spectra(
     # in lambda_max and sigma_max, and round monotonically, so where no
     # interval meets a decision's window at its widest reach, the computed
     # spectrum and the stand-in get the same flags.
-    n, dim = h.shape[0], h.shape[-1]
+    n = narrow.shape[0]
     eps = np.finfo(np.float64).eps
     delta = SCHMIDT_ROUNDING * (dim + narrow.shape[-1]) * eps * trace
     w = np.zeros((n, dim))
@@ -334,31 +362,16 @@ def _wide_spectra(
     if psd:
         ends = w - delta[:, None]
         settled &= ends[:, 0] >= psd_rule(ends, cfg)[1] / ESCALATION_MARGIN
-    if not settled.all():
-        w[~settled] = np.linalg.eigvalsh(h[~settled])
-    return w
+    return w, settled
 
 
-def _complementary_pair(
-    vector: np.ndarray, environment: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
-) -> tuple[np.ndarray, ...]:
-    """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
-    ``trace``, and ``environment`` the Hermitian parts of their marginals on
-    c: spectra, for their flags, of the Choi matrices of the maps that trace
-    out c and of ``environment``; whether each Choi matrix is clearly
-    Hermitian and agrees with the Kraus-vector route; and ``_psd_flags`` of
-    its partial transpose.
-
-    The Choi matrices are formed here, ``block_size`` samples at a time, and
-    nowhere else. The narrower side of the pair, the Choi matrix on a tie,
-    gets ``eigvalsh`` and the wider one ``_wide_spectra``.
-    """
+def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
+    """For tripartite vectors of shape (n, d_a, d_b, d_c), ``block_size``
+    samples at a time: the block's slice, the Hermitian parts of its Choi
+    matrices of the maps that trace out c, their Frobenius norms, and whether
+    each is clearly Hermitian and agrees with the Kraus-vector route."""
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
-    choi_narrower = side <= d_c
-    env = None if choi_narrower else np.linalg.eigvalsh(environment)
-    spectra = np.empty((n, side))
-    checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
     size = block_size(side)
     # Every block writes into these. Fresh arrays of this size in each block
     # cost page faults: at (4, 4, 16) about 3900 per 50-sample chunk against
@@ -375,12 +388,81 @@ def _complementary_pair(
         product = np.matmul(kraus, kraus.conj().swapaxes(1, 2), out=kraus_out[:m])
         agrees = _agrees(choi, norm, product, cfg)
         h, clear = _hermitian_part(choi, norm, cfg, (conj_out[:m], kraus_out[:m], choi))
-        checks[block] = agrees & clear
+        yield block, h, norm, agrees & clear
+
+
+def _cut_certificates(
+    vector: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
+    ``trace``, cut to their first d_c + 1 values of b: whether each cut's
+    Choi matrix is clearly Hermitian and agrees with the Kraus-vector route,
+    and whether ``_certified_npt`` of it certifies the full Choi matrix's
+    partial transpose: where it does, ``_psd_flags`` of that partial
+    transpose's computed spectrum reads psd = near = False."""
+    # Why. The cut's Choi matrix J' is the principal submatrix of J on
+    # b < d_c + 1, and its partial transpose g' that of J's, g. Its rank is
+    # at most d_c, below that of its marginal on b, d_c + 1 for generic
+    # vectors with d_a > 1, so J' is not PPT (Horodecki-Smolin-Terhal-
+    # Thapliyal) and 2x2 minors mostly certify it. The certificate's shift
+    # is taken at g's side, and with the bound trace, at least ||J||_F for
+    # the exact J, PSD with that trace. Where it fires on the computed g',
+    # lambda_min(g') < -c + 6 eps trace (see _certified_npt). g' and the
+    # matching submatrix of the computed g each lie within (3/2 d_c + 1) eps
+    # trace of the exact one (see _stand_in), and lambda_min(g) is at most
+    # that of its principal submatrix (Cauchy interlacing); eigvalsh adds
+    # below side/4 eps trace. So g's computed lambda_min is below
+    # -c + (3 d_c + 8 + side/4) eps trace, with d_c < side far inside the
+    # MINOR_ROUNDING side eps trace of c: _psd_flags of g's computed
+    # spectrum reads psd = near = False, as where _certified_npt of g fires.
+    n, d_a, d_b, d_c = vector.shape
+    checks, certified = np.empty((2, n), dtype=bool)
+    for block, h, _, passed in _choi_blocks(np.ascontiguousarray(vector[:, :, :d_c + 1]), cfg):
+        checks[block] = passed
+        certified[block] = _certified_npt(h, d_a, d_c + 1, trace[block], cfg, dim=d_a * d_b)
+    return checks, certified
+
+
+def _complementary_pair(
+    vector: np.ndarray, environment: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
+) -> tuple[np.ndarray, ...]:
+    """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
+    ``trace``, and ``environment`` the Hermitian parts of their marginals on
+    c: spectra, for their flags, of the Choi matrices of the maps that trace
+    out c and of ``environment``; whether each Choi matrix is clearly
+    Hermitian and agrees with the Kraus-vector route; and ``_psd_flags`` of
+    its partial transpose.
+
+    The Choi matrices are formed by ``_choi_blocks`` and nowhere else. The
+    narrower side of the pair, the Choi matrix on a tie, gets ``eigvalsh``
+    and the wider one ``_wide_spectra``. A wider Choi matrix with
+    d_b > d_c + 1 is first read on the vectors cut to d_c + 1 values of b
+    (``_cut_certificates``): a sample whose cut certifies the matrix NPT,
+    and whose stand-in spectrum is settled, has its flags without the full
+    matrix being formed, and the cut's checks. Every other sample forms it.
+    """
+    n, d_a, d_b, d_c = vector.shape
+    side = d_a * d_b
+    choi_narrower = side <= d_c
+    env = None if choi_narrower else np.linalg.eigvalsh(environment)
+    spectra = np.empty((n, side))
+    checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
+    rest = None
+    if not choi_narrower and d_b > d_c + 1:
+        stand_in, settled = _stand_in(env, trace, side, cfg, psd=True)
+        checks, certified = _cut_certificates(vector, trace, cfg)
+        done = settled & certified
+        spectra[done] = stand_in[done]
+        pt_psd[done] = pt_near[done] = False
+        rest = np.flatnonzero(~done) if done.any() else None
+    for block, h, norm, passed in _choi_blocks(vector if rest is None else vector[rest], cfg):
+        index = block if rest is None else rest[block]
+        checks[index] = passed
         if choi_narrower:
-            spectra[block] = np.linalg.eigvalsh(h)
+            spectra[index] = np.linalg.eigvalsh(h)
         else:
-            spectra[block] = _wide_spectra(h, env[block], trace[block], cfg, psd=True)
-        pt_psd[block], pt_near[block] = _partial_transpose_flags(h, d_a, d_b, norm, cfg)
+            spectra[index] = _wide_spectra(h, env[index], trace[index], cfg, psd=True)
+        pt_psd[index], pt_near[index] = _partial_transpose_flags(h, d_a, d_b, norm, cfg)
     if choi_narrower:
         env = _wide_spectra(environment, spectra, trace, cfg, psd=False)
     return spectra, env, checks, pt_psd, pt_near

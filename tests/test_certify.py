@@ -35,12 +35,17 @@ from chancert import (
     tiles_upb_choi,
 )
 from chancert.certify import (
+    EB_NO,
+    EB_UNKNOWN,
+    EB_YES,
     LOW_RANK_NPT,
     LOW_RANK_PPT_SEPARABLE,
     NO_RANK_GAP,
     NOT_PPT,
     OUTSIDE_LOW_RANK_REGIME,
     RANK_GAP_WITNESS,
+    RELATIONS,
+    pair_rules,
     witness_verdict,
 )
 import chancert.certify
@@ -330,6 +335,41 @@ class TestDegradablePptCheck:
         report = degradable_ppt_check(pair, cfg)
         assert report.predicates["ppt_psi"].value == "no"
         assert report.predicates["degradable"].value == "unknown"
+
+
+# pair_rules inputs of a pure pair whose PPT primary map meets every
+# relation: phi is PPT outside the low-rank regime (rank_lab > rank_la,
+# rank_lb), and psi is NPT with the witness firing.
+HOLDING = {"phi_ppt": True, "psi_ppt": False, "witness_psi": True, "eb_phi": EB_UNKNOWN,
+           "eb_psi": EB_NO, "lab": 3, "lac": 2, "la": 2, "lb": 2, "lc": 3}
+# One row per entry of RELATIONS, in order: the inputs it changes in HOLDING,
+# which break that relation and no other.
+RELATION_ROWS = [
+    {"lab": 1},
+    {"eb_psi": EB_UNKNOWN},
+    {"eb_psi": EB_YES},
+    {"psi_ppt": True, "eb_psi": EB_YES},
+    {"eb_phi": EB_NO},
+    {"witness_psi": False},
+]
+
+
+class TestPairRules:
+    def test_holding_pair(self):
+        assert pair_rules(**HOLDING) == (True, 0)
+
+    @pytest.mark.parametrize("code, row", enumerate(RELATION_ROWS, start=1),
+                             ids=[f"relation-{i}" for i in range(1, len(RELATION_ROWS) + 1)])
+    def test_each_relation_fires_alone(self, code, row):
+        # a relation binds only a PPT primary map
+        assert pair_rules(**{**HOLDING, **row})[1] == code
+        assert pair_rules(**{**HOLDING, **row, "phi_ppt": False})[1] == 0
+
+    def test_rows_cover_relations_elementwise(self):
+        assert len(RELATION_ROWS) == len(RELATIONS)
+        rows = [HOLDING] + [{**HOLDING, **row} for row in RELATION_ROWS]
+        _, relation = pair_rules(**{key: np.array([r[key] for r in rows]) for key in HOLDING})
+        assert relation.tolist() == list(range(len(rows)))
 
 
 class TestEquivalenceCheck:

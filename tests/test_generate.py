@@ -1,5 +1,6 @@
 """Tests for the instance generators."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -20,6 +21,7 @@ from chancert import (
     tiles_upb_vectors,
 )
 from chancert import generate
+from chancert.cli import main
 from chancert.errors import DimensionMismatchError
 from chancert.generate import build, random_dilation_stack
 
@@ -84,6 +86,10 @@ def assert_numpy_streams(dims, seed, indices):
 
 
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3, 20220404]
+# The benchmark's golden runs: 50 samples of this seed at each tuple.
+GOLDEN_SEED = 20220404
+GOLDEN_TUPLES = [(2, 2, 2), (2, 2, 3), (2, 2, 6), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3),
+                 (3, 3, 2), (3, 3, 3), (3, 3, 9), (4, 4, 16)]
 
 
 class TestNumpyStreams:
@@ -175,6 +181,22 @@ class TestNumpyStreams:
         one = mixing_calls([100])
         assert one == {"_hashmix": 2, "_mix": 1}
         assert mixing_calls(range(100, 150)) == one
+
+    @pytest.mark.parametrize("dims", GOLDEN_TUPLES, ids=lambda dims: ",".join(map(str, dims)))
+    def test_golden_stacks_and_files(self, dims, tmp_path):
+        """The stack is built by real multiplies with 1 / sqrt(2); every sample
+        of a golden run, and the files ``generate`` writes, have the bits of
+        numpy's complex division by sqrt(2)."""
+        assert_numpy_streams(dims, GOLDEN_SEED, range(50))
+        path = tmp_path / "dilation.json"
+        for index in (0, 49):
+            assert main(["generate", "--kind", "random-stinespring", "--dims",
+                         ",".join(map(str, dims)), "--seed", str(GOLDEN_SEED), "--index",
+                         str(index), "--output", str(path)]) == 0
+            payload = json.loads(path.read_text())
+            expected = numpy_dilation(*dims, GOLDEN_SEED, index)
+            assert np.array(payload["re"]).tobytes() == expected.real.tobytes()
+            assert np.array(payload["im"]).tobytes() == expected.imag.tobytes()
 
     @pytest.mark.parametrize("seed, indices, name", [(-1, [0], "seed"), (4, [0, -3], "index")])
     def test_negative_seed_or_index_rejected(self, seed, indices, name):

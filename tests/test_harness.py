@@ -10,7 +10,11 @@ Choi matrices are formed in blocks inside it, and only there. The engine's
 partial-transpose flags skip the spectrum where a 2 x 2 minor certifies the
 matrix clearly not PSD, and the wider marginal of each complementary pair
 takes its flags from the narrower one's spectrum where that leaves no
-decision open; both must equal the flags of the spectrum exactly.
+decision open; both must equal the flags of the spectrum exactly. A wider
+Choi matrix whose non-transposed factor exceeds the inner dimension r + 1
+is first read on the vectors cut to r + 1 values of that factor; where the
+cut's minors certify it, the flags of the full partial transpose's spectrum
+must read not PSD and not near, and the full matrix is never formed.
 """
 
 import itertools
@@ -45,6 +49,7 @@ from chancert.harness import (
     MINOR_ROUNDING,
     _certified_npt,
     _complementary_pair,
+    _cut_certificates,
     _factor_marginals,
     _frobenius,
     _partial_transpose_flags,
@@ -62,6 +67,8 @@ from conftest import complex_gaussian
 
 ACCEPTANCE_TUPLES = list(itertools.product((2, 3), repeat=3))
 WIDE_TUPLES = [(2, 2, 6), (3, 3, 9), (4, 4, 16)]
+# the wide tuples with b and c swapped: phi's Choi matrix is the wider side
+MIRRORED_TUPLES = [(2, 6, 2), (3, 9, 3), (4, 16, 4)]
 ROUNDING_PSD_TOL = 1e-17
 ROUNDING_RANK_TOL = 1e-15
 
@@ -124,7 +131,7 @@ def test_acceptance_tuples_agree(dims):
     assert_agrees(dims, 500, 3003)
 
 
-@pytest.mark.parametrize("dims", WIDE_TUPLES, ids=dims_id)
+@pytest.mark.parametrize("dims", WIDE_TUPLES + MIRRORED_TUPLES, ids=dims_id)
 def test_wide_tuples_agree(dims):
     assert_agrees(dims, 100, 3003)
 
@@ -144,17 +151,20 @@ def test_escalations_inside_wide_chunks_agree(dims):
 
 
 def test_chunk_peak_allocation():
-    # (4,4,16) forms psi's 64 x 64 Choi matrices 4 samples per block, about
-    # 1.25 MiB at peak; at four times the budget all 8 samples share one
-    # block and peak near 2.3 MiB
-    run_harness((4, 4, 16), 8, 3003, DEFAULT_TOLERANCES)
-    tracemalloc.start()
-    try:
-        run_harness((4, 4, 16), 8, 3003, DEFAULT_TOLERANCES)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 2**20
+    # At (4,4,16) the default run reads psi's Choi matrices on the cut to 5
+    # values of c and peaks near 0.4 MiB. At psd_tol = 0.1 the cut certifies
+    # none, so psi's 64 x 64 Choi matrices are formed 4 samples per block,
+    # about 1.4 MiB at peak; at four times the budget all 8 samples share
+    # one block and peak near 2.3 MiB
+    for cfg in (DEFAULT_TOLERANCES, ToleranceConfig(psd_tol=0.1)):
+        run_harness((4, 4, 16), 8, 3003, cfg)
+        tracemalloc.start()
+        try:
+            run_harness((4, 4, 16), 8, 3003, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 def test_wide_command_draws_once(monkeypatch):
@@ -189,9 +199,10 @@ def test_escalations_check_the_drawn_dilations(monkeypatch):
 
 
 def test_wide_command_peak_allocation():
-    # the whole 50-sample chunk, with psi's 64 x 64 Choi matrices formed 4
-    # samples at a time, peaks near 2.1 MiB, and near 5.2 MiB at four times
-    # the budget; 13 chunks of 4 samples peaked near 1.0 MiB
+    # the whole 50-sample chunk, with psi's Choi matrices read on the cut to
+    # 5 values of c, 40 samples per block, peaks near 2.2 MiB; formed in
+    # full, 4 samples at a time, near 2.1 MiB, and near 5.2 MiB at four
+    # times the budget; 13 chunks of 4 samples peaked near 1.0 MiB
     run_harness((4, 4, 16), 50, 3003, DEFAULT_TOLERANCES)
     tracemalloc.start()
     try:
@@ -234,12 +245,15 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
     # equality_tol: its deviation, 2r, fails the check against
     # equality_tol/10, while a Choi matrix stays within equality_tol/10 of
     # the V V^dagger route. The oracle forms its marginals through
-    # chancert.complement, unpatched.
+    # chancert.complement, unpatched. At (4, 4, 16) the engine reads psi's
+    # Choi matrix on the vectors cut to their first d_b + 1 values of c, so
+    # psi's fault lands on that compressed block.
     cfg, seed, trials = DEFAULT_TOLERANCES, 3003, 12
     faults = {"phi": 1, "psi": 5, "a": 7, "b": 9, "c": 10}
     draws = {key: random_stinespring(*dims, seed=seed, index=i) for key, i in faults.items()}
     vectors = {key: common_purification_vector(st).reshape(dims) for key, st in draws.items()}
-    vectors["psi"] = vectors["psi"].swapaxes(1, 2)
+    _, d_b, d_c = dims
+    vectors["psi"] = vectors["psi"].swapaxes(1, 2)[:, :d_b + 1 if d_c > d_b + 1 else d_c]
     spoil = 1.0 + 0.075j * cfg.equality_tol
 
     def inject(marginals, key, psi):
@@ -539,6 +553,89 @@ def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, p
         scaled, d_left, d_right, _frobenius(scaled), cfg
     )
     assert np.array_equal(scaled_psd, psd) and np.array_equal(scaled_near, near)
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 9), (4, 4, 16), (3, 9, 3)], ids=dims_id)
+def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
+    # at default tolerances the cut certifies every wider Choi matrix's
+    # partial transpose and the narrower spectrum settles its flags, so the
+    # blocks formed are the narrower Choi matrices and the cuts, of the
+    # inner dimension plus one values of the wider factor
+    d_a, d_b, d_c = dims
+    sides = []
+    purification_choi = chancert.harness._purification_choi
+
+    def recording(v, out):
+        sides.append(v.shape[1] * v.shape[2])
+        return purification_choi(v, out)
+
+    monkeypatch.setattr(chancert.harness, "_purification_choi", recording)
+    assert run_harness(dims, 50, 3003, DEFAULT_TOLERANCES).escalated == []
+    assert set(sides) == {min(d_a * d_b, d_a * d_c), d_a * (min(d_b, d_c) + 1)}
+
+
+def cut_and_full_flags(vector, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_cut_certificates`` of C-contiguous tripartite vectors, and
+    ``_psd_flags`` of the computed spectra of the partial transposes of their
+    full Choi matrices, as the engine forms them."""
+    n, d_a, d_b, _ = vector.shape
+    trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
+    _, certified = _cut_certificates(vector, trace, cfg)
+    choi = engine_marginals(vector, np.ascontiguousarray(vector.swapaxes(2, 3)))["ab"]
+    h = (choi + choi.conj().swapaxes(1, 2)) / 2.0
+    return certified, *spectrum_flags(_partial_transpose_left(h, d_a, d_b), cfg)
+
+
+def noisy_product_vectors(rng, n, dims, rank, noise) -> np.ndarray:
+    """Product vectors plus ``noise`` times vectors whose rows (a, b) over c
+    have rank ``rank``: PPT at zero noise, and as far from it as the noise."""
+    d_a, d_b, d_c = dims
+    parts = [complex_gaussian(rng, (n, d)) for d in dims]
+    product = np.einsum("na,nb,nc->nabc", *parts)
+    rows = complex_gaussian(rng, (n, d_a * d_b, rank)) @ complex_gaussian(rng, (n, rank, d_c))
+    return product + noise * rows.reshape(n, *dims)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(1, 4), d_c=st.integers(1, 4),
+       extra=st.integers(1, 4), rank=st.integers(1, 4), noise=st.integers(-8, 1),
+       psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3, 0.1]),
+       exponent=st.integers(-40, 40))
+def test_cut_certificate_implies_full_flags(seed, d_a, d_c, extra, rank, noise, psd_tol,
+                                            exponent):
+    # wherever the cut to d_c + 1 values of b certifies, the full partial
+    # transpose's computed spectrum reads psd = near = False: low-rank
+    # vectors near and far from product ones, at any scale
+    cfg = ToleranceConfig(psd_tol=psd_tol)
+    dims = (d_a, d_c + extra, d_c)
+    vector = noisy_product_vectors(np.random.default_rng(seed), 3, dims, min(rank, d_c),
+                                   10.0**noise)
+    certified, psd, near = cut_and_full_flags(2.0**exponent * vector, cfg)
+    assert not (certified & (psd | near)).any()
+
+
+@pytest.mark.parametrize("psd_tol", [1e-9, 1e-3, 0.1, ROUNDING_PSD_TOL])
+def test_cut_certificate_on_harness_and_noisy_vectors(psd_tol):
+    # the harness's draws at the tuples whose wider Choi matrix is read on
+    # the cut, and noisy product vectors whose partial transposes reach from
+    # PPT across the escalation window: the cut certifies only where the
+    # full flags read psd = near = False, and at all but a loose psd_tol it
+    # certifies some
+    cfg = ToleranceConfig(psd_tol=psd_tol)
+    rng = np.random.default_rng(47)
+    certified_count = 0
+    for dims in WIDE_TUPLES + MIRRORED_TUPLES:
+        vector = np.stack([common_purification_vector(random_stinespring(*dims, seed=3003, index=i))
+                           for i in range(8)]).reshape(8, *dims)
+        if dims[2] > dims[1]:
+            vector = np.ascontiguousarray(vector.swapaxes(2, 3))
+        batches = [vector] + [noisy_product_vectors(rng, 8, vector.shape[1:], 1, 10.0**noise)
+                              for noise in range(-8, 1)]
+        for batch, exponent in itertools.product(batches, (-40, 0, 40)):
+            certified, psd, near = cut_and_full_flags(2.0**exponent * batch, cfg)
+            assert not (certified & (psd | near)).any()
+            certified_count += np.count_nonzero(certified)
+    assert certified_count > 0 or psd_tol == 0.1
 
 
 def assert_marginal_flags_match(vector, cfg) -> int:
