@@ -47,7 +47,6 @@ from .complement import (
     purification_marginals,
     rank_chain,
     swap_environment,
-    verify_complementarity,
 )
 from .errors import (
     ChancertError,

@@ -9,7 +9,7 @@ marginals of a single pure tripartite vector
 
     |L> = (I_A (x) L) sum_i |i>_A |i>_A
 
-on A (x) B (x) C, which is the keystone identity this module tests against.
+on A (x) B (x) C, the keystone identity ``certify.equivalence_check`` checks.
 Tripartite objects are handled as flat vectors with explicit reshaping; the
 ordering is always (A, B, C) with A slowest.
 """
@@ -26,7 +26,6 @@ from .linalg import (
     DEFAULT_TOLERANCES,
     RankDecision,
     ToleranceConfig,
-    close_frobenius,
     hermitian_part_spectrum,
     hermitian_spectrum,
     rank_record,
@@ -155,21 +154,6 @@ def _chain_of(spectra: dict[str, np.ndarray], cfg: ToleranceConfig):
         fragile=any(d.fragile for d in decisions.values()),
     )
     return chain, decisions
-
-
-def verify_complementarity(
-    pair: ComplementaryPair, cfg: ToleranceConfig = DEFAULT_TOLERANCES
-) -> bool:
-    """True iff both purification marginals match the stored Choi matrices.
-
-    Complements are unique only up to an isometry on the environment; a pair
-    whose psi was conjugated by a nontrivial unitary on C fails this check
-    even though it represents "the same" complement abstractly.
-    """
-    marginals = purification_marginals(pair.stinespring)
-    return close_frobenius(
-        marginals["ab"], pair.choi_phi.matrix, cfg.equality_tol
-    ) and close_frobenius(marginals["ac"], pair.choi_psi.matrix, cfg.equality_tol)
 
 
 def swap_environment(st: StinespringOperator) -> StinespringOperator:

@@ -7,16 +7,16 @@ exactly from the (seed, index) pair recorded in its report. Seeds and
 indices may be any non-negative integers.
 
 ``random_dilation_stack`` computes those seed sequences in bulk instead of
-building a ``SeedSequence`` per sample. The mixing of the seed's words is a
-pure function of the seed and is cached. The indices' words are mixed in,
-and PCG64's four seed words (``generate_state(4, np.uint64)``) are hashed
-out, for all samples at once: as uint64 arrays of 32-bit words, one column
-per word, where an index with fewer words leaves its pool unchanged in the
-extra columns. Each sample's seed words reach ``PCG64`` through numpy's
-``ISeedSequence`` interface, so PCG64 seeds itself from them as it would
-from the ``SeedSequence``. The replica follows numpy's ``SeedSequence``
-(``numpy/random/bit_generator.pyx``) with its default pool of four words;
-the tests compare it with numpy bit for bit.
+building a ``SeedSequence`` per sample. numpy's ``SeedSequence(seed)`` mixes
+the seed's words, once per seed (the pool is cached). A replica of its
+mixing then mixes in the indices' words, and hashes out PCG64's four seed
+words (``generate_state(4, np.uint64)``), for all samples at once: as uint64
+arrays of 32-bit words, one column per word, where an index with fewer
+words leaves its pool unchanged in the extra columns. Each sample's seed
+words reach ``PCG64`` through numpy's ``ISeedSequence`` interface, so PCG64
+seeds itself from them as it would from the ``SeedSequence``. The replica
+follows numpy's ``SeedSequence`` (``numpy/random/bit_generator.pyx``) with
+its default pool of four words; the tests compare it with numpy bit for bit.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class GeneratorSpec:
         return record
 
 
-# numpy's SeedSequence, replicated for ``random_dilation_stack``: its
-# default pool size, hash and mix constants.
+# numpy's SeedSequence, replicated for ``random_dilation_stack`` to mix the
+# index words in bulk: its default pool size, hash and mix constants.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -102,19 +102,9 @@ def _non_negative(name: str, value) -> int:
     return value
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of n >= 0, as SeedSequence splits it; 0 is one word."""
-    words = [n & _MASK32]
-    n >>= 32
-    while n:
-        words.append(n & _MASK32)
-        n >>= 32
-    return words
-
-
-# The mixing functions act elementwise on Python ints and on uint64 arrays
-# of 32-bit words: every product of two words fits 64 bits, and a difference
-# that wraps around 2**64 keeps its residue modulo 2**32.
+# The mixing functions act elementwise on uint64 arrays of 32-bit words:
+# every product of two words fits 64 bits, and a difference that wraps
+# around 2**64 keeps its residue modulo 2**32.
 
 
 def _hashmix(value, hash_const, mult: int = _MULT_A):
@@ -153,26 +143,15 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     the seed's words are mixed in; the words of ``key`` follow.
 
     numpy pads a seed shorter than the pool with zero words when a spawn key
-    follows. Hashing 0 for a missing word is what the first loop does
-    anyway, so with an empty key this is also the pool of ``SeedSequence(seed)``.
+    follows, and hashes 0 for a missing word when none does, so the pool is
+    that of ``SeedSequence(seed)``. Mixing in w words, w at least the pool
+    size, takes _POOL_SIZE * w hashmix calls, each advancing the hash
+    constant once.
     """
-    entropy = _uint32_words(seed)
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    hash_const = _INIT_A
-    pool = []
-    for word in entropy[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                value, hash_const = _hashmix(pool[i_src], hash_const)
-                pool[i_dst] = _mix(pool[i_dst], value)
-    pool = np.array(pool, dtype=np.uint64)
-    for word in entropy[_POOL_SIZE:]:
-        pool, hash_const = _mix_word(pool, hash_const, word)
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
     pool.flags.writeable = False
-    return pool, hash_const
+    words = max((seed.bit_length() + 31) // 32, _POOL_SIZE)
+    return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * words, _MASK32 + 1) & _MASK32
 
 
 def _index_words(indices) -> tuple[np.ndarray, np.ndarray]:

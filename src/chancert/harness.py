@@ -30,11 +30,11 @@ within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
    complementary pair, the Choi matrix on a tie, get a stacked ``eigvalsh``:
    three matrices per sample. The wider side shares the narrower one's
    nonzero spectrum, so its flags follow from that spectrum padded with
-   zeros wherever a Weyl interval leaves no decision open
-   (``_wide_spectra``); the open samples go to a stacked ``eigvalsh``. A
-   partial transpose of a Choi matrix gets its PSD flags without a spectrum
-   when a 2x2 principal minor certifies it clearly not PSD
-   (``_certified_npt``); the rest are formed with reshapes and go to a
+   zeros wherever a Weyl interval leaves no decision open (``_stand_in``,
+   taken once per pair for all samples); the open samples go to a stacked
+   ``eigvalsh``. A partial transpose of a Choi matrix gets its PSD flags
+   without a spectrum when a 2x2 principal minor certifies it clearly not
+   PSD (``_certified_npt``); the rest are formed with reshapes and go to a
    stacked ``eigvalsh``. The wider side, when b exceeds d_c + 1, is first
    formed on the vectors cut to d_c + 1 values of b (``_cut_certificates``):
    a principal submatrix of rank at most d_c whose marginal on b has rank
@@ -291,21 +291,6 @@ def _partial_transpose_flags(
     return psd, near
 
 
-def _wide_spectra(
-    h: np.ndarray, narrow: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig, psd: bool
-) -> np.ndarray:
-    """Spectra standing in for those of a Hermitian stack h of marginals of
-    tripartite vectors with squared norms ``trace``, given ``narrow``, the
-    computed spectra of the complementary marginals, no wider than h: the
-    ``_stand_in`` rows of the settled samples, and h's computed spectra, from
-    one stacked ``eigvalsh`` on the open samples, and none when every sample
-    is settled."""
-    w, settled = _stand_in(narrow, trace, h.shape[-1], cfg, psd)
-    if not settled.all():
-        w[~settled] = np.linalg.eigvalsh(h[~settled])
-    return w
-
-
 def _stand_in(
     narrow: np.ndarray, trace: np.ndarray, dim: int, cfg: ToleranceConfig, psd: bool
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -434,37 +419,42 @@ def _complementary_pair(
     its partial transpose.
 
     The Choi matrices are formed by ``_choi_blocks`` and nowhere else. The
-    narrower side of the pair, the Choi matrix on a tie, gets ``eigvalsh``
-    and the wider one ``_wide_spectra``. A wider Choi matrix with
-    d_b > d_c + 1 is first read on the vectors cut to d_c + 1 values of b
-    (``_cut_certificates``): a sample whose cut certifies the matrix NPT,
-    and whose stand-in spectrum is settled, has its flags without the full
-    matrix being formed, and the cut's checks. Every other sample forms it.
+    narrower side of the pair, the Choi matrix on a tie, gets ``eigvalsh``.
+    The wider side gets ``_stand_in`` once, for all samples, and ``eigvalsh``
+    on the samples it leaves open. A wider Choi matrix with d_b > d_c + 1 is
+    first read on the vectors cut to d_c + 1 values of b
+    (``_cut_certificates``): a sample whose cut certifies the matrix NPT, and
+    whose stand-in is settled, has its flags without the full matrix being
+    formed, and the cut's checks. Every other sample forms it.
     """
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
     choi_narrower = side <= d_c
-    env = None if choi_narrower else np.linalg.eigvalsh(environment)
-    spectra = np.empty((n, side))
     checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
     rest = None
-    if not choi_narrower and d_b > d_c + 1:
-        stand_in, settled = _stand_in(env, trace, side, cfg, psd=True)
-        checks, certified = _cut_certificates(vector, trace, cfg)
-        done = settled & certified
-        spectra[done] = stand_in[done]
-        pt_psd[done] = pt_near[done] = False
-        rest = np.flatnonzero(~done) if done.any() else None
+    if choi_narrower:
+        spectra, settled = np.empty((n, side)), np.zeros(n, dtype=bool)
+    else:
+        env = np.linalg.eigvalsh(environment)
+        spectra, settled = _stand_in(env, trace, side, cfg, psd=True)
+        if d_b > d_c + 1:
+            checks, certified = _cut_certificates(vector, trace, cfg)
+            done = settled & certified
+            pt_psd[done] = pt_near[done] = False
+            rest = np.flatnonzero(~done) if done.any() else None
     for block, h, norm, passed in _choi_blocks(vector if rest is None else vector[rest], cfg):
         index = block if rest is None else rest[block]
         checks[index] = passed
-        if choi_narrower:
+        open_rows = ~settled[index]
+        if open_rows.all():
             spectra[index] = np.linalg.eigvalsh(h)
-        else:
-            spectra[index] = _wide_spectra(h, env[index], trace[index], cfg, psd=True)
+        elif open_rows.any():
+            spectra[np.arange(n)[index][open_rows]] = np.linalg.eigvalsh(h[open_rows])
         pt_psd[index], pt_near[index] = _partial_transpose_flags(h, d_a, d_b, norm, cfg)
     if choi_narrower:
-        env = _wide_spectra(environment, spectra, trace, cfg, psd=False)
+        env, settled = _stand_in(spectra, trace, d_c, cfg, psd=False)
+        if not settled.all():
+            env[~settled] = np.linalg.eigvalsh(environment[~settled])
     return spectra, env, checks, pt_psd, pt_near
 
 

@@ -1,5 +1,6 @@
 """Tests for the rank-based decision procedures and consistency checks."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -14,6 +15,7 @@ from chancert import (
     KrausSet,
     NotPositiveSemidefiniteError,
     StinespringOperator,
+    Verdict,
     apply_channel,
     channels_equal,
     choi_report,
@@ -132,6 +134,10 @@ class TestSeparabilityDecision:
     def test_zero_matrix_counts_as_separable(self, cfg):
         verdict = separability_decision(np.zeros((4, 4)), L22, cfg)
         assert verdict.value == "yes"
+
+    def test_non_psd_input_rejected(self, cfg):
+        with pytest.raises(NotPositiveSemidefiniteError):
+            separability_decision(-bell_projector(), L22, cfg)
 
 
 class TestEbCertificate:
@@ -316,6 +322,17 @@ class TestDegradingCandidate:
         )
         assert degrading_candidate(broken, cfg).verdict.value == "no"
 
+    def test_transpose_over_identity_is_not_cp(self, cfg):
+        # the only solution of Omega o id = T is the transpose itself: an
+        # exact composition whose Choi matrix is not PSD
+        pair = schur_multiplier_pair((1.0, 1.0), cfg)
+        hand_built = ComplementaryPair(
+            pair.stinespring, named_channel("transpose", 2), named_channel("identity", 2)
+        )
+        cand = degrading_candidate(hand_built, cfg)
+        assert cand.residual <= 1e-12
+        assert (cand.verdict.value, cand.verdict.reason) == ("unknown", "candidate-not-cp")
+
 
 class TestDegradablePptCheck:
     @pytest.mark.parametrize("weights", [(1.0, 0.5), (1.0, 1.0), (1.0, 1.0, 1.0)])
@@ -335,6 +352,49 @@ class TestDegradablePptCheck:
         report = degradable_ppt_check(pair, cfg)
         assert report.predicates["ppt_psi"].value == "no"
         assert report.predicates["degradable"].value == "unknown"
+
+    def test_ppt_psi_without_degrading_map(self, cfg):
+        # psi reads out onto |0> and |+>: PPT and entanglement breaking, so it
+        # cannot degrade to its NPT complement
+        plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        st = swap_environment(readout_channel_dilation([np.array([1.0, 0.0]), plus]))
+        report = degradable_ppt_check(complementary_pair_from_stinespring(st, cfg), cfg)
+        assert report.predicates["ppt_psi"].value == "yes"
+        assert report.predicates["ppt_phi"].value == "no"
+        assert report.predicates["degradable"].value == "no"
+        assert report.notes == ["no certified degrading map: conclusions not asserted"]
+
+    def test_fragile_rank_data_skips_eb_assertions(self, cfg):
+        # a weight of 1e-7 puts a Choi eigenvalue inside the fragility window
+        report = degradable_ppt_check(schur_multiplier_pair((1.0, 1e-7), cfg), cfg)
+        assert report.predicates["degradable"].value == "yes"
+        assert report.predicates["eb_phi"].fragile and report.predicates["eb_psi"].fragile
+        assert report.notes == ["fragile rank data: entanglement-breaking assertions skipped"]
+
+    @pytest.mark.parametrize("fault", ["composition", "phi_pt", "eb"])
+    def test_injected_faults_raise(self, cfg, monkeypatch, fault):
+        # on a real degradable PPT pair the theorem's conclusions hold, so
+        # each assertion can fire only through an injected fault
+        pair = schur_multiplier_pair((1.0, 0.5), cfg)
+        spectra = chancert.certify._spectra
+
+        def phi_pt_not_psd(x, layout, cfg):
+            w, direct, transposed = spectra(x, layout, cfg)
+            if x is pair.choi_phi.matrix:
+                transposed = dataclasses.replace(transposed, psd=False)
+            return w, direct, transposed
+
+        name, replacement, message = {
+            "composition": ("channels_equal", lambda *args: False,
+                            "certified degrading map does not reproduce phi on the Choi level"),
+            "phi_pt": ("_spectra", phi_pt_not_psd,
+                       "composition of a CP map with a PPT map must be PPT"),
+            "eb": ("eb_verdict", lambda ppt, ranks: Verdict("unknown", OUTSIDE_LOW_RANK_REGIME),
+                   "degradable PPT pair must certify entanglement breaking on both members"),
+        }[fault]
+        monkeypatch.setattr(chancert.certify, name, replacement)
+        with pytest.raises(CounterexampleOrBugError, match=message):
+            degradable_ppt_check(pair, cfg)
 
 
 # pair_rules inputs of a pure pair whose PPT primary map meets every

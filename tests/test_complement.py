@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from chancert import (
-    ChoiMatrix,
-    ComplementaryPair,
     StinespringOperator,
     channels_equal,
     common_purification_vector,
@@ -17,7 +15,6 @@ from chancert import (
     schur_stinespring,
     swap_environment,
     tiles_stinespring,
-    verify_complementarity,
 )
 
 from conftest import complex_gaussian
@@ -137,35 +134,6 @@ class TestRankChain:
             w_small = np.sort(np.linalg.eigvalsh(marginals[small]))
             nonzero = w_small[w_small > 1e-10]
             np.testing.assert_allclose(w_big[-nonzero.size:], nonzero, atol=1e-10)
-
-
-class TestVerifyComplementarity:
-    def test_constructed_pair_verifies(self, cfg):
-        rng = np.random.default_rng(5)
-        pair = complementary_pair_from_stinespring(random_st(rng, 2, 2, 3), cfg)
-        assert verify_complementarity(pair, cfg)
-
-    def test_zeroed_psi_fails(self, cfg):
-        rng = np.random.default_rng(6)
-        pair = complementary_pair_from_stinespring(random_st(rng, 2, 2, 2), cfg)
-        broken = ComplementaryPair(
-            pair.stinespring,
-            pair.choi_phi,
-            ChoiMatrix(2, 2, np.zeros((4, 4))),
-        )
-        assert not verify_complementarity(broken, cfg)
-
-    def test_unitary_on_environment_fails(self, cfg):
-        # complements are unique only up to isometry on the environment, and
-        # this check is tied to the specific dilation at hand
-        st = schur_stinespring([1.0, 1.0])
-        pair = complementary_pair_from_stinespring(st, cfg)
-        hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-        conjugated = np.kron(np.eye(2), hadamard) @ pair.choi_psi.matrix @ np.kron(
-            np.eye(2), hadamard
-        ).conj().T
-        rotated = ComplementaryPair(st, pair.choi_phi, ChoiMatrix(2, 2, conjugated))
-        assert not verify_complementarity(rotated, cfg)
 
 
 class TestSwapEnvironment:

@@ -57,7 +57,7 @@ from chancert.harness import (
     _psd_flags,
     _purification_choi,
     _rank_flags,
-    _wide_spectra,
+    _stand_in,
     block_size,
     chunk_size,
     run_harness,
@@ -318,7 +318,7 @@ def engine_marginals(vector, swapped) -> dict:
 
 @pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
 def test_products_within_the_rounding_bound(dims):
-    # _wide_spectra takes every marginal the engine forms, over l complex
+    # _stand_in takes every marginal the engine forms, over l complex
     # terms, within 3/2 l eps tr of exact in Frobenius norm; the einsums of
     # chancert.complement err by at most (l + 2)/2 eps tr, so the two lie
     # within (2 l + 1) eps tr of each other, sample by sample
@@ -444,7 +444,6 @@ def test_no_wide_marginal_reaches_eigvalsh(dims, eigvalsh_stacks):
     d_a, d_b, d_c = dims
     trials = 40 if max(dims) > 3 else 200
     run_harness(dims, trials, 3003, DEFAULT_TOLERANCES)
-    assert matrices_by_dim(eigvalsh_stacks, "_wide_spectra") == Counter()
     assert matrices_by_dim(eigvalsh_stacks, "_run_chunk") == Counter({d_a: trials})
     narrow = matrices_by_dim(eigvalsh_stacks, "_complementary_pair")
     assert narrow == Counter({min(d_a * d_b, d_c): trials}) + Counter({min(d_a * d_c, d_b): trials})
@@ -456,8 +455,10 @@ def test_no_wide_marginal_reaches_eigvalsh(dims, eigvalsh_stacks):
 def test_wide_marginal_fallback_agrees(dims, cfg, eigvalsh_stacks):
     # at rounding-level tolerances the zeros the narrow spectrum pads with
     # meet a decision window, so the wider marginals go to eigvalsh
+    d_a, d_b, d_c = dims
     assert_agrees(dims, 40, 8, cfg)
-    assert matrices_by_dim(eigvalsh_stacks, "_wide_spectra")
+    matrices = matrices_by_dim(eigvalsh_stacks, "_complementary_pair")
+    assert matrices[max(d_a * d_b, d_c)] + matrices[max(d_a * d_c, d_b)] > 0
 
 
 @pytest.mark.parametrize("cfg", [DEFAULT_TOLERANCES, ToleranceConfig(psd_tol=0.1)],
@@ -572,6 +573,30 @@ def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
     monkeypatch.setattr(chancert.harness, "_purification_choi", recording)
     assert run_harness(dims, 50, 3003, DEFAULT_TOLERANCES).escalated == []
     assert set(sides) == {min(d_a * d_b, d_a * d_c), d_a * (min(d_b, d_c) + 1)}
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
+def test_stand_in_runs_once_per_pair(dims, monkeypatch):
+    # the cut leaves some wider Choi matrices open here, so a pair runs both
+    # the cut and the block loop over the rest; the wider side's stand-in is
+    # still taken once, for all samples of the chunk
+    d_a, d_b, d_c = dims
+    rows, sides = [], []
+    stand_in, purification_choi = chancert.harness._stand_in, chancert.harness._purification_choi
+
+    def recording_stand_in(narrow, *args, **kwargs):
+        rows.append(narrow.shape[0])
+        return stand_in(narrow, *args, **kwargs)
+
+    def recording_choi(v, out):
+        sides.append(v.shape[1] * v.shape[2])
+        return purification_choi(v, out)
+
+    monkeypatch.setattr(chancert.harness, "_stand_in", recording_stand_in)
+    monkeypatch.setattr(chancert.harness, "_purification_choi", recording_choi)
+    run_harness(dims, 50, 3003, DEFAULT_TOLERANCES)
+    assert rows == [50, 50]
+    assert d_a * max(d_b, d_c) in sides
 
 
 def cut_and_full_flags(vector, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -729,7 +754,8 @@ def test_wide_spectra_psd_flags_near_threshold(psd_tol):
     # a narrow spectrum with lambda_min at k times the PSD threshold, around
     # the escalation window (2, 1/2), and h = U diag(w) U^dagger with w that
     # spectrum padded with zeros: no marginal of a pure vector, but the
-    # certificate's premise holds exactly; trace bounds the trace norm
+    # certificate's premise holds exactly; trace bounds the trace norm. On
+    # the rows _stand_in settles, the stand-in has the flags of h's spectrum
     cfg = ToleranceConfig(psd_tol=psd_tol)
     rng = np.random.default_rng(43)
     stand_ins = 0
@@ -741,13 +767,13 @@ def test_wide_spectra_psd_flags_near_threshold(psd_tol):
             h = hermitian_stack(rng, padded)
             for exponent in (-40, 0, 40):
                 scale = 2.0**exponent
-                w = _wide_spectra(h * scale, narrow * scale, np.abs(narrow).sum(1) * scale, cfg,
-                                  psd=True)
+                w, settled = _stand_in(narrow * scale, np.abs(narrow).sum(1) * scale, dim, cfg,
+                                       psd=True)
                 want = np.linalg.eigvalsh(h * scale)
                 for got, expected in zip(_psd_flags(w, cfg) + _rank_flags(w, cfg),
                                          _psd_flags(want, cfg) + _rank_flags(want, cfg)):
-                    assert np.array_equal(got, expected)
-                stand_ins += np.count_nonzero((w != want).any(axis=1))
+                    assert np.array_equal(got[settled], expected[settled])
+                stand_ins += np.count_nonzero(settled & (w != want).any(axis=1))
     assert stand_ins > 0 or psd_tol == ROUNDING_PSD_TOL
 
 

@@ -87,6 +87,15 @@ class TestMatrixFiles:
         with pytest.raises(ValueError):
             dumps(payload)
 
+    def test_infinite_entry_rejected(self, tmp_path, capsys):
+        # json reads 1e999 as inf
+        payload = matrix_file_dict(np.eye(4), role="choi", layout=BipartiteLayout(2, 2))
+        payload["re"][0][0] = "entry"
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(payload).replace('"entry"', "1e999"))
+        assert main(["analyze", str(path)]) == 2
+        assert "matrix entries must be finite" in capsys.readouterr().err
+
     def test_inconsistent_layout_rejected(self):
         payload = matrix_file_dict(np.eye(4))
         payload["layout"] = [2, 3]
@@ -284,6 +293,17 @@ class TestCliAnalyze:
         predicates = json.loads(report_path.read_text())["analysis"]["predicates"]
         assert predicates["eb_phi"]["value"] == "yes"
         assert predicates["eb_psi"]["value"] == "yes"
+
+    def test_purity_failure_exits_4(self, tmp_path, monkeypatch, capsys):
+        # a purity failure on a non-fragile sample is a counterexample
+        st_path = tmp_path / "st.json"
+        assert main(["generate", "--kind", "random-stinespring", "--dims", "2,2,2", "--seed",
+                     "1", "--index", "0", "--output", str(st_path)]) == 0
+        original = chancert.certify.pair_rules
+        monkeypatch.setattr(chancert.certify, "pair_rules",
+                            lambda *args: (False, original(*args)[1]))
+        assert main(["analyze", str(st_path), "--output", str(tmp_path / "r.json")]) == 4
+        assert "purity rank equalities failed on a non-fragile sample" in capsys.readouterr().err
 
     @pytest.mark.parametrize("role, psd_key", [("choi", "cp"), ("state", "psd")])
     def test_non_hermitian_input_gets_no_rank_records(self, tmp_path, role, psd_key):
@@ -836,6 +856,22 @@ class TestCliVerifyTheorem:
         assert main(["verify-theorem", "--trials", "3", "--dims", "2,2,2",
                      "--seed", "-1", "--output", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, env, message", [
+        (["--dims", "2,2"], {}, "--dims"),
+        (["--dims", "2,2,0"], {}, "--dims"),
+        (["--trials", "0"], {}, "--trials"),
+        ([], {"CHANCERT_PSD_TOL": "abc"}, "CHANCERT_PSD_TOL"),
+    ])
+    def test_invalid_run_is_parse_error(self, tmp_path, monkeypatch, capsys, args, env, message):
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        out = tmp_path / "vt.json"
+        # a later option overrides an earlier one
+        assert main(["verify-theorem", "--trials", "3", "--dims", "2,2,2", "--seed", "1",
+                     "--output", str(out), *args]) == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_replay_is_deterministic(self, tmp_path):
