@@ -81,6 +81,8 @@ NOT_APPLICABLE = "not-applicable"
 
 # Ranks come from eigenvalues; no verdict on a non-Hermitian matrix reads them.
 NOT_HERMITIAN_NOTE = "matrix is not Hermitian: rank records skipped"
+# A Choi matrix's entanglement-breaking certificate is read only for a CP map.
+EB_NOT_CP = "eb certificate requires a CP map (PSD Choi matrix)"
 
 # Entanglement-breaking certificate codes of ``eb_rule``, as indices into
 # EB_VERDICTS.
@@ -153,29 +155,27 @@ def _bool_verdict(flag: bool, reason: str, fragile: bool = False) -> Verdict:
     return Verdict(YES if flag else NO, reason, fragile)
 
 
-def _marginal_ranks(
-    x, w: np.ndarray, layout: BipartiteLayout, cfg: ToleranceConfig
-) -> tuple[RankDecision, RankDecision, RankDecision]:
-    """Rank decisions for (x, left marginal, right marginal) of a Hermitian
-    ``x`` with spectrum ``w``; the marginals are Hermitian too, so no deviation
-    check precedes their spectra.
+def _spectra(
+    x, layout: BipartiteLayout, cfg: ToleranceConfig
+) -> tuple[PsdCheck, PsdCheck, tuple[RankDecision, RankDecision, RankDecision] | None]:
+    """The PSD records of ``x`` and of its left partial transpose, and the
+    rank decisions of (x, left marginal, right marginal), or None unless
+    ``x`` is Hermitian. The marginals of a Hermitian ``x`` are Hermitian too,
+    so no deviation check precedes their spectra.
 
     The "left marginal" is what remains after tracing out the right factor,
     and vice versa.
     """
-    return (
+    w, direct = hermitian_spectrum(x, cfg)
+    transposed = psd_check(partial_transpose(x, layout, "left"), cfg)
+    if not direct.hermitian:
+        return direct, transposed, None
+    ranks = (
         rank_record(w, cfg),
         rank_record(hermitian_part_spectrum(partial_trace(x, layout, "right")), cfg),
         rank_record(hermitian_part_spectrum(partial_trace(x, layout, "left")), cfg),
     )
-
-
-def _spectra(
-    x, layout: BipartiteLayout, cfg: ToleranceConfig
-) -> tuple[np.ndarray, PsdCheck, PsdCheck]:
-    """Ascending spectrum of ``x``, and the PSD records of ``x`` and of its
-    left partial transpose."""
-    return (*hermitian_spectrum(x, cfg), psd_check(partial_transpose(x, layout, "left"), cfg))
+    return direct, transposed, ranks
 
 
 def witness_rule(whole, left, right):
@@ -255,11 +255,19 @@ def separability_verdict(ppt: bool, ranks) -> Verdict:
 def eb_verdict(ppt: bool, ranks) -> Verdict:
     """Entanglement-breaking verdict of a CP map from its PPT flag and the rank
     triple of its Choi matrix, by ``eb_rule``. Outside PPT the verdict is no
-    and ``ranks`` is not read (it may be None)."""
+    and ``ranks`` is not read."""
     if not ppt:
         return Verdict(*EB_VERDICTS[EB_NO])
     _, regime, fragile = _rank_flags(ranks)
     return Verdict(*EB_VERDICTS[int(eb_rule(True, regime))], fragile)
+
+
+def _psd_predicate(report: CertificateReport, spectrum: str, predicate: str, message: str) -> Verdict:
+    """``report``'s ``predicate``, which its builder records only when the
+    ``spectrum`` record is PSD; otherwise NotPositiveSemidefiniteError."""
+    if not report.spectra[spectrum].psd:
+        raise NotPositiveSemidefiniteError(message)
+    return report.predicates[predicate]
 
 
 def distillability_witness(
@@ -269,12 +277,10 @@ def distillability_witness(
 
     Yes when rank(X) < max(rank of either marginal): such an X is distillable
     and in particular cannot be PPT. A silent witness proves nothing, so the
-    alternative is unknown, never no.
+    alternative is unknown, never no. Read from ``state_report``.
     """
-    w, direct = hermitian_spectrum(x, cfg)
-    if not direct.psd:
-        raise NotPositiveSemidefiniteError("distillability witness requires a PSD input")
-    return witness_verdict(_marginal_ranks(x, w, layout, cfg))
+    return _psd_predicate(state_report(x, layout, cfg), "state", "distillable_witness",
+                          "distillability witness requires a PSD input")
 
 
 def separability_decision(
@@ -285,25 +291,10 @@ def separability_decision(
     Applicable when rank(X) <= max(marginal ranks); there separability, PPT,
     and undistillability coincide, so the partial transpose decides. Outside
     the regime the decision is unknown (deciding it is intractable in
-    general and deliberately out of scope).
+    general and deliberately out of scope). Read from ``state_report``.
     """
-    w, direct = hermitian_spectrum(x, cfg)
-    if not direct.psd:
-        raise NotPositiveSemidefiniteError("separability decision requires a PSD input")
-    ranks = _marginal_ranks(x, w, layout, cfg)
-    transposed = psd_check(partial_transpose(x, layout, "left"), cfg)
-    return separability_verdict(ppt_rule(direct, transposed), ranks)
-
-
-def _eb_certificate(
-    choi: ChoiMatrix, w: np.ndarray, direct: PsdCheck, transposed: PsdCheck, cfg: ToleranceConfig
-) -> Verdict:
-    """``eb_certificate`` from the Choi matrix's spectrum ``w`` and PSD
-    records; the marginal ranks are computed only when the map is PPT."""
-    if not direct.psd:
-        raise NotPositiveSemidefiniteError("eb certificate requires a CP map (PSD Choi matrix)")
-    ppt = ppt_rule(direct, transposed)
-    return eb_verdict(ppt, _marginal_ranks(choi.matrix, w, choi.layout, cfg) if ppt else None)
+    return _psd_predicate(state_report(x, layout, cfg), "state", "separable",
+                          "separability decision requires a PSD input")
 
 
 def eb_certificate(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> Verdict:
@@ -312,9 +303,9 @@ def eb_certificate(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) 
     No whenever the Choi matrix fails PPT (a separable matrix is always PPT).
     Yes only inside the low-rank regime, where PPT and separability coincide.
     Unknown when the map is PPT but the regime does not apply; a yes is never
-    claimed without the rank hypothesis on record.
+    claimed without the rank hypothesis on record. Read from ``choi_report``.
     """
-    return _eb_certificate(choi, *_spectra(choi.matrix, choi.layout, cfg), cfg)
+    return _psd_predicate(choi_report(choi, cfg), "choi", "eb", EB_NOT_CP)
 
 
 @dataclass(frozen=True)
@@ -489,17 +480,13 @@ def degradable_ppt_check(
     ctx = dict(context or {})
     report = CertificateReport(tolerances=cfg)
 
-    psi_w, psi_psd, psi_pt = _spectra(pair.choi_psi.matrix, pair.choi_psi.layout, cfg)
-    phi_w, phi_psd, phi_pt = _spectra(pair.choi_phi.matrix, pair.choi_phi.layout, cfg)
-    report.spectra.update(
-        {"phi_choi": phi_psd, "phi_choi_pt": phi_pt, "psi_choi": psi_psd, "psi_choi_pt": psi_pt}
-    )
-    psi_ppt = ppt_rule(psi_psd, psi_pt)
-    phi_ppt = ppt_rule(phi_psd, phi_pt)
-    report.predicates["ppt_psi"] = _bool_verdict(psi_ppt, PT_SPECTRUM)
-    report.predicates["ppt_phi"] = _bool_verdict(phi_ppt, PT_SPECTRUM)
+    psi, phi = choi_report(pair.choi_psi, cfg), choi_report(pair.choi_phi, cfg)
+    for name, member in (("phi", phi), ("psi", psi)):
+        report.spectra[f"{name}_choi"] = member.spectra["choi"]
+        report.spectra[f"{name}_choi_pt"] = member.spectra["choi_pt"]
+        report.predicates[f"ppt_{name}"] = member.predicates["ppt"]
 
-    if not psi_ppt:
+    if not psi.predicates["ppt"].is_yes:
         report.predicates["degradable"] = Verdict(UNKNOWN, NOT_APPLICABLE)
         report.notes.append("psi is not PPT: degradability check vacuous")
         return report
@@ -509,10 +496,8 @@ def degradable_ppt_check(
     report.residuals["degrading_residual"] = cand.residual
     report.spectra["omega_choi"] = cand.omega_spectrum
 
-    eb_phi = _eb_certificate(pair.choi_phi, phi_w, phi_psd, phi_pt, cfg)
-    eb_psi = _eb_certificate(pair.choi_psi, psi_w, psi_psd, psi_pt, cfg)
-    report.predicates["eb_phi"] = eb_phi
-    report.predicates["eb_psi"] = eb_psi
+    eb_phi, eb_psi = (_psd_predicate(member, "choi", "eb", EB_NOT_CP) for member in (phi, psi))
+    report.predicates.update(eb_phi=eb_phi, eb_psi=eb_psi)
 
     if cand.verdict.value != YES:
         report.notes.append("no certified degrading map: conclusions not asserted")
@@ -524,7 +509,7 @@ def degradable_ppt_check(
     composed = compose(cand.choi_omega, pair.choi_psi)
     if not channels_equal(composed, pair.choi_phi, cfg):
         fail("certified degrading map does not reproduce phi on the Choi level")
-    if not phi_ppt:
+    if not phi.predicates["ppt"].is_yes:
         fail("composition of a CP map with a PPT map must be PPT")
     if eb_phi.fragile or eb_psi.fragile:
         report.notes.append("fragile rank data: entanglement-breaking assertions skipped")
@@ -540,13 +525,12 @@ def state_report(
 ) -> CertificateReport:
     """Predicate suite for a bipartite matrix treated as an (unnormalized) state."""
     report = CertificateReport(tolerances=cfg)
-    w, spectrum, pt_spectrum = _spectra(x, layout, cfg)
+    spectrum, pt_spectrum, ranks = _spectra(x, layout, cfg)
     report.spectra.update({"state": spectrum, "state_pt": pt_spectrum})
-    if spectrum.hermitian:
-        ranks = _marginal_ranks(x, w, layout, cfg)
-        report.ranks.update(zip(("state", "marginal_left", "marginal_right"), ranks))
-    else:
+    if ranks is None:
         report.notes.append(NOT_HERMITIAN_NOTE)
+    else:
+        report.ranks.update(zip(("state", "marginal_left", "marginal_right"), ranks))
     ppt = ppt_rule(spectrum, pt_spectrum)
     report.predicates["psd"] = _bool_verdict(spectrum.psd, PSD_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
@@ -561,13 +545,12 @@ def state_report(
 def choi_report(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CertificateReport:
     """Predicate suite for a map given by its Choi matrix."""
     report = CertificateReport(tolerances=cfg)
-    w, direct, transposed = _spectra(choi.matrix, choi.layout, cfg)
+    direct, transposed, ranks = _spectra(choi.matrix, choi.layout, cfg)
     report.spectra.update({"choi": direct, "choi_pt": transposed})
-    if direct.hermitian:
-        ranks = _marginal_ranks(choi.matrix, w, choi.layout, cfg)
-        report.ranks.update(zip(("choi", "marginal_a", "marginal_b"), ranks))
-    else:
+    if ranks is None:
         report.notes.append(NOT_HERMITIAN_NOTE)
+    else:
+        report.ranks.update(zip(("choi", "marginal_a", "marginal_b"), ranks))
     ppt = ppt_rule(direct, transposed)
     report.predicates["cp"] = _bool_verdict(direct.psd, PSD_SPECTRUM)
     report.predicates["cocp"] = _bool_verdict(transposed.psd, PT_SPECTRUM)

@@ -147,7 +147,7 @@ def _load(parsed: list[ParsedMatrix], role: str, accepted, verb: str):
     if role == "kraus":
         ordered = ordered_kraus_files(parsed)
         require_operator_scale(ordered, role)
-        return KrausSet(*ordered[0].dims[:2], tuple(p.matrix for p in ordered))
+        return KrausSet(*ordered[0].dims, tuple(p.matrix for p in ordered))
     (p,) = parsed
     if role == "stinespring":
         if p.dims is None or len(p.dims) != 3:
@@ -160,6 +160,10 @@ def _load(parsed: list[ParsedMatrix], role: str, accepted, verb: str):
         if p.dims is None or len(p.dims) != 2:
             raise MatrixFileError(f"matrix file needs a layout or two-entry dims to be {verb}")
         layout = BipartiteLayout(*p.dims)
+    elif p.dims is not None and p.dims != (layout.d_left, layout.d_right):
+        raise MatrixFileError(
+            f"dims {list(p.dims)} disagree with layout {[layout.d_left, layout.d_right]}"
+        )
     if role == "choi":
         return ChoiMatrix(layout.d_left, layout.d_right, p.matrix)
     return p.matrix, layout

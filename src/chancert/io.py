@@ -80,6 +80,8 @@ def loads(text: str) -> dict:
         obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MatrixFileError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise MatrixFileError("top-level JSON value must be an object")
     return obj
@@ -255,7 +257,7 @@ def ordered_kraus_files(parsed: list[ParsedMatrix]) -> list[ParsedMatrix]:
     kraus_count must equal n. A partial or repeated set would silently
     describe a different map, so it is rejected.
     """
-    if any(p.dims is None or len(p.dims) < 2 for p in parsed):
+    if any(p.dims is None or len(p.dims) != 2 for p in parsed):
         raise MatrixFileError("kraus files require dims [d_a, d_b]")
     dims = {p.dims for p in parsed}
     if len(dims) != 1:

@@ -379,10 +379,10 @@ class TestDegradablePptCheck:
         spectra = chancert.certify._spectra
 
         def phi_pt_not_psd(x, layout, cfg):
-            w, direct, transposed = spectra(x, layout, cfg)
+            direct, transposed, ranks = spectra(x, layout, cfg)
             if x is pair.choi_phi.matrix:
                 transposed = dataclasses.replace(transposed, psd=False)
-            return w, direct, transposed
+            return direct, transposed, ranks
 
         name, replacement, message = {
             "composition": ("channels_equal", lambda *args: False,
@@ -611,6 +611,19 @@ class TestLapackBudget:
         state_report(tiles.matrix, tiles.layout, cfg)
         assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
 
+    @pytest.mark.parametrize("decide", [distillability_witness, separability_decision])
+    def test_matrix_level_state_functions(self, cfg, lapack_calls, decide):
+        # read from state_report: the same 4 spectra
+        tiles = tiles_upb_choi()
+        decide(tiles.matrix, tiles.layout, cfg)
+        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "identity"])
+    def test_eb_certificate(self, cfg, lapack_calls, kind):
+        # read from choi_report, on a PPT and on an NPT map
+        eb_certificate(named_channel(kind, 3), cfg)
+        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
+
     @pytest.mark.parametrize("st", [
         StinespringOperator(2, 2, 3, complex_gaussian(np.random.default_rng(8), (6, 2))),
         schur_stinespring([0.5, 0.3, 0.2]),
@@ -628,8 +641,17 @@ class TestLapackBudget:
 
     @pytest.mark.parametrize("pair", [schur_multiplier_pair([0.5, 0.3, 0.2])], ids=["schur"])
     def test_degradable_ppt_check_on_psi_ppt_pair(self, cfg, lapack_calls, pair):
-        # 4 Choi spectra, the degrading candidate's and 2 marginals per PPT
-        # member; the candidate's pinv calls none of the counted routines
+        # choi_report's 4 spectra per member and the degrading candidate's;
+        # the candidate's pinv calls none of the counted routines
         report = degradable_ppt_check(pair, cfg)
         assert report.predicates["ppt_psi"].is_yes and report.predicates["ppt_phi"].is_yes
         assert lapack_calls == {"eigvalsh": 9, "svd": 0, "eigh": 0}
+
+    @pytest.mark.parametrize("pair", [complementary_pair_from_stinespring(
+        swap_environment(StinespringOperator(2, 2, 1, np.eye(2, dtype=complex))))
+    ], ids=["identity-psi"])
+    def test_degradable_ppt_check_on_npt_psi(self, cfg, lapack_calls, pair):
+        # choi_report's 4 spectra per member, and no degrading candidate
+        report = degradable_ppt_check(pair, cfg)
+        assert not report.predicates["ppt_psi"].is_yes
+        assert lapack_calls == {"eigvalsh": 8, "svd": 0, "eigh": 0}

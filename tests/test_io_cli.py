@@ -96,6 +96,19 @@ class TestMatrixFiles:
         assert main(["analyze", str(path)]) == 2
         assert "matrix entries must be finite" in capsys.readouterr().err
 
+    def test_deeply_nested_json_is_parse_error(self, tmp_path, capsys):
+        # json's decoder recurses once per level, so this depth exhausts the
+        # interpreter's recursion limit
+        depth = 100_000
+        payload = matrix_file_dict(np.eye(4), role="choi", layout=BipartiteLayout(2, 2))
+        payload["re"] = "nested"
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(payload).replace('"nested"', "[" * depth + "]" * depth))
+        for argv in (["analyze", str(path)], ["convert", str(path), "--to", "stinespring"]):
+            assert main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err == "error: invalid JSON: nested too deeply\n", argv
+
     def test_inconsistent_layout_rejected(self):
         payload = matrix_file_dict(np.eye(4))
         payload["layout"] = [2, 3]
@@ -538,6 +551,31 @@ class TestCliGenerateConvert:
         self.edit(paths[3], dims=[2, 3])
         assert main(["convert", *paths, "--to", "choi",
                      "--output", str(tmp_path / "back.json")]) == 2
+
+    def test_kraus_files_with_three_dims_rejected(self, tmp_path, capsys):
+        paths = self.depolarizing_kraus_files(tmp_path)
+        for path in paths:
+            self.edit(path, dims=[2, 2, 7])
+        capsys.readouterr()
+        assert main(["convert", *paths, "--to", "choi",
+                     "--output", str(tmp_path / "back.json")]) == 2
+        assert capsys.readouterr() == ("", "error: kraus files require dims [d_a, d_b]\n")
+
+    @pytest.mark.parametrize("kind, role", [("depolarizing", "choi"), ("tiles", "state")])
+    def test_dims_disagreeing_with_layout_rejected(self, tmp_path, capsys, kind, role):
+        path = tmp_path / "m.json"
+        dims = ["--dims", "2"] if kind == "depolarizing" else []
+        assert main(["generate", "--kind", kind, *dims, "--output", str(path)]) == 0
+        d_left, d_right = json.loads(path.read_text())["layout"]
+        self.edit(path, dims=[d_left * d_right, 1])
+        line = f"error: dims [{d_left * d_right}, 1] disagree with layout [{d_left}, {d_right}]\n"
+        capsys.readouterr()
+        argvs = [["analyze", str(path)]]
+        if role == "choi":
+            argvs.append(["convert", str(path), "--to", "stinespring"])
+        for argv in argvs:
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", line), argv
 
     def test_admitted_negative_eigenvalue_writes_no_zero_operator(self, tmp_path):
         choi_path = tmp_path / "j.json"
