@@ -7,14 +7,16 @@ must actually reach escalation, fragile discards and the PPT branch.
 
 A chunk holds each sample's dilation and its marginals on a, b and c; the
 Choi matrices are formed in blocks inside it, and only there. The engine's
-partial-transpose flags skip the spectrum where a 2 x 2 minor certifies the
-matrix clearly not PSD, and the wider marginal of each complementary pair
-takes its flags from the narrower one's spectrum where that leaves no
-decision open; both must equal the flags of the spectrum exactly. A wider
-Choi matrix whose non-transposed factor exceeds the inner dimension r + 1
-is first read on the vectors cut to r + 1 values of that factor; where the
-cut's minors certify it, the flags of the full partial transpose's spectrum
-must read not PSD and not near, and the full matrix is never formed.
+partial-transpose flags skip the spectrum where a 2 x 2 minor, or for the
+narrower side of a pair a Rayleigh quotient, certifies the matrix clearly
+not PSD, and the wider marginal of each complementary pair takes its flags
+from the narrower one's spectrum where that leaves no decision open; both
+must equal the flags of the spectrum exactly. A wider Choi matrix whose
+non-transposed factor exceeds the inner dimension r + 1 is first read on
+the vectors cut to r + 1 values of that factor; where the cut's minors or
+its Rayleigh quotient certify it, the flags of the full partial
+transpose's spectrum must read not PSD and not near, and the full matrix
+is never formed.
 """
 
 import itertools
@@ -47,8 +49,11 @@ from chancert.harness import (
     COUNT_KEYS,
     ESCALATION_MARGIN,
     MINOR_ROUNDING,
+    RAYLEIGH_ROUNDING,
+    RAYLEIGH_SIDE,
     _certified_npt,
     _complementary_pair,
+    _choi_blocks,
     _cut_certificates,
     _factor_marginals,
     _frobenius,
@@ -57,6 +62,7 @@ from chancert.harness import (
     _psd_flags,
     _purification_choi,
     _rank_flags,
+    _rayleigh_npt,
     _stand_in,
     block_size,
     chunk_size,
@@ -305,6 +311,12 @@ def test_spoiled_purification_route_escalates_every_sample(dims, monkeypatch):
     assert (result.counts, result.counterexamples) == (counts, counterexamples)
 
 
+def harness_vectors(dims, seed, trials) -> np.ndarray:
+    """The purification vectors of samples 0 .. trials-1, shape (trials, *dims)."""
+    return np.stack([common_purification_vector(random_stinespring(*dims, seed=seed, index=i))
+                     for i in range(trials)]).reshape(trials, *dims)
+
+
 def engine_marginals(vector, swapped) -> dict:
     """The five marginals of C-contiguous tripartite vectors, given also with
     b and c swapped, formed with the engine's products, keyed as
@@ -324,8 +336,7 @@ def test_products_within_the_rounding_bound(dims):
     # within (2 l + 1) eps tr of each other, sample by sample
     d_a, d_b, d_c = dims
     n, eps = 40, np.finfo(np.float64).eps
-    vector = np.stack([common_purification_vector(random_stinespring(*dims, seed=3003, index=i))
-                       for i in range(n)]).reshape(n, *dims)
+    vector = harness_vectors(dims, 3003, n)
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
     engine = engine_marginals(vector, np.ascontiguousarray(vector.swapaxes(2, 3)))
     reference = {"ab": choi_marginal(vector), "ac": choi_marginal(vector.swapaxes(2, 3)),
@@ -365,9 +376,11 @@ def test_chunk_edges(dims):
     assert_agrees(dims, chunk_size(dims) + 1, 17)
 
 
-@pytest.mark.parametrize("dims", [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 1)], ids=dims_id)
+@pytest.mark.parametrize("dims", [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 1), (6, 1, 6)],
+                         ids=dims_id)
 def test_unit_dimensions_agree(dims):
-    # a unit factor turns a partial transpose into a strided view
+    # a unit factor turns a partial transpose into a strided view; at
+    # (6, 1, 6) phi's, of side 6, goes through the Rayleigh stage
     assert_agrees(dims, 40, 17)
 
 
@@ -421,19 +434,23 @@ def matrices_by_dim(stacks, caller=None) -> Counter:
     return matrices
 
 
-@pytest.mark.parametrize("dims", WIDE_TUPLES, ids=dims_id)
+@pytest.mark.parametrize("dims", WIDE_TUPLES + MIRRORED_TUPLES, ids=dims_id)
 def test_no_ac_partial_transpose_reaches_eigvalsh(dims, eigvalsh_stacks):
-    # psi's Choi matrix and its partial transpose are both settled here, so
-    # only the marginal on a, the narrower side of each complementary pair
-    # and the open ab partial transposes reach LAPACK (five to six matrices
-    # per sample with the ac marginal, seven without either certificate);
-    # no other kind has side d_a * d_c
-    d_a, _, d_c = dims
+    # the wider side's Choi matrix and its partial transpose are both settled
+    # here, so only the marginal on a, the narrower side of each
+    # complementary pair and the narrower side's open partial transposes
+    # reach LAPACK; no other kind has the wider Choi matrix's side. Three
+    # matrices per sample, plus the few the minors and the Rayleigh quotient
+    # leave open (at most 7 of 404 at (3, 3, 9) over seeds 1, 77 and 3003,
+    # none of 128 at (4, 4, 16)); at (2, 2, 6) and (2, 6, 2), below
+    # RAYLEIGH_SIDE, up to one more per sample
+    d_a, d_b, d_c = dims
     trials = 2 * chunk_size(dims)
     run_harness(dims, trials, 3003, DEFAULT_TOLERANCES)
     matrices = matrices_by_dim(eigvalsh_stacks)
-    assert matrices[d_a * d_c] == 0
-    assert 3 * trials <= sum(matrices.values()) <= 4 * trials
+    assert matrices[max(d_a * d_b, d_a * d_c)] == 0
+    slack = trials if min(d_a * d_b, d_a * d_c) < RAYLEIGH_SIDE else trials // 50
+    assert 3 * trials <= sum(matrices.values()) <= 3 * trials + slack
 
 
 @pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
@@ -499,9 +516,10 @@ def test_partial_transpose_flags_match_spectrum_flags(psd_tol):
     # g with lambda_min at k times its threshold -psd_tol * lambda_max, on
     # both sides of the escalation window (2, 1/2) and of the certificate's
     # reach (k above 4 at dim 2); the flags read g off h, its partial transpose
+    # both with and without the Rayleigh stage
     cfg = ToleranceConfig(psd_tol=psd_tol)
     rng = np.random.default_rng(31)
-    certified = 0
+    certified = Counter()
     for d_left, d_right in ((1, 2), (2, 1), (1, 5), (2, 3), (3, 4)):
         dim = d_left * d_right
         for k in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 2.5, 4.0, 8.0):
@@ -512,11 +530,14 @@ def test_partial_transpose_flags_match_spectrum_flags(psd_tol):
             for exponent in (-40, 0, 40):
                 scaled = 2.0**exponent * g
                 h, bound = _partial_transpose_left(scaled, d_left, d_right), _frobenius(scaled)
-                psd, near = _partial_transpose_flags(h, d_left, d_right, bound, cfg)
                 want_psd, want_near = spectrum_flags(scaled, cfg)
-                assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
-                certified += np.count_nonzero(_certified_npt(h, d_left, d_right, bound, cfg))
-    assert certified > 0 or psd_tol == ROUNDING_PSD_TOL
+                for rayleigh in (False, True):
+                    psd, near = _partial_transpose_flags(h, d_left, d_right, bound, cfg, rayleigh)
+                    assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
+                certified["minors"] += np.count_nonzero(
+                    _certified_npt(h, d_left, d_right, bound, cfg))
+                certified["rayleigh"] += np.count_nonzero(_rayleigh_npt(scaled, bound, cfg))
+    assert min(certified.values()) > 0 or psd_tol == ROUNDING_PSD_TOL
 
 
 @pytest.mark.parametrize("psd_tol", [1e-9, 0.1, ROUNDING_PSD_TOL])
@@ -536,8 +557,9 @@ def test_certificate_on_2x2_matrices_is_lambda_min_below_minus_c(psd_tol):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d_left=st.integers(1, 4), d_right=st.integers(1, 4),
        rank=st.integers(1, 16), psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3, 0.1]),
-       exponent=st.integers(-40, 40))
-def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, psd_tol, exponent):
+       exponent=st.integers(-40, 40), rayleigh=st.booleans())
+def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, psd_tol, exponent,
+                                                  rayleigh):
     # random PSD stacks: PPT at full rank, mostly NPT below the marginal
     # ranks; flags as from the partial transpose's spectrum, and unchanged
     # under power-of-two scaling
@@ -546,22 +568,72 @@ def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, p
     g = complex_gaussian(np.random.default_rng(seed), (3, dim, min(rank, dim)))
     state = g @ g.conj().swapaxes(1, 2)
     h = (state + state.conj().swapaxes(1, 2)) / 2.0
-    psd, near = _partial_transpose_flags(h, d_left, d_right, _frobenius(h), cfg)
+    psd, near = _partial_transpose_flags(h, d_left, d_right, _frobenius(h), cfg, rayleigh)
     want_psd, want_near = spectrum_flags(_partial_transpose_left(h, d_left, d_right), cfg)
     assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
     scaled = 2.0**exponent * h
     scaled_psd, scaled_near = _partial_transpose_flags(
-        scaled, d_left, d_right, _frobenius(scaled), cfg
+        scaled, d_left, d_right, _frobenius(scaled), cfg, rayleigh
     )
     assert np.array_equal(scaled_psd, psd) and np.array_equal(scaled_near, near)
 
 
-@pytest.mark.parametrize("dims", [(3, 3, 9), (4, 4, 16), (3, 9, 3)], ids=dims_id)
+def noisy_product_states(rng, n, d_left, d_right, rank, noise) -> np.ndarray:
+    """Hermitian stacks: a product state plus ``noise`` times a state of rank
+    ``rank``, PPT at zero noise and as far from it as the noise."""
+    left, right = complex_gaussian(rng, (n, d_left)), complex_gaussian(rng, (n, d_right))
+    product = np.einsum("na,nb->nab", left, right).reshape(n, -1, 1)
+    g = complex_gaussian(rng, (n, d_left * d_right, rank))
+    state = product @ product.conj().swapaxes(1, 2) + noise * (g @ g.conj().swapaxes(1, 2))
+    return (state + state.conj().swapaxes(1, 2)) / 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_left=st.integers(1, 4), d_right=st.integers(1, 4),
+       rank=st.integers(1, 16), noise=st.integers(-8, 2),
+       psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3, 0.1]),
+       exponent=st.sampled_from([-40, 0, 40]))
+def test_rayleigh_certificate_implies_spectrum_flags(seed, d_left, d_right, rank, noise, psd_tol,
+                                                     exponent):
+    # wherever the Rayleigh quotient fires on a partial transpose g, the flags
+    # of g's computed spectrum read psd = near = False: random states of any
+    # rank, alone (noise 10^2 drowns the product) and around a product state
+    cfg = ToleranceConfig(psd_tol=psd_tol)
+    dim = d_left * d_right
+    h = 2.0**exponent * noisy_product_states(np.random.default_rng(seed), 4, d_left, d_right,
+                                              min(rank, dim), 10.0**noise)
+    g = _partial_transpose_left(h, d_left, d_right)
+    fired = _rayleigh_npt(g, _frobenius(h), cfg)
+    psd, near = spectrum_flags(g, cfg)
+    assert not (fired & (psd | near)).any()
+
+
+@pytest.mark.parametrize("psd_tol", [1e-9, 0.1, ROUNDING_PSD_TOL])
+@pytest.mark.parametrize("dim", [None, 12])
+def test_rayleigh_certificate_on_either_side_of_the_shift(psd_tol, dim):
+    # g = diag(1, -lambda), either way round: the powers' rows are its
+    # eigenvectors, so the quotient is -lambda. It must fire at lambda beyond
+    # c', c plus the quadratic form's allowance, and not between c and c',
+    # nor for a PSD matrix; at dim 12 c is taken as for a 12 x 12 matrix
+    cfg = ToleranceConfig(psd_tol=psd_tol)
+    bound, eps = 2.0, np.finfo(float).eps
+    c = (2 * ESCALATION_MARGIN * psd_tol + MINOR_ROUNDING * (dim or 2) * eps) * bound
+    c_prime = c + RAYLEIGH_ROUNDING * 2 * eps * bound
+    for lam, fires in (((c + c_prime) / 2, False), (c_prime + (c_prime - c) / 2, True),
+                       (-c, False)):
+        g = np.stack([np.diag([1.0, -lam]), np.diag([-lam, 1.0])]) + 0j
+        assert _rayleigh_npt(g, np.full(2, bound), cfg, dim).tolist() == [fires] * 2
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 9), (4, 4, 16), (3, 9, 3), (2, 2, 6), (2, 6, 2)],
+                         ids=dims_id)
 def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
     # at default tolerances the cut certifies every wider Choi matrix's
-    # partial transpose and the narrower spectrum settles its flags, so the
-    # blocks formed are the narrower Choi matrices and the cuts, of the
-    # inner dimension plus one values of the wider factor
+    # partial transpose, through its minors or, where they leave it open as
+    # for about 9% of the samples at (2, 2, 6) and (2, 6, 2), its Rayleigh
+    # quotient; the narrower spectrum settles its flags. So the blocks formed
+    # are the narrower Choi matrices and the cuts, of the inner dimension
+    # plus one values of the wider factor
     d_a, d_b, d_c = dims
     sides = []
     purification_choi = chancert.harness._purification_choi
@@ -577,9 +649,10 @@ def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
 
 @pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
 def test_stand_in_runs_once_per_pair(dims, monkeypatch):
-    # the cut leaves some wider Choi matrices open here, so a pair runs both
-    # the cut and the block loop over the rest; the wider side's stand-in is
-    # still taken once, for all samples of the chunk
+    # at psd_tol 0.03 (c = 0.12 tr) the cut leaves some wider Choi matrices
+    # open and certifies others (40 and 34 of 50 formed in full), so a pair
+    # runs both the cut and the block loop over the rest; the wider side's
+    # stand-in is still taken once, for all samples of the chunk
     d_a, d_b, d_c = dims
     rows, sides = [], []
     stand_in, purification_choi = chancert.harness._stand_in, chancert.harness._purification_choi
@@ -594,7 +667,7 @@ def test_stand_in_runs_once_per_pair(dims, monkeypatch):
 
     monkeypatch.setattr(chancert.harness, "_stand_in", recording_stand_in)
     monkeypatch.setattr(chancert.harness, "_purification_choi", recording_choi)
-    run_harness(dims, 50, 3003, DEFAULT_TOLERANCES)
+    run_harness(dims, 50, 3003, ToleranceConfig(psd_tol=0.03))
     assert rows == [50, 50]
     assert d_a * max(d_b, d_c) in sides
 
@@ -650,8 +723,7 @@ def test_cut_certificate_on_harness_and_noisy_vectors(psd_tol):
     rng = np.random.default_rng(47)
     certified_count = 0
     for dims in WIDE_TUPLES + MIRRORED_TUPLES:
-        vector = np.stack([common_purification_vector(random_stinespring(*dims, seed=3003, index=i))
-                           for i in range(8)]).reshape(8, *dims)
+        vector = harness_vectors(dims, 3003, 8)
         if dims[2] > dims[1]:
             vector = np.ascontiguousarray(vector.swapaxes(2, 3))
         batches = [vector] + [noisy_product_vectors(rng, 8, vector.shape[1:], 1, 10.0**noise)
@@ -661,6 +733,91 @@ def test_cut_certificate_on_harness_and_noisy_vectors(psd_tol):
             assert not (certified & (psd | near)).any()
             certified_count += np.count_nonzero(certified)
     assert certified_count > 0 or psd_tol == 0.1
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
+def test_cut_rayleigh_shift_is_taken_at_the_full_side(dims, monkeypatch):
+    # the Rayleigh stage reads the cut, of side d_a (r + 1), and certifies the
+    # full matrix, of side d_a * max(d_b, d_c): its shift is the full side's.
+    # The narrower partial transposes here are 4 x 4, below RAYLEIGH_SIDE
+    d_a, d_b, d_c = dims
+    calls = []
+    rayleigh = chancert.harness._rayleigh_npt
+
+    def recording(g, bound, cfg, dim=None, work=None):
+        calls.append((g.shape[-1], dim))
+        return rayleigh(g, bound, cfg, dim, work)
+
+    monkeypatch.setattr(chancert.harness, "_rayleigh_npt", recording)
+    run_harness(dims, 50, 3003, DEFAULT_TOLERANCES)
+    assert set(calls) == {(d_a * (min(d_b, d_c) + 1), d_a * max(d_b, d_c))}
+
+
+def cut_rayleigh(vector, cfg) -> np.ndarray:
+    """``_rayleigh_npt`` of the partial transposes of the Choi matrices of
+    C-contiguous tripartite vectors cut to d_c + 1 values of b, every row,
+    with the shift at the full side and the trace as the bound."""
+    n, d_a, d_b, d_c = vector.shape
+    trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
+    cut = np.ascontiguousarray(vector[:, :, :d_c + 1])
+    side = d_a * (d_c + 1)
+    choi = _purification_choi(cut, np.empty((n, side, side), dtype=complex))
+    h = (choi + choi.conj().swapaxes(1, 2)) / 2.0
+    return _rayleigh_npt(_partial_transpose_left(h, d_a, d_c + 1), trace, cfg, d_a * d_b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(1, 4), d_c=st.integers(1, 4),
+       extra=st.integers(1, 4), rank=st.integers(1, 4), noise=st.integers(-8, 1),
+       psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3, 0.1]),
+       exponent=st.sampled_from([-40, 0, 40]))
+def test_cut_rayleigh_implies_full_flags(seed, d_a, d_c, extra, rank, noise, psd_tol, exponent):
+    # wherever the Rayleigh quotient of a cut fires, whether or not its minors
+    # do, the full partial transpose's computed spectrum reads
+    # psd = near = False
+    cfg = ToleranceConfig(psd_tol=psd_tol)
+    dims = (d_a, d_c + extra, d_c)
+    vector = 2.0**exponent * noisy_product_vectors(np.random.default_rng(seed), 3, dims,
+                                                    min(rank, d_c), 10.0**noise)
+    fired = cut_rayleigh(vector, cfg)
+    _, psd, near = cut_and_full_flags(vector, cfg)
+    assert not (fired & (psd | near)).any()
+
+
+@pytest.mark.parametrize("case", ["phi-3,3,9", "psi-cut-2,2,6"])
+def test_rayleigh_certificates_against_40_digit_spectra(case):
+    # The rounding claim of _rayleigh_npt: where it fires on a partial
+    # transpose g the engine formed, lambda_min(g) < -c. Checked on five
+    # harness matrices each, rebuilt from the same float64 entries at 40
+    # digits: phi's 9 x 9 ones at (3, 3, 9), and psi's 6 x 6 cuts at
+    # (2, 2, 6) that the minors leave open, c taken at the full side 12
+    mpmath = pytest.importorskip("mpmath")
+    cfg = DEFAULT_TOLERANCES
+    if case == "phi-3,3,9":
+        d_a, d_b, _ = dims = (3, 3, 9)
+        vector, d_right, dim = harness_vectors(dims, 3003, 10), d_b, None
+    else:
+        d_a, _, d_c = dims = (2, 2, 6)
+        swapped = harness_vectors(dims, 3003, 100).swapaxes(2, 3)
+        vector, d_right, dim = np.ascontiguousarray(swapped[:, :, :3]), 3, d_a * d_c
+    trace = np.square(_frobenius(vector.reshape(len(vector), 1, -1)))
+    _, h, norm, _, _ = next(_choi_blocks(vector, cfg))
+    bound = norm if dim is None else trace
+    rows = np.arange(len(vector))
+    if dim is not None:
+        rows = rows[~_certified_npt(h, d_a, d_right, bound, cfg, dim=dim)]
+    g = _partial_transpose_left(h[rows], d_a, d_right)
+    fired = _rayleigh_npt(g, bound[rows], cfg, dim)
+    assert np.count_nonzero(fired) >= 5
+    eps, full_side = np.finfo(float).eps, dim or d_a * d_right
+    shift = 2 * ESCALATION_MARGIN * cfg.psd_tol + MINOR_ROUNDING * full_side * eps
+    for k in np.flatnonzero(fired)[:5]:
+        c = shift * bound[rows[k]]
+        with mpmath.workdps(40):
+            exact = mpmath.matrix([[mpmath.mpc(float(z.real), float(z.imag)) for z in row]
+                                   for row in g[k]])
+            lam_min = min(mpmath.eighe(exact, eigvals_only=True))
+            assert lam_min < -mpmath.mpf(float(c))
 
 
 def assert_marginal_flags_match(vector, cfg) -> int:
