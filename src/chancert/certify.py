@@ -220,9 +220,10 @@ def pair_rules(phi_ppt, psi_ppt, witness_psi, eb_phi, eb_psi, lab, lac, la, lb, 
     return purity, relation
 
 
-def ppt_rule(direct: PsdCheck, transposed: PsdCheck) -> bool:
-    """PPT from the PSD records of a matrix and of its partial transpose: both pass."""
-    return direct.psd and transposed.psd
+def ppt_rule(psd, pt_psd):
+    """PPT from the PSD flags of a matrix and of its partial transpose,
+    elementwise over flags or arrays over samples: both pass."""
+    return np.logical_and(psd, pt_psd)
 
 
 def _rank_flags(ranks) -> tuple[bool, bool, bool]:
@@ -387,53 +388,42 @@ def equivalence_check(
     ctx.setdefault("dims", [st.d_a, st.d_b, st.d_c])
 
     marginals = purification_marginals(st)
-    choi_phi = ChoiMatrix(st.d_a, st.d_b, marginals["ab"])
-    choi_psi = ChoiMatrix(st.d_a, st.d_c, marginals["ac"])
-    phi_w, phi_psd = _choi_spectrum("phi", choi_phi.matrix, cfg)
-    psi_w, psi_psd = _choi_spectrum("psi", choi_psi.matrix, cfg)
-    spectra = {key: hermitian_part_spectrum(marginals[key]) for key in ("a", "b", "c")}
-    chain, decisions = _chain_of({"ab": phi_w, "ac": psi_w, **spectra}, cfg)
+    members = (("phi", st.d_b, ("ab", "a", "b")), ("psi", st.d_c, ("ac", "a", "c")))
+    chois, spectra, direct = {}, {}, {}
+    for name, d_out, (key, _, _) in members:
+        chois[name] = ChoiMatrix(st.d_a, d_out, marginals[key])
+        spectra[key], direct[name] = _choi_spectrum(name, chois[name].matrix, cfg)
+    spectra.update({key: hermitian_part_spectrum(marginals[key]) for key in ("a", "b", "c")})
+    chain, decisions = _chain_of(spectra, cfg)
 
     report = CertificateReport(tolerances=cfg, chain=chain)
     report.ranks.update({f"l_{key}": dec for key, dec in decisions.items()})
-
-    phi_pt = psd_check(partial_transpose(choi_phi.matrix, choi_phi.layout, "left"), cfg)
-    psi_pt = psd_check(partial_transpose(choi_psi.matrix, choi_psi.layout, "left"), cfg)
-    report.spectra.update(
-        {"phi_choi": phi_psd, "phi_choi_pt": phi_pt, "psi_choi": psi_psd, "psi_choi_pt": psi_pt}
-    )
-    phi_ppt = ppt_rule(phi_psd, phi_pt)
-    psi_ppt = ppt_rule(psi_psd, psi_pt)
 
     # Tr_B J_phi and Tr_C J_psi are both L_a: the two maps are trace
     # preserving together, exactly when the dilation is an isometry.
     tp = _bool_verdict(
         close_frobenius(marginals["a"], np.eye(st.d_a), cfg.equality_tol), TRACE_BLOCK
     )
-    phi_ranks = tuple(decisions[key] for key in ("ab", "a", "b"))
-    psi_ranks = tuple(decisions[key] for key in ("ac", "a", "c"))
-    witness_phi = witness_verdict(phi_ranks)
-    witness_psi = witness_verdict(psi_ranks)
-    eb_phi = eb_verdict(phi_ppt, phi_ranks)
-    eb_psi = eb_verdict(psi_ppt, psi_ranks)
+    for name, _, keys in members:
+        choi, psd = chois[name], direct[name]
+        pt = psd_check(partial_transpose(choi.matrix, choi.layout, "left"), cfg)
+        report.spectra.update({f"{name}_choi": psd, f"{name}_choi_pt": pt})
+        ppt = ppt_rule(psd.psd, pt.psd)
+        ranks = tuple(decisions[key] for key in keys)
+        report.predicates.update(
+            {
+                f"cp_{name}": _bool_verdict(psd.psd, PSD_SPECTRUM),
+                f"ppt_{name}": _bool_verdict(ppt, PT_SPECTRUM),
+                f"tp_{name}": tp,
+                f"witness_{name}": witness_verdict(ranks),
+                f"eb_{name}": eb_verdict(ppt, ranks),
+            }
+        )
 
-    report.predicates.update(
-        {
-            "cp_phi": _bool_verdict(phi_psd.psd, PSD_SPECTRUM),
-            "cp_psi": _bool_verdict(psi_psd.psd, PSD_SPECTRUM),
-            "ppt_phi": _bool_verdict(phi_ppt, PT_SPECTRUM),
-            "ppt_psi": _bool_verdict(psi_ppt, PT_SPECTRUM),
-            "tp_phi": tp,
-            "tp_psi": tp,
-            "witness_phi": witness_phi,
-            "witness_psi": witness_psi,
-            "eb_phi": eb_phi,
-            "eb_psi": eb_psi,
-        }
-    )
-
+    p = report.predicates
     purity, relation = pair_rules(
-        phi_ppt, psi_ppt, witness_psi.is_yes, EB_CODES[eb_phi.value], EB_CODES[eb_psi.value],
+        p["ppt_phi"].is_yes, p["ppt_psi"].is_yes, p["witness_psi"].is_yes,
+        EB_CODES[p["eb_phi"].value], EB_CODES[p["eb_psi"].value],
         chain.rank_lab, chain.rank_lac, chain.rank_la, chain.rank_lb, chain.rank_lc,
     )
     if not purity and not chain.fragile:
@@ -442,7 +432,7 @@ def equivalence_check(
         )
 
     kraus_route = (choi_from_stinespring(st), choi_from_stinespring(swap_environment(st)))
-    if not all(channels_equal(x, y, cfg) for x, y in zip((choi_phi, choi_psi), kraus_route)):
+    if not all(channels_equal(x, y, cfg) for x, y in zip(chois.values(), kraus_route)):
         raise CounterexampleOrBugError(
             "purification marginals disagree with the Kraus-vector Choi matrices", ctx
         )
@@ -452,7 +442,7 @@ def equivalence_check(
             "rank chain is fragile; equivalence consistency cannot be certified"
         )
 
-    if phi_ppt:
+    if p["ppt_phi"].is_yes:
         report.notes.append("primary map is PPT: consistency relations asserted")
     else:
         report.notes.append("primary map is not PPT: consistency branch vacuous")
@@ -531,7 +521,7 @@ def state_report(
         report.notes.append(NOT_HERMITIAN_NOTE)
     else:
         report.ranks.update(zip(("state", "marginal_left", "marginal_right"), ranks))
-    ppt = ppt_rule(spectrum, pt_spectrum)
+    ppt = ppt_rule(spectrum.psd, pt_spectrum.psd)
     report.predicates["psd"] = _bool_verdict(spectrum.psd, PSD_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
     if spectrum.psd:
@@ -551,7 +541,7 @@ def choi_report(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> 
         report.notes.append(NOT_HERMITIAN_NOTE)
     else:
         report.ranks.update(zip(("choi", "marginal_a", "marginal_b"), ranks))
-    ppt = ppt_rule(direct, transposed)
+    ppt = ppt_rule(direct.psd, transposed.psd)
     report.predicates["cp"] = _bool_verdict(direct.psd, PSD_SPECTRUM)
     report.predicates["cocp"] = _bool_verdict(transposed.psd, PT_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)

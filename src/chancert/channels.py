@@ -28,6 +28,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .errors import DimensionMismatchError, NonHermitianError, NotPositiveSemidefiniteError
 from .linalg import (
     DEFAULT_TOLERANCES,
@@ -39,9 +40,6 @@ from .linalg import (
     is_psd,
     partial_trace,
     partial_transpose,
-    psd_check,
-    psd_rule,
-    rank_rule,
 )
 
 
@@ -84,16 +82,6 @@ class KrausSet:
                     f"Kraus operator shape {k.shape} does not match ({self.d_b}, {self.d_a})"
                 )
         object.__setattr__(self, "operators", ops)
-
-    def apply(self, x) -> np.ndarray:
-        """sum_k K_k X K_k^dagger."""
-        m = as_matrix(x)
-        if m.shape != (self.d_a, self.d_a):
-            raise DimensionMismatchError(f"input shape {m.shape}, expected ({self.d_a}, {self.d_a})")
-        out = np.zeros((self.d_b, self.d_b), dtype=complex)
-        for k in self.operators:
-            out += k @ m @ k.conj().T
-        return out
 
 
 @dataclass(frozen=True)
@@ -184,10 +172,10 @@ def kraus_from_choi(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     except NonHermitianError:
         psd = False
     else:
-        psd = psd_rule(w[::-1], cfg)[0]
+        psd = linalg.psd_rule(w[::-1], cfg)[0]
     if not psd:
         raise NotPositiveSemidefiniteError("Choi matrix is not PSD: the map is not CP")
-    kept = np.flatnonzero(w > rank_rule(w, cfg)[1])
+    kept = np.flatnonzero(w > linalg.rank_rule(w, cfg)[1])
     if kept.size == 0:
         return KrausSet(choi.d_a, choi.d_b, (np.zeros((choi.d_b, choi.d_a), dtype=complex),))
     ops = [(np.sqrt(w[k]) * v[:, k]).reshape(choi.d_a, choi.d_b).T.copy() for k in kept]
@@ -239,10 +227,9 @@ def is_cocp(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool
 def is_ppt_map(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Both CP and coCP, by ``certify.ppt_rule``. Invariant under which factor
     is partially transposed."""
-    from .certify import ppt_rule  # certify imports this module
+    from . import certify  # certify imports this module
 
-    direct = psd_check(choi.matrix, cfg)
-    return ppt_rule(direct, psd_check(partial_transpose(choi.matrix, choi.layout, "left"), cfg))
+    return bool(certify.ppt_rule(is_cp(choi, cfg), is_cocp(choi, cfg)))
 
 
 def is_trace_preserving(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

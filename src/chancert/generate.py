@@ -48,7 +48,8 @@ GENERATOR_KINDS = NAMED_CHANNEL_KINDS + ("schur", "tiles", "random-stinespring")
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Serializable recipe for one generated object. Same spec, same bits."""
+    """Serializable recipe for one generated object. Same spec, same bits.
+    Every argument check of ``build`` runs on construction."""
 
     kind: str
     dims: tuple[int, ...] = ()
@@ -71,6 +72,20 @@ class GeneratorSpec:
             raise ValueError(f"params applies only to schur, not {self.kind}")
         if self.dims and self.kind in ("tiles", "schur"):
             raise ValueError(f"dims does not apply to {self.kind}, which fixes its own dimensions")
+        if self.kind in NAMED_CHANNEL_KINDS and len(self.dims) != 1:
+            raise ValueError(f"{self.kind} takes exactly one dimension")
+        if self.kind == "schur" and not self.params:
+            raise ValueError("schur requires the diagonal weights as params")
+        if min(self.params, default=0.0) < 0:
+            raise ValueError("entrywise multiplier weights must be nonnegative")
+        if self.kind == "random-stinespring":
+            if len(self.dims) != 3:
+                raise ValueError("random-stinespring requires dims d_a,d_b,d_c")
+            if self.seed is None:
+                raise ValueError("random-stinespring requires a seed")
+        if min(self.dims, default=1) < 1:
+            noun = "dimension" if len(self.dims) == 1 else "all dimensions"
+            raise ValueError(f"{noun} must be at least 1")
 
     def to_json(self) -> dict:
         record = {
@@ -325,28 +340,17 @@ def named_channel(kind: str, d: int) -> ChoiMatrix:
 
 
 def build(spec: GeneratorSpec):
-    """Materialize a GeneratorSpec into (role, object).
+    """Materialize a GeneratorSpec, which has checked its arguments, into (role, object).
 
     Roles: 'choi' yields a ChoiMatrix, 'state' a ChoiMatrix-shaped bipartite
     state (the tiles matrix), 'stinespring' a StinespringOperator.
     """
     if spec.kind in NAMED_CHANNEL_KINDS:
-        if len(spec.dims) != 1:
-            raise DimensionMismatchError(f"{spec.kind} takes exactly one dimension")
-        return "choi", named_channel(spec.kind, spec.dims[0])
+        return "choi", named_channel(spec.kind, *spec.dims)
     if spec.kind == "tiles":
         return "state", tiles_upb_choi()
     if spec.kind == "schur":
-        if not spec.params:
-            raise DimensionMismatchError("schur requires the diagonal weights as params")
         return "stinespring", schur_stinespring(spec.params)
-    if spec.kind == "random-stinespring":
-        if len(spec.dims) != 3:
-            raise DimensionMismatchError("random-stinespring requires dims d_a,d_b,d_c")
-        if spec.seed is None:
-            raise DimensionMismatchError("random-stinespring requires a seed")
-        return "stinespring", random_stinespring(
-            *spec.dims, seed=spec.seed, index=spec.index,
-            normalize_columns=spec.normalize_columns,
-        )
-    raise DimensionMismatchError(f"unknown generator kind {spec.kind!r}")
+    return "stinespring", random_stinespring(
+        *spec.dims, seed=spec.seed, index=spec.index, normalize_columns=spec.normalize_columns
+    )

@@ -72,11 +72,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import certify
+from . import certify, linalg
 from .channels import StinespringOperator
 from .errors import CounterexampleOrBugError, FragileSampleError, PurityViolationError
 from .generate import random_dilation_stack
-from .linalg import FRAGILITY_FACTOR, ToleranceConfig, psd_rule, rank_rule
+from .linalg import FRAGILITY_FACTOR, ToleranceConfig
 
 # Memory budget of a chunk, and of a block of Choi matrices: complex entries
 # in its largest stacked array (256 KiB). Larger stacks save little per-call
@@ -236,7 +236,7 @@ def _partial_transpose_left(x: np.ndarray, d_left: int, d_right: int) -> np.ndar
 def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """PSD verdicts of ascending spectra, and whether lambda_min is too close
     to the threshold to vouch for the verdict."""
-    psd, threshold = psd_rule(w, cfg)
+    psd, threshold = linalg.psd_rule(w, cfg)
     lam_min = w[:, 0]
     near = (lam_min > ESCALATION_MARGIN * threshold) & (lam_min < threshold / ESCALATION_MARGIN)
     return psd, near
@@ -361,6 +361,22 @@ def _rayleigh_npt(
     return (form < -shift[:, None] * length).any(axis=1)
 
 
+def _npt_open(
+    h: np.ndarray, d_left: int, d_right: int, bound: np.ndarray, cfg: ToleranceConfig,
+    rayleigh: bool, dim: int | None = None, work=None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices into a Hermitian stack with Frobenius norms at most ``bound``
+    of the left partial transposes that neither ``_certified_npt`` nor, with
+    ``rayleigh``, ``_rayleigh_npt`` (in ``work``) certifies, each with its
+    shift at side ``dim``; and those partial transposes."""
+    rest = np.flatnonzero(~_certified_npt(h, d_left, d_right, bound, cfg, dim))
+    g = _partial_transpose_left(h[rest], d_left, d_right)
+    if rayleigh and rest.size:
+        still = ~_rayleigh_npt(g, bound[rest], cfg, dim, work)
+        rest, g = rest[still], g[still]
+    return rest, g
+
+
 def _partial_transpose_flags(
     h: np.ndarray,
     d_left: int,
@@ -372,17 +388,10 @@ def _partial_transpose_flags(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_psd_flags`` of the spectra of the left partial transposes of a
     Hermitian stack with Frobenius norms at most ``bound``, from one stacked
-    ``eigvalsh`` on the matrices that ``_certified_npt`` leaves open, and,
-    with ``rayleigh``, ``_rayleigh_npt`` as well (in ``work``); none when they
-    settle all."""
-    psd = np.zeros(h.shape[0], dtype=bool)
-    near = np.zeros(h.shape[0], dtype=bool)
-    rest = np.flatnonzero(~_certified_npt(h, d_left, d_right, bound, cfg))
-    if rest.size:
-        g = _partial_transpose_left(h[rest], d_left, d_right)
-        if rayleigh:
-            still = ~_rayleigh_npt(g, bound[rest], cfg, work=work)
-            rest, g = rest[still], g[still]
+    ``eigvalsh`` on the matrices that ``_npt_open`` leaves open; none when
+    its certificates settle all."""
+    psd, near = np.zeros((2, h.shape[0]), dtype=bool)
+    rest, g = _npt_open(h, d_left, d_right, bound, cfg, rayleigh, work=work)
     if rest.size:
         psd[rest], near[rest] = _psd_flags(np.linalg.eigvalsh(g), cfg)
     return psd, near
@@ -443,7 +452,7 @@ def _stand_in(
     settled = ~((sigma > below[:, None]) & (sigma < above[:, None])).any(axis=1)
     if psd:
         ends = w - delta[:, None]
-        settled &= ends[:, 0] >= psd_rule(ends, cfg)[1] / ESCALATION_MARGIN
+        settled &= ends[:, 0] >= linalg.psd_rule(ends, cfg)[1] / ESCALATION_MARGIN
     return w, settled
 
 
@@ -480,10 +489,10 @@ def _cut_certificates(
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
     ``trace``, cut to their first d_c + 1 values of b: whether each cut's
     Choi matrix is clearly Hermitian and agrees with the Kraus-vector route,
-    and whether ``_certified_npt`` of it, or ``_rayleigh_npt`` of its partial
-    transpose where the minors leave it open, certifies the full Choi
-    matrix's partial transpose: where it does, ``_psd_flags`` of that partial
-    transpose's computed spectrum reads psd = near = False."""
+    and whether the certificates of ``_npt_open``, the minors and then the
+    Rayleigh quotient, certify the full Choi matrix's partial transpose:
+    where they do, ``_psd_flags`` of that partial transpose's computed
+    spectrum reads psd = near = False."""
     # Why. The cut's Choi matrix J' is the principal submatrix of J on
     # b < d_c + 1, and its partial transpose g' that of J's, g. Its rank is
     # at most d_c, below that of its marginal on b, d_c + 1 for generic
@@ -502,17 +511,12 @@ def _cut_certificates(
     # computed spectrum reads psd = near = False, as where _certified_npt of
     # g fires.
     n, d_a, d_b, d_c = vector.shape
-    checks, certified = np.empty((2, n), dtype=bool)
+    checks, certified = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
     cut = np.ascontiguousarray(vector[:, :, :d_c + 1])
     for block, h, _, passed, work in _choi_blocks(cut, cfg):
         checks[block] = passed
-        bound = trace[block]
-        fired = _certified_npt(h, d_a, d_c + 1, bound, cfg, dim=d_a * d_b)
-        rest = np.flatnonzero(~fired)
-        if rest.size:
-            g = _partial_transpose_left(h[rest], d_a, d_c + 1)
-            fired[rest] = _rayleigh_npt(g, bound[rest], cfg, d_a * d_b, work)
-        certified[block] = fired
+        rest, _ = _npt_open(h, d_a, d_c + 1, trace[block], cfg, True, d_a * d_b, work)
+        certified[block.start + rest] = False
     return checks, certified
 
 
@@ -576,7 +580,7 @@ def _complementary_pair(
 def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
     """Ranks and fragility of spectra, and whether a singular value lies within
     a factor ESCALATION_MARGIN outside the fragility window."""
-    rank, cutoff, near = rank_rule(w, cfg)
+    rank, cutoff, near = linalg.rank_rule(w, cfg)
     sigma, wide = np.abs(w), FRAGILITY_FACTOR * ESCALATION_MARGIN
     margin = (sigma > cutoff[:, None] / wide) & (sigma < cutoff[:, None] * wide) & ~near
     return rank, near.any(axis=1), margin.any(axis=1)
@@ -617,7 +621,7 @@ def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: Ha
         unsure |= margin
 
     lab, lac, la, lb, lc = (ranks[key] for key in ("ab", "ac", "a", "b", "c"))
-    phi_ppt, psi_ppt = phi_psd & phi_pt, psi_psd & psi_pt
+    phi_ppt, psi_ppt = certify.ppt_rule(phi_psd, phi_pt), certify.ppt_rule(psi_psd, psi_pt)
     witness_phi, regime_phi = certify.witness_rule(lab, la, lb)
     witness_psi, regime_psi = certify.witness_rule(lac, la, lc)
     eb_phi = certify.eb_rule(phi_ppt, regime_phi)

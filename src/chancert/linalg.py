@@ -98,17 +98,18 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def _require_layout(x: np.ndarray, layout: BipartiteLayout) -> None:
-    if x.shape != (layout.dim, layout.dim):
+def _bipartite_indices(x, layout: BipartiteLayout, side: str) -> np.ndarray:
+    """``x`` checked by ``as_matrix`` against ``layout``, with ``side`` one
+    of SIDES, reshaped to its four indices (left, right, left, right)."""
+    m = as_matrix(x)
+    if m.shape != (layout.dim, layout.dim):
         raise DimensionMismatchError(
-            f"matrix shape {x.shape} does not match layout "
+            f"matrix shape {m.shape} does not match layout "
             f"({layout.d_left} x {layout.d_right} = {layout.dim})"
         )
-
-
-def _require_side(side: str) -> None:
     if side not in SIDES:
         raise DimensionMismatchError(f"side must be one of {SIDES}, got {side!r}")
+    return m.reshape(layout.d_left, layout.d_right, layout.d_left, layout.d_right)
 
 
 def _unit_scale(*xs: np.ndarray) -> float:
@@ -144,26 +145,14 @@ def partial_trace(x, layout: BipartiteLayout, side: str) -> np.ndarray:
     ``side`` names the factor that is traced out: ``side="left"`` returns a
     d_right-dimensional matrix, ``side="right"`` a d_left-dimensional one.
     """
-    m = as_matrix(x)
-    _require_layout(m, layout)
-    _require_side(side)
-    m4 = m.reshape(layout.d_left, layout.d_right, layout.d_left, layout.d_right)
-    if side == "left":
-        return np.trace(m4, axis1=0, axis2=2)
-    return np.trace(m4, axis1=1, axis2=3)
+    axis1, axis2 = (0, 2) if side == "left" else (1, 3)
+    return np.trace(_bipartite_indices(x, layout, side), axis1=axis1, axis2=axis2)
 
 
 def partial_transpose(x, layout: BipartiteLayout, side: str) -> np.ndarray:
     """Transpose one tensor factor in the computational basis. Involutive."""
-    m = as_matrix(x)
-    _require_layout(m, layout)
-    _require_side(side)
-    m4 = m.reshape(layout.d_left, layout.d_right, layout.d_left, layout.d_right)
-    if side == "left":
-        m4 = m4.transpose(2, 1, 0, 3)
-    else:
-        m4 = m4.transpose(0, 3, 2, 1)
-    return m4.reshape(layout.dim, layout.dim)
+    axes = (2, 1, 0, 3) if side == "left" else (0, 3, 2, 1)
+    return _bipartite_indices(x, layout, side).transpose(axes).reshape(layout.dim, layout.dim)
 
 
 def hermitian_deviation(x: np.ndarray) -> float:

@@ -146,7 +146,9 @@ class TestKrausConversions:
         assert len(kraus.operators) == 3
         rng = np.random.default_rng(7)
         x = complex_gaussian(rng, (3, 3))
-        np.testing.assert_allclose(kraus.apply(x), np.diag(np.diag(x)), atol=1e-12)
+        np.testing.assert_allclose(
+            apply_channel(choi_from_kraus(kraus), x), np.diag(np.diag(x)), atol=1e-12
+        )
 
     def test_rejects_non_cp_choi(self, cfg):
         with pytest.raises(NotPositiveSemidefiniteError):

@@ -19,6 +19,7 @@ transpose's spectrum must read not PSD and not near, and the full matrix
 is never formed.
 """
 
+import dataclasses
 import itertools
 import json
 import sys
@@ -41,8 +42,10 @@ from chancert import (
     random_stinespring,
 )
 from chancert.cli import main
+import chancert.certify
 import chancert.generate
 import chancert.harness
+import chancert.linalg
 from chancert.complement import choi_marginal, common_purification_vector, factor_marginals
 from chancert.harness import (
     CHUNK_ENTRIES,
@@ -241,6 +244,47 @@ def test_rounding_level_tolerances_agree(dims, cfg):
 
 def test_default_tolerances_need_no_escalation():
     assert run_harness((2, 2, 3), 500, 3003, DEFAULT_TOLERANCES).escalated == []
+
+
+def harness_outcome(dims, trials, seed):
+    """``run_harness``'s counts, counterexample records and escalated indices,
+    or the type of the error it raises."""
+    try:
+        result = run_harness(dims, trials, seed, DEFAULT_TOLERANCES)
+    except ChancertError as exc:
+        return type(exc).__name__
+    return result.counts, result.counterexamples, result.escalated
+
+
+def never_psd(rule):
+    def mutant(w, cfg):
+        psd, threshold = rule(w, cfg)
+        return np.zeros_like(psd), threshold
+    return mutant
+
+
+def cutoff_times_1e6(rule):
+    return lambda w, cfg: rule(w, dataclasses.replace(cfg, rank_tol=cfg.rank_tol * 1e6))
+
+
+def ppt_ignoring_partial_transpose(rule):
+    return lambda psd, pt_psd: rule(psd, True)
+
+
+@pytest.mark.parametrize("module, name, mutate", [
+    (chancert.linalg, "psd_rule", never_psd),
+    (chancert.linalg, "rank_rule", cutoff_times_1e6),
+    (chancert.certify, "ppt_rule", ppt_ignoring_partial_transpose),
+], ids=["never-psd", "cutoff-x1e6", "ppt-ignores-pt"])
+def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, monkeypatch):
+    # The engine and equivalence_check look each rule up on the module that
+    # defines it, so one patch there reaches both. The unpatched run
+    # escalates no sample, so only the engine can make the outcome differ.
+    dims, trials, seed = (2, 2, 3), 50, 3003
+    unpatched = harness_outcome(dims, trials, seed)
+    assert unpatched[2] == []
+    monkeypatch.setattr(module, name, mutate(getattr(module, name)))
+    assert harness_outcome(dims, trials, seed) != unpatched
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)

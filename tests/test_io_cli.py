@@ -383,7 +383,7 @@ def rederive_predicates(role: str, analysis: dict, dims) -> None:
 
     if role == "choi":
         triple = (ranks["choi"], ranks["marginal_a"], ranks["marginal_b"])
-        ppt = ppt_rule(spectra["choi"], spectra["choi_pt"])
+        ppt = ppt_rule(spectra["choi"].psd, spectra["choi_pt"].psd)
         assert value("cp") == spectra["choi"].psd
         assert value("cocp") == spectra["choi_pt"].psd
         assert value("ppt") == ppt
@@ -393,7 +393,7 @@ def rederive_predicates(role: str, analysis: dict, dims) -> None:
             assert "eb" not in predicates
     elif role == "state":
         triple = (ranks["state"], ranks["marginal_left"], ranks["marginal_right"])
-        ppt = ppt_rule(spectra["state"], spectra["state_pt"])
+        ppt = ppt_rule(spectra["state"].psd, spectra["state_pt"].psd)
         assert value("psd") == spectra["state"].psd
         assert value("ppt") == ppt
         assert predicates["distillable_witness"] == witness_verdict(triple).to_json()
@@ -414,7 +414,7 @@ def rederive_predicates(role: str, analysis: dict, dims) -> None:
             choi = spectra[f"{side}_choi"]
             sigma_max = max(abs(choi.lambda_min), abs(choi.lambda_max))
             assert triple[0].cutoff == cfg.rank_tol * sigma_max * dim
-            ppt[side] = ppt_rule(choi, spectra[f"{side}_choi_pt"])
+            ppt[side] = ppt_rule(choi.psd, spectra[f"{side}_choi_pt"].psd)
             eb[side] = eb_verdict(ppt[side], triple)
             assert value(f"cp_{side}") == choi.psd
             assert value(f"ppt_{side}") == ppt[side]
@@ -470,6 +470,24 @@ class TestCliGenerateConvert:
         path = tmp_path / "g.json"
         assert main(["generate", *spec, *extra, "--output", str(path)]) == 2
         assert name in capsys.readouterr().err
+        assert not path.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "identity", "--dims", "2,3"], "identity takes exactly one dimension"),
+        (["--kind", "identity"], "identity takes exactly one dimension"),
+        (["--kind", "identity", "--dims", "0"], "dimension must be at least 1"),
+        (["--kind", "random-stinespring", "--dims", "2,2", "--seed", "1"],
+         "random-stinespring requires dims d_a,d_b,d_c"),
+        (["--kind", "random-stinespring", "--dims", "2,0,3", "--seed", "1"],
+         "all dimensions must be at least 1"),
+        (["--kind", "random-stinespring", "--dims", "2,2,3"], "random-stinespring requires a seed"),
+        (["--kind", "schur"], "schur requires the diagonal weights as params"),
+        (["--kind", "schur", "--params=1,-0.5"], "entrywise multiplier weights must be nonnegative"),
+    ])
+    def test_argument_error_is_parse_error(self, tmp_path, capsys, args, message):
+        path = tmp_path / "g.json"
+        assert main(["generate", *args, "--output", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not path.exists()
 
     def test_seed_is_used_whole(self, tmp_path):
