@@ -16,6 +16,7 @@ harness into a self-test.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -90,16 +91,35 @@ EB_NO, EB_UNKNOWN, EB_YES = 0, 1, 2
 EB_VERDICTS = ((NO, NOT_PPT), (UNKNOWN, OUTSIDE_LOW_RANK_REGIME), (YES, LOW_RANK_PPT_SEPARABLE))
 EB_CODES = {value: code for code, (value, _) in enumerate(EB_VERDICTS)}
 
-# The proven relations of a complementary pair whose primary map is PPT, in
-# the order ``pair_rules`` tests them; its relation code is 1 + the index of
-# the first that fails.
+
+@dataclass(frozen=True)
+class Relation:
+    """A proven relation of a complementary pair whose primary map is PPT:
+    the message of its counterexample, and the rule under which it fails,
+    elementwise over the records ``pair_rules`` takes, passed by name."""
+
+    message: str
+    fails: Callable[..., np.ndarray]
+
+
+# The one statement of the proven relations, in the order ``pair_rules``
+# tests them; its relation code is 1 + the index of the first that fails.
+# Read at each call, so a patched row reaches the engine and the oracle alike.
 RELATIONS = (
-    "Choi rank of a PPT map fell below one of its marginal ranks",
-    "low-rank regime failed to apply to the complement of a PPT map",
-    "PPT and entanglement-breaking certification disagree on the complement",
-    "distillability witness fired on a PPT Choi matrix",
-    "entanglement-breaking certificate returned no for a PPT map",
-    "strict rank gap did not trigger the witness on the complement",
+    Relation("Choi rank of a PPT map fell below one of its marginal ranks",
+             lambda lab, la, lb, **_: np.less(lab, np.maximum(la, lb))),
+    Relation("low-rank regime failed to apply to the complement of a PPT map",
+             lambda eb_psi, **_: np.equal(eb_psi, EB_UNKNOWN)),
+    Relation("PPT and entanglement-breaking certification disagree on the complement",
+             lambda psi_ppt, eb_psi, **_: np.not_equal(psi_ppt, np.equal(eb_psi, EB_YES))),
+    Relation("distillability witness fired on a PPT Choi matrix",
+             lambda witness_psi, psi_ppt, **_: np.logical_and(witness_psi, psi_ppt)),
+    Relation("entanglement-breaking certificate returned no for a PPT map",
+             lambda eb_phi, **_: np.equal(eb_phi, EB_NO)),
+    # the primary map is outside the low-rank regime and the chain is strict
+    Relation("strict rank gap did not trigger the witness on the complement",
+             lambda eb_phi, lb, lc, witness_psi, **_: (
+                 np.equal(eb_phi, EB_UNKNOWN) & np.greater(lc, lb) & np.logical_not(witness_psi))),
 )
 
 
@@ -156,26 +176,33 @@ def _bool_verdict(flag: bool, reason: str, fragile: bool = False) -> Verdict:
 
 
 def _spectra(
-    x, layout: BipartiteLayout, cfg: ToleranceConfig
-) -> tuple[PsdCheck, PsdCheck, tuple[RankDecision, RankDecision, RankDecision] | None]:
-    """The PSD records of ``x`` and of its left partial transpose, and the
-    rank decisions of (x, left marginal, right marginal), or None unless
-    ``x`` is Hermitian. The marginals of a Hermitian ``x`` are Hermitian too,
-    so no deviation check precedes their spectra.
+    report: CertificateReport, x, layout: BipartiteLayout, cfg: ToleranceConfig,
+    keys: tuple[str, str, str],
+) -> tuple[bool, bool, tuple[RankDecision, RankDecision, RankDecision] | None]:
+    """Record in ``report`` the PSD records of ``x`` and of its left partial
+    transpose, as ``keys[0]`` and ``keys[0] + "_pt"``, and the rank decisions
+    of (x, left marginal, right marginal) under ``keys``, or, unless ``x`` is
+    Hermitian, the not-Hermitian note. Returns x's PSD and PPT flags and the
+    rank triple, None when it is not recorded. The marginals of a Hermitian
+    ``x`` are Hermitian too, so no deviation check precedes their spectra.
 
     The "left marginal" is what remains after tracing out the right factor,
     and vice versa.
     """
     w, direct = hermitian_spectrum(x, cfg)
     transposed = psd_check(partial_transpose(x, layout, "left"), cfg)
-    if not direct.hermitian:
-        return direct, transposed, None
-    ranks = (
-        rank_record(w, cfg),
-        rank_record(hermitian_part_spectrum(partial_trace(x, layout, "right")), cfg),
-        rank_record(hermitian_part_spectrum(partial_trace(x, layout, "left")), cfg),
-    )
-    return direct, transposed, ranks
+    report.spectra.update({keys[0]: direct, f"{keys[0]}_pt": transposed})
+    ranks = None
+    if direct.hermitian:
+        ranks = (
+            rank_record(w, cfg),
+            rank_record(hermitian_part_spectrum(partial_trace(x, layout, "right")), cfg),
+            rank_record(hermitian_part_spectrum(partial_trace(x, layout, "left")), cfg),
+        )
+        report.ranks.update(zip(keys, ranks))
+    else:
+        report.notes.append(NOT_HERMITIAN_NOTE)
+    return direct.psd, ppt_rule(direct.psd, transposed.psd), ranks
 
 
 def witness_rule(whole, left, right):
@@ -203,19 +230,13 @@ def pair_rules(phi_ppt, psi_ppt, witness_psi, eb_phi, eb_psi, lab, lac, la, lb, 
     as scalars or arrays over samples that broadcast together. Returns
     ``(purity, relation)``. ``purity`` holds when rank_lc == rank_lab and
     rank_lb == rank_lac. ``relation`` is 0 when the primary map is not PPT or
-    every relation in RELATIONS holds, else 1 + the index of the first that
-    fails. This is the only statement of these rules: ``equivalence_check``
-    and the batched harness both call it.
+    every row of RELATIONS holds, else 1 + the index of the first that
+    fails. ``equivalence_check`` and the batched harness both call it.
     """
+    records = dict(phi_ppt=phi_ppt, psi_ppt=psi_ppt, witness_psi=witness_psi, eb_phi=eb_phi,
+                   eb_psi=eb_psi, lab=lab, lac=lac, la=la, lb=lb, lc=lc)
     purity = np.equal(lc, lab) & np.equal(lb, lac)
-    failed = np.stack(np.broadcast_arrays(
-        np.less(lab, np.maximum(la, lb)),
-        np.equal(eb_psi, EB_UNKNOWN),
-        np.not_equal(psi_ppt, np.equal(eb_psi, EB_YES)),
-        np.logical_and(witness_psi, psi_ppt),
-        np.equal(eb_phi, EB_NO),
-        np.equal(eb_phi, EB_UNKNOWN) & np.greater(lc, lb) & np.logical_not(witness_psi),
-    ))
+    failed = np.stack(np.broadcast_arrays(*(row.fails(**records) for row in RELATIONS)))
     relation = np.where(np.logical_and(phi_ppt, failed.any(axis=0)), failed.argmax(axis=0) + 1, 0)
     return purity, relation
 
@@ -361,17 +382,7 @@ def equivalence_check(
     Choi matrix's partial transpose, seven in all, give the PSD records, the
     rank chain and both Choi rank triples. Every predicate is read from
     them, and, whenever the primary map is PPT, the proven consistency
-    relations are asserted:
-
-    - the Choi rank of a PPT map is at least both of its marginal ranks;
-    - the low-rank regime applies to the complement's Choi matrix, so its
-      entanglement-breaking certificate is never unknown;
-    - the complement is PPT exactly when it is certified entanglement
-      breaking;
-    - a firing distillability witness on the complement excludes PPT;
-    - the certificate on the primary map itself can never be an outright no;
-    - when the primary map's certificate is unknown and the rank chain is
-      strict (rank_lc > rank_lb), the witness must fire on the complement.
+    relations, the rows of RELATIONS, are asserted.
 
     The rank-gap witness stays one-sided even here: a silent witness on the
     complement does not certify PPT (there are PPT maps whose complement is
@@ -448,7 +459,7 @@ def equivalence_check(
         report.notes.append("primary map is not PPT: consistency branch vacuous")
     if relation:
         raise CounterexampleOrBugError(
-            RELATIONS[int(relation) - 1], {**ctx, "report": report.to_json()}
+            RELATIONS[int(relation) - 1].message, {**ctx, "report": report.to_json()}
         )
     return report
 
@@ -515,16 +526,10 @@ def state_report(
 ) -> CertificateReport:
     """Predicate suite for a bipartite matrix treated as an (unnormalized) state."""
     report = CertificateReport(tolerances=cfg)
-    spectrum, pt_spectrum, ranks = _spectra(x, layout, cfg)
-    report.spectra.update({"state": spectrum, "state_pt": pt_spectrum})
-    if ranks is None:
-        report.notes.append(NOT_HERMITIAN_NOTE)
-    else:
-        report.ranks.update(zip(("state", "marginal_left", "marginal_right"), ranks))
-    ppt = ppt_rule(spectrum.psd, pt_spectrum.psd)
-    report.predicates["psd"] = _bool_verdict(spectrum.psd, PSD_SPECTRUM)
+    psd, ppt, ranks = _spectra(report, x, layout, cfg, ("state", "marginal_left", "marginal_right"))
+    report.predicates["psd"] = _bool_verdict(psd, PSD_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
-    if spectrum.psd:
+    if psd:
         report.predicates["distillable_witness"] = witness_verdict(ranks)
         report.predicates["separable"] = separability_verdict(ppt, ranks)
     else:
@@ -535,18 +540,13 @@ def state_report(
 def choi_report(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CertificateReport:
     """Predicate suite for a map given by its Choi matrix."""
     report = CertificateReport(tolerances=cfg)
-    direct, transposed, ranks = _spectra(choi.matrix, choi.layout, cfg)
-    report.spectra.update({"choi": direct, "choi_pt": transposed})
-    if ranks is None:
-        report.notes.append(NOT_HERMITIAN_NOTE)
-    else:
-        report.ranks.update(zip(("choi", "marginal_a", "marginal_b"), ranks))
-    ppt = ppt_rule(direct.psd, transposed.psd)
-    report.predicates["cp"] = _bool_verdict(direct.psd, PSD_SPECTRUM)
-    report.predicates["cocp"] = _bool_verdict(transposed.psd, PT_SPECTRUM)
+    cp, ppt, ranks = _spectra(report, choi.matrix, choi.layout, cfg,
+                              ("choi", "marginal_a", "marginal_b"))
+    report.predicates["cp"] = _bool_verdict(cp, PSD_SPECTRUM)
+    report.predicates["cocp"] = _bool_verdict(report.spectra["choi_pt"].psd, PT_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
     report.predicates["trace_preserving"] = _bool_verdict(is_trace_preserving(choi, cfg), TRACE_BLOCK)
-    if direct.psd:
+    if cp:
         report.predicates["eb"] = eb_verdict(ppt, ranks)
     else:
         report.notes.append("map is not CP: entanglement-breaking certificate skipped")

@@ -81,18 +81,11 @@ ENV_VARS = {
 }
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type, noun: str) -> tuple:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError as exc:
-        raise MatrixFileError(f"expected comma-separated integers, got {text!r}") from exc
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise MatrixFileError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise MatrixFileError(f"expected comma-separated {noun}, got {text!r}") from exc
 
 
 def resolve_tolerances(args) -> ToleranceConfig:
@@ -192,8 +185,8 @@ def cmd_analyze(args, cfg: ToleranceConfig) -> int:
 def cmd_generate(args, cfg: ToleranceConfig) -> int:
     spec = GeneratorSpec(
         kind=args.kind,
-        dims=_parse_ints(args.dims) if args.dims else (),
-        params=_parse_floats(args.params) if args.params else (),
+        dims=_parse_list(args.dims, int, "integers") if args.dims else (),
+        params=_parse_list(args.params, float, "numbers") if args.params else (),
         seed=args.seed,
         index=args.index,
         normalize_columns=args.normalize,
@@ -233,7 +226,7 @@ def cmd_convert(args, cfg: ToleranceConfig) -> int:
 
 
 def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
-    dims = _parse_ints(args.dims)
+    dims = _parse_list(args.dims, int, "integers")
     if len(dims) != 3 or min(dims) < 1:
         raise MatrixFileError("--dims must be three positive integers d_a,d_b,d_c")
     if args.trials < 1:

@@ -78,6 +78,8 @@ class GeneratorSpec:
             raise ValueError("schur requires the diagonal weights as params")
         if min(self.params, default=0.0) < 0:
             raise ValueError("entrywise multiplier weights must be nonnegative")
+        if not np.all(np.isfinite(self.params)):
+            raise ValueError("entrywise multiplier weights must be finite")
         if self.kind == "random-stinespring":
             if len(self.dims) != 3:
                 raise ValueError("random-stinespring requires dims d_a,d_b,d_c")

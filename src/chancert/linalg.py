@@ -60,11 +60,7 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must lie strictly between 0 and 1, got {value}")
 
     def to_json(self) -> dict:
-        return {
-            "psd_tol": self.psd_tol,
-            "rank_tol": self.rank_tol,
-            "equality_tol": self.equality_tol,
-        }
+        return dict(vars(self))
 
 
 DEFAULT_TOLERANCES = ToleranceConfig()

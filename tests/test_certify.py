@@ -53,6 +53,7 @@ from chancert.certify import (
 import chancert.certify
 import chancert.complement
 from chancert.channels import choi_from_kraus, kraus_from_choi, kraus_from_stinespring
+from chancert.cli import main
 from chancert.errors import CounterexampleOrBugError, FragileSampleError
 
 from conftest import complex_gaussian, haar_unitary, random_psd
@@ -378,11 +379,12 @@ class TestDegradablePptCheck:
         pair = schur_multiplier_pair((1.0, 0.5), cfg)
         spectra = chancert.certify._spectra
 
-        def phi_pt_not_psd(x, layout, cfg):
-            direct, transposed, ranks = spectra(x, layout, cfg)
+        def phi_pt_not_psd(report, x, layout, cfg, keys):
+            psd, ppt, ranks = spectra(report, x, layout, cfg, keys)
             if x is pair.choi_phi.matrix:
-                transposed = dataclasses.replace(transposed, psd=False)
-            return direct, transposed, ranks
+                report.spectra["choi_pt"] = dataclasses.replace(report.spectra["choi_pt"], psd=False)
+                ppt = False
+            return psd, ppt, ranks
 
         name, replacement, message = {
             "composition": ("channels_equal", lambda *args: False,
@@ -430,6 +432,24 @@ class TestPairRules:
         rows = [HOLDING] + [{**HOLDING, **row} for row in RELATION_ROWS]
         _, relation = pair_rules(**{key: np.array([r[key] for r in rows]) for key in HOLDING})
         assert relation.tolist() == list(range(len(rows)))
+
+    @pytest.mark.parametrize("index", range(len(RELATIONS)),
+                             ids=[f"relation-{i}" for i in range(1, len(RELATIONS) + 1)])
+    def test_each_row_raises_its_own_message(self, tmp_path, capsys, monkeypatch, index):
+        # every relation holds on this Schur dilation, whose primary map is
+        # PPT, so the patched row is the only one that fails
+        rows = list(RELATIONS)
+        rows[index] = dataclasses.replace(rows[index], fails=lambda **_: True)
+        monkeypatch.setattr(chancert.certify, "RELATIONS", tuple(rows))
+        message = rows[index].message
+        with pytest.raises(CounterexampleOrBugError) as info:
+            equivalence_check(schur_stinespring((0.5, 0.3, 0.2)))
+        assert str(info.value) == message
+        path = tmp_path / "schur.json"
+        assert main(["generate", "--kind", "schur", "--params=0.5,0.3,0.2",
+                     "--output", str(path)]) == 0
+        assert main(["analyze", str(path)]) == 4
+        assert capsys.readouterr().err == f"counterexample or bug: {message}\n"
 
 
 class TestEquivalenceCheck:

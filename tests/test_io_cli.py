@@ -483,6 +483,8 @@ class TestCliGenerateConvert:
         (["--kind", "random-stinespring", "--dims", "2,2,3"], "random-stinespring requires a seed"),
         (["--kind", "schur"], "schur requires the diagonal weights as params"),
         (["--kind", "schur", "--params=1,-0.5"], "entrywise multiplier weights must be nonnegative"),
+        (["--kind", "schur", "--params=nan,1"], "entrywise multiplier weights must be finite"),
+        (["--kind", "schur", "--params=inf,1"], "entrywise multiplier weights must be finite"),
     ])
     def test_argument_error_is_parse_error(self, tmp_path, capsys, args, message):
         path = tmp_path / "g.json"
