@@ -9,9 +9,9 @@ within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
 16x16 Choi matrices of a 50-sample run fit one block, psi's 20x20 cut ones
 (step 4) run 40 samples per block, and its 64x64 ones, where formed, 4.
 
-1. draw the chunk's dilations from the per-sample streams
+1. ``run_harness`` draws the chunk's dilations from the per-sample streams
    ``SeedSequence(seed, spawn_key=(index,))`` that ``random_stinespring``
-   uses, bit for bit;
+   uses, bit for bit, and ``_run_chunk`` evaluates the stack it is handed;
 2. form the marginals on a, b and c as stacked Gram products (``matmul``)
    of reshapes of the chunk's vectors and take each one's Hermitian part
    in one pass that also measures its deviation; Frobenius norms sum over
@@ -148,9 +148,11 @@ def run_harness(dims, trials: int, seed: int, cfg: ToleranceConfig) -> HarnessRe
     first sample that raises them, as in a per-sample loop.
     """
     result = HarnessResult()
+    dims = tuple(dims)
     size = chunk_size(dims)
     for start in range(0, trials, size):
-        _run_chunk(tuple(dims), seed, range(start, min(start + size, trials)), cfg, result)
+        indices = range(start, min(start + size, trials))
+        _run_chunk(random_dilation_stack(*dims, seed, indices), dims, seed, indices, cfg, result)
     return result
 
 
@@ -398,7 +400,7 @@ def _partial_transpose_flags(
 
 
 def _stand_in(
-    narrow: np.ndarray, trace: np.ndarray, dim: int, cfg: ToleranceConfig, psd: bool
+    narrow: np.ndarray, trace: np.ndarray, dim: int, cfg: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stand-ins for the spectra of the marginals of side ``dim`` of
     tripartite vectors with squared norms ``trace``: ``narrow``, the computed
@@ -406,9 +408,9 @@ def _stand_in(
     each sample is settled.
 
     A sample is settled when its padded spectrum, widened by a rounding
-    allowance on each eigenvalue, leaves no choice to ``_rank_flags`` nor,
-    with ``psd``, to ``_psd_flags``. Its padded spectrum then has the flags
-    of the wider marginal's computed spectrum.
+    allowance on each eigenvalue, leaves no choice to ``_rank_flags`` nor to
+    ``_psd_flags``. Its padded spectrum then has the flags of the wider
+    marginal's computed spectrum.
     """
     # Why. Complementary marginals of one pure vector share their nonzero
     # spectrum (Schmidt decomposition), so the exact spectrum of the wider
@@ -450,9 +452,8 @@ def _stand_in(
     below = cfg.rank_tol * (sigma_max - delta) * dim / wide - delta
     above = cfg.rank_tol * (sigma_max + delta) * dim * wide + delta
     settled = ~((sigma > below[:, None]) & (sigma < above[:, None])).any(axis=1)
-    if psd:
-        ends = w - delta[:, None]
-        settled &= ends[:, 0] >= linalg.psd_rule(ends, cfg)[1] / ESCALATION_MARGIN
+    ends = w - delta[:, None]
+    settled &= ends[:, 0] >= linalg.psd_rule(ends, cfg)[1] / ESCALATION_MARGIN
     return w, settled
 
 
@@ -545,33 +546,29 @@ def _complementary_pair(
     side = d_a * d_b
     choi_narrower = side <= d_c
     checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
-    rest = None
+    rest = np.arange(n)
     if choi_narrower:
         spectra, settled = np.empty((n, side)), np.zeros(n, dtype=bool)
     else:
         env = np.linalg.eigvalsh(environment)
-        spectra, settled = _stand_in(env, trace, side, cfg, psd=True)
+        spectra, settled = _stand_in(env, trace, side, cfg)
         if d_b > d_c + 1:
             checks, certified = _cut_certificates(vector, trace, cfg)
             done = settled & certified
             pt_psd[done] = pt_near[done] = False
-            rest = np.flatnonzero(~done) if done.any() else None
+            rest = rest[~done]
     rayleigh = choi_narrower and side >= RAYLEIGH_SIDE
-    for block, h, norm, passed, work in _choi_blocks(
-        vector if rest is None else vector[rest], cfg
-    ):
-        index = block if rest is None else rest[block]
+    for block, h, norm, passed, work in _choi_blocks(vector[rest], cfg):
+        index = rest[block]
         checks[index] = passed
         open_rows = ~settled[index]
-        if open_rows.all():
-            spectra[index] = np.linalg.eigvalsh(h)
-        elif open_rows.any():
-            spectra[np.arange(n)[index][open_rows]] = np.linalg.eigvalsh(h[open_rows])
+        if open_rows.any():
+            spectra[index[open_rows]] = np.linalg.eigvalsh(h[open_rows])
         pt_psd[index], pt_near[index] = _partial_transpose_flags(
             h, d_a, d_b, norm, cfg, rayleigh, work
         )
     if choi_narrower:
-        env, settled = _stand_in(spectra, trace, d_c, cfg, psd=False)
+        env, settled = _stand_in(spectra, trace, d_c, cfg)
         if not settled.all():
             env[~settled] = np.linalg.eigvalsh(environment[~settled])
     return spectra, env, checks, pt_psd, pt_near
@@ -586,10 +583,10 @@ def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
     return rank, near.any(axis=1), margin.any(axis=1)
 
 
-def _run_chunk(dims, seed: int, indices: range, cfg: ToleranceConfig, result: HarnessResult):
+def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: HarnessResult):
+    """Add to ``result`` the outcomes of ``stack``, the dilations of samples ``indices``."""
     d_a, d_b, d_c = dims
     n = len(indices)
-    stack = random_dilation_stack(d_a, d_b, d_c, seed, indices)
 
     # Purification route: |L> indexed (a, b, c), as common_purification_vector.
     # Contiguous copies, here and of psi's vector with b and c swapped (psi's

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chancert import DEFAULT_TOLERANCES
+from chancert import DEFAULT_TOLERANCES, schur_stinespring
 
 
 @pytest.fixture
@@ -18,6 +18,18 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     moved into Q."""
     q, r = np.linalg.qr(complex_gaussian(rng, (n, n)))
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated_schur_stack(rng: np.random.Generator, d: int, n: int) -> np.ndarray:
+    """n dilations of diagonal entrywise multipliers, weights in [0.5, 1), each
+    under Haar unitaries on a, b and c, stacked as the harness draws them:
+    shape (n, d * d, d). Both maps of every pair are PPT and entanglement
+    breaking, with Choi rank d."""
+    return np.stack([
+        np.kron(haar_unitary(rng, d), haar_unitary(rng, d))
+        @ schur_stinespring(rng.uniform(0.5, 1.0, d)).matrix @ haar_unitary(rng, d)
+        for _ in range(n)
+    ])
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from chancert import (
     KrausSet,
     NotPositiveSemidefiniteError,
     StinespringOperator,
+    ToleranceConfig,
     Verdict,
     apply_channel,
     channels_equal,
@@ -220,6 +222,62 @@ class TestScalingInvariance:
         assert {k: v.value for k, v in scaled.predicates.items()} == {
             **verdicts, "trace_preserving": "no"
         }
+
+
+def swap_phi_family(d: int, a: float, b: float, c: float) -> np.ndarray:
+    """a I + b F + c |Phi><Phi| on C^d (x) C^d, F the swap and |Phi> = sum_i |ii>."""
+    n = d * d
+    swap = np.eye(n).reshape(d, d, d, d).transpose(0, 1, 3, 2).reshape(n, n)
+    phi = np.eye(d).reshape(n)
+    return a * np.eye(n) + b * swap + c * np.outer(phi, phi) + 0j
+
+
+def exact_psd_rule(spectrum, psd_tol: float) -> tuple[bool, Fraction, Fraction]:
+    """psd_rule in exact arithmetic on the given eigenvalues: the verdict, the
+    distance of lambda_min from the threshold, and max |lambda|."""
+    lam = [Fraction(x) for x in spectrum]
+    threshold = -Fraction(psd_tol) * max(max(lam), 0)
+    return min(lam) >= threshold, abs(min(lam) - threshold), max(map(abs, lam))
+
+
+class TestClosedFormTruthTable:
+    """F and |Phi><Phi| commute, so J = a I + b F + c |Phi><Phi| has the
+    eigenvalues a + b + c d, a + b and a - b; the partial transpose exchanges
+    F and |Phi><Phi|, so J^Gamma has a + c + b d, a + c and a - c. With a put
+    on the CP or the co-CP boundary of psd_rule and offset across it, the
+    verdicts of choi_report must be the exact ones, at any scale, wherever
+    lambda_min lies more than 1e-13 max |lambda| from the threshold. Weights
+    of 2^-60 or more keep the entries normal at the scale 2^-900."""
+
+    weights = st.floats(-1, 1).filter(lambda x: x == 0 or abs(x) >= 2.0**-60)
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]), b=weights, c=weights,
+           psd_tol=st.sampled_from([1e-9, 1e-3]))
+    def test_verdicts_at_the_boundaries(self, d, b, c, psd_tol):
+        cfg = ToleranceConfig(psd_tol=psd_tol)
+        for boundary in ("cp", "cocp"):
+            # lambda_min(a) = a + low and lambda_max(a) = a + high on that side
+            offsets = (b + c * d, b, -b) if boundary == "cp" else (c + b * d, c, -c)
+            low, high = min(offsets), max(offsets)
+            edge = -(low + psd_tol * high) / (1 + psd_tol)
+            scale = max(abs(edge + x) for x in offsets)
+            for step, sign in itertools.product(range(2, 13), (1, -1)):
+                a = edge + sign * 10.0**-step * scale
+                cp, cp_margin, cp_size = exact_psd_rule((a + b + c * d, a + b, a - b), psd_tol)
+                cocp, cocp_margin, cocp_size = exact_psd_rule((a + c + b * d, a + c, a - c),
+                                                              psd_tol)
+                clear_cp = cp_margin > Fraction(1e-13) * cp_size
+                clear_cocp = cocp_margin > Fraction(1e-13) * cocp_size
+                for exponent in (-900, 0, 900):
+                    choi = ChoiMatrix(d, d, 2.0**exponent * swap_phi_family(d, a, b, c))
+                    got = {k: v.is_yes for k, v in choi_report(choi, cfg).predicates.items()}
+                    if clear_cp:
+                        assert got["cp"] == cp
+                    if clear_cocp:
+                        assert got["cocp"] == cocp
+                    if clear_cp and clear_cocp:
+                        assert got["ppt"] == (cp and cocp)
 
 
 def _choi_verdicts(choi: ChoiMatrix) -> dict:

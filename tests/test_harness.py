@@ -4,6 +4,9 @@ The reference is the loop the engine replaces: ``random_stinespring`` then
 ``equivalence_check`` for every sample, tallied here. Counts and
 counterexample records must be equal, and the non-vacuous configurations
 must actually reach escalation, fragile discards and the PPT branch.
+Structured dilations, handed to ``_run_chunk`` as a chunk, are held to
+``equivalence_check`` on each of them the same way; they reach the bi-PPT
+branch that the Gaussian draw at d_a > 1 does not.
 
 A chunk holds each sample's dilation and its marginals on a, b and c; the
 Choi matrices are formed in blocks inside it, and only there. The engine's
@@ -37,6 +40,7 @@ from chancert import (
     CounterexampleOrBugError,
     FragileSampleError,
     PurityViolationError,
+    StinespringOperator,
     ToleranceConfig,
     equivalence_check,
     random_stinespring,
@@ -54,6 +58,7 @@ from chancert.harness import (
     MINOR_ROUNDING,
     RAYLEIGH_ROUNDING,
     RAYLEIGH_SIDE,
+    HarnessResult,
     _certified_npt,
     _complementary_pair,
     _choi_blocks,
@@ -66,13 +71,14 @@ from chancert.harness import (
     _purification_choi,
     _rank_flags,
     _rayleigh_npt,
+    _run_chunk,
     _stand_in,
     block_size,
     chunk_size,
     run_harness,
 )
 
-from conftest import complex_gaussian
+from conftest import complex_gaussian, rotated_schur_stack
 
 ACCEPTANCE_TUPLES = list(itertools.product((2, 3), repeat=3))
 WIDE_TUPLES = [(2, 2, 6), (3, 3, 9), (4, 4, 16)]
@@ -88,10 +94,17 @@ def dims_id(dims) -> str:
 
 def per_sample(dims, trials, seed, cfg):
     """Counts, counterexamples and fragile indices of the per-sample loop."""
+    return per_dilation((random_stinespring(*dims, seed=seed, index=index)
+                         for index in range(trials)), seed, cfg)
+
+
+def per_dilation(dilations, seed, cfg):
+    """Counts, counterexamples and fragile indices of ``equivalence_check``
+    on each of ``dilations``, the i-th recorded as sample i of ``seed``."""
     counts = dict.fromkeys(COUNT_KEYS, 0)
     counterexamples, fragile = [], []
-    for index in range(trials):
-        st = random_stinespring(*dims, seed=seed, index=index)
+    for index, st in enumerate(dilations):
+        dims = (st.d_a, st.d_b, st.d_c)
         context = {"seed": seed, "index": index, "dims": list(dims)}
         try:
             report = equivalence_check(st, cfg, context=context)
@@ -426,6 +439,48 @@ def test_unit_dimensions_agree(dims):
     # a unit factor turns a partial transpose into a strided view; at
     # (6, 1, 6) phi's, of side 6, goes through the Rayleigh stage
     assert_agrees(dims, 40, 17)
+
+
+def assert_bi_ppt_branch(counts):
+    """Every counted sample is in the bi-PPT branch, and some are counted."""
+    assert counts["samples"] > 0
+    assert counts["both_ppt"] == counts["eb_phi_yes"] == counts["eb_psi_yes"] == counts["samples"]
+
+
+@pytest.mark.parametrize("dims", [(1, 2, 2), (1, 3, 3), (1, 4, 2), (1, 2, 4)], ids=dims_id)
+@pytest.mark.parametrize("cfg", [DEFAULT_TOLERANCES, ToleranceConfig(psd_tol=0.1)],
+                         ids=["default", "psd"])
+def test_state_preparations_agree(dims, cfg, monkeypatch):
+    # at d_a = 1 both maps prepare a state: trivially PPT and entanglement
+    # breaking. The cut certifies none of them, so the wider Choi matrix is
+    # formed in full, as elsewhere only at a loose psd_tol
+    sides = set()
+    purification_choi = chancert.harness._purification_choi
+
+    def recording(v, out):
+        sides.add(v.shape[1] * v.shape[2])
+        return purification_choi(v, out)
+
+    monkeypatch.setattr(chancert.harness, "_purification_choi", recording)
+    result, _ = assert_agrees(dims, 40, 3003, cfg)
+    assert max(dims) in sides
+    assert_bi_ppt_branch(result.counts)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rotated_schur_stacks_agree(d):
+    # self-complementary diagonal multipliers under local unitaries, handed
+    # to the engine as a chunk: every sample bi-PPT, none escalated
+    dims, seed, cfg = (d, d, d), 3003, DEFAULT_TOLERANCES
+    stack = rotated_schur_stack(np.random.default_rng(d), d, 40)
+    result = HarnessResult()
+    _run_chunk(stack, dims, seed, range(len(stack)), cfg, result)
+    counts, counterexamples, _ = per_dilation(
+        (StinespringOperator(*dims, m) for m in stack), seed, cfg)
+    assert (result.counts, result.counterexamples) == (counts, counterexamples)
+    assert result.escalated == []
+    assert result.counts["samples"] == 40
+    assert_bi_ppt_branch(result.counts)
 
 
 def test_chunk_fits_the_memory_budget():
@@ -968,8 +1023,7 @@ def test_wide_spectra_psd_flags_near_threshold(psd_tol):
             h = hermitian_stack(rng, padded)
             for exponent in (-40, 0, 40):
                 scale = 2.0**exponent
-                w, settled = _stand_in(narrow * scale, np.abs(narrow).sum(1) * scale, dim, cfg,
-                                       psd=True)
+                w, settled = _stand_in(narrow * scale, np.abs(narrow).sum(1) * scale, dim, cfg)
                 want = np.linalg.eigvalsh(h * scale)
                 for got, expected in zip(_psd_flags(w, cfg) + _rank_flags(w, cfg),
                                          _psd_flags(want, cfg) + _rank_flags(want, cfg)):
