@@ -24,17 +24,19 @@ within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
    ``matmul``, and take its Hermitian part and its deviation. The two
    routes run different BLAS kernels (dgemm and zgemm), so the check
    compares two computations, not one twice;
-4. derive PSD flags, ranks and fragility from eigenvalues with
-   ``psd_rule`` and ``rank_rule``, the rules behind every ``PsdCheck`` and
-   ``RankDecision``. The marginal on a, and the narrower side of each
-   complementary pair, the Choi matrix on a tie, get a stacked ``eigvalsh``:
-   three matrices per sample. The wider side shares the narrower one's
-   nonzero spectrum, so its flags follow from that spectrum padded with
-   zeros wherever a Weyl interval leaves no decision open (``_stand_in``,
-   taken once per pair for all samples); the open samples go to a stacked
-   ``eigvalsh``. A partial transpose g of a Choi matrix gets its PSD flags
-   without a spectrum when a 2x2 principal minor certifies it clearly not
-   PSD (``_certified_npt``); the rest are formed with reshapes. Those of the
+4. derive PSD flags, ranks and fragility with ``psd_rule`` and
+   ``rank_rule``, the rules behind every ``PsdCheck`` and ``RankDecision``.
+   The marginal on a, and the narrower member of each complementary pair,
+   the Choi matrix on a tie, first take a shifted Cholesky
+   (``_cholesky_certified``): where it succeeds, every eigenvalue lies past
+   every rank, fragility and escalation window, so the matrix and its
+   wider partner get fixed flags (PSD, not near, rank k = the narrower
+   side, not fragile, no margin) without a spectrum; scalar checks made
+   once per pair vouch for the partner's zeros. The samples it leaves open
+   take a stacked ``eigvalsh`` of each matrix concerned. A partial
+   transpose g of a Choi matrix gets its PSD flags without a spectrum when
+   a 2x2 principal minor certifies it clearly not PSD
+   (``_certified_npt``); the rest are formed with reshapes. Those of the
    narrower side, the Choi matrix on a tie, of side RAYLEIGH_SIDE or more,
    then take a Rayleigh quotient on the columns of (I - g/||g||_F)^4
    (``_rayleigh_npt``), which certifies the same way; what is left goes to
@@ -44,7 +46,7 @@ within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
    d_c + 1, so not PPT. Its minors are minors of the full partial
    transpose, and its vectors are vectors of the full matrix, so the minors
    and, where they leave it open, the Rayleigh quotient certify the full
-   partial transpose. Where they do and the padded spectrum is settled, the
+   partial transpose. Where they do and the Cholesky certificate holds, the
    full matrix is never formed; the other samples form it as above;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
@@ -71,6 +73,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import certify, linalg
 from .channels import StinespringOperator
@@ -101,9 +104,13 @@ RAYLEIGH_ROUNDING = 8.0
 # (2, 2, 6) ran 4-6% slower, side 6 at (2, 3, 6) 1-2% faster, side 8 at
 # (2, 4, 8) 5-8% faster.
 RAYLEIGH_SIDE = 6
-# Rounding allowance of the complementary-spectrum certificate, in units of
-# the pair's summed dims * eps times the trace; see _stand_in.
+# How far a computed spectrum of a complementary pair may lie from its exact
+# one, in units of the pair's summed sides * eps times the trace; see
+# _cholesky_certified.
 SCHMIDT_ROUNDING = 32.0
+# Rounding allowance of the shifted Cholesky, in units of (k + 1)^2 eps times
+# the trace, k the side it factors; see _cholesky_certified.
+CHOLESKY_ROUNDING = 4.0
 
 COUNT_KEYS = (
     "samples",
@@ -399,62 +406,129 @@ def _partial_transpose_flags(
     return psd, near
 
 
-def _stand_in(
-    narrow: np.ndarray, trace: np.ndarray, dim: int, cfg: ToleranceConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stand-ins for the spectra of the marginals of side ``dim`` of
-    tripartite vectors with squared norms ``trace``: ``narrow``, the computed
-    spectra of the complementary marginals, padded with zeros; and whether
-    each sample is settled.
-
-    A sample is settled when its padded spectrum, widened by a rounding
-    allowance on each eigenvalue, leaves no choice to ``_rank_flags`` nor to
-    ``_psd_flags``. Its padded spectrum then has the flags of the wider
-    marginal's computed spectrum.
-    """
-    # Why. Complementary marginals of one pure vector share their nonzero
-    # spectrum (Schmidt decomposition), so the exact spectrum of the wider
-    # marginal h is the exact narrow spectrum padded with zeros. Let k be the
-    # narrow width. Both sides are computed within a multiple of eps * trace
-    # of exact:
-    # - a Gram product over l complex terms errs by at most 3/2 l eps *
-    #   trace in Frobenius norm, whichever BLAS kernel sums it, since any
-    #   summation order obeys the dot-product bound gamma_n = n eps/2 (to
-    #   first order). The complex route (a factor marginal) errs by
-    #   gamma_{l+2} per unit of the rows' norms, (l + 2) eps/2 <= 3/2 l eps.
-    #   The real route (a Choi matrix) sums 2 l real terms for Re and Im
-    #   each, sqrt(2) gamma_{2l} together, below 3/2 l eps. The narrow
-    #   marginal contracts over dim terms and h over k, 3/2 (dim + k) eps *
-    #   trace together;
-    # - each Hermitian part is exactly Hermitian and adds eps * trace;
-    # - eigvalsh adds p(dim) eps ||h||_2, below dim/4 eps ||h||_2 against
-    #   40-digit mpmath spectra (see _certified_npt), and ||h||_2 <= trace.
-    # By Weyl's inequality the i-th computed eigenvalue of h thus lies within
-    # (7/4 (dim + k) + 2) eps * trace <= 3 (dim + k) eps * trace of the i-th
-    # padded narrow one, both ascending. delta is more than ten times that;
-    # the spare factor absorbs the rounding of trace, of delta and of the
-    # interval ends. psd_rule's threshold and rank_rule's cutoff are monotone
-    # in lambda_max and sigma_max, and round monotonically, so where no
-    # interval meets a decision's window at its widest reach, the computed
-    # spectrum and the stand-in get the same flags.
-    n = narrow.shape[0]
+def _cholesky_shift(k: int, dim: int, cfg: ToleranceConfig) -> float | None:
+    """tau of ``_cholesky_certified`` for matrices of side k whose
+    complementary marginals have side ``dim``: (1 + 2^-10) r + 3 delta/tr +
+    CHOLESKY_ROUNDING (k + 1)^2 eps, with r = rank_tol dim FRAGILITY_FACTOR
+    ESCALATION_MARGIN and delta/tr = SCHMIDT_ROUNDING (dim + k) eps. None
+    when dim > k and the complementary marginals' dim - k zeros may meet a
+    window."""
     eps = np.finfo(np.float64).eps
-    delta = SCHMIDT_ROUNDING * (dim + narrow.shape[-1]) * eps * trace
-    w = np.zeros((n, dim))
-    w[:, dim - narrow.shape[-1]:] = narrow
-    w.sort(axis=1)
-    # rank_rule's cutoff at the smallest and the largest sigma_max the
-    # intervals allow, each past the escalation window: no sigma-interval may
-    # meet the span between them
-    sigma = np.abs(w)
-    sigma_max = np.maximum(-w[:, 0], w[:, -1])
+    rounding = SCHMIDT_ROUNDING * (dim + k) * eps
     wide = FRAGILITY_FACTOR * ESCALATION_MARGIN
-    below = cfg.rank_tol * (sigma_max - delta) * dim / wide - delta
-    above = cfg.rank_tol * (sigma_max + delta) * dim * wide + delta
-    settled = ~((sigma > below[:, None]) & (sigma < above[:, None])).any(axis=1)
-    ends = w - delta[:, None]
-    settled &= ends[:, 0] >= linalg.psd_rule(ends, cfg)[1] / ESCALATION_MARGIN
-    return w, settled
+    floor = 1.0 / k - rounding
+    # rank_tol dim and -psd_tol, as the rules give them for a spectrum of
+    # side dim with sigma_max = lambda_max = 1
+    unit = np.zeros(dim)
+    unit[-1] = 1.0
+    cutoff, threshold = linalg.rank_rule(unit, cfg)[1], linalg.psd_rule(unit, cfg)[1]
+    if dim > k and not (
+        rounding * wide < cutoff * floor and rounding * ESCALATION_MARGIN < -threshold * floor
+    ):
+        return None
+    return (1 + 2.0**-10) * cutoff * wide + 3 * rounding + CHOLESKY_ROUNDING * (k + 1) ** 2 * eps
+
+
+def _stacked_cholesky(x: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a Hermitian stack, as ``np.linalg.cholesky``
+    gives them, but all NaN for each matrix that LAPACK cannot factor, and
+    no error: the gufunc behind ``np.linalg.cholesky``, whose public
+    wrapper raises for the whole stack."""
+    with np.errstate(invalid="ignore"):
+        return _umath_linalg.cholesky_lo(x, signature="D->D")
+
+
+def _cholesky_certified(
+    x: np.ndarray, trace: np.ndarray, dim: int, cfg: ToleranceConfig
+) -> np.ndarray:
+    """Per matrix of a Hermitian stack of side k, the computed marginals of
+    tripartite vectors with squared norms ``trace``: whether the Cholesky of
+    x - tau trace I succeeds, tau from ``_cholesky_shift``. ``dim`` >= k is
+    the side of the complementary marginal, k for the marginal on a, which
+    has none. Where it holds, ``_psd_flags`` and ``_rank_flags`` of the
+    computed spectra of x and of its complementary marginal read PSD, not
+    near, rank k, not fragile and no margin. It holds nowhere where
+    ``_cholesky_shift`` is None.
+    """
+    # Why. Let X be the exact marginal of the vector, of trace tr, and W its
+    # complementary marginal, of side dim. W's spectrum is X's padded with
+    # dim - k zeros (Schmidt decomposition). x lies within delta of X, and
+    # each computed spectrum within delta of its exact one, eigenvalue by
+    # eigenvalue, more than ten times over:
+    # - a Gram product over l complex terms errs by at most 3/2 l eps tr in
+    #   Frobenius norm, whichever BLAS kernel sums it, since any summation
+    #   order obeys the dot-product bound gamma_n = n eps/2 (to first
+    #   order). The complex route (a factor marginal) errs by gamma_{l+2}
+    #   per unit of the rows' norms, (l + 2) eps/2 <= 3/2 l eps. The real
+    #   route (a Choi matrix) sums 2 l real terms for Re and Im each,
+    #   sqrt(2) gamma_{2l} together, below 3/2 l eps. Of a pair, one member
+    #   contracts over dim terms and the other over k;
+    # - each Hermitian part is exactly Hermitian and adds eps tr;
+    # - eigvalsh adds p(side) eps ||h||_2, below side/4 eps ||h||_2 against
+    #   40-digit mpmath spectra (see _certified_npt), and ||h||_2 <= tr.
+    # By Weyl's inequality that is (7/4 (dim + k) + 2) eps tr
+    # <= 3 (dim + k) eps tr in all. The marginal on a has no partner: only
+    # eigvalsh's error, below k/4 eps tr, separates x from its spectrum.
+    # Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    # ed., Thm 10.3, complex case): when it runs to completion on the
+    # computed y = x - s I, s = tau tr, its factor has R^* R = y + E with
+    # |E| <= gamma~_{k+1} |R^*| |R|, whatever the order of its inner
+    # products (so blocked LAPACK too); gamma~_{k+1} = c (k + 1) eps/2 /
+    # (1 - c (k + 1) eps/2), c a small constant of complex arithmetic. So
+    # ||E||_2 <= ||E||_F <= gamma~ ||R||_F^2 = gamma~ tr(R^* R), and
+    # tr(R^* R) <= tr(y) / (1 - gamma~): ||E||_2 stays below c (k + 1) eps tr.
+    # The shift rounds each diagonal entry by at most eps max(x_ii, s)
+    # <= eps tr, since a first pivot x_00 - s <= 0 stops the Cholesky. R^* R
+    # is PSD, so lambda_min(x) > s - a for a = CHOLESKY_ROUNDING (k + 1)^2
+    # eps tr, which covers c up to 4 k. So:
+    # - x's eigenvalues exceed (1 + 2^-10) r tr + 3 delta, those of X and of
+    #   x's computed spectrum (1 + 2^-10) r tr + 2 delta, and the k largest of
+    #   W's computed spectrum (1 + 2^-10) r tr + delta. That is r (tr +
+    #   delta) and more, as r < 1 where the Cholesky succeeds (s < x_00
+    #   <= tr); the factor 1 + 2^-10
+    #   absorbs the rounding of tr, a sum of 2 d_a d_b d_c squares, and of
+    #   s. Each computed sigma_max is at most tr + delta and each side at
+    #   most dim, so these eigenvalues lie past their spectrum's rank cutoff
+    #   rank_tol sigma_max side by more than FRAGILITY_FACTOR
+    #   ESCALATION_MARGIN, and are positive. x's spectrum thus reads rank k,
+    #   not fragile, no margin, PSD (lambda_min > 0 >= the threshold) and
+    #   not near (that needs lambda_min < threshold / 2 <= 0).
+    # - W's other dim - k computed eigenvalues lie in [-delta, delta], and
+    #   its sigma_max, at least X's mean eigenvalue tr/k less delta, in
+    #   [tr/k - delta, tr + delta]. If delta FRAGILITY_FACTOR
+    #   ESCALATION_MARGIN < rank_tol (tr/k - delta) dim, they lie at or below
+    #   every cutoff over that factor: rank k, not fragile, no margin. If
+    #   delta ESCALATION_MARGIN < psd_tol (tr/k - delta), lambda_min >= -delta
+    #   lies above half the PSD threshold: PSD, not near. Both checks scale
+    #   with tr, so they are made once, on delta/tr; delta's spare factor
+    #   absorbs the rounding of tr, of delta and of the checks.
+    n, k = x.shape[0], x.shape[-1]
+    tau = _cholesky_shift(k, dim, cfg)
+    if tau is None:
+        return np.zeros(n, dtype=bool)
+    shifted = x.copy()
+    shifted[:, np.arange(k), np.arange(k)] -= (tau * trace)[:, None]
+    return ~np.isnan(_stacked_cholesky(shifted)[:, -1, -1])
+
+
+def _spectrum_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
+    """``_psd_flags`` and ``_rank_flags`` of ascending spectra: psd, near,
+    rank, fragile and margin."""
+    return (*_psd_flags(w, cfg), *_rank_flags(w, cfg))
+
+
+def _certified_flags(n: int, k: int) -> tuple[np.ndarray, ...]:
+    """``_spectrum_flags`` of n matrices that ``_cholesky_certified`` settles
+    at side k, or that are partners of such: PSD, not near, rank k, not
+    fragile, no margin."""
+    near, fragile, margin = np.zeros((3, n), dtype=bool)
+    return ~near, near, np.full(n, k), fragile, margin
+
+
+def _fill(flags: tuple[np.ndarray, ...], rows, w: np.ndarray, cfg: ToleranceConfig) -> None:
+    """Write ``_spectrum_flags`` of the spectra ``w`` into ``flags`` at ``rows``."""
+    for target, value in zip(flags, _spectrum_flags(w, cfg)):
+        target[rows] = value
 
 
 def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
@@ -504,7 +578,8 @@ def _cut_certificates(
     # with that trace. Where either fires on the computed g',
     # lambda_min(g') < -c + 6 eps trace (see _certified_npt and
     # _rayleigh_npt). g' and the matching submatrix of the computed g each
-    # lie within (3/2 d_c + 1) eps trace of the exact one (see _stand_in), and
+    # lie within (3/2 d_c + 1) eps trace of the exact one (see
+    # _cholesky_certified), and
     # lambda_min(g) is at most that of its principal submatrix (Cauchy
     # interlacing); eigvalsh adds below side/4 eps trace. So g's computed
     # lambda_min is below -c + (3 d_c + 8 + side/4) eps trace, with d_c < side
@@ -526,32 +601,33 @@ def _complementary_pair(
 ) -> tuple[np.ndarray, ...]:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
     ``trace``, and ``environment`` the Hermitian parts of their marginals on
-    c: spectra, for their flags, of the Choi matrices of the maps that trace
-    out c and of ``environment``; whether each Choi matrix is clearly
-    Hermitian and agrees with the Kraus-vector route; and ``_psd_flags`` of
-    its partial transpose.
+    c: ``_spectrum_flags`` of the Choi matrices of the maps that trace out c
+    and of ``environment``; whether each Choi matrix is clearly Hermitian
+    and agrees with the Kraus-vector route; and ``_psd_flags`` of its
+    partial transpose.
 
     The Choi matrices are formed by ``_choi_blocks`` and nowhere else. The
-    narrower side of the pair, the Choi matrix on a tie, gets ``eigvalsh``;
-    its partial transposes of side RAYLEIGH_SIDE or more take
-    ``_rayleigh_npt`` where the minors leave them open.
-    The wider side gets ``_stand_in`` once, for all samples, and ``eigvalsh``
-    on the samples it leaves open. A wider Choi matrix with d_b > d_c + 1 is
-    first read on the vectors cut to d_c + 1 values of b
-    (``_cut_certificates``): a sample whose cut certifies the matrix NPT, and
-    whose stand-in is settled, has its flags without the full matrix being
-    formed, and the cut's checks. Every other sample forms it.
+    narrower member of the pair, the Choi matrix on a tie, takes
+    ``_cholesky_certified``; the samples it leaves open take ``eigvalsh`` of
+    both members. The narrower side's partial transposes of side
+    RAYLEIGH_SIDE or more take ``_rayleigh_npt`` where the minors leave
+    them open. A wider Choi matrix with d_b > d_c + 1 is first read on the
+    vectors cut to d_c + 1 values of b (``_cut_certificates``): a sample
+    whose cut certifies the matrix NPT, and whose certificate holds, has its
+    flags without the full matrix being formed, and the cut's checks. Every
+    other sample forms it.
     """
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
     choi_narrower = side <= d_c
+    k, dim = min(side, d_c), max(side, d_c)
+    choi_flags, env_flags = _certified_flags(n, k), _certified_flags(n, k)
     checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
     rest = np.arange(n)
     if choi_narrower:
-        spectra, settled = np.empty((n, side)), np.zeros(n, dtype=bool)
+        settled = np.empty(n, dtype=bool)
     else:
-        env = np.linalg.eigvalsh(environment)
-        spectra, settled = _stand_in(env, trace, side, cfg)
+        settled = _cholesky_certified(environment, trace, dim, cfg)
         if d_b > d_c + 1:
             checks, certified = _cut_certificates(vector, trace, cfg)
             done = settled & certified
@@ -561,17 +637,17 @@ def _complementary_pair(
     for block, h, norm, passed, work in _choi_blocks(vector[rest], cfg):
         index = rest[block]
         checks[index] = passed
+        if choi_narrower:
+            settled[index] = _cholesky_certified(h, trace[index], dim, cfg)
         open_rows = ~settled[index]
         if open_rows.any():
-            spectra[index[open_rows]] = np.linalg.eigvalsh(h[open_rows])
+            _fill(choi_flags, index[open_rows], np.linalg.eigvalsh(h[open_rows]), cfg)
         pt_psd[index], pt_near[index] = _partial_transpose_flags(
             h, d_a, d_b, norm, cfg, rayleigh, work
         )
-    if choi_narrower:
-        env, settled = _stand_in(spectra, trace, d_c, cfg)
-        if not settled.all():
-            env[~settled] = np.linalg.eigvalsh(environment[~settled])
-    return spectra, env, checks, pt_psd, pt_near
+    if not settled.all():
+        _fill(env_flags, ~settled, np.linalg.eigvalsh(environment[~settled]), cfg)
+    return choi_flags, env_flags, checks, pt_psd, pt_near
 
 
 def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
@@ -600,20 +676,22 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     for key, matrix in _factor_marginals(vector, swapped).items():
         hermitian[key], clear = _hermitian_part(matrix, _frobenius(matrix), cfg)
         checks &= clear
-    spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
-    spectra["ab"], spectra["c"], phi_checks, phi_pt, near_phi_pt = _complementary_pair(
+    flags = {"a": _certified_flags(n, d_a)}
+    settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
+    if not settled.all():
+        _fill(flags["a"], ~settled, np.linalg.eigvalsh(hermitian["a"][~settled]), cfg)
+    flags["ab"], flags["c"], phi_checks, phi_pt, near_phi_pt = _complementary_pair(
         vector, hermitian["c"], trace, cfg
     )
-    spectra["ac"], spectra["b"], psi_checks, psi_pt, near_psi_pt = _complementary_pair(
+    flags["ac"], flags["b"], psi_checks, psi_pt, near_psi_pt = _complementary_pair(
         swapped, hermitian["b"], trace, cfg
     )
     checks &= phi_checks & psi_checks
-    phi_psd, near_phi = _psd_flags(spectra["ab"], cfg)
-    psi_psd, near_psi = _psd_flags(spectra["ac"], cfg)
+    (phi_psd, near_phi), (psi_psd, near_psi) = flags["ab"][:2], flags["ac"][:2]
     unsure = near_phi | near_psi | near_phi_pt | near_psi_pt
     ranks, fragile = {}, np.zeros(n, dtype=bool)
     for key in ("ab", "ac", "a", "b", "c"):
-        ranks[key], fragile_key, margin = _rank_flags(spectra[key], cfg)
+        ranks[key], fragile_key, margin = flags[key][2:]
         fragile |= fragile_key
         unsure |= margin
 

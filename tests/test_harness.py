@@ -12,9 +12,10 @@ A chunk holds each sample's dilation and its marginals on a, b and c; the
 Choi matrices are formed in blocks inside it, and only there. The engine's
 partial-transpose flags skip the spectrum where a 2 x 2 minor, or for the
 narrower side of a pair a Rayleigh quotient, certifies the matrix clearly
-not PSD, and the wider marginal of each complementary pair takes its flags
-from the narrower one's spectrum where that leaves no decision open; both
-must equal the flags of the spectrum exactly. A wider Choi matrix whose
+not PSD, and the marginal on a and each complementary pair take fixed flags
+where a shifted Cholesky of the narrower member succeeds; both must equal
+the flags of the spectrum exactly, and where the Cholesky certificate
+declines, the outcomes must be those of the engine without it. A wider Choi matrix whose
 non-transposed factor exceeds the inner dimension r + 1 is first read on
 the vectors cut to r + 1 values of that factor; where the cut's minors or
 its Rayleigh quotient certify it, the flags of the full partial
@@ -27,6 +28,7 @@ import itertools
 import json
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -58,8 +60,12 @@ from chancert.harness import (
     MINOR_ROUNDING,
     RAYLEIGH_ROUNDING,
     RAYLEIGH_SIDE,
+    SCHMIDT_ROUNDING,
     HarnessResult,
     _certified_npt,
+    _certified_flags,
+    _cholesky_certified,
+    _cholesky_shift,
     _complementary_pair,
     _choi_blocks,
     _cut_certificates,
@@ -69,10 +75,10 @@ from chancert.harness import (
     _partial_transpose_left,
     _psd_flags,
     _purification_choi,
-    _rank_flags,
     _rayleigh_npt,
     _run_chunk,
-    _stand_in,
+    _spectrum_flags,
+    _stacked_cholesky,
     block_size,
     chunk_size,
     run_harness,
@@ -387,7 +393,7 @@ def engine_marginals(vector, swapped) -> dict:
 
 @pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
 def test_products_within_the_rounding_bound(dims):
-    # _stand_in takes every marginal the engine forms, over l complex
+    # _cholesky_certified takes every marginal the engine forms, over l complex
     # terms, within 3/2 l eps tr of exact in Frobenius norm; the einsums of
     # chancert.complement err by at most (l + 2)/2 eps tr, so the two lie
     # within (2 l + 1) eps tr of each other, sample by sample
@@ -533,36 +539,86 @@ def matrices_by_dim(stacks, caller=None) -> Counter:
     return matrices
 
 
+@pytest.fixture
+def declined(monkeypatch):
+    """Per call of the Cholesky certificate: its caller, the side k of the
+    stack it reads, the side of their complementary marginals, the stack's
+    length, and how many matrices it leaves open."""
+    calls = []
+    certified = chancert.harness._cholesky_certified
+
+    def recording(x, trace, dim, cfg):
+        settled = certified(x, trace, dim, cfg)
+        calls.append((sys._getframe(1).f_code.co_name, x.shape[-1], dim, len(x),
+                      int(np.count_nonzero(~settled))))
+        return settled
+
+    monkeypatch.setattr(chancert.harness, "_cholesky_certified", recording)
+    return calls
+
+
+def left_open(declined) -> Counter:
+    """The marginals, by side, that the matrices the certificate leaves open
+    send to eigvalsh: the marginal on a alone, and in a pair the narrower
+    member and its partner."""
+    matrices = Counter()
+    for caller, k, dim, _, rows in declined:
+        matrices[k] += rows
+        if caller == "_complementary_pair":
+            matrices[dim] += rows
+    return +matrices
+
+
+def marginal_stacks(stacks) -> Counter:
+    """The marginals handed to eigvalsh, by side: the one on a and the
+    members of each complementary pair."""
+    return matrices_by_dim(stacks, "_run_chunk") + matrices_by_dim(stacks, "_complementary_pair")
+
+
 @pytest.mark.parametrize("dims", WIDE_TUPLES + MIRRORED_TUPLES, ids=dims_id)
-def test_no_ac_partial_transpose_reaches_eigvalsh(dims, eigvalsh_stacks):
+def test_no_ac_partial_transpose_reaches_eigvalsh(dims, eigvalsh_stacks, declined):
     # the wider side's Choi matrix and its partial transpose are both settled
-    # here, so only the marginal on a, the narrower side of each
-    # complementary pair and the narrower side's open partial transposes
-    # reach LAPACK; no other kind has the wider Choi matrix's side. Three
-    # matrices per sample, plus the few the minors and the Rayleigh quotient
-    # leave open (at most 7 of 404 at (3, 3, 9) over seeds 1, 77 and 3003,
-    # none of 128 at (4, 4, 16)); at (2, 2, 6) and (2, 6, 2), below
-    # RAYLEIGH_SIDE, up to one more per sample
+    # here, so no matrix of the wider Choi matrix's side reaches LAPACK. The
+    # marginals that do are those the Cholesky certificate leaves open, with
+    # their partners, on ties only and on at most 3% of the samples; the
+    # rest are the narrower side's partial transposes that the minors and
+    # the Rayleigh quotient leave open (at most 7 of 404 at (3, 3, 9) over
+    # seeds 1, 77 and 3003, none of 128 at (4, 4, 16)); at (2, 2, 6) and
+    # (2, 6, 2), below RAYLEIGH_SIDE, up to one per sample
     d_a, d_b, d_c = dims
     trials = 2 * chunk_size(dims)
     run_harness(dims, trials, 3003, DEFAULT_TOLERANCES)
-    matrices = matrices_by_dim(eigvalsh_stacks)
-    assert matrices[max(d_a * d_b, d_a * d_c)] == 0
+    assert matrices_by_dim(eigvalsh_stacks)[max(d_a * d_b, d_a * d_c)] == 0
+    marginals = marginal_stacks(eigvalsh_stacks)
+    assert marginals == left_open(declined)
+    assert set(marginals) <= {d_a * min(d_b, d_c)}
+    assert sum(marginals.values()) <= 2 * (3 * trials // 100)
     slack = trials if min(d_a * d_b, d_a * d_c) < RAYLEIGH_SIDE else trials // 50
-    assert 3 * trials <= sum(matrices.values()) <= 3 * trials + slack
+    assert sum(matrices_by_dim(eigvalsh_stacks, "_partial_transpose_flags").values()) <= slack
 
 
-@pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
-def test_no_wide_marginal_reaches_eigvalsh(dims, eigvalsh_stacks):
-    # at default tolerances the narrower spectrum settles every wider
-    # marginal, and eigvalsh sees three marginals per sample, none wider than
-    # its complement: the one on a, and the narrower side of each pair
+@pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES + MIRRORED_TUPLES, ids=dims_id)
+def test_no_wide_marginal_reaches_eigvalsh(dims, eigvalsh_stacks, declined):
+    # at default tolerances the Cholesky certificate settles every marginal
+    # on a, and every pair, narrower member and partner, of seed 3003 at the
+    # acceptance tuples, (2, 2, 6) and (2, 6, 2), so no marginal reaches
+    # eigvalsh there. At (3, 3, 9) and (4, 4, 16) phi's pair is a tie of
+    # full-rank square Gram matrices, as psi's at the mirrored tuples, whose
+    # lambda_min is now and then small: of 4000 samples the certificate left
+    # 4 and 60 of phi's open, and 6 and 52 of psi's. Only those, each with
+    # its partner, reach eigvalsh
     d_a, d_b, d_c = dims
-    trials = 40 if max(dims) > 3 else 200
+    tie = d_a * min(d_b, d_c) == max(d_b, d_c)
+    trials = 400 if tie else 40 if max(dims) > 3 else 200
     run_harness(dims, trials, 3003, DEFAULT_TOLERANCES)
-    assert matrices_by_dim(eigvalsh_stacks, "_run_chunk") == Counter({d_a: trials})
-    narrow = matrices_by_dim(eigvalsh_stacks, "_complementary_pair")
-    assert narrow == Counter({min(d_a * d_b, d_c): trials}) + Counter({min(d_a * d_c, d_b): trials})
+    marginals = marginal_stacks(eigvalsh_stacks)
+    assert marginals == left_open(declined)
+    if tie:
+        # at most 0.5% and 4% of the samples
+        assert set(marginals) <= {max(d_b, d_c)}
+        assert sum(marginals.values()) <= 2 * (trials // (200 if d_a == 3 else 25))
+    else:
+        assert marginals == Counter()
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 2), (2, 2, 6)], ids=dims_id)
@@ -582,14 +638,13 @@ def test_wide_marginal_fallback_agrees(dims, cfg, eigvalsh_stacks):
 def test_open_partial_transposes_reach_eigvalsh(cfg, eigvalsh_stacks):
     # one chunk with PPT samples: the certificate settles some partial
     # transposes at default tolerances and none at psd_tol = 0.1 (c = 0.4 F);
-    # the open ones go to one stacked eigvalsh per kind, each after the
-    # narrower side of its pair, the marginal on c for phi and on b for psi,
-    # and the marginal on a comes first
+    # the open ones go to one stacked eigvalsh per kind, phi's before psi's.
+    # The Cholesky certificate settles every marginal on a and every pair,
+    # so no marginal reaches eigvalsh
     result, _ = assert_agrees((2, 2, 3), 300, 3003, cfg)
     assert result.counts["phi_ppt"] > 0
     assert [(name, dim) for name, _, dim in eigvalsh_stacks] == [
-        ("_run_chunk", 2), ("_complementary_pair", 3), ("_partial_transpose_flags", 4),
-        ("_complementary_pair", 2), ("_partial_transpose_flags", 6)]
+        ("_partial_transpose_flags", 4), ("_partial_transpose_flags", 6)]
     matrices = matrices_by_dim(eigvalsh_stacks, "_partial_transpose_flags")
     open_ab, open_ac = matrices[4], matrices[6]
     if cfg is DEFAULT_TOLERANCES:
@@ -747,27 +802,25 @@ def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
-def test_stand_in_runs_once_per_pair(dims, monkeypatch):
+def test_certificate_runs_once_per_pair(dims, declined, monkeypatch):
     # at psd_tol 0.03 (c = 0.12 tr) the cut leaves some wider Choi matrices
     # open and certifies others (40 and 34 of 50 formed in full), so a pair
-    # runs both the cut and the block loop over the rest; the wider side's
-    # stand-in is still taken once, for all samples of the chunk
+    # runs both the cut and the block loop over the rest; the Cholesky
+    # certificate still reads each sample's narrower member once: the
+    # marginal on a, then phi's pair, then psi's, every call on all 50
     d_a, d_b, d_c = dims
-    rows, sides = [], []
-    stand_in, purification_choi = chancert.harness._stand_in, chancert.harness._purification_choi
-
-    def recording_stand_in(narrow, *args, **kwargs):
-        rows.append(narrow.shape[0])
-        return stand_in(narrow, *args, **kwargs)
+    sides = []
+    purification_choi = chancert.harness._purification_choi
 
     def recording_choi(v, out):
         sides.append(v.shape[1] * v.shape[2])
         return purification_choi(v, out)
 
-    monkeypatch.setattr(chancert.harness, "_stand_in", recording_stand_in)
     monkeypatch.setattr(chancert.harness, "_purification_choi", recording_choi)
     run_harness(dims, 50, 3003, ToleranceConfig(psd_tol=0.03))
-    assert rows == [50, 50]
+    assert [(k, dim, n) for _, k, dim, n, _ in declined] == [
+        (d_a, d_a, 50), (min(d_a * d_b, d_c), max(d_a * d_b, d_c), 50),
+        (min(d_a * d_c, d_b), max(d_a * d_c, d_b), 50)]
     assert d_a * max(d_b, d_c) in sides
 
 
@@ -920,32 +973,35 @@ def test_rayleigh_certificates_against_40_digit_spectra(case):
 
 
 def assert_marginal_flags_match(vector, cfg) -> int:
-    """Every marginal of a stack of tripartite vectors gets from
-    ``_complementary_pair`` the rank flags, and each Choi matrix the PSD
-    flags, of its computed spectrum. Returns the number of stand-in rows,
-    those unequal to the computed spectrum. The spectra are those of the
-    matrices the engine forms, with its own products."""
-    n = vector.shape[0]
+    """Every marginal of a stack of tripartite vectors gets from the engine
+    the rank flags, and each Choi matrix the PSD flags, of its computed
+    spectrum: the pairs from ``_complementary_pair``, the marginal on a from
+    ``_cholesky_certified`` where it holds. Returns the number of matrices
+    the certificate settles. The spectra are those of the matrices the
+    engine forms, with its own products."""
+    n, d_a = vector.shape[:2]
     vector = np.ascontiguousarray(vector)
     swapped = np.ascontiguousarray(vector.swapaxes(2, 3))
     marginals = engine_marginals(vector, swapped)
     hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals.items()}
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
-    spectra = {"a": np.linalg.eigvalsh(hermitian["a"])}
-    spectra["ab"], spectra["c"], *_ = _complementary_pair(vector, hermitian["c"], trace, cfg)
-    spectra["ac"], spectra["b"], *_ = _complementary_pair(
-        swapped, hermitian["b"], trace, cfg
-    )
-    stand_ins = 0
+    flags = {}
+    flags["ab"], flags["c"], *_ = _complementary_pair(vector, hermitian["c"], trace, cfg)
+    flags["ac"], flags["b"], *_ = _complementary_pair(swapped, hermitian["b"], trace, cfg)
+    settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
+    certified = np.count_nonzero(settled)
+    for pair in (("ab", "c"), ("ac", "b")):
+        narrow = min(pair, key=lambda key: hermitian[key].shape[-1])
+        dim = max(hermitian[key].shape[-1] for key in pair)
+        certified += np.count_nonzero(_cholesky_certified(hermitian[narrow], trace, dim, cfg))
+    flags["a"] = _certified_flags(n, d_a)
     for key, h in hermitian.items():
-        w = np.linalg.eigvalsh(h)
-        pairs = zip(_rank_flags(spectra[key], cfg), _rank_flags(w, cfg))
-        if key in ("ab", "ac"):
-            pairs = itertools.chain(pairs, zip(_psd_flags(spectra[key], cfg), _psd_flags(w, cfg)))
-        for got, want in pairs:
-            assert np.array_equal(got, want), key
-        stand_ins += np.count_nonzero((spectra[key] != w).any(axis=1))
-    return stand_ins
+        rows = settled if key == "a" else slice(None)
+        want = _spectrum_flags(np.linalg.eigvalsh(h), cfg)
+        start = 0 if key in ("ab", "ac") else 2
+        for got, expected in zip(flags[key][start:], want[start:]):
+            assert np.array_equal(got[rows], expected[rows]), key
+    return int(certified)
 
 
 def cut_widths(dims, cut) -> tuple[int, int]:
@@ -988,7 +1044,7 @@ def test_wide_spectra_flags_match_spectrum_flags(psd_tol, rank_tol):
     # margin around it (20, 1/20), at full Schmidt rank and one below
     cfg = ToleranceConfig(psd_tol=psd_tol, rank_tol=rank_tol)
     rng = np.random.default_rng(41)
-    stand_ins = 0
+    certified = 0
     for dims, cut in SCHMIDT_CASES:
         single, rest = cut_widths(dims, cut)
         wide, full = max(single, rest), min(single, rest)
@@ -1000,36 +1056,189 @@ def test_wide_spectra_flags_match_spectrum_flags(psd_tol, rank_tol):
             schmidt[:, -1], schmidt[:, 0] = 1.0, value
             vector = schmidt_vectors(rng, dims, cut, schmidt)
             for exponent in (-40, 0, 40):
-                stand_ins += assert_marginal_flags_match(2.0**exponent * vector, cfg)
-    # at a rounding-level rank_tol the allowance meets every fragility window
-    assert stand_ins > 0 or rank_tol == ROUNDING_RANK_TOL
+                certified += assert_marginal_flags_match(2.0**exponent * vector, cfg)
+    # at a rounding-level rank_tol the zeros' allowance meets every
+    # fragility window, and no planted coefficient clears the shift
+    assert certified > 0 or rank_tol == ROUNDING_RANK_TOL
+
+
+def assert_certified_flags(fired, h, k, cfg) -> None:
+    """``_spectrum_flags`` of each computed spectrum of h on the rows
+    ``fired`` read PSD, not near, rank k, not fragile and no margin."""
+    for got, want in zip(_spectrum_flags(np.linalg.eigvalsh(h), cfg), (True, False, k, False, False)):
+        assert (got[fired] == want).all()
 
 
 @pytest.mark.parametrize("psd_tol", [1e-9, 1e-3, 0.1, ROUNDING_PSD_TOL])
 def test_wide_spectra_psd_flags_near_threshold(psd_tol):
-    # a narrow spectrum with lambda_min at k times the PSD threshold, around
-    # the escalation window (2, 1/2), and h = U diag(w) U^dagger with w that
-    # spectrum padded with zeros: no marginal of a pure vector, but the
-    # certificate's premise holds exactly; trace bounds the trace norm. On
-    # the rows _stand_in settles, the stand-in has the flags of h's spectrum
+    # a narrow PD matrix x with lambda_min at f times the certificate's shift
+    # tau tr, f from 1/40 to 40, and h = U diag(w) U^dagger with w x's
+    # spectrum padded with values at f times the PSD threshold, as far below
+    # zero as the rounding allowance delta reaches: the certificate's
+    # premise. It must decline every pair with padding at a rounding-level
+    # psd_tol, and elsewhere fire only where x's and h's computed spectra
+    # have the fixed flags
     cfg = ToleranceConfig(psd_tol=psd_tol)
     rng = np.random.default_rng(43)
-    stand_ins = 0
+    certified = 0
     for narrow_dim, dim in ((2, 4), (3, 3), (3, 12), (4, 16)):
-        for k in WINDOW_FACTORS + (0.5, 2.0):
+        tau = _cholesky_shift(narrow_dim, dim, cfg)
+        if tau is None:
+            assert psd_tol == ROUNDING_PSD_TOL and dim > narrow_dim
+            continue
+        delta = SCHMIDT_ROUNDING * (dim + narrow_dim) * np.finfo(float).eps
+        for f in WINDOW_FACTORS + (0.5, 2.0):
             narrow = rng.uniform(0.5, 1.0, (8, narrow_dim))
-            narrow[:, -1], narrow[:, 0] = 1.0, -k * psd_tol
-            padded = np.sort(np.concatenate([narrow, np.zeros((8, dim - narrow_dim))], axis=1))
-            h = hermitian_stack(rng, padded)
+            narrow[:, -1] = 1.0
+            assert f * tau < 0.5
+            narrow[:, 0] = f * tau * narrow[:, 1:].sum(axis=1) / (1 - f * tau)
+            zeros = -min(f * psd_tol, delta / 2) * narrow.sum(axis=1, keepdims=True)
+            padded = np.sort(np.concatenate(
+                [narrow, np.broadcast_to(zeros, (8, dim - narrow_dim))], axis=1))
+            x, h = hermitian_stack(rng, narrow), hermitian_stack(rng, padded)
             for exponent in (-40, 0, 40):
                 scale = 2.0**exponent
-                w, settled = _stand_in(narrow * scale, np.abs(narrow).sum(1) * scale, dim, cfg)
-                want = np.linalg.eigvalsh(h * scale)
-                for got, expected in zip(_psd_flags(w, cfg) + _rank_flags(w, cfg),
-                                         _psd_flags(want, cfg) + _rank_flags(want, cfg)):
-                    assert np.array_equal(got[settled], expected[settled])
-                stand_ins += np.count_nonzero(settled & (w != want).any(axis=1))
-    assert stand_ins > 0 or psd_tol == ROUNDING_PSD_TOL
+                fired = _cholesky_certified(x * scale, narrow.sum(axis=1) * scale, dim, cfg)
+                assert_certified_flags(fired, x * scale, narrow_dim, cfg)
+                assert_certified_flags(fired, h * scale, narrow_dim, cfg)
+                certified += np.count_nonzero(fired)
+    assert certified > 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 16), extra=st.integers(0, 16),
+       f=st.sampled_from([1 - 1e-6, 1 + 1e-6, 1.01, 2.0]),
+       psd_tol=st.sampled_from([1e-9, 1e-3, 0.1]),
+       rank_tol=st.sampled_from([1e-8, 1e-15, 1e-17]), exponent=st.sampled_from([-600, 0, 600]))
+def test_cholesky_certificate_on_planted_spectra(seed, k, extra, f, psd_tol, rank_tol, exponent):
+    # random PD stacks of side k with lambda_min planted at f times the
+    # shift tau tr (k > 1), at scales 2^-600 ... 2^600, and as their
+    # complementary marginals the same spectra padded with zeros to side
+    # k + extra: wherever the certificate fires, both computed spectra read
+    # PSD, not near, rank k, not fragile and no margin; and it fires on
+    # every lambda_min from 1.01 tau tr up, unless the scalar checks decline
+    cfg = ToleranceConfig(psd_tol=psd_tol, rank_tol=rank_tol)
+    dim = k + extra
+    tau = _cholesky_shift(k, dim, cfg)
+    rng = np.random.default_rng(seed)
+    spectra = rng.uniform(0.5, 1.0, (4, k))
+    spectra[:, -1] = 1.0
+    if k > 1 and tau is not None:
+        spectra[:, 0] = f * tau * spectra[:, 1:].sum(axis=1) / (1 - f * tau)
+    spectra.sort(axis=1)
+    scale = 2.0**exponent
+    x = scale * hermitian_stack(rng, spectra)
+    padded = np.concatenate([np.zeros((4, extra)), spectra], axis=1)
+    wide = scale * hermitian_stack(rng, padded)
+    fired = _cholesky_certified(x, scale * spectra.sum(axis=1), dim, cfg)
+    assert_certified_flags(fired, x, k, cfg)
+    assert_certified_flags(fired, wide, k, cfg)
+    if tau is None:
+        assert dim > k and not fired.any()
+    elif f >= 1.01:
+        assert fired.all()
+
+
+def test_stacked_cholesky_is_per_matrix():
+    # the gufunc behind np.linalg.cholesky: a matrix it cannot factor comes
+    # back all NaN, its neighbours as np.linalg.cholesky factors them alone;
+    # no warning and no error escapes, even where every matrix fails
+    rng = np.random.default_rng(5)
+    pd = hermitian_stack(rng, rng.uniform(0.5, 1.0, (4, 5)))
+    stack = pd.copy()
+    stack[1] -= 2.0 * np.eye(5)
+    stack[3] = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="raise"):
+            factors = _stacked_cholesky(stack)
+            failed = _stacked_cholesky(-pd)
+    assert caught == []
+    assert np.isnan(factors[[1, 3]]).all() and np.isnan(failed).all()
+    for index in (0, 2):
+        assert np.array_equal(factors[index], np.linalg.cholesky(stack[index]))
+    assert np.array_equal(_stacked_cholesky(pd), np.linalg.cholesky(pd))
+
+
+def engine_outcome(run):
+    """Counts, counterexample records and escalated indices of a
+    ``HarnessResult`` from ``run()``, or the type and message of the
+    ``ChancertError`` it raises."""
+    try:
+        result = run()
+    except ChancertError as exc:
+        return type(exc), str(exc)
+    return result.counts, result.counterexamples, result.escalated
+
+
+def assert_decline_path_agrees(run, loop, monkeypatch) -> int:
+    """``run()`` gives the counts and counterexamples of the per-sample
+    ``loop()``, and equals, escalations included, the engine with every
+    Cholesky certificate declined. Returns how many matrices the certificate
+    left open."""
+    opened = []
+    certified = chancert.harness._cholesky_certified
+
+    def recording(x, *args):
+        settled = certified(x, *args)
+        opened.append(int(np.count_nonzero(~settled)))
+        return settled
+
+    monkeypatch.setattr(chancert.harness, "_cholesky_certified", recording)
+    engine = engine_outcome(run)
+    monkeypatch.setattr(chancert.harness, "_cholesky_certified",
+                        lambda x, *args: np.zeros(len(x), dtype=bool))
+    assert engine_outcome(run) == engine
+    try:
+        counts, counterexamples, _ = loop()
+        want = (counts, counterexamples)
+    except ChancertError as exc:
+        want = (type(exc), str(exc))
+    assert engine[:2] == want
+    return sum(opened)
+
+
+@pytest.mark.parametrize("dims, cfg, declines", [
+    ((3, 1, 1), DEFAULT_TOLERANCES, True),
+    ((6, 1, 2), DEFAULT_TOLERANCES, True),
+    ((6, 1, 6), DEFAULT_TOLERANCES, False),
+    ((2, 2, 3), ToleranceConfig(rank_tol=1e-17), True),
+    ((2, 2, 6), ToleranceConfig(rank_tol=1e-17), True),
+    ((3, 3, 3), ToleranceConfig(rank_tol=1e-17), True),
+    ((2, 2, 3), ToleranceConfig(rank_tol=0.3), True),
+    ((3, 3, 9), ToleranceConfig(rank_tol=0.3), True),
+], ids=["3,1,1", "6,1,2", "6,1,6", "rank-1e-17-2,2,3", "rank-1e-17-2,2,6", "rank-1e-17-3,3,3",
+        "rank-0.3-2,2,3", "rank-0.3-3,3,9"])
+def test_decline_path_agrees(dims, cfg, declines, monkeypatch):
+    # where the certificate declines (a rank-deficient marginal on a at
+    # (3, 1, 1) and (6, 1, 2), zeros that may meet a window at rank_tol
+    # 1e-17, a shift past every eigenvalue at rank_tol 0.3), eigvalsh
+    # decides: outcomes as in the per-sample loop and as with no certificate
+    # at all. At (6, 1, 6) every marginal has full rank, phi's pair is a
+    # tie, and the certificate settles all
+    opened = assert_decline_path_agrees(lambda: run_harness(dims, 40, 17, cfg),
+                                        lambda: per_sample(dims, 40, 17, cfg), monkeypatch)
+    assert (opened > 0) == declines
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_rotated_schur_certificate_agrees(d, monkeypatch):
+    # self-complementary diagonal multipliers under local unitaries: bi-PPT
+    # samples whose Choi matrices have rank d, below their side d^2. The
+    # certificate settles every pair through its full-rank narrower member,
+    # and the outcomes are the loop's and those of the engine without it
+    dims, seed, cfg = (d, d, d), 3003, DEFAULT_TOLERANCES
+    stack = rotated_schur_stack(np.random.default_rng(d), d, 40)
+
+    def run():
+        result = HarnessResult()
+        _run_chunk(stack, dims, seed, range(len(stack)), cfg, result)
+        return result
+
+    opened = assert_decline_path_agrees(
+        run, lambda: per_dilation((StinespringOperator(*dims, m) for m in stack), seed, cfg),
+        monkeypatch)
+    assert opened == 0
 
 
 @settings(max_examples=200, deadline=None)
