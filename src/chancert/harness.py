@@ -34,20 +34,17 @@ within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
    side, not fragile, no margin) without a spectrum; scalar checks made
    once per pair vouch for the partner's zeros. The samples it leaves open
    take a stacked ``eigvalsh`` of each matrix concerned. A partial
-   transpose g of a Choi matrix gets its PSD flags without a spectrum when
-   a 2x2 principal minor certifies it clearly not PSD
-   (``_certified_npt``); the rest are formed with reshapes. Those of the
-   narrower side, the Choi matrix on a tie, of side RAYLEIGH_SIDE or more,
-   then take a Rayleigh quotient on the columns of (I - g/||g||_F)^4
-   (``_rayleigh_npt``), which certifies the same way; what is left goes to
+   transpose g of a Choi matrix, formed with reshapes, gets its PSD flags
+   without a spectrum where the Cholesky of g + c'I fails
+   (``_npt_certified``): then g is clearly not PSD. What is left goes to
    a stacked ``eigvalsh``. The wider side, when b exceeds d_c + 1, is first
    formed on the vectors cut to d_c + 1 values of b (``_cut_certificates``):
    a principal submatrix of rank at most d_c whose marginal on b has rank
-   d_c + 1, so not PPT. Its minors are minors of the full partial
-   transpose, and its vectors are vectors of the full matrix, so the minors
-   and, where they leave it open, the Rayleigh quotient certify the full
-   partial transpose. Where they do and the Cholesky certificate holds, the
-   full matrix is never formed; the other samples form it as above;
+   d_c + 1, so not PPT. Its partial transpose is a principal submatrix of
+   the full one, so where the same certificate, with the shift of the full
+   side, fires on the cut, it certifies the full partial transpose. Where
+   it does and the Cholesky certificate of the pair holds, the full matrix
+   is never formed; the other samples form it as above;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
@@ -70,6 +67,7 @@ are therefore those of a per-sample loop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,24 +90,16 @@ ESCALATION_MARGIN = 2.0
 # this factor escalates its sample: the per-sample path measures both on
 # other matrices, equal only up to rounding.
 EQUALITY_MARGIN = 10.0
-# Rounding allowance of the NPT certificates, in units of dim * eps times the
-# Frobenius bound; see _certified_npt.
-MINOR_ROUNDING = 32.0
-# Rounding allowance of the Rayleigh quotient's quadratic form, in the same
-# units over the side of the matrices it reads; see _rayleigh_npt.
-RAYLEIGH_ROUNDING = 8.0
-# Narrowest side of the narrower Choi matrices whose partial transposes, left
-# open by the minors, take _rayleigh_npt before eigvalsh. In-process, 50-trial
-# runs with the stage against without, 80 alternating rounds each: side 4 at
-# (2, 2, 6) ran 4-6% slower, side 6 at (2, 3, 6) 1-2% faster, side 8 at
-# (2, 4, 8) 5-8% faster.
-RAYLEIGH_SIDE = 6
+# Rounding allowance of eigvalsh in the NPT certificate's shift c, in units of
+# dim * eps times the Frobenius bound; see _npt_certified.
+NPT_ROUNDING = 32.0
 # How far a computed spectrum of a complementary pair may lie from its exact
 # one, in units of the pair's summed sides * eps times the trace; see
 # _cholesky_certified.
 SCHMIDT_ROUNDING = 32.0
-# Rounding allowance of the shifted Cholesky, in units of (k + 1)^2 eps times
-# the trace, k the side it factors; see _cholesky_certified.
+# Rounding allowance of a shifted Cholesky, in units of (k + 1)^2 eps times
+# the largest diagonal entry it may meet, k the side it factors; see
+# _cholesky_certified and _npt_certified.
 CHOLESKY_ROUNDING = 4.0
 
 COUNT_KEYS = (
@@ -233,13 +223,18 @@ def _agrees(x: np.ndarray, norm: np.ndarray, y: np.ndarray, cfg: ToleranceConfig
     return _frobenius(np.subtract(x, y, out=y)) <= cfg.equality_tol / EQUALITY_MARGIN * scale
 
 
-def _partial_transpose_left(x: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
-    """Left partial transposes of a stack, C-contiguous: with a unit factor
-    the reshape alone may return a strided view."""
+def _partial_transpose_left(
+    x: np.ndarray, d_left: int, d_right: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Left partial transposes of a stack, C-contiguous, written into ``out``
+    if given, a C-contiguous array of x's shape: with a unit factor the
+    reshape alone may return a strided view."""
     n, dim = x.shape[0], d_left * d_right
-    return np.ascontiguousarray(
-        x.reshape(n, d_left, d_right, d_left, d_right).transpose(0, 3, 2, 1, 4).reshape(n, dim, dim)
-    )
+    view = x.reshape(n, d_left, d_right, d_left, d_right).transpose(0, 3, 2, 1, 4)
+    if out is None:
+        return np.ascontiguousarray(view).reshape(n, dim, dim)
+    np.copyto(out.reshape(view.shape), view)
+    return out
 
 
 def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -251,139 +246,99 @@ def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndar
     return psd, near
 
 
-def _npt_shift(bound: np.ndarray, cfg: ToleranceConfig, dim: int) -> np.ndarray:
-    """c of ``_certified_npt``: how far below zero lambda_min of a matrix of
-    side ``dim`` with Frobenius norm at most ``bound`` must lie for its
-    computed spectrum to read psd = near = False."""
-    eps = np.finfo(np.float64).eps
-    return (2 * ESCALATION_MARGIN * cfg.psd_tol + MINOR_ROUNDING * dim * eps) * bound
+def _unit_windows(dim: int, cfg: ToleranceConfig) -> tuple[float, float]:
+    """The rank cutoff and the PSD threshold, rank_tol dim and -psd_tol, that
+    ``linalg``'s rules give a spectrum of side ``dim`` with
+    sigma_max = lambda_max = 1. The certificates read both from the rules,
+    so that a rule patched on its module reaches them as well; the rules
+    are part of the memo's key, so a patched rule is evaluated afresh."""
+    return _rule_windows(dim, cfg, linalg.rank_rule, linalg.psd_rule)
 
 
-def _certified_npt(
-    h: np.ndarray,
-    d_left: int,
-    d_right: int,
-    bound: np.ndarray,
-    cfg: ToleranceConfig,
-    dim: int | None = None,
+@functools.lru_cache(maxsize=256)
+def _rule_windows(dim: int, cfg: ToleranceConfig, rank_rule, psd_rule) -> tuple[float, float]:
+    """``_unit_windows`` from the given rules, which are pure functions of the
+    spectrum and ``cfg``: evaluating them costs some 15 us, several times
+    per chunk."""
+    unit = np.zeros(dim)
+    unit[-1] = 1.0
+    return float(rank_rule(unit, cfg)[1]), float(psd_rule(unit, cfg)[1])
+
+
+def _stacked_cholesky(x: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factors of a Hermitian stack, as ``np.linalg.cholesky``
+    gives them, but all NaN for each matrix that LAPACK cannot factor, and
+    no error: the gufunc behind ``np.linalg.cholesky``, whose public
+    wrapper raises for the whole stack."""
+    with np.errstate(invalid="ignore"):
+        return _umath_linalg.cholesky_lo(x, signature="D->D")
+
+
+def _cholesky_succeeds(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per matrix of a Hermitian stack, whether the Cholesky of x + shift I,
+    one shift per matrix, runs to completion. x takes the shift in place
+    for the factorization, and gets its own diagonal back after it."""
+    index = np.arange(x.shape[-1])
+    diagonal = x[:, index, index]
+    x[:, index, index] = diagonal + shift[:, None]
+    succeeds = ~np.isnan(_stacked_cholesky(x)[:, -1, -1])
+    x[:, index, index] = diagonal
+    return succeeds
+
+
+def _npt_certified(
+    g: np.ndarray, bound: np.ndarray, cfg: ToleranceConfig, dim: int | None = None
 ) -> np.ndarray:
-    """Per matrix of a Hermitian stack with Frobenius norms at most ``bound``:
-    whether g + cI, g its left partial transpose, has a negative diagonal
-    entry or 2x2 principal minor, for
-    c = (2 ESCALATION_MARGIN psd_tol + MINOR_ROUNDING dim eps) * bound. Where
-    it holds, ``_psd_flags`` of g's computed spectrum reads psd = near = False.
-    g is read from h, never formed: it has h's diagonal, and its entry
-    ((a, b), (x, z)) is h's entry ((x, b), (a, z)). ``dim`` defaults to h's
-    side; ``_cut_certificates`` passes a larger one, h being a principal
+    """Per matrix of a Hermitian stack g of side n with Frobenius norms at
+    most ``bound``: whether the Cholesky of g + c'I fails, for
+    c = (2 ESCALATION_MARGIN psd_tol + NPT_ROUNDING dim eps) bound, psd_tol
+    read from ``psd_rule``, and c' = c + CHOLESKY_ROUNDING (n + 1)^2 eps
+    (bound + c). Where it fails, lambda_min(g) < -c, and ``_psd_flags`` of
+    g's computed spectrum reads psd = near = False. ``dim`` defaults to n;
+    ``_cut_certificates`` passes a larger one, g being a principal
     submatrix of the matrix it certifies.
     """
-    # Why. By Cauchy interlacing, a negative entry or minor of g + cI puts
-    # lambda_min(g) below -c. _psd_flags reads psd = near = False when
-    # w_0 < ESCALATION_MARGIN t, t = -psd_tol max(w_max, 0), and
-    # w_max <= ||g||_2 <= ||g||_F = ||h||_F <= bound. The psd_tol term of c is
-    # twice that; the spare factor absorbs the relative rounding of bound, c
-    # and t. The dim eps term absorbs the absolute errors, of two kinds:
-    # - eigvalsh returns each eigenvalue within p(dim) eps ||g||_2, p a
-    #   modestly growing function (LAPACK Users' Guide, error bounds for the
-    #   symmetric eigenproblem). Against 40-digit mpmath spectra of the
-    #   harness's partial transposes, dim 12 to 64, the error stayed below
-    #   dim/4 eps ||g||_2 (11 eps at dim 64).
-    # - The test's own rounding stays below 6 eps bound. A diagonal entry of
-    #   g + cI rounds by eps (|g_ii| + c), and a rounded sum keeps its sign.
-    #   With both entries >= 0, a computed product below |g_ij|^2 leaves the
-    #   exact 2x2 determinant below 4 eps |g_ij|^2; the larger eigenvalue is
-    #   >= |g_ij|, so the smaller one, their quotient, is below 4 eps |g_ij|.
-    # MINOR_ROUNDING dim - 6 bounds p(dim) with ample room.
-    n, side = h.shape[0], h.shape[-1]
-    diagonal = h.diagonal(axis1=1, axis2=2).real + _npt_shift(bound, cfg, dim or side)[:, None]
-    squares = np.square(h.real)
-    squares += np.square(h.imag)
-    squares[:, np.arange(side), np.arange(side)] = 0.0
-    products = np.einsum("ni,nj->nij", diagonal, diagonal)
-    # g's squared moduli, as a view of h's
-    facing = squares.reshape(n, d_left, d_right, d_left, d_right).transpose(0, 3, 2, 1, 4)
-    minors = products.reshape(facing.shape) < facing
-    return (diagonal < 0.0).any(axis=1) | minors.any(axis=(1, 2, 3, 4))
-
-
-def _rayleigh_npt(
-    g: np.ndarray,
-    bound: np.ndarray,
-    cfg: ToleranceConfig,
-    dim: int | None = None,
-    work=None,
-) -> np.ndarray:
-    """Per matrix of a Hermitian stack with Frobenius norms at most ``bound``:
-    whether x = r^dagger, for some row r of (I - g/||g||_F)^4, has
-    x^dagger g x < -c' x^dagger x, for c' = c + RAYLEIGH_ROUNDING side eps
-    bound, c as in ``_certified_npt`` at ``dim``. Where it holds,
-    ``_psd_flags`` of g's computed spectrum reads psd = near = False. ``dim``
-    defaults to g's side; ``_cut_certificates`` passes a larger one, g being
-    a principal submatrix of the matrix it certifies. ``work`` may name two
-    C-contiguous complex arrays of at least g's length and of its side, to
-    take the powers.
-
-    I - g/||g||_F is Hermitian, so these x are its columns. It has the
-    eigenvectors of g, and the largest of its eigenvalues, all in [0, 2],
-    belongs to lambda_min(g): its fourth power, two squarings, turns each
-    column towards that eigenvector. The 2x2 minors of ``_certified_npt``
-    are the quotients over pairs of coordinates; these vectors reach a
-    negative eigenvalue spread over many.
-    """
-    # Why. For every x, x^dagger g x >= lambda_min(g) x^dagger x (Rayleigh-
-    # Ritz), whichever vector x the rounded powers produce, so only the
-    # rounding of the test itself needs an allowance. With n = side:
-    # - z = r g, a complex product, errs by at most sqrt(2) gamma_{n+2}
-    #   |r| |g| per entry (Higham, Accuracy and Stability of Numerical
-    #   Algorithms, 3.6), so z r^dagger by at most (n + 2)/sqrt(2) eps
-    #   |r| |g| |r|^T <= (n + 2)/sqrt(2) eps ||g||_F x^dagger x;
-    # - Re z r^dagger, summed over the 2n products of the float64 views,
-    #   adds gamma_{2n} ||r|| ||z|| <= n eps ||g||_2 x^dagger x;
-    # - the computed c' x^dagger x lies within (n + 1) eps of the exact one,
-    #   relative. That matters only where c' < bound: a larger c' exceeds
-    #   ||g||_2, and no x^dagger g x comes near -c' x^dagger x.
-    # Together below (3 n + 3) eps bound x^dagger x <= 6 n eps bound
-    # x^dagger x, since ||g||_F <= bound. The spare 2 n eps bound absorbs the
-    # rounding of bound and of c'. So where the computed x^dagger g x is below
-    # -c' x^dagger x, lambda_min(g) < -c, and _psd_flags of g's computed
-    # spectrum reads psd = near = False, as where _certified_npt fires.
-    # Scaling g by a power of two scales x^dagger g x, c' and bound alike and
-    # leaves x as it is.
-    n, side = g.shape[0], g.shape[-1]
+    # Why c. _psd_flags reads psd = near = False when w_0 < ESCALATION_MARGIN
+    # t, t = -psd_tol max(w_max, 0), and w_max <= ||g||_2 <= ||g||_F <= bound.
+    # The psd_tol term of c is twice that; the spare factor absorbs the
+    # relative rounding of bound, c and t. The dim eps term covers eigvalsh,
+    # which returns each eigenvalue within p(dim) eps ||g||_2, p a modestly
+    # growing function (LAPACK Users' Guide, error bounds for the symmetric
+    # eigenproblem). Against 40-digit mpmath spectra of the harness's partial
+    # transposes, dim 12 to 64, the error stayed below dim/4 eps ||g||_2
+    # (11 eps at dim 64), far inside NPT_ROUNDING dim eps bound.
+    # Why c'. Let u = eps/2 and gamma_m = m u/(1 - m u). The Cholesky reads
+    # A = g + c'I with its diagonal rounded: a_ii = (g_ii + c')(1 + d_i),
+    # |d_i| <= u, and |g_ii| <= ||g||_F <= bound. Demmel's condition
+    # (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # 10.1.1): with D = diag(A), the Cholesky of A runs to completion if
+    # every a_ii > 0 and lambda_min(D^-1/2 A D^-1/2) > kappa =
+    # n gamma/(1 - gamma), gamma = gamma_{n+1}. Its proof uses only the
+    # backward error of the partial factor, |E| <= gamma |R^*| |R|
+    # (Thm 10.3), which holds whatever the order of the inner products,
+    # blocked LAPACK included. In complex arithmetic a product errs by at
+    # most sqrt(2) gamma_2 relative (Higham, Lemma 3.5), and
+    # gamma = sqrt(2) gamma_{n+3} covers it, the sums and the last division
+    # or square root. So where the Cholesky fails, either some a_ii <= 0, or
+    # y = D^-1/2 x, x a unit eigenvector of lambda_min(D^-1/2 A D^-1/2), has
+    # y^dagger A y <= kappa and y^dagger y >= 1 / max a_ii. Either way
+    # lambda_min(A) <= kappa max_i max(a_ii, 0) <= kappa (1 + u)(bound + c'), and
+    # the rounded diagonal moves each eigenvalue by at most u (bound + c'):
+    # lambda_min(g) <= (kappa (1 + u) + u)(bound + c') - c'. With
+    # a = CHOLESKY_ROUNDING (n + 1)^2 eps, bound + c' = (1 + a)(bound + c),
+    # so that is below -c wherever (kappa (1 + u) + u)(1 + a) < a. To first
+    # order kappa + u is (n (n + 3)/sqrt(2) + 1/2) eps, below (n + 1)^2 eps,
+    # a quarter of a; the spare absorbs the rounding of bound, c and c', and
+    # a bound that exceeds ||g||_F only by rounding, as on the cut. A zero
+    # bound makes c' = 0, and the zero matrix, PSD, fails the Cholesky: it
+    # is left open. Scaling g by a power of two scales bound, c' and every
+    # pivot alike.
+    side = g.shape[-1]
+    dim = dim or side
     eps = np.finfo(np.float64).eps
-    shift = _npt_shift(bound, cfg, dim or side) + RAYLEIGH_ROUNDING * side * eps * bound
-    norm = _frobenius(g)
-    scale = np.reciprocal(norm, out=np.zeros(n), where=norm > 0)
-    if work is None:
-        work = np.empty((2, n, side, side), dtype=complex)
-    power, product = (w[:n] for w in work)
-    np.multiply(g, -scale[:, None, None], out=power)
-    power[:, np.arange(side), np.arange(side)] += 1.0
-    np.matmul(power, power, out=product)
-    np.matmul(product, product, out=power)
-    # x^dagger g x = Re r g r^dagger and x^dagger x = r r^dagger, summed
-    # along the rows of the float64 views
-    np.matmul(power, g, out=product)
-    r, z = power.view(np.float64), product.view(np.float64)
-    form = np.einsum("nij,nij->ni", z, r)
-    length = np.einsum("nij,nij->ni", r, r)
-    return (form < -shift[:, None] * length).any(axis=1)
-
-
-def _npt_open(
-    h: np.ndarray, d_left: int, d_right: int, bound: np.ndarray, cfg: ToleranceConfig,
-    rayleigh: bool, dim: int | None = None, work=None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Indices into a Hermitian stack with Frobenius norms at most ``bound``
-    of the left partial transposes that neither ``_certified_npt`` nor, with
-    ``rayleigh``, ``_rayleigh_npt`` (in ``work``) certifies, each with its
-    shift at side ``dim``; and those partial transposes."""
-    rest = np.flatnonzero(~_certified_npt(h, d_left, d_right, bound, cfg, dim))
-    g = _partial_transpose_left(h[rest], d_left, d_right)
-    if rayleigh and rest.size:
-        still = ~_rayleigh_npt(g, bound[rest], cfg, dim, work)
-        rest, g = rest[still], g[still]
-    return rest, g
+    c = (-2 * ESCALATION_MARGIN * _unit_windows(dim, cfg)[1] + NPT_ROUNDING * dim * eps) * bound
+    shift = c + CHOLESKY_ROUNDING * (side + 1) ** 2 * eps * (bound + c)
+    return ~_cholesky_succeeds(g, shift) & (bound > 0)
 
 
 def _partial_transpose_flags(
@@ -392,17 +347,17 @@ def _partial_transpose_flags(
     d_right: int,
     bound: np.ndarray,
     cfg: ToleranceConfig,
-    rayleigh: bool,
-    work=None,
+    work: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_psd_flags`` of the spectra of the left partial transposes of a
-    Hermitian stack with Frobenius norms at most ``bound``, from one stacked
-    ``eigvalsh`` on the matrices that ``_npt_open`` leaves open; none when
-    its certificates settle all."""
+    Hermitian stack with Frobenius norms at most ``bound``, formed in
+    ``work`` if given: from one stacked ``eigvalsh`` on those that
+    ``_npt_certified`` leaves open, none when it settles all."""
     psd, near = np.zeros((2, h.shape[0]), dtype=bool)
-    rest, g = _npt_open(h, d_left, d_right, bound, cfg, rayleigh, work=work)
+    g = _partial_transpose_left(h, d_left, d_right, work)
+    rest = np.flatnonzero(~_npt_certified(g, bound, cfg))
     if rest.size:
-        psd[rest], near[rest] = _psd_flags(np.linalg.eigvalsh(g), cfg)
+        psd[rest], near[rest] = _psd_flags(np.linalg.eigvalsh(g[rest]), cfg)
     return psd, near
 
 
@@ -417,25 +372,12 @@ def _cholesky_shift(k: int, dim: int, cfg: ToleranceConfig) -> float | None:
     rounding = SCHMIDT_ROUNDING * (dim + k) * eps
     wide = FRAGILITY_FACTOR * ESCALATION_MARGIN
     floor = 1.0 / k - rounding
-    # rank_tol dim and -psd_tol, as the rules give them for a spectrum of
-    # side dim with sigma_max = lambda_max = 1
-    unit = np.zeros(dim)
-    unit[-1] = 1.0
-    cutoff, threshold = linalg.rank_rule(unit, cfg)[1], linalg.psd_rule(unit, cfg)[1]
+    cutoff, threshold = _unit_windows(dim, cfg)
     if dim > k and not (
         rounding * wide < cutoff * floor and rounding * ESCALATION_MARGIN < -threshold * floor
     ):
         return None
     return (1 + 2.0**-10) * cutoff * wide + 3 * rounding + CHOLESKY_ROUNDING * (k + 1) ** 2 * eps
-
-
-def _stacked_cholesky(x: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factors of a Hermitian stack, as ``np.linalg.cholesky``
-    gives them, but all NaN for each matrix that LAPACK cannot factor, and
-    no error: the gufunc behind ``np.linalg.cholesky``, whose public
-    wrapper raises for the whole stack."""
-    with np.errstate(invalid="ignore"):
-        return _umath_linalg.cholesky_lo(x, signature="D->D")
 
 
 def _cholesky_certified(
@@ -465,7 +407,7 @@ def _cholesky_certified(
     #   contracts over dim terms and the other over k;
     # - each Hermitian part is exactly Hermitian and adds eps tr;
     # - eigvalsh adds p(side) eps ||h||_2, below side/4 eps ||h||_2 against
-    #   40-digit mpmath spectra (see _certified_npt), and ||h||_2 <= tr.
+    #   40-digit mpmath spectra (see _npt_certified), and ||h||_2 <= tr.
     # By Weyl's inequality that is (7/4 (dim + k) + 2) eps tr
     # <= 3 (dim + k) eps tr in all. The marginal on a has no partner: only
     # eigvalsh's error, below k/4 eps tr, separates x from its spectrum.
@@ -506,9 +448,7 @@ def _cholesky_certified(
     tau = _cholesky_shift(k, dim, cfg)
     if tau is None:
         return np.zeros(n, dtype=bool)
-    shifted = x.copy()
-    shifted[:, np.arange(k), np.arange(k)] -= (tau * trace)[:, None]
-    return ~np.isnan(_stacked_cholesky(shifted)[:, -1, -1])
+    return _cholesky_succeeds(x, -tau * trace)
 
 
 def _spectrum_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
@@ -535,8 +475,8 @@ def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
     """For tripartite vectors of shape (n, d_a, d_b, d_c), ``block_size``
     samples at a time: the block's slice, the Hermitian parts of its Choi
     matrices of the maps that trace out c, their Frobenius norms, and whether
-    each is clearly Hermitian and agrees with the Kraus-vector route; and two
-    work arrays shaped like the block's stack, free until the next block."""
+    each is clearly Hermitian and agrees with the Kraus-vector route; and a
+    work array shaped like the block's stack, free until the next block."""
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
     size = block_size(side)
@@ -555,7 +495,7 @@ def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
         product = np.matmul(kraus, kraus.conj().swapaxes(1, 2), out=kraus_out[:m])
         agrees = _agrees(choi, norm, product, cfg)
         h, clear = _hermitian_part(choi, norm, cfg, (conj_out[:m], kraus_out[:m], choi))
-        yield block, h, norm, agrees & clear, (kraus_out[:m], conj_out[:m])
+        yield block, h, norm, agrees & clear, kraus_out[:m]
 
 
 def _cut_certificates(
@@ -564,35 +504,33 @@ def _cut_certificates(
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
     ``trace``, cut to their first d_c + 1 values of b: whether each cut's
     Choi matrix is clearly Hermitian and agrees with the Kraus-vector route,
-    and whether the certificates of ``_npt_open``, the minors and then the
-    Rayleigh quotient, certify the full Choi matrix's partial transpose:
-    where they do, ``_psd_flags`` of that partial transpose's computed
-    spectrum reads psd = near = False."""
+    and whether ``_npt_certified`` of the cut, with the shift of the full
+    side, certifies the full Choi matrix's partial transpose: where it does,
+    ``_psd_flags`` of that partial transpose's computed spectrum reads
+    psd = near = False."""
     # Why. The cut's Choi matrix J' is the principal submatrix of J on
     # b < d_c + 1, and its partial transpose g' that of J's, g. Its rank is
     # at most d_c, below that of its marginal on b, d_c + 1 for generic
     # vectors with d_a > 1, so J' is not PPT (Horodecki-Smolin-Terhal-
-    # Thapliyal) and 2x2 minors mostly certify it; a Rayleigh quotient
-    # certifies most of the rest. Both certificates' shifts are taken at g's
-    # side, and with the bound trace, at least ||J||_F for the exact J, PSD
-    # with that trace. Where either fires on the computed g',
-    # lambda_min(g') < -c + 6 eps trace (see _certified_npt and
-    # _rayleigh_npt). g' and the matching submatrix of the computed g each
+    # Thapliyal) and the certificate mostly fires on it. Its shift c is
+    # taken at g's side, with the bound trace, at least ||J'||_F for the
+    # exact J', PSD with that trace; the computed g' exceeds it only by
+    # rounding. Where it fires on the computed g', lambda_min(g') < -c (see
+    # _npt_certified). g' and the matching submatrix of the computed g each
     # lie within (3/2 d_c + 1) eps trace of the exact one (see
-    # _cholesky_certified), and
-    # lambda_min(g) is at most that of its principal submatrix (Cauchy
-    # interlacing); eigvalsh adds below side/4 eps trace. So g's computed
-    # lambda_min is below -c + (3 d_c + 8 + side/4) eps trace, with d_c < side
-    # far inside the MINOR_ROUNDING side eps trace of c: _psd_flags of g's
-    # computed spectrum reads psd = near = False, as where _certified_npt of
-    # g fires.
+    # _cholesky_certified), and lambda_min(g) is at most that of its
+    # principal submatrix (Cauchy interlacing); eigvalsh adds below side/4
+    # eps trace. So g's computed lambda_min is below
+    # -c + (3 d_c + 2 + side/4) eps trace, with d_c < side far inside the
+    # NPT_ROUNDING side eps trace of c: _psd_flags of g's computed spectrum
+    # reads psd = near = False, as where _npt_certified of g fires.
     n, d_a, d_b, d_c = vector.shape
-    checks, certified = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
+    checks, certified = np.empty((2, n), dtype=bool)
     cut = np.ascontiguousarray(vector[:, :, :d_c + 1])
     for block, h, _, passed, work in _choi_blocks(cut, cfg):
         checks[block] = passed
-        rest, _ = _npt_open(h, d_a, d_c + 1, trace[block], cfg, True, d_a * d_b, work)
-        certified[block.start + rest] = False
+        g = _partial_transpose_left(h, d_a, d_c + 1, work)
+        certified[block] = _npt_certified(g, trace[block], cfg, d_a * d_b)
     return checks, certified
 
 
@@ -609,9 +547,7 @@ def _complementary_pair(
     The Choi matrices are formed by ``_choi_blocks`` and nowhere else. The
     narrower member of the pair, the Choi matrix on a tie, takes
     ``_cholesky_certified``; the samples it leaves open take ``eigvalsh`` of
-    both members. The narrower side's partial transposes of side
-    RAYLEIGH_SIDE or more take ``_rayleigh_npt`` where the minors leave
-    them open. A wider Choi matrix with d_b > d_c + 1 is first read on the
+    both members. A wider Choi matrix with d_b > d_c + 1 is first read on the
     vectors cut to d_c + 1 values of b (``_cut_certificates``): a sample
     whose cut certifies the matrix NPT, and whose certificate holds, has its
     flags without the full matrix being formed, and the cut's checks. Every
@@ -633,7 +569,6 @@ def _complementary_pair(
             done = settled & certified
             pt_psd[done] = pt_near[done] = False
             rest = rest[~done]
-    rayleigh = choi_narrower and side >= RAYLEIGH_SIDE
     for block, h, norm, passed, work in _choi_blocks(vector[rest], cfg):
         index = rest[block]
         checks[index] = passed
@@ -642,9 +577,7 @@ def _complementary_pair(
         open_rows = ~settled[index]
         if open_rows.any():
             _fill(choi_flags, index[open_rows], np.linalg.eigvalsh(h[open_rows]), cfg)
-        pt_psd[index], pt_near[index] = _partial_transpose_flags(
-            h, d_a, d_b, norm, cfg, rayleigh, work
-        )
+        pt_psd[index], pt_near[index] = _partial_transpose_flags(h, d_a, d_b, norm, cfg, work)
     if not settled.all():
         _fill(env_flags, ~settled, np.linalg.eigvalsh(environment[~settled]), cfg)
     return choi_flags, env_flags, checks, pt_psd, pt_near

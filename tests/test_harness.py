@@ -10,17 +10,16 @@ branch that the Gaussian draw at d_a > 1 does not.
 
 A chunk holds each sample's dilation and its marginals on a, b and c; the
 Choi matrices are formed in blocks inside it, and only there. The engine's
-partial-transpose flags skip the spectrum where a 2 x 2 minor, or for the
-narrower side of a pair a Rayleigh quotient, certifies the matrix clearly
-not PSD, and the marginal on a and each complementary pair take fixed flags
-where a shifted Cholesky of the narrower member succeeds; both must equal
-the flags of the spectrum exactly, and where the Cholesky certificate
-declines, the outcomes must be those of the engine without it. A wider Choi matrix whose
-non-transposed factor exceeds the inner dimension r + 1 is first read on
-the vectors cut to r + 1 values of that factor; where the cut's minors or
-its Rayleigh quotient certify it, the flags of the full partial
-transpose's spectrum must read not PSD and not near, and the full matrix
-is never formed.
+partial-transpose flags skip the spectrum where a Cholesky of the partial
+transpose shifted up by c' fails, which certifies it clearly not PSD, and
+the marginal on a and each complementary pair take fixed flags where a
+Cholesky of the narrower member shifted down succeeds; both must equal the
+flags of the spectrum exactly, and where the pair's certificate declines,
+the outcomes must be those of the engine without it. A wider Choi matrix
+whose non-transposed factor exceeds the inner dimension r + 1 is first read
+on the vectors cut to r + 1 values of that factor; where the certificate
+fires on the cut, the flags of the full partial transpose's spectrum must
+read not PSD and not near, and the full matrix is never formed.
 """
 
 import dataclasses
@@ -56,13 +55,11 @@ from chancert.complement import choi_marginal, common_purification_vector, facto
 from chancert.harness import (
     CHUNK_ENTRIES,
     COUNT_KEYS,
+    CHOLESKY_ROUNDING,
     ESCALATION_MARGIN,
-    MINOR_ROUNDING,
-    RAYLEIGH_ROUNDING,
-    RAYLEIGH_SIDE,
+    NPT_ROUNDING,
     SCHMIDT_ROUNDING,
     HarnessResult,
-    _certified_npt,
     _certified_flags,
     _cholesky_certified,
     _cholesky_shift,
@@ -71,11 +68,11 @@ from chancert.harness import (
     _cut_certificates,
     _factor_marginals,
     _frobenius,
+    _npt_certified,
     _partial_transpose_flags,
     _partial_transpose_left,
     _psd_flags,
     _purification_choi,
-    _rayleigh_npt,
     _run_chunk,
     _spectrum_flags,
     _stacked_cholesky,
@@ -182,7 +179,7 @@ def test_chunk_peak_allocation():
     # At (4,4,16) the default run reads psi's Choi matrices on the cut to 5
     # values of c and peaks near 0.4 MiB. At psd_tol = 0.1 the cut certifies
     # none, so psi's 64 x 64 Choi matrices are formed 4 samples per block,
-    # about 1.4 MiB at peak; at four times the budget all 8 samples share
+    # about 1.2 MiB at peak; at four times the budget all 8 samples share
     # one block and peak near 2.3 MiB
     for cfg in (DEFAULT_TOLERANCES, ToleranceConfig(psd_tol=0.1)):
         run_harness((4, 4, 16), 8, 3003, cfg)
@@ -290,20 +287,37 @@ def ppt_ignoring_partial_transpose(rule):
     return lambda psd, pt_psd: rule(psd, True)
 
 
-@pytest.mark.parametrize("module, name, mutate", [
-    (chancert.linalg, "psd_rule", never_psd),
-    (chancert.linalg, "rank_rule", cutoff_times_1e6),
-    (chancert.certify, "ppt_rule", ppt_ignoring_partial_transpose),
-], ids=["never-psd", "cutoff-x1e6", "ppt-ignores-pt"])
-def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, monkeypatch):
+def threshold_times_1e8(rule):
+    return lambda w, cfg: rule(w, dataclasses.replace(cfg, psd_tol=cfg.psd_tol * 1e8))
+
+
+@pytest.mark.parametrize("module, name, mutate, tuples, trials, loop", [
+    (chancert.linalg, "psd_rule", never_psd, [(2, 2, 3)], 50, False),
+    (chancert.linalg, "rank_rule", cutoff_times_1e6, [(2, 2, 3)], 50, True),
+    (chancert.certify, "ppt_rule", ppt_ignoring_partial_transpose, [(2, 2, 3)], 50, True),
+    (chancert.linalg, "psd_rule", threshold_times_1e8, [(2, 2, 3), (2, 3, 2), (3, 3, 9)], 200,
+     True),
+], ids=["never-psd", "cutoff-x1e6", "ppt-ignores-pt", "threshold-x1e8"])
+def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, tuples, trials, loop,
+                                                       monkeypatch):
     # The engine and equivalence_check look each rule up on the module that
-    # defines it, so one patch there reaches both. The unpatched run
+    # defines it, so one patch there reaches both, and the engine's
+    # certificates read their windows through the rules. The unpatched run
     # escalates no sample, so only the engine can make the outcome differ.
-    dims, trials, seed = (2, 2, 3), 50, 3003
-    unpatched = harness_outcome(dims, trials, seed)
-    assert unpatched[2] == []
+    # Where the patch moves a window, the outcome must also be the
+    # per-sample loop's. A PSD threshold 1e8 times wider (-0.1 lambda_max)
+    # must widen the NPT certificate's shift: with c taken from psd_tol
+    # itself, the engine certified partial transposes NPT that the patched
+    # rule reads PSD. A verdict that ignores its threshold (never-psd) does
+    # not reach the pairs the Cholesky certificate settles
+    seed = 3003
+    unpatched = {dims: harness_outcome(dims, trials, seed) for dims in tuples}
+    assert all(outcome[2] == [] for outcome in unpatched.values())
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
-    assert harness_outcome(dims, trials, seed) != unpatched
+    for dims in tuples:
+        assert harness_outcome(dims, trials, seed) != unpatched[dims]
+        if loop:
+            assert_agrees(dims, trials, seed)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)
@@ -442,8 +456,8 @@ def test_chunk_edges(dims):
 @pytest.mark.parametrize("dims", [(1, 2, 3), (2, 1, 3), (2, 3, 1), (3, 1, 1), (6, 1, 6)],
                          ids=dims_id)
 def test_unit_dimensions_agree(dims):
-    # a unit factor turns a partial transpose into a strided view; at
-    # (6, 1, 6) phi's, of side 6, goes through the Rayleigh stage
+    # a unit factor turns a partial transpose into a strided view, which
+    # the certificate copies into its work array
     assert_agrees(dims, 40, 17)
 
 
@@ -581,20 +595,19 @@ def test_no_ac_partial_transpose_reaches_eigvalsh(dims, eigvalsh_stacks, decline
     # here, so no matrix of the wider Choi matrix's side reaches LAPACK. The
     # marginals that do are those the Cholesky certificate leaves open, with
     # their partners, on ties only and on at most 3% of the samples; the
-    # rest are the narrower side's partial transposes that the minors and
-    # the Rayleigh quotient leave open (at most 7 of 404 at (3, 3, 9) over
-    # seeds 1, 77 and 3003, none of 128 at (4, 4, 16)); at (2, 2, 6) and
-    # (2, 6, 2), below RAYLEIGH_SIDE, up to one per sample
+    # rest are the narrower side's partial transposes that the NPT
+    # certificate leaves open: the PPT ones, and over seeds 1, 77 and 3003
+    # one NPT one of 404 at (3, 9, 3), none at the other tuples
     d_a, d_b, d_c = dims
     trials = 2 * chunk_size(dims)
-    run_harness(dims, trials, 3003, DEFAULT_TOLERANCES)
+    counts = run_harness(dims, trials, 3003, DEFAULT_TOLERANCES).counts
     assert matrices_by_dim(eigvalsh_stacks)[max(d_a * d_b, d_a * d_c)] == 0
     marginals = marginal_stacks(eigvalsh_stacks)
     assert marginals == left_open(declined)
     assert set(marginals) <= {d_a * min(d_b, d_c)}
     assert sum(marginals.values()) <= 2 * (3 * trials // 100)
-    slack = trials if min(d_a * d_b, d_a * d_c) < RAYLEIGH_SIDE else trials // 50
-    assert sum(matrices_by_dim(eigvalsh_stacks, "_partial_transpose_flags").values()) <= slack
+    open_pt = sum(matrices_by_dim(eigvalsh_stacks, "_partial_transpose_flags").values())
+    assert open_pt <= counts["phi_ppt"] + counts["psi_ppt"] + trials // 200
 
 
 @pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES + MIRRORED_TUPLES, ids=dims_id)
@@ -636,21 +649,23 @@ def test_wide_marginal_fallback_agrees(dims, cfg, eigvalsh_stacks):
 @pytest.mark.parametrize("cfg", [DEFAULT_TOLERANCES, ToleranceConfig(psd_tol=0.1)],
                          ids=["default", "psd"])
 def test_open_partial_transposes_reach_eigvalsh(cfg, eigvalsh_stacks):
-    # one chunk with PPT samples: the certificate settles some partial
-    # transposes at default tolerances and none at psd_tol = 0.1 (c = 0.4 F);
-    # the open ones go to one stacked eigvalsh per kind, phi's before psi's.
-    # The Cholesky certificate settles every marginal on a and every pair,
-    # so no marginal reaches eigvalsh
+    # one chunk with PPT samples: the open partial transposes go to one
+    # stacked eigvalsh per kind, phi's before psi's. At default tolerances
+    # the NPT certificate settles every NPT one, so only phi's PPT ones, 23
+    # of 300, are open. At psd_tol = 0.1 (c = 0.4 F) it settles none of
+    # phi's and 10 of psi's. The Cholesky certificate settles every
+    # marginal on a and every pair, so no marginal reaches eigvalsh
     result, _ = assert_agrees((2, 2, 3), 300, 3003, cfg)
     assert result.counts["phi_ppt"] > 0
-    assert [(name, dim) for name, _, dim in eigvalsh_stacks] == [
-        ("_partial_transpose_flags", 4), ("_partial_transpose_flags", 6)]
     matrices = matrices_by_dim(eigvalsh_stacks, "_partial_transpose_flags")
-    open_ab, open_ac = matrices[4], matrices[6]
     if cfg is DEFAULT_TOLERANCES:
-        assert 0 < open_ab < 300 and 0 < open_ac < 300
+        assert [(name, dim) for name, _, dim in eigvalsh_stacks] == [
+            ("_partial_transpose_flags", 4)]
+        assert matrices[4] == result.counts["phi_ppt"] == 23
     else:
-        assert open_ab == open_ac == 300
+        assert [(name, dim) for name, _, dim in eigvalsh_stacks] == [
+            ("_partial_transpose_flags", 4), ("_partial_transpose_flags", 6)]
+        assert matrices[4] == 300 and matrices[6] == 290
 
 
 def spectrum_flags(h, cfg):
@@ -670,10 +685,9 @@ def test_partial_transpose_flags_match_spectrum_flags(psd_tol):
     # g with lambda_min at k times its threshold -psd_tol * lambda_max, on
     # both sides of the escalation window (2, 1/2) and of the certificate's
     # reach (k above 4 at dim 2); the flags read g off h, its partial transpose
-    # both with and without the Rayleigh stage
     cfg = ToleranceConfig(psd_tol=psd_tol)
     rng = np.random.default_rng(31)
-    certified = Counter()
+    certified = 0
     for d_left, d_right in ((1, 2), (2, 1), (1, 5), (2, 3), (3, 4)):
         dim = d_left * d_right
         for k in (0.25, 0.5, 0.9, 1.0, 1.1, 2.0, 2.5, 4.0, 8.0):
@@ -685,35 +699,44 @@ def test_partial_transpose_flags_match_spectrum_flags(psd_tol):
                 scaled = 2.0**exponent * g
                 h, bound = _partial_transpose_left(scaled, d_left, d_right), _frobenius(scaled)
                 want_psd, want_near = spectrum_flags(scaled, cfg)
-                for rayleigh in (False, True):
-                    psd, near = _partial_transpose_flags(h, d_left, d_right, bound, cfg, rayleigh)
-                    assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
-                certified["minors"] += np.count_nonzero(
-                    _certified_npt(h, d_left, d_right, bound, cfg))
-                certified["rayleigh"] += np.count_nonzero(_rayleigh_npt(scaled, bound, cfg))
-    assert min(certified.values()) > 0 or psd_tol == ROUNDING_PSD_TOL
+                psd, near = _partial_transpose_flags(h, d_left, d_right, bound, cfg)
+                assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
+                certified += np.count_nonzero(_npt_certified(scaled, bound, cfg))
+    assert certified > 0 or psd_tol == ROUNDING_PSD_TOL
 
 
 @pytest.mark.parametrize("psd_tol", [1e-9, 0.1, ROUNDING_PSD_TOL])
 def test_certificate_on_2x2_matrices_is_lambda_min_below_minus_c(psd_tol):
-    # a 2 x 2 matrix is its own principal minor, so the certificate holds
-    # exactly when lambda_min < -c, whether the diagonal shows it or not
+    # a 2 x 2 matrix g with eigenvalues 1 and -lambda, diagonal either way
+    # round or rotated, or -lambda I: the Cholesky of g + c'I fails exactly
+    # when lambda > c', up to its own rounding. So the certificate must fire
+    # beyond c', c plus the Cholesky's allowance, and not at or below c, nor
+    # between c and c'; nor for the PSD g = diag(1, lambda). With a dim of 12
+    # c is taken as for a 12 x 12 matrix
     cfg = ToleranceConfig(psd_tol=psd_tol)
-    bound = 2.0
-    c = (2 * ESCALATION_MARGIN * psd_tol + MINOR_ROUNDING * 2 * np.finfo(float).eps) * bound
+    bound, eps = 2.0, np.finfo(float).eps
     rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    for factor, certified in ((0.75, False), (1.25, True)):
-        diagonal = np.diag([1.0, -factor * c])
-        h = np.stack([diagonal, rotation @ diagonal @ rotation.T, -factor * c * np.eye(2)])
-        assert _certified_npt(h + 0j, 1, 2, np.full(3, bound), cfg).tolist() == [certified] * 3
+    for dim in (None, 12):
+        c = (2 * ESCALATION_MARGIN * psd_tol + NPT_ROUNDING * (dim or 2) * eps) * bound
+        c_prime = c + CHOLESKY_ROUNDING * 9 * eps * (bound + c)
+        for lam, fires in ((0.75 * c, False), (c, False), ((c + c_prime) / 2, False),
+                           (c_prime + (c_prime - c) / 2, True), (1.25 * c_prime, True),
+                           (-c_prime, False)):
+            diagonal = np.diag([1.0, -lam])
+            g = np.stack([diagonal, diagonal[::-1, ::-1], rotation @ diagonal @ rotation.T,
+                          -lam * np.eye(2)])
+            fired = _npt_certified(g + 0j, np.full(4, bound), cfg, dim)
+            assert fired.tolist() == [fires] * 4, (dim, lam)
+    # the zero matrix with the bound 0: c' = 0, and its Cholesky fails at the
+    # first pivot, but it is PSD
+    assert _npt_certified(np.zeros((1, 2, 2), dtype=complex), np.zeros(1), cfg).tolist() == [False]
 
 
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), d_left=st.integers(1, 4), d_right=st.integers(1, 4),
        rank=st.integers(1, 16), psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3, 0.1]),
-       exponent=st.integers(-40, 40), rayleigh=st.booleans())
-def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, psd_tol, exponent,
-                                                  rayleigh):
+       exponent=st.integers(-40, 40))
+def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, psd_tol, exponent):
     # random PSD stacks: PPT at full rank, mostly NPT below the marginal
     # ranks; flags as from the partial transpose's spectrum, and unchanged
     # under power-of-two scaling
@@ -722,12 +745,12 @@ def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, p
     g = complex_gaussian(np.random.default_rng(seed), (3, dim, min(rank, dim)))
     state = g @ g.conj().swapaxes(1, 2)
     h = (state + state.conj().swapaxes(1, 2)) / 2.0
-    psd, near = _partial_transpose_flags(h, d_left, d_right, _frobenius(h), cfg, rayleigh)
+    psd, near = _partial_transpose_flags(h, d_left, d_right, _frobenius(h), cfg)
     want_psd, want_near = spectrum_flags(_partial_transpose_left(h, d_left, d_right), cfg)
     assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
     scaled = 2.0**exponent * h
     scaled_psd, scaled_near = _partial_transpose_flags(
-        scaled, d_left, d_right, _frobenius(scaled), cfg, rayleigh
+        scaled, d_left, d_right, _frobenius(scaled), cfg
     )
     assert np.array_equal(scaled_psd, psd) and np.array_equal(scaled_near, near)
 
@@ -747,9 +770,9 @@ def noisy_product_states(rng, n, d_left, d_right, rank, noise) -> np.ndarray:
        rank=st.integers(1, 16), noise=st.integers(-8, 2),
        psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3, 0.1]),
        exponent=st.sampled_from([-40, 0, 40]))
-def test_rayleigh_certificate_implies_spectrum_flags(seed, d_left, d_right, rank, noise, psd_tol,
-                                                     exponent):
-    # wherever the Rayleigh quotient fires on a partial transpose g, the flags
+def test_npt_certificate_implies_spectrum_flags(seed, d_left, d_right, rank, noise, psd_tol,
+                                                exponent):
+    # wherever the NPT certificate fires on a partial transpose g, the flags
     # of g's computed spectrum read psd = near = False: random states of any
     # rank, alone (noise 10^2 drowns the product) and around a product state
     cfg = ToleranceConfig(psd_tol=psd_tol)
@@ -757,35 +780,17 @@ def test_rayleigh_certificate_implies_spectrum_flags(seed, d_left, d_right, rank
     h = 2.0**exponent * noisy_product_states(np.random.default_rng(seed), 4, d_left, d_right,
                                               min(rank, dim), 10.0**noise)
     g = _partial_transpose_left(h, d_left, d_right)
-    fired = _rayleigh_npt(g, _frobenius(h), cfg)
+    fired = _npt_certified(g, _frobenius(h), cfg)
     psd, near = spectrum_flags(g, cfg)
     assert not (fired & (psd | near)).any()
-
-
-@pytest.mark.parametrize("psd_tol", [1e-9, 0.1, ROUNDING_PSD_TOL])
-@pytest.mark.parametrize("dim", [None, 12])
-def test_rayleigh_certificate_on_either_side_of_the_shift(psd_tol, dim):
-    # g = diag(1, -lambda), either way round: the powers' rows are its
-    # eigenvectors, so the quotient is -lambda. It must fire at lambda beyond
-    # c', c plus the quadratic form's allowance, and not between c and c',
-    # nor for a PSD matrix; at dim 12 c is taken as for a 12 x 12 matrix
-    cfg = ToleranceConfig(psd_tol=psd_tol)
-    bound, eps = 2.0, np.finfo(float).eps
-    c = (2 * ESCALATION_MARGIN * psd_tol + MINOR_ROUNDING * (dim or 2) * eps) * bound
-    c_prime = c + RAYLEIGH_ROUNDING * 2 * eps * bound
-    for lam, fires in (((c + c_prime) / 2, False), (c_prime + (c_prime - c) / 2, True),
-                       (-c, False)):
-        g = np.stack([np.diag([1.0, -lam]), np.diag([-lam, 1.0])]) + 0j
-        assert _rayleigh_npt(g, np.full(2, bound), cfg, dim).tolist() == [fires] * 2
 
 
 @pytest.mark.parametrize("dims", [(3, 3, 9), (4, 4, 16), (3, 9, 3), (2, 2, 6), (2, 6, 2)],
                          ids=dims_id)
 def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
-    # at default tolerances the cut certifies every wider Choi matrix's
-    # partial transpose, through its minors or, where they leave it open as
-    # for about 9% of the samples at (2, 2, 6) and (2, 6, 2), its Rayleigh
-    # quotient; the narrower spectrum settles its flags. So the blocks formed
+    # at default tolerances the NPT certificate on the cut certifies every
+    # wider Choi matrix's partial transpose, and the Cholesky certificate of
+    # the narrower member settles the pair's flags. So the blocks formed
     # are the narrower Choi matrices and the cuts, of the inner dimension
     # plus one values of the wider factor
     d_a, d_b, d_c = dims
@@ -804,7 +809,7 @@ def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
 @pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
 def test_certificate_runs_once_per_pair(dims, declined, monkeypatch):
     # at psd_tol 0.03 (c = 0.12 tr) the cut leaves some wider Choi matrices
-    # open and certifies others (40 and 34 of 50 formed in full), so a pair
+    # open and certifies others (39 and 33 of 50 formed in full), so a pair
     # runs both the cut and the block loop over the rest; the Cholesky
     # certificate still reads each sample's narrower member once: the
     # marginal on a, then phi's pair, then psi's, every call on all 50
@@ -888,61 +893,31 @@ def test_cut_certificate_on_harness_and_noisy_vectors(psd_tol):
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
-def test_cut_rayleigh_shift_is_taken_at_the_full_side(dims, monkeypatch):
-    # the Rayleigh stage reads the cut, of side d_a (r + 1), and certifies the
-    # full matrix, of side d_a * max(d_b, d_c): its shift is the full side's.
-    # The narrower partial transposes here are 4 x 4, below RAYLEIGH_SIDE
+def test_cut_npt_shift_is_taken_at_the_full_side(dims, monkeypatch):
+    # the NPT certificate reads the cut, of side d_a (r + 1), and certifies
+    # the full matrix, of side d_a * max(d_b, d_c): its shift c is the full
+    # side's. The narrower partial transposes take c at their own side
     d_a, d_b, d_c = dims
     calls = []
-    rayleigh = chancert.harness._rayleigh_npt
+    certified = chancert.harness._npt_certified
 
-    def recording(g, bound, cfg, dim=None, work=None):
+    def recording(g, bound, cfg, dim=None):
         calls.append((g.shape[-1], dim))
-        return rayleigh(g, bound, cfg, dim, work)
+        return certified(g, bound, cfg, dim)
 
-    monkeypatch.setattr(chancert.harness, "_rayleigh_npt", recording)
+    monkeypatch.setattr(chancert.harness, "_npt_certified", recording)
     run_harness(dims, 50, 3003, DEFAULT_TOLERANCES)
-    assert set(calls) == {(d_a * (min(d_b, d_c) + 1), d_a * max(d_b, d_c))}
-
-
-def cut_rayleigh(vector, cfg) -> np.ndarray:
-    """``_rayleigh_npt`` of the partial transposes of the Choi matrices of
-    C-contiguous tripartite vectors cut to d_c + 1 values of b, every row,
-    with the shift at the full side and the trace as the bound."""
-    n, d_a, d_b, d_c = vector.shape
-    trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
-    cut = np.ascontiguousarray(vector[:, :, :d_c + 1])
-    side = d_a * (d_c + 1)
-    choi = _purification_choi(cut, np.empty((n, side, side), dtype=complex))
-    h = (choi + choi.conj().swapaxes(1, 2)) / 2.0
-    return _rayleigh_npt(_partial_transpose_left(h, d_a, d_c + 1), trace, cfg, d_a * d_b)
-
-
-@settings(max_examples=200, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(1, 4), d_c=st.integers(1, 4),
-       extra=st.integers(1, 4), rank=st.integers(1, 4), noise=st.integers(-8, 1),
-       psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3, 0.1]),
-       exponent=st.sampled_from([-40, 0, 40]))
-def test_cut_rayleigh_implies_full_flags(seed, d_a, d_c, extra, rank, noise, psd_tol, exponent):
-    # wherever the Rayleigh quotient of a cut fires, whether or not its minors
-    # do, the full partial transpose's computed spectrum reads
-    # psd = near = False
-    cfg = ToleranceConfig(psd_tol=psd_tol)
-    dims = (d_a, d_c + extra, d_c)
-    vector = 2.0**exponent * noisy_product_vectors(np.random.default_rng(seed), 3, dims,
-                                                    min(rank, d_c), 10.0**noise)
-    fired = cut_rayleigh(vector, cfg)
-    _, psd, near = cut_and_full_flags(vector, cfg)
-    assert not (fired & (psd | near)).any()
+    narrow, cut = d_a * min(d_b, d_c), d_a * (min(d_b, d_c) + 1)
+    assert set(calls) == {(cut, d_a * max(d_b, d_c)), (narrow, None)}
 
 
 @pytest.mark.parametrize("case", ["phi-3,3,9", "psi-cut-2,2,6"])
-def test_rayleigh_certificates_against_40_digit_spectra(case):
-    # The rounding claim of _rayleigh_npt: where it fires on a partial
-    # transpose g the engine formed, lambda_min(g) < -c. Checked on five
-    # harness matrices each, rebuilt from the same float64 entries at 40
-    # digits: phi's 9 x 9 ones at (3, 3, 9), and psi's 6 x 6 cuts at
-    # (2, 2, 6) that the minors leave open, c taken at the full side 12
+def test_npt_certificates_against_40_digit_spectra(case):
+    # The rounding claim of _npt_certified: where the Cholesky of g + c'I
+    # fails on a partial transpose g the engine formed, lambda_min(g) < -c.
+    # Checked on five harness matrices each, rebuilt from the same float64
+    # entries at 40 digits: phi's 9 x 9 ones at (3, 3, 9), and psi's 6 x 6
+    # cuts at (2, 2, 6), c taken at the full side 12
     mpmath = pytest.importorskip("mpmath")
     cfg = DEFAULT_TOLERANCES
     if case == "phi-3,3,9":
@@ -950,21 +925,18 @@ def test_rayleigh_certificates_against_40_digit_spectra(case):
         vector, d_right, dim = harness_vectors(dims, 3003, 10), d_b, None
     else:
         d_a, _, d_c = dims = (2, 2, 6)
-        swapped = harness_vectors(dims, 3003, 100).swapaxes(2, 3)
+        swapped = harness_vectors(dims, 3003, 10).swapaxes(2, 3)
         vector, d_right, dim = np.ascontiguousarray(swapped[:, :, :3]), 3, d_a * d_c
     trace = np.square(_frobenius(vector.reshape(len(vector), 1, -1)))
     _, h, norm, _, _ = next(_choi_blocks(vector, cfg))
     bound = norm if dim is None else trace
-    rows = np.arange(len(vector))
-    if dim is not None:
-        rows = rows[~_certified_npt(h, d_a, d_right, bound, cfg, dim=dim)]
-    g = _partial_transpose_left(h[rows], d_a, d_right)
-    fired = _rayleigh_npt(g, bound[rows], cfg, dim)
+    g = _partial_transpose_left(h, d_a, d_right)
+    fired = _npt_certified(g, bound, cfg, dim)
     assert np.count_nonzero(fired) >= 5
     eps, full_side = np.finfo(float).eps, dim or d_a * d_right
-    shift = 2 * ESCALATION_MARGIN * cfg.psd_tol + MINOR_ROUNDING * full_side * eps
+    shift = 2 * ESCALATION_MARGIN * cfg.psd_tol + NPT_ROUNDING * full_side * eps
     for k in np.flatnonzero(fired)[:5]:
-        c = shift * bound[rows[k]]
+        c = shift * bound[k]
         with mpmath.workdps(40):
             exact = mpmath.matrix([[mpmath.mpc(float(z.real), float(z.imag)) for z in row]
                                    for row in g[k]])
