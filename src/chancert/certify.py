@@ -222,23 +222,35 @@ def eb_rule(ppt, regime):
     return np.where(ppt, np.where(regime, EB_YES, EB_UNKNOWN), EB_NO)
 
 
-def pair_rules(phi_ppt, psi_ppt, witness_psi, eb_phi, eb_psi, lab, lac, la, lb, lc):
+def pair_rules(**records):
     """Purity equalities and proven relations of a complementary pair, elementwise.
 
-    Inputs are the PPT flags of both maps, the complement's witness flag, the
-    EB codes of both maps and the five ranks of the purification rank chain,
-    as scalars or arrays over samples that broadcast together. Returns
-    ``(purity, relation)``. ``purity`` holds when rank_lc == rank_lab and
-    rank_lb == rank_lac. ``relation`` is 0 when the primary map is not PPT or
-    every row of RELATIONS holds, else 1 + the index of the first that
-    fails. ``equivalence_check`` and the batched harness both call it.
+    ``records`` are those ``pair_records`` names, as scalars or arrays over
+    samples that broadcast together. Returns ``(purity, relation)``.
+    ``purity`` holds when rank_lc == rank_lab and rank_lb == rank_lac.
+    ``relation`` is 0 when the primary map is not PPT or every row of
+    RELATIONS holds, else 1 + the index of the first that fails.
+    ``equivalence_check`` and the batched harness both call it.
     """
-    records = dict(phi_ppt=phi_ppt, psi_ppt=psi_ppt, witness_psi=witness_psi, eb_phi=eb_phi,
-                   eb_psi=eb_psi, lab=lab, lac=lac, la=la, lb=lb, lc=lc)
-    purity = np.equal(lc, lab) & np.equal(lb, lac)
+    purity = np.equal(records["lc"], records["lab"]) & np.equal(records["lb"], records["lac"])
     failed = np.stack(np.broadcast_arrays(*(row.fails(**records) for row in RELATIONS)))
-    relation = np.where(np.logical_and(phi_ppt, failed.any(axis=0)), failed.argmax(axis=0) + 1, 0)
+    relation = np.where(np.logical_and(records["phi_ppt"], failed.any(axis=0)),
+                        failed.argmax(axis=0) + 1, 0)
     return purity, relation
+
+
+def pair_records(report: CertificateReport) -> dict:
+    """A sample's records by name, from its ``equivalence_check`` report: the
+    PPT flags ``phi_ppt`` and ``psi_ppt``, the witness flags ``witness_phi``
+    and ``witness_psi``, the EB codes ``eb_phi`` and ``eb_psi``, and the ranks
+    ``lab``, ``lac``, ``la``, ``lb`` and ``lc`` of the rank chain."""
+    p, chain = report.predicates, report.chain
+    records = {key: getattr(chain, f"rank_{key}") for key in ("lab", "lac", "la", "lb", "lc")}
+    for name in ("phi", "psi"):
+        records[f"{name}_ppt"] = p[f"ppt_{name}"].is_yes
+        records[f"witness_{name}"] = p[f"witness_{name}"].is_yes
+        records[f"eb_{name}"] = EB_CODES[p[f"eb_{name}"].value]
+    return records
 
 
 def ppt_rule(psd, pt_psd):
@@ -431,12 +443,8 @@ def equivalence_check(
             }
         )
 
-    p = report.predicates
-    purity, relation = pair_rules(
-        p["ppt_phi"].is_yes, p["ppt_psi"].is_yes, p["witness_psi"].is_yes,
-        EB_CODES[p["eb_phi"].value], EB_CODES[p["eb_psi"].value],
-        chain.rank_lab, chain.rank_lac, chain.rank_la, chain.rank_lb, chain.rank_lc,
-    )
+    records = pair_records(report)
+    purity, relation = pair_rules(**records)
     if not purity and not chain.fragile:
         raise PurityViolationError(
             f"purity rank equalities failed on a non-fragile sample: {chain.to_json()}"
@@ -453,7 +461,7 @@ def equivalence_check(
             "rank chain is fragile; equivalence consistency cannot be certified"
         )
 
-    if p["ppt_phi"].is_yes:
+    if records["phi_ppt"]:
         report.notes.append("primary map is PPT: consistency relations asserted")
     else:
         report.notes.append("primary map is not PPT: consistency branch vacuous")

@@ -30,9 +30,9 @@ within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
    the Choi matrix on a tie, first take a shifted Cholesky
    (``_cholesky_certified``): where it succeeds, every eigenvalue lies past
    every rank, fragility and escalation window, so the matrix and its
-   wider partner get fixed flags (PSD, not near, rank k = the narrower
-   side, not fragile, no margin) without a spectrum; scalar checks made
-   once per pair vouch for the partner's zeros. The samples it leaves open
+   wider partner get the rules' flags of the exact spectrum it vouches for,
+   k ones and the partner's zeros, without a spectrum; scalar checks made
+   once per pair vouch for the zeros. The samples it leaves open
    take a stacked ``eigvalsh`` of each matrix concerned. A partial
    transpose g of a Choi matrix, formed with reshapes, gets its PSD flags
    without a spectrum where the Cholesky of g + c'I fails
@@ -102,18 +102,21 @@ SCHMIDT_ROUNDING = 32.0
 # _cholesky_certified and _npt_certified.
 CHOLESKY_ROUNDING = 4.0
 
-COUNT_KEYS = (
-    "samples",
-    "phi_ppt",
-    "psi_ppt",
-    "both_ppt",
-    "witness_phi_fired",
-    "witness_psi_fired",
-    "eb_psi_yes",
-    "eb_phi_yes",
-    "regime_applied_to_psi_given_phi_ppt",
-    "fragile_discarded",
-)
+# The counts of checked samples: each key's rule marks the samples it counts,
+# over the records ``certify.pair_rules`` takes, passed by name.
+COUNT_RULES = {
+    "samples": lambda phi_ppt, **_: np.ones_like(phi_ppt, dtype=bool),
+    "phi_ppt": lambda phi_ppt, **_: phi_ppt,
+    "psi_ppt": lambda psi_ppt, **_: psi_ppt,
+    "both_ppt": lambda phi_ppt, psi_ppt, **_: np.logical_and(phi_ppt, psi_ppt),
+    "witness_phi_fired": lambda witness_phi, **_: witness_phi,
+    "witness_psi_fired": lambda witness_psi, **_: witness_psi,
+    "eb_psi_yes": lambda eb_psi, **_: np.equal(eb_psi, certify.EB_YES),
+    "eb_phi_yes": lambda eb_phi, **_: np.equal(eb_phi, certify.EB_YES),
+    "regime_applied_to_psi_given_phi_ppt": lambda phi_ppt, eb_psi, **_: (
+        np.logical_and(phi_ppt, np.not_equal(eb_psi, certify.EB_UNKNOWN))),
+}
+COUNT_KEYS = (*COUNT_RULES, "fragile_discarded")
 
 
 @dataclass
@@ -239,30 +242,31 @@ def _partial_transpose_left(
 
 def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """PSD verdicts of ascending spectra, and whether lambda_min is too close
-    to the threshold to vouch for the verdict."""
+    to the threshold to vouch for the verdict: within a factor
+    ESCALATION_MARGIN of it, or, where twice the threshold lies inside the
+    ``rounding_band``, inside the band, where rounding may carry it across."""
     psd, threshold = linalg.psd_rule(w, cfg)
-    lam_min = w[:, 0]
+    lam_min, band = w[:, 0], linalg.rounding_band(w)
     near = (lam_min > ESCALATION_MARGIN * threshold) & (lam_min < threshold / ESCALATION_MARGIN)
+    near |= (2 * np.abs(threshold) < band) & (np.abs(lam_min) <= band)
     return psd, near
 
 
-def _unit_windows(dim: int, cfg: ToleranceConfig) -> tuple[float, float]:
-    """The rank cutoff and the PSD threshold, rank_tol dim and -psd_tol, that
-    ``linalg``'s rules give a spectrum of side ``dim`` with
-    sigma_max = lambda_max = 1. The certificates read both from the rules,
-    so that a rule patched on its module reaches them as well; the rules
-    are part of the memo's key, so a patched rule is evaluated afresh."""
-    return _rule_windows(dim, cfg, linalg.rank_rule, linalg.psd_rule)
-
-
 @functools.lru_cache(maxsize=256)
-def _rule_windows(dim: int, cfg: ToleranceConfig, rank_rule, psd_rule) -> tuple[float, float]:
-    """``_unit_windows`` from the given rules, which are pure functions of the
-    spectrum and ``cfg``: evaluating them costs some 15 us, several times
-    per chunk."""
-    unit = np.zeros(dim)
-    unit[-1] = 1.0
-    return float(rank_rule(unit, cfg)[1]), float(psd_rule(unit, cfg)[1])
+def _unit_rules(k: int, dim: int, cfg: ToleranceConfig, rank_rule, psd_rule):
+    """``_spectrum_flags`` of one spectrum of dim - k zeros and k ones, and
+    its rank cutoff and PSD threshold, rank_tol dim and -psd_tol. The
+    certificates read these from ``linalg``'s rules, passed here as part of
+    the memo's key, so that a rule patched on its module reaches them too;
+    unpatched, evaluating them costs some 40 us, several times per chunk."""
+    w = np.repeat([[0.0, 1.0]], (dim - k, k), axis=1)
+    return _spectrum_flags(w, cfg), float(rank_rule(w, cfg)[1][0]), float(psd_rule(w, cfg)[1][0])
+
+
+def _unit_windows(dim: int, cfg: ToleranceConfig) -> tuple[float, float]:
+    """The rank cutoff and the PSD threshold that the rules give a spectrum of
+    side ``dim`` with sigma_max = lambda_max = 1."""
+    return _unit_rules(dim, dim, cfg, linalg.rank_rule, linalg.psd_rule)[1:]
 
 
 def _stacked_cholesky(x: np.ndarray) -> np.ndarray:
@@ -457,12 +461,12 @@ def _spectrum_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ..
     return (*_psd_flags(w, cfg), *_rank_flags(w, cfg))
 
 
-def _certified_flags(n: int, k: int) -> tuple[np.ndarray, ...]:
+def _certified_flags(n: int, k: int, dim: int, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
     """``_spectrum_flags`` of n matrices that ``_cholesky_certified`` settles
-    at side k, or that are partners of such: PSD, not near, rank k, not
-    fragile, no margin."""
-    near, fragile, margin = np.zeros((3, n), dtype=bool)
-    return ~near, near, np.full(n, k), fragile, margin
+    at side k with complementary side ``dim``, or that are partners of such:
+    those of the exact spectrum it vouches for, dim - k zeros and k ones."""
+    flags = _unit_rules(k, dim, cfg, linalg.rank_rule, linalg.psd_rule)[0]
+    return tuple(flag.repeat(n) for flag in flags)
 
 
 def _fill(flags: tuple[np.ndarray, ...], rows, w: np.ndarray, cfg: ToleranceConfig) -> None:
@@ -557,7 +561,7 @@ def _complementary_pair(
     side = d_a * d_b
     choi_narrower = side <= d_c
     k, dim = min(side, d_c), max(side, d_c)
-    choi_flags, env_flags = _certified_flags(n, k), _certified_flags(n, k)
+    choi_flags, env_flags = _certified_flags(n, k, dim, cfg), _certified_flags(n, k, dim, cfg)
     checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
     rest = np.arange(n)
     if choi_narrower:
@@ -609,7 +613,7 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     for key, matrix in _factor_marginals(vector, swapped).items():
         hermitian[key], clear = _hermitian_part(matrix, _frobenius(matrix), cfg)
         checks &= clear
-    flags = {"a": _certified_flags(n, d_a)}
+    flags = {"a": _certified_flags(n, d_a, d_a, cfg)}
     settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
     if not settled.all():
         _fill(flags["a"], ~settled, np.linalg.eigvalsh(hermitian["a"][~settled]), cfg)
@@ -622,21 +626,19 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     checks &= phi_checks & psi_checks
     (phi_psd, near_phi), (psi_psd, near_psi) = flags["ab"][:2], flags["ac"][:2]
     unsure = near_phi | near_psi | near_phi_pt | near_psi_pt
-    ranks, fragile = {}, np.zeros(n, dtype=bool)
+    records, fragile = {}, np.zeros(n, dtype=bool)
     for key in ("ab", "ac", "a", "b", "c"):
-        ranks[key], fragile_key, margin = flags[key][2:]
+        records[f"l{key}"], fragile_key, margin = flags[key][2:]
         fragile |= fragile_key
         unsure |= margin
 
-    lab, lac, la, lb, lc = (ranks[key] for key in ("ab", "ac", "a", "b", "c"))
-    phi_ppt, psi_ppt = certify.ppt_rule(phi_psd, phi_pt), certify.ppt_rule(psi_psd, psi_pt)
-    witness_phi, regime_phi = certify.witness_rule(lab, la, lb)
-    witness_psi, regime_psi = certify.witness_rule(lac, la, lc)
-    eb_phi = certify.eb_rule(phi_ppt, regime_phi)
-    eb_psi = certify.eb_rule(psi_ppt, regime_psi)
-    purity, relation = certify.pair_rules(
-        phi_ppt, psi_ppt, witness_psi, eb_phi, eb_psi, lab, lac, la, lb, lc
-    )
+    records["phi_ppt"] = certify.ppt_rule(phi_psd, phi_pt)
+    records["psi_ppt"] = certify.ppt_rule(psi_psd, psi_pt)
+    for name, whole, side in (("phi", "lab", "lb"), ("psi", "lac", "lc")):
+        records[f"witness_{name}"], regime = certify.witness_rule(
+            records[whole], records["la"], records[side])
+        records[f"eb_{name}"] = certify.eb_rule(records[f"{name}_ppt"], regime)
+    purity, relation = certify.pair_rules(**records)
 
     escalate = ~checks | unsure | ~phi_psd | ~psi_psd | (~fragile & (~purity | (relation != 0)))
     for k in np.flatnonzero(escalate):
@@ -644,8 +646,7 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
 
     counted = ~escalate & ~fragile
     result.counts["fragile_discarded"] += int(np.count_nonzero(~escalate & fragile))
-    _tally(result.counts, phi_ppt[counted], psi_ppt[counted], witness_phi[counted],
-           witness_psi[counted], eb_phi[counted], eb_psi[counted])
+    _tally(result.counts, {key: value[counted] for key, value in records.items()})
 
 
 def _escalate(
@@ -672,25 +673,11 @@ def _escalate(
             }
         )
         return
-    p = report.predicates
-    _tally(result.counts, p["ppt_phi"].is_yes, p["ppt_psi"].is_yes, p["witness_phi"].is_yes,
-           p["witness_psi"].is_yes, certify.EB_CODES[p["eb_phi"].value],
-           certify.EB_CODES[p["eb_psi"].value])
+    _tally(result.counts, certify.pair_records(report))
 
 
-def _tally(counts, phi_ppt, psi_ppt, witness_phi, witness_psi, eb_phi, eb_psi) -> None:
-    """Add checked samples to the counts; flags and EB codes are scalars or
-    arrays over samples."""
-    phi_ppt, psi_ppt = np.asarray(phi_ppt, dtype=bool), np.asarray(psi_ppt, dtype=bool)
-    for key, flags in (
-        ("phi_ppt", phi_ppt),
-        ("psi_ppt", psi_ppt),
-        ("both_ppt", phi_ppt & psi_ppt),
-        ("witness_phi_fired", witness_phi),
-        ("witness_psi_fired", witness_psi),
-        ("eb_phi_yes", np.equal(eb_phi, certify.EB_YES)),
-        ("eb_psi_yes", np.equal(eb_psi, certify.EB_YES)),
-        ("regime_applied_to_psi_given_phi_ppt", phi_ppt & np.not_equal(eb_psi, certify.EB_UNKNOWN)),
-    ):
-        counts[key] += int(np.count_nonzero(flags))
-    counts["samples"] += phi_ppt.size
+def _tally(counts, records) -> None:
+    """Add checked samples to the counts by COUNT_RULES; ``records`` are
+    those of one sample, as scalars, or arrays over samples."""
+    for key, rule in COUNT_RULES.items():
+        counts[key] += int(np.count_nonzero(rule(**records)))

@@ -38,6 +38,13 @@ SIDES = ("left", "right")
 # Fragility window: a rank decision is fragile when some singular value lies
 # within a factor of 10 of the cutoff on either side.
 FRAGILITY_FACTOR = 10.0
+# Rounding band of a Hermitian spectrum of side n, in units of n eps sigma_max:
+# eigvalsh returns each eigenvalue within p(n) eps ||x||_2, p a modestly
+# growing function (LAPACK Users' Guide, error bounds for the symmetric
+# eigenproblem), so a computed eigenvalue inside the band may be an exact zero
+# and need not be one. Against 40-digit mpmath spectra of the harness's
+# partial transposes, side 12 to 64, the error stayed below n/4 eps ||x||_2.
+ROUNDING_BAND = 32.0
 
 
 @dataclass(frozen=True)
@@ -235,16 +242,30 @@ def psd_rule(w: np.ndarray, cfg: ToleranceConfig):
     return w[..., 0] >= threshold, threshold
 
 
+def rounding_band(w: np.ndarray) -> np.ndarray:
+    """``ROUNDING_BAND * dim * eps * sigma_max`` of Hermitian spectra on the
+    last axis, elementwise over leading axes."""
+    return ROUNDING_BAND * w.shape[-1] * np.finfo(np.float64).eps * np.abs(w).max(axis=-1)
+
+
 def rank_rule(w: np.ndarray, cfg: ToleranceConfig):
     """``(rank, cutoff, near)`` of Hermitian spectra on the last axis,
     elementwise over leading axes. The singular values are the moduli of the
     eigenvalues; those above ``rank_tol * sigma_max * dim`` count toward the
     rank. ``near`` marks, per eigenvalue, the singular values within
-    FRAGILITY_FACTOR of that cutoff; any one makes the decision fragile."""
+    FRAGILITY_FACTOR of that cutoff, and, where FRAGILITY_FACTOR times the
+    cutoff lies inside the ``rounding_band``, those at or below the band,
+    which no computed spectrum forces to either side of the cutoff; any one
+    makes the decision fragile."""
     sigma = np.abs(w)
     cutoff = cfg.rank_tol * sigma.max(axis=-1) * w.shape[-1]
     edge = cutoff[..., None]
     near = (sigma > edge / FRAGILITY_FACTOR) & (sigma < edge * FRAGILITY_FACTOR)
+    # The cutoff and the band both scale with sigma_max * dim, so only a
+    # rank_tol this small puts FRAGILITY_FACTOR times the cutoff inside the band
+    if FRAGILITY_FACTOR * cfg.rank_tol < ROUNDING_BAND * np.finfo(np.float64).eps:
+        band = rounding_band(w)[..., None]
+        near |= (sigma <= band) & (FRAGILITY_FACTOR * edge < band)
     return (sigma > edge).sum(axis=-1), cutoff, near
 
 

@@ -12,10 +12,11 @@ A chunk holds each sample's dilation and its marginals on a, b and c; the
 Choi matrices are formed in blocks inside it, and only there. The engine's
 partial-transpose flags skip the spectrum where a Cholesky of the partial
 transpose shifted up by c' fails, which certifies it clearly not PSD, and
-the marginal on a and each complementary pair take fixed flags where a
-Cholesky of the narrower member shifted down succeeds; both must equal the
-flags of the spectrum exactly, and where the pair's certificate declines,
-the outcomes must be those of the engine without it. A wider Choi matrix
+the marginal on a and each complementary pair take the rules' flags of the
+spectrum a Cholesky of the narrower member shifted down vouches for, where
+it succeeds; both must equal the flags of the computed spectrum exactly,
+and where the pair's certificate declines, the outcomes must be those of the
+engine without it. A wider Choi matrix
 whose non-transposed factor exceeds the inner dimension r + 1 is first read
 on the vectors cut to r + 1 values of that factor; where the certificate
 fires on the cut, the flags of the full partial transpose's spectrum must
@@ -258,6 +259,17 @@ def test_rounding_level_tolerances_agree(dims, cfg):
     assert_agrees(dims, 50, 8, cfg)
 
 
+@pytest.mark.parametrize("dims, seed", [((1, 1, 2), 1), ((2, 1, 1), 3003), ((1, 4, 3), 3003),
+                                        ((3, 1, 1), 3003)], ids=lambda x: str(x))
+def test_rank_cutoff_inside_rounding_band_agrees(dims, seed):
+    # at rank_tol 1e-17 the fragility window lies inside eigvalsh's rounding
+    # band: a singular value there forces no rank, and is fragile in both
+    # paths alike. The loop read rounding noise as a rank (purity
+    # "counterexamples"), and the engine discarded samples the loop counted
+    result, _ = assert_agrees(dims, 300, seed, ToleranceConfig(rank_tol=1e-17))
+    assert result.counterexamples == []
+
+
 def test_default_tolerances_need_no_escalation():
     assert run_harness((2, 2, 3), 500, 3003, DEFAULT_TOLERANCES).escalated == []
 
@@ -292,7 +304,7 @@ def threshold_times_1e8(rule):
 
 
 @pytest.mark.parametrize("module, name, mutate, tuples, trials, loop", [
-    (chancert.linalg, "psd_rule", never_psd, [(2, 2, 3)], 50, False),
+    (chancert.linalg, "psd_rule", never_psd, [(2, 2, 3)], 50, True),
     (chancert.linalg, "rank_rule", cutoff_times_1e6, [(2, 2, 3)], 50, True),
     (chancert.certify, "ppt_rule", ppt_ignoring_partial_transpose, [(2, 2, 3)], 50, True),
     (chancert.linalg, "psd_rule", threshold_times_1e8, [(2, 2, 3), (2, 3, 2), (3, 3, 9)], 200,
@@ -308,8 +320,9 @@ def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, tup
     # per-sample loop's. A PSD threshold 1e8 times wider (-0.1 lambda_max)
     # must widen the NPT certificate's shift: with c taken from psd_tol
     # itself, the engine certified partial transposes NPT that the patched
-    # rule reads PSD. A verdict that ignores its threshold (never-psd) does
-    # not reach the pairs the Cholesky certificate settles
+    # rule reads PSD. A verdict that ignores its threshold (never-psd) must
+    # reach the matrices the Cholesky certificate settles: their flags are
+    # the rules' flags of the spectrum it vouches for
     seed = 3003
     unpatched = {dims: harness_outcome(dims, trials, seed) for dims in tuples}
     assert all(outcome[2] == [] for outcome in unpatched.values())
@@ -966,7 +979,7 @@ def assert_marginal_flags_match(vector, cfg) -> int:
         narrow = min(pair, key=lambda key: hermitian[key].shape[-1])
         dim = max(hermitian[key].shape[-1] for key in pair)
         certified += np.count_nonzero(_cholesky_certified(hermitian[narrow], trace, dim, cfg))
-    flags["a"] = _certified_flags(n, d_a)
+    flags["a"] = _certified_flags(n, d_a, d_a, cfg)
     for key, h in hermitian.items():
         rows = settled if key == "a" else slice(None)
         want = _spectrum_flags(np.linalg.eigvalsh(h), cfg)

@@ -314,7 +314,7 @@ class TestCliAnalyze:
                      "1", "--index", "0", "--output", str(st_path)]) == 0
         original = chancert.certify.pair_rules
         monkeypatch.setattr(chancert.certify, "pair_rules",
-                            lambda *args: (False, original(*args)[1]))
+                            lambda **records: (False, original(**records)[1]))
         assert main(["analyze", str(st_path), "--output", str(tmp_path / "r.json")]) == 4
         assert "purity rank equalities failed on a non-fragile sample" in capsys.readouterr().err
 
@@ -420,10 +420,11 @@ def rederive_predicates(role: str, analysis: dict, dims) -> None:
             assert value(f"ppt_{side}") == ppt[side]
             assert predicates[f"eb_{side}"] == eb[side].to_json()
             assert predicates[f"witness_{side}"] == witness_verdict(triple).to_json()
-        chain_ranks = [chain[f"rank_l{key}"] for key in ("ab", "ac", "a", "b", "c")]
         purity, relation = pair_rules(
-            ppt["phi"], ppt["psi"], value("witness_psi"), EB_CODES[eb["phi"].value],
-            EB_CODES[eb["psi"].value], *chain_ranks,
+            phi_ppt=ppt["phi"], psi_ppt=ppt["psi"], witness_phi=value("witness_phi"),
+            witness_psi=value("witness_psi"), eb_phi=EB_CODES[eb["phi"].value],
+            eb_psi=EB_CODES[eb["psi"].value],
+            **{f"l{key}": chain[f"rank_l{key}"] for key in ("ab", "ac", "a", "b", "c")},
         )
         assert purity and relation == 0
         assert chain["rank_lc"] == chain["rank_lab"] and chain["rank_lb"] == chain["rank_lac"]
@@ -946,8 +947,8 @@ class TestCliVerifyTheorem:
 
         original = certify_mod.pair_rules
 
-        def explode(*args):
-            purity, relation = original(*args)
+        def explode(**records):
+            purity, relation = original(**records)
             return purity, np.ones_like(relation)
 
         monkeypatch.setattr("chancert.certify.pair_rules", explode)
@@ -1009,8 +1010,8 @@ class TestBlasThreadPin:
     def test_count_restored_on_counterexample(self, tmp_path, monkeypatch, blas_threads):
         original = chancert.certify.pair_rules
 
-        def explode(*args):
-            purity, relation = original(*args)
+        def explode(**records):
+            purity, relation = original(**records)
             return purity, np.ones_like(relation)
 
         monkeypatch.setattr("chancert.certify.pair_rules", explode)
