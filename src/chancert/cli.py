@@ -19,12 +19,16 @@ choi, state or stinespring object for ``generate`` and ``convert``. The
 ``--as``, ``--from`` and ``--to`` choices are read from these tables.
 
 ``main`` may be called repeatedly in one process: the parser is built once,
-and flags, environment and handler are read anew on every call.
+and flags, environment and handler are read anew on every call. It also
+sets two process-wide policies that the library leaves to its callers:
+OpenBLAS held to one thread while ``verify-theorem`` runs its harness, and
+glibc's malloc keeping freed heap memory (``_keep_freed_memory``).
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -73,6 +77,11 @@ EXIT_INTERNAL = 1
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_COUNTEREXAMPLE = 4
+
+# glibc's mallopt parameters (malloc.h), and what the CLI sets them to: the
+# cap of glibc's own dynamic mmap threshold on 64-bit, and twice that.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
 
 ENV_VARS = {
     "psd_tol": "CHANCERT_PSD_TOL",
@@ -253,6 +262,32 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
 
 
 @functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc's malloc keep freed heap memory in this process, from the
+    first call on: arrays below 32 MiB come from the heap, and up to 64 MiB
+    of free heap top stays mapped.
+
+    glibc's default raises the trim threshold only to twice the largest
+    mapped block freed so far. That stays below the working set that each
+    harness chunk frees, about 2.3 MiB at (4, 4, 16), so it went back to
+    the kernel after every chunk and was page-faulted in again by the next
+    one: about 520 minor faults per 50-trial command there. Setting either
+    value turns that dynamic rule off, so both are set. glibc has no getter, so the
+    setting cannot be restored and lasts for the process: it is for the
+    owner of the process, such as the CLI, and ``run_harness`` and
+    ``equivalence_check`` leave it alone. Does nothing where the C library
+    has no ``mallopt``.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None), as on Windows
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of this process, built on the first call; parsing never changes it."""
     parser = argparse.ArgumentParser(
@@ -307,6 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Process-wide malloc policy, like BLAS threads: the CLI sets it, not the library.
+    _keep_freed_memory()
     args = build_parser().parse_args(argv)
     # Looked up per call, so a wrapper installed on a cmd_* handler applies.
     handler = globals()["cmd_" + args.command.replace("-", "_")]

@@ -333,7 +333,7 @@ def _npt_certified(
     # so that is below -c wherever (kappa (1 + u) + u)(1 + a) < a. To first
     # order kappa + u is (n (n + 3)/sqrt(2) + 1/2) eps, below (n + 1)^2 eps,
     # a quarter of a; the spare absorbs the rounding of bound, c and c', and
-    # a bound that exceeds ||g||_F only by rounding, as on the cut. A zero
+    # a bound that ||g||_F exceeds only by rounding, as on the cut. A zero
     # bound makes c' = 0, and the zero matrix, PSD, fails the Cholesky: it
     # is left open. Scaling g by a power of two scales bound, c' and every
     # pivot alike.
@@ -484,10 +484,14 @@ def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
     size = block_size(side)
-    # Every block writes into these. Fresh arrays of this size in each block
-    # cost page faults: at (4, 4, 16) about 3900 per 50-sample chunk against
-    # 440, and about a fifth of its time. The Choi matrix's buffer takes its
-    # Hermitian part too.
+    # Every block writes into these. Under glibc's default malloc policy a
+    # 50-sample chunk at (4, 4, 16) takes about 520 page faults, with these
+    # or with fresh arrays in each block: glibc hands back to the kernel the
+    # heap top that each chunk frees, whatever arrays it held. The command
+    # line keeps it (cli._keep_freed_memory), and then neither faults. One
+    # allocation still saves a few percent of the chunk's CPU time (3.4
+    # against 3.6 ms, minima). The Choi matrix's buffer takes its Hermitian
+    # part too.
     choi_out, kraus_out, conj_out = np.empty((3, min(size, n), side, side), dtype=complex)
     for block in (slice(start, start + size) for start in range(0, n, size)):
         v = vector[block]
@@ -503,13 +507,14 @@ def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
 
 
 def _cut_certificates(
-    vector: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
+    vector: np.ndarray, norm: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
 ) -> tuple[np.ndarray, np.ndarray]:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
-    ``trace``, cut to their first d_c + 1 values of b: whether each cut's
-    Choi matrix is clearly Hermitian and agrees with the Kraus-vector route,
-    and whether ``_npt_certified`` of the cut, with the shift of the full
-    side, certifies the full Choi matrix's partial transpose: where it does,
+    ``trace``, and ``norm`` the Frobenius norms of their computed marginals on
+    c, cut to their first d_c + 1 values of b: whether each cut's Choi
+    matrix is clearly Hermitian and agrees with the Kraus-vector route, and
+    whether ``_npt_certified`` of the cut, with the shift of the full side,
+    certifies the full Choi matrix's partial transpose: where it does,
     ``_psd_flags`` of that partial transpose's computed spectrum reads
     psd = near = False."""
     # Why. The cut's Choi matrix J' is the principal submatrix of J on
@@ -517,33 +522,55 @@ def _cut_certificates(
     # at most d_c, below that of its marginal on b, d_c + 1 for generic
     # vectors with d_a > 1, so J' is not PPT (Horodecki-Smolin-Terhal-
     # Thapliyal) and the certificate mostly fires on it. Its shift c is
-    # taken at g's side, with the bound trace, at least ||J'||_F for the
-    # exact J', PSD with that trace; the computed g' exceeds it only by
-    # rounding. Where it fires on the computed g', lambda_min(g') < -c (see
-    # _npt_certified). g' and the matching submatrix of the computed g each
-    # lie within (3/2 d_c + 1) eps trace of the exact one (see
-    # _cholesky_certified), and lambda_min(g) is at most that of its
-    # principal submatrix (Cauchy interlacing); eigvalsh adds below side/4
-    # eps trace. So g's computed lambda_min is below
-    # -c + (3 d_c + 2 + side/4) eps trace, with d_c < side far inside the
-    # NPT_ROUNDING side eps trace of c: _psd_flags of g's computed spectrum
-    # reads psd = near = False, as where _npt_certified of g fires.
+    # taken at g's side, with the bound norm + delta, delta = SCHMIDT_ROUNDING
+    # (side + d_c) eps trace, and no less than trace/8:
+    # - the bound is at least ||J'||_F for the exact J'. J and the exact
+    #   marginal on c, L, are complementary marginals of one vector and share
+    #   their nonzero spectrum (Schmidt decomposition), so ||J'||_F <= ||J||_F
+    #   = ||L||_F exactly. The computed L, a Gram product over side terms,
+    #   lies within 3/2 side eps trace of L in Frobenius norm (see
+    #   _cholesky_certified), which delta covers twenty times over; the
+    #   relative rounding of its norm, a sum of squares, is absorbed by c's
+    #   spare factors (see _npt_certified). The computed g' exceeds ||J'||_F
+    #   only by rounding;
+    # - where it fires on the computed g', lambda_min(g') < -c (see
+    #   _npt_certified). g' and the matching submatrix of the computed g
+    #   each lie within (3/2 d_c + 1) eps trace of the exact one (see
+    #   _cholesky_certified), and lambda_min(g) is at most that of its
+    #   principal submatrix (Cauchy interlacing); eigvalsh adds below side/4
+    #   eps trace. So g's computed lambda_min is below
+    #   -c + (3 d_c + 2 + side/4) eps trace. As d_c < side, that rounding is
+    #   below side/8 NPT_ROUNDING eps trace, inside c's NPT_ROUNDING side eps
+    #   bound as bound >= trace/8. The floor binds only where ||J||_F <
+    #   trace/8, which needs rank J > 64, since ||J||_F >= trace/sqrt(rank J).
+    #   c's psd_tol term is taken at the bound, at least ||J||_F = ||g||_F
+    #   >= lambda_max(g) to rounding, so it still meets _psd_flags' threshold
+    #   twice over. So _psd_flags of g's computed spectrum reads
+    #   psd = near = False, as where _npt_certified of g fires.
     n, d_a, d_b, d_c = vector.shape
+    side = d_a * d_b
+    bound = np.maximum(
+        norm + SCHMIDT_ROUNDING * (side + d_c) * np.finfo(np.float64).eps * trace, trace / 8
+    )
     checks, certified = np.empty((2, n), dtype=bool)
     cut = np.ascontiguousarray(vector[:, :, :d_c + 1])
     for block, h, _, passed, work in _choi_blocks(cut, cfg):
         checks[block] = passed
         g = _partial_transpose_left(h, d_a, d_c + 1, work)
-        certified[block] = _npt_certified(g, trace[block], cfg, d_a * d_b)
+        certified[block] = _npt_certified(g, bound[block], cfg, side)
     return checks, certified
 
 
 def _complementary_pair(
-    vector: np.ndarray, environment: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
+    vector: np.ndarray,
+    environment: np.ndarray,
+    norm: np.ndarray,
+    trace: np.ndarray,
+    cfg: ToleranceConfig,
 ) -> tuple[np.ndarray, ...]:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
-    ``trace``, and ``environment`` the Hermitian parts of their marginals on
-    c: ``_spectrum_flags`` of the Choi matrices of the maps that trace out c
+    ``trace``, ``environment`` the Hermitian parts of their marginals on c,
+    and ``norm`` the Frobenius norms of those marginals as computed: ``_spectrum_flags`` of the Choi matrices of the maps that trace out c
     and of ``environment``; whether each Choi matrix is clearly Hermitian
     and agrees with the Kraus-vector route; and ``_psd_flags`` of its
     partial transpose.
@@ -569,7 +596,7 @@ def _complementary_pair(
     else:
         settled = _cholesky_certified(environment, trace, dim, cfg)
         if d_b > d_c + 1:
-            checks, certified = _cut_certificates(vector, trace, cfg)
+            checks, certified = _cut_certificates(vector, norm, trace, cfg)
             done = settled & certified
             pt_psd[done] = pt_near[done] = False
             rest = rest[~done]
@@ -609,19 +636,20 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     swapped = np.ascontiguousarray(vector.swapaxes(2, 3))
     trace = np.square(_frobenius(stack))
     checks = np.ones(n, dtype=bool)
-    hermitian = {}
+    hermitian, norm = {}, {}
     for key, matrix in _factor_marginals(vector, swapped).items():
-        hermitian[key], clear = _hermitian_part(matrix, _frobenius(matrix), cfg)
+        norm[key] = _frobenius(matrix)
+        hermitian[key], clear = _hermitian_part(matrix, norm[key], cfg)
         checks &= clear
     flags = {"a": _certified_flags(n, d_a, d_a, cfg)}
     settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
     if not settled.all():
         _fill(flags["a"], ~settled, np.linalg.eigvalsh(hermitian["a"][~settled]), cfg)
     flags["ab"], flags["c"], phi_checks, phi_pt, near_phi_pt = _complementary_pair(
-        vector, hermitian["c"], trace, cfg
+        vector, hermitian["c"], norm["c"], trace, cfg
     )
     flags["ac"], flags["b"], psi_checks, psi_pt, near_psi_pt = _complementary_pair(
-        swapped, hermitian["b"], trace, cfg
+        swapped, hermitian["b"], norm["b"], trace, cfg
     )
     checks &= phi_checks & psi_checks
     (phi_psd, near_phi), (psi_psd, near_psi) = flags["ab"][:2], flags["ac"][:2]

@@ -842,14 +842,37 @@ def test_certificate_runs_once_per_pair(dims, declined, monkeypatch):
     assert d_a * max(d_b, d_c) in sides
 
 
+@pytest.mark.parametrize("cfg, least", [(DEFAULT_TOLERANCES, 200),
+                                        (ToleranceConfig(psd_tol=0.03), 150)],
+                         ids=["default", "psd-0.03"])
+def test_cut_bound_is_the_complementary_norm(cfg, least, monkeypatch):
+    # the cut's norm bound is ||L_b||_F plus rounding, about tr/2 at
+    # (3, 3, 9), not the trace: at psd_tol 0.03 (c = 0.12 ||L_b||_F) it
+    # certifies 160 of psi's 200 cuts of seed 3003, against 8 with the trace
+    # as the bound, and at default tolerances all 200. The engine still
+    # agrees with the per-sample loop
+    certified = []
+    cut_certificates = chancert.harness._cut_certificates
+
+    def recording(*args):
+        checks, fired = cut_certificates(*args)
+        certified.append(int(np.count_nonzero(fired)))
+        return checks, fired
+
+    monkeypatch.setattr(chancert.harness, "_cut_certificates", recording)
+    assert_agrees((3, 3, 9), 200, 3003, cfg)
+    assert len(certified) == 1 and least <= certified[0] <= 200
+
+
 def cut_and_full_flags(vector, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_cut_certificates`` of C-contiguous tripartite vectors, and
     ``_psd_flags`` of the computed spectra of the partial transposes of their
     full Choi matrices, as the engine forms them."""
     n, d_a, d_b, _ = vector.shape
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
-    _, certified = _cut_certificates(vector, trace, cfg)
-    choi = engine_marginals(vector, np.ascontiguousarray(vector.swapaxes(2, 3)))["ab"]
+    marginals = engine_marginals(vector, np.ascontiguousarray(vector.swapaxes(2, 3)))
+    _, certified = _cut_certificates(vector, _frobenius(marginals["c"]), trace, cfg)
+    choi = marginals["ab"]
     h = (choi + choi.conj().swapaxes(1, 2)) / 2.0
     return certified, *spectrum_flags(_partial_transpose_left(h, d_a, d_b), cfg)
 
@@ -930,23 +953,29 @@ def test_npt_certificates_against_40_digit_spectra(case):
     # fails on a partial transpose g the engine formed, lambda_min(g) < -c.
     # Checked on five harness matrices each, rebuilt from the same float64
     # entries at 40 digits: phi's 9 x 9 ones at (3, 3, 9), and psi's 6 x 6
-    # cuts at (2, 2, 6), c taken at the full side 12
+    # cuts at (2, 2, 6), c taken at the full side 12 with the cut's bound,
+    # the norm of the marginal on b plus its rounding allowance
     mpmath = pytest.importorskip("mpmath")
-    cfg = DEFAULT_TOLERANCES
+    cfg, eps = DEFAULT_TOLERANCES, np.finfo(float).eps
     if case == "phi-3,3,9":
         d_a, d_b, _ = dims = (3, 3, 9)
         vector, d_right, dim = harness_vectors(dims, 3003, 10), d_b, None
     else:
-        d_a, _, d_c = dims = (2, 2, 6)
-        swapped = harness_vectors(dims, 3003, 10).swapaxes(2, 3)
+        d_a, d_b, d_c = dims = (2, 2, 6)
+        full = harness_vectors(dims, 3003, 10)
+        swapped = np.ascontiguousarray(full.swapaxes(2, 3))
         vector, d_right, dim = np.ascontiguousarray(swapped[:, :, :3]), 3, d_a * d_c
-    trace = np.square(_frobenius(vector.reshape(len(vector), 1, -1)))
     _, h, norm, _, _ = next(_choi_blocks(vector, cfg))
-    bound = norm if dim is None else trace
+    if dim is None:
+        bound = norm
+    else:
+        trace = np.square(_frobenius(full.reshape(len(full), 1, -1)))
+        environment = _frobenius(_factor_marginals(full, swapped)["b"])
+        bound = np.maximum(environment + SCHMIDT_ROUNDING * (dim + d_b) * eps * trace, trace / 8)
     g = _partial_transpose_left(h, d_a, d_right)
     fired = _npt_certified(g, bound, cfg, dim)
     assert np.count_nonzero(fired) >= 5
-    eps, full_side = np.finfo(float).eps, dim or d_a * d_right
+    full_side = dim or d_a * d_right
     shift = 2 * ESCALATION_MARGIN * cfg.psd_tol + NPT_ROUNDING * full_side * eps
     for k in np.flatnonzero(fired)[:5]:
         c = shift * bound[k]
@@ -971,8 +1000,11 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals.items()}
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
     flags = {}
-    flags["ab"], flags["c"], *_ = _complementary_pair(vector, hermitian["c"], trace, cfg)
-    flags["ac"], flags["b"], *_ = _complementary_pair(swapped, hermitian["b"], trace, cfg)
+    norm = {key: _frobenius(marginals[key]) for key in ("b", "c")}
+    flags["ab"], flags["c"], *_ = _complementary_pair(vector, hermitian["c"], norm["c"], trace,
+                                                      cfg)
+    flags["ac"], flags["b"], *_ = _complementary_pair(swapped, hermitian["b"], norm["b"], trace,
+                                                      cfg)
     settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
     certified = np.count_nonzero(settled)
     for pair in (("ab", "c"), ("ac", "b")):

@@ -1,5 +1,6 @@
 """Tests for the JSON schemas and the command-line interface."""
 
+import ctypes
 import hashlib
 import json
 import math
@@ -9,6 +10,7 @@ import stat
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +19,15 @@ from hypothesis import strategies as st
 
 import chancert
 import chancert.cli
-from chancert import BipartiteLayout, MatrixFileError, RankDecision, ToleranceConfig, linalg
+from chancert import (
+    BipartiteLayout,
+    MatrixFileError,
+    RankDecision,
+    ToleranceConfig,
+    equivalence_check,
+    linalg,
+    random_stinespring,
+)
 from chancert.certify import (
     EB_CODES,
     NOT_HERMITIAN_NOTE,
@@ -39,6 +49,7 @@ from chancert.io import (
     save_json,
 )
 from chancert.errors import PurityViolationError
+from chancert.harness import run_harness
 from chancert.linalg import PsdCheck, psd_rule
 
 from conftest import complex_gaussian, slightly_negative_choi
@@ -1050,6 +1061,87 @@ class TestBlasThreadPin:
         shutil.copyfile(wheel_copies[0], copy)
         monkeypatch.setattr("chancert.linalg._openblas_paths", lambda: iter([copy]))
         assert linalg._openblas_thread_controls.__wrapped__() is None
+
+
+@pytest.fixture
+def mallopt_calls(monkeypatch):
+    """The (param, value) of every mallopt call made through the C library
+    that ``ctypes.CDLL(None)`` opens, which the fixture replaces; the CLI's
+    malloc policy is set anew on the next ``main``, during the test and
+    after it."""
+    calls = []
+    real = ctypes.CDLL
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def cdll(name, *args, **kwargs):
+        return SimpleNamespace(mallopt=mallopt) if name is None else real(name, *args, **kwargs)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    chancert.cli._keep_freed_memory.cache_clear()
+    yield calls
+    chancert.cli._keep_freed_memory.cache_clear()
+
+
+class TestKeepFreedMemory:
+    """The CLI has glibc's malloc keep freed heap memory, once per process;
+    library calls leave the process's malloc policy alone."""
+
+    ARGV = ["verify-theorem", "--trials", "3", "--dims", "2,2,2", "--seed", "1"]
+
+    def test_main_sets_both_thresholds_once(self, tmp_path, mallopt_calls):
+        # M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to 64 MiB
+        for _ in range(2):
+            assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
+        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    def test_library_calls_leave_the_policy_alone(self, mallopt_calls):
+        cfg = ToleranceConfig()
+        run_harness((2, 2, 3), 20, 1, cfg)
+        equivalence_check(random_stinespring(2, 2, 3, seed=1), cfg)
+        assert mallopt_calls == []
+
+    @pytest.mark.parametrize("libc", ["raises", "no-mallopt"])
+    def test_no_op_without_mallopt(self, monkeypatch, libc):
+        def cdll(name, *args, **kwargs):
+            if libc == "raises":
+                raise OSError("no C library")
+            return object()
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        assert chancert.cli._keep_freed_memory.__wrapped__() is None
+
+    def test_second_command_faults_in_no_pages(self, tmp_path):
+        # each chunk at (4, 4, 16) frees over 2 MiB. Under glibc's default
+        # the heap top goes back to the kernel after every chunk, and the
+        # next chunk faults it in again: about 10000 minor faults per
+        # 1000-trial command on a 2-core x86-64 host with glibc 2.36. Kept,
+        # the second command reuses the first one's pages (0 to 2 faults)
+        pytest.importorskip("resource")
+        try:
+            has_mallopt = hasattr(ctypes.CDLL(None), "mallopt")
+        except (OSError, TypeError):
+            has_mallopt = False
+        if not has_mallopt:
+            pytest.skip("the C library has no mallopt")
+        src = str(Path(chancert.__file__).resolve().parents[1])
+        script = (
+            "import resource, sys\n"
+            "from chancert.cli import main\n"
+            "argv = ['verify-theorem', '--dims', '4,4,16', '--trials', '1000', '--seed', '1',"
+            " '--output', sys.argv[1]]\n"
+            "assert main(argv) == 0\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "assert main(argv) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path / "vt.json")],
+            capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert int(proc.stdout) < 100
 
 
 class TestReentrantMain:
