@@ -69,6 +69,7 @@ from .generate import (
     tiles_upb_choi,
     tiles_upb_vectors,
 )
+from .io import TOOL_VERSION as __version__
 from .linalg import (
     DEFAULT_TOLERANCES,
     BipartiteLayout,
@@ -81,5 +82,3 @@ from .linalg import (
     psd_check,
     rank_decision,
 )
-
-__version__ = "0.1.0"

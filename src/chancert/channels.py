@@ -43,6 +43,14 @@ from .linalg import (
 )
 
 
+def _owned_matrix(x) -> np.ndarray:
+    """A read-only copy of ``x``, checked by ``as_matrix``: a value object
+    keeps it, so no edit of the caller's array can change the value."""
+    m = as_matrix(np.array(x, dtype=complex))
+    m.flags.writeable = False
+    return m
+
+
 @dataclass(frozen=True)
 class ChoiMatrix:
     """Choi matrix of a linear map M_dA -> M_dB."""
@@ -52,7 +60,7 @@ class ChoiMatrix:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = _owned_matrix(self.matrix)
         if m.shape != (self.d_a * self.d_b, self.d_a * self.d_b):
             raise DimensionMismatchError(
                 f"Choi matrix shape {m.shape} does not match d_a*d_b = {self.d_a * self.d_b}"
@@ -73,7 +81,7 @@ class KrausSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(as_matrix(k) for k in self.operators)
+        ops = tuple(_owned_matrix(k) for k in self.operators)
         if not ops:
             raise DimensionMismatchError("a KrausSet must contain at least one operator")
         for k in ops:
@@ -99,7 +107,7 @@ class StinespringOperator:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = as_matrix(self.matrix)
+        m = _owned_matrix(self.matrix)
         if m.shape != (self.d_b * self.d_c, self.d_a):
             raise DimensionMismatchError(
                 f"Stinespring operator shape {m.shape} does not match "

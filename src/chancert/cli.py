@@ -19,10 +19,10 @@ choi, state or stinespring object for ``generate`` and ``convert``. The
 ``--as``, ``--from`` and ``--to`` choices are read from these tables.
 
 ``main`` may be called repeatedly in one process: the parser is built once,
-and flags, environment and handler are read anew on every call. It also
-sets two process-wide policies that the library leaves to its callers:
-OpenBLAS held to one thread while ``verify-theorem`` runs its harness, and
-glibc's malloc keeping freed heap memory (``_keep_freed_memory``).
+and flags, environment and handler are read anew on every call. Its first
+call sets the process policies that the library leaves to its callers, for
+the rest of the process (``_set_process_policy``): OpenBLAS held to one
+thread, and glibc's malloc keeping freed heap memory.
 """
 
 from __future__ import annotations
@@ -30,9 +30,12 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
+import itertools
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .channels import (
     ChoiMatrix,
@@ -70,7 +73,7 @@ from .io import (
     save_json,
     text_digest,
 )
-from .linalg import BipartiteLayout, ToleranceConfig, single_threaded_blas
+from .linalg import BipartiteLayout, ToleranceConfig
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -82,6 +85,11 @@ EXIT_COUNTEREXAMPLE = 4
 # cap of glibc's own dynamic mmap threshold on 64-bit, and twice that.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD, _TRIM_THRESHOLD = 32 << 20, 64 << 20
+# Symbol prefixes and suffixes of OpenBLAS's thread-count functions: numpy's
+# wheels rename them (scipy_openblas..., 64_ for 64-bit integer builds), a
+# system OpenBLAS exports openblas_get_num_threads / openblas_set_num_threads.
+_OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
+_OPENBLAS_SUFFIXES = ("64_", "")
 
 ENV_VARS = {
     "psd_tol": "CHANCERT_PSD_TOL",
@@ -241,9 +249,7 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
     if args.trials < 1:
         raise MatrixFileError("--trials must be at least 1")
 
-    # BLAS threads are process-wide policy, so the CLI sets it, not run_harness.
-    with single_threaded_blas():
-        result = run_harness(dims, args.trials, args.seed, cfg)
+    result = run_harness(dims, args.trials, args.seed, cfg)
 
     digest = text_digest(f"verify-theorem dims={dims} trials={args.trials} seed={args.seed}")
     envelope = report_envelope("verify-theorem", cfg, digest)
@@ -261,23 +267,65 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
     return EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_OK
 
 
-@functools.cache
-def _keep_freed_memory() -> None:
-    """Have glibc's malloc keep freed heap memory in this process, from the
-    first call on: arrays below 32 MiB come from the heap, and up to 64 MiB
-    of free heap top stays mapped.
+def _openblas_paths():
+    """Where numpy's OpenBLAS may live: its wheel's copy, else a system library."""
+    numpy_dir = Path(np.__file__).parent
+    yield from sorted(numpy_dir.parent.glob("numpy.libs/*openblas*"))  # Linux wheels
+    yield from sorted(numpy_dir.glob(".dylibs/*openblas*"))  # macOS wheels
+    import ctypes.util  # imports subprocess and runs ldconfig: only without a wheel copy
 
-    glibc's default raises the trim threshold only to twice the largest
-    mapped block freed so far. That stays below the working set that each
-    harness chunk frees, about 2.3 MiB at (4, 4, 16), so it went back to
-    the kernel after every chunk and was page-faulted in again by the next
-    one: about 520 minor faults per 50-trial command there. Setting either
-    value turns that dynamic rule off, so both are set. glibc has no getter, so the
-    setting cannot be restored and lasts for the process: it is for the
-    owner of the process, such as the CLI, and ``run_harness`` and
-    ``equivalence_check`` leave it alone. Does nothing where the C library
-    has no ``mallopt``.
+    yield ctypes.util.find_library("openblas")
+
+
+def _openblas_thread_controls():
+    """``(get, set)`` thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    Only a library already in the process is opened (``RTLD_NOLOAD``), so no
+    second copy is ever loaded; None when numpy's BLAS is another library.
     """
+    mode = getattr(os, "RTLD_NOLOAD", None)
+    if mode is None:
+        return None
+    for path in filter(None, _openblas_paths()):
+        try:
+            lib = ctypes.CDLL(str(path), mode=mode)
+        except OSError:
+            continue
+        for prefix, suffix in itertools.product(_OPENBLAS_PREFIXES, _OPENBLAS_SUFFIXES):
+            try:
+                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+            except AttributeError:
+                continue
+            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            return get_threads, set_threads
+    return None
+
+
+@functools.cache
+def _set_process_policy() -> None:
+    """Hold numpy's OpenBLAS to one thread, and have glibc's malloc keep
+    freed heap memory, for the rest of the process; neither is restored.
+
+    At desk-scale dimensions BLAS worker threads buy no wall time and double
+    the CPU time. glibc's default raises the trim threshold only to twice
+    the largest mapped block freed so far, below the working set that each
+    harness chunk frees (about 2.3 MiB at (4, 4, 16)), so the heap top went
+    back to the kernel after every chunk and was page-faulted in again by
+    the next one: about 520 minor faults per 50-trial command there. Here
+    arrays below 32 MiB come from the heap, and up to 64 MiB of free heap
+    top stays mapped. Setting either value turns glibc's dynamic rule off,
+    so both are set; glibc has no getter to restore them with. Both
+    policies are process-wide, so they are for the owner of the process,
+    and ``run_harness`` and ``equivalence_check`` leave them alone. Each
+    does nothing where its library is missing: numpy's BLAS is not
+    OpenBLAS, or the C library has no ``mallopt``.
+    """
+    controls = _openblas_thread_controls()
+    if controls is not None:
+        _, set_threads = controls
+        set_threads(1)
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):  # TypeError: no CDLL(None), as on Windows
@@ -342,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # Process-wide malloc policy, like BLAS threads: the CLI sets it, not the library.
-    _keep_freed_memory()
+    _set_process_policy()
     args = build_parser().parse_args(argv)
     # Looked up per call, so a wrapper installed on a cmd_* handler applies.
     handler = globals()["cmd_" + args.command.replace("-", "_")]

@@ -488,7 +488,7 @@ def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
     # 50-sample chunk at (4, 4, 16) takes about 520 page faults, with these
     # or with fresh arrays in each block: glibc hands back to the kernel the
     # heap top that each chunk frees, whatever arrays it held. The command
-    # line keeps it (cli._keep_freed_memory), and then neither faults. One
+    # line keeps it (cli._set_process_policy), and then neither faults. One
     # allocation still saves a few percent of the chunk's CPU time (3.4
     # against 3.6 ms, minima). The Choi matrix's buffer takes its Hermitian
     # part too.
@@ -570,7 +570,8 @@ def _complementary_pair(
 ) -> tuple[np.ndarray, ...]:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
     ``trace``, ``environment`` the Hermitian parts of their marginals on c,
-    and ``norm`` the Frobenius norms of those marginals as computed: ``_spectrum_flags`` of the Choi matrices of the maps that trace out c
+    and ``norm`` the Frobenius norms of those marginals as computed:
+    ``_spectrum_flags`` of the Choi matrices of the maps that trace out c
     and of ``environment``; whether each Choi matrix is clearly Hermitian
     and agrees with the Kraus-vector route; and ``_psd_flags`` of its
     partial transpose.
@@ -683,23 +684,14 @@ def _escalate(
     """Run one sample's dilation, as its chunk drew it, through
     ``equivalence_check`` and record its outcome."""
     result.escalated.append(index)
-    dims = (st.d_a, st.d_b, st.d_c)
-    context = {"seed": seed, "index": index, "dims": list(dims)}
+    context = {"seed": seed, "index": index, "dims": [st.d_a, st.d_b, st.d_c]}
     try:
         report = certify.equivalence_check(st, cfg, context=context)
     except FragileSampleError:
         result.counts["fragile_discarded"] += 1
         return
     except (CounterexampleOrBugError, PurityViolationError) as exc:
-        result.counterexamples.append(
-            {
-                "seed": seed,
-                "index": index,
-                "dims": list(dims),
-                "type": type(exc).__name__,
-                "error": str(exc),
-            }
-        )
+        result.counterexamples.append({**context, "type": type(exc).__name__, "error": str(exc)})
         return
     _tally(result.counts, certify.pair_records(report))
 

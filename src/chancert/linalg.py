@@ -10,20 +10,13 @@ row-major reshape of shape ``(d_left, d_right)``, and it makes
 ``np.kron(A, B)`` the matrix of ``A (x) B``.
 
 All scalars are complex binary64. All functions are pure and never mutate
-their inputs; the one exception, ``single_threaded_blas``, sets numpy's
-process-wide BLAS thread count for the length of a block.
+their inputs.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
-import itertools
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -333,69 +326,3 @@ def psd_check(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PsdCheck:
 
 def is_psd(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     return psd_check(x, cfg).psd
-
-
-# Symbol prefixes and suffixes of OpenBLAS's thread-count functions: numpy's
-# wheels rename them (scipy_openblas..., 64_ for 64-bit integer builds), a
-# system OpenBLAS exports openblas_get_num_threads / openblas_set_num_threads.
-_OPENBLAS_PREFIXES = ("scipy_openblas", "openblas")
-_OPENBLAS_SUFFIXES = ("64_", "")
-
-
-def _openblas_paths():
-    """Where numpy's OpenBLAS may live: its wheel's copy, else a system library."""
-    numpy_dir = Path(np.__file__).parent
-    yield from sorted(numpy_dir.parent.glob("numpy.libs/*openblas*"))  # Linux wheels
-    yield from sorted(numpy_dir.glob(".dylibs/*openblas*"))  # macOS wheels
-    import ctypes.util  # imports subprocess and runs ldconfig: only without a wheel copy
-
-    yield ctypes.util.find_library("openblas")
-
-
-@functools.cache
-def _openblas_thread_controls():
-    """``(get, set)`` thread-count functions of the OpenBLAS numpy loaded, or None.
-
-    Only a library already in the process is opened (``RTLD_NOLOAD``), so no
-    second copy is ever loaded; None when numpy's BLAS is another library.
-    """
-    mode = getattr(os, "RTLD_NOLOAD", None)
-    if mode is None:
-        return None
-    for path in filter(None, _openblas_paths()):
-        try:
-            lib = ctypes.CDLL(str(path), mode=mode)
-        except OSError:
-            continue
-        for prefix, suffix in itertools.product(_OPENBLAS_PREFIXES, _OPENBLAS_SUFFIXES):
-            try:
-                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return get_threads, set_threads
-    return None
-
-
-@contextlib.contextmanager
-def single_threaded_blas():
-    """Run the block with numpy's OpenBLAS held to one thread; restore its count after.
-
-    At desk-scale dimensions BLAS worker threads buy no wall time and double
-    the CPU time. The thread count is process-wide, so this is for the owner
-    of the process, such as the CLI. Does nothing when numpy's BLAS is not
-    OpenBLAS.
-    """
-    controls = _openblas_thread_controls()
-    if controls is None:
-        yield
-        return
-    get_threads, set_threads = controls
-    previous = get_threads()
-    set_threads(1)
-    try:
-        yield
-    finally:
-        set_threads(previous)

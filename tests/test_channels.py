@@ -11,6 +11,7 @@ from chancert import (
     ToleranceConfig,
     apply_channel,
     choi_from_kraus,
+    choi_report,
     choi_from_map_action,
     choi_from_stinespring,
     choi_from_transfer,
@@ -52,6 +53,29 @@ class TestChoiAssembly:
         swap = np.zeros((4, 4))
         swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
         np.testing.assert_array_equal(choi.matrix.real, swap)
+
+
+class TestValueObjectsOwnTheirMatrices:
+    """A value object keeps a read-only copy of the array it is built from:
+    an edit of that array changes no verdict, and its own matrices cannot
+    be written."""
+
+    @pytest.mark.parametrize("size, build, stored, verdict", [
+        (4, lambda m: ChoiMatrix(2, 2, m), lambda v: v.matrix,
+         lambda v: choi_report(v).to_json()["predicates"]["cp"]["value"]),
+        (2, lambda m: KrausSet(2, 2, (m,)), lambda v: v.operators[0],
+         lambda v: is_trace_preserving(choi_from_kraus(v))),
+        (2, lambda m: StinespringOperator(2, 2, 1, m), lambda v: v.matrix,
+         lambda v: is_trace_preserving(choi_from_stinespring(v))),
+    ], ids=["choi", "kraus", "stinespring"])
+    def test_source_edit_changes_no_verdict(self, size, build, stored, verdict):
+        source = np.eye(size, dtype=complex)
+        value = build(source)
+        before = verdict(value)
+        source[0, 0] = -5
+        assert verdict(value) == before
+        with pytest.raises(ValueError):
+            stored(value)[0, 0] = -5
 
 
 class TestApplyChannel:

@@ -25,7 +25,6 @@ from chancert import (
     RankDecision,
     ToleranceConfig,
     equivalence_check,
-    linalg,
     random_stinespring,
 )
 from chancert.certify import (
@@ -41,6 +40,7 @@ from chancert.cli import main
 from chancert.io import (
     MATRIX_SCALE_LIMIT,
     OPERATOR_SCALE_RANGE,
+    TOOL_VERSION,
     dumps,
     load_matrix,
     loads,
@@ -48,7 +48,6 @@ from chancert.io import (
     parse_matrix_file,
     save_json,
 )
-from chancert.errors import PurityViolationError
 from chancert.harness import run_harness
 from chancert.linalg import PsdCheck, psd_rule
 
@@ -976,99 +975,18 @@ def numpy_uses_openblas() -> bool:
 
 
 @pytest.fixture
-def blas_threads():
-    """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
-    if not numpy_uses_openblas():
-        pytest.skip("numpy's BLAS is not OpenBLAS")
-    controls = linalg._openblas_thread_controls()
-    assert controls is not None, "numpy uses OpenBLAS, but the lookup did not find it"
-    get_threads, set_threads = controls
-    before = get_threads()
-    set_threads(2)
-    try:
-        yield get_threads
-    finally:
-        set_threads(before)
-
-
-class TestBlasThreadPin:
-    """``verify-theorem`` runs its harness with OpenBLAS held to one thread
-    and leaves the thread count as it found it, however the harness ends."""
-
-    ARGV = ["verify-theorem", "--trials", "3", "--dims", "2,2,2", "--seed", "1"]
-
-    @staticmethod
-    def spy_harness(monkeypatch, get_threads, error=None) -> list:
-        """Record the thread count inside every run_harness call, then run or raise."""
-        seen = []
-        original = chancert.cli.run_harness
-
-        def spy(*args):
-            seen.append(get_threads())
-            if error is not None:
-                raise error
-            return original(*args)
-
-        monkeypatch.setattr("chancert.cli.run_harness", spy)
-        return seen
-
-    def test_harness_runs_on_one_thread(self, tmp_path, monkeypatch, blas_threads):
-        seen = self.spy_harness(monkeypatch, blas_threads)
-        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
-        assert seen == [1]
-        assert blas_threads() == 2
-
-    def test_count_restored_on_counterexample(self, tmp_path, monkeypatch, blas_threads):
-        original = chancert.certify.pair_rules
-
-        def explode(**records):
-            purity, relation = original(**records)
-            return purity, np.ones_like(relation)
-
-        monkeypatch.setattr("chancert.certify.pair_rules", explode)
-        seen = self.spy_harness(monkeypatch, blas_threads)
-        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 4
-        assert seen == [1]
-        assert blas_threads() == 2
-
-    @pytest.mark.parametrize("error, rc", [
-        (PurityViolationError("forced"), 4),
-        (RuntimeError("forced"), None),
-    ])
-    def test_count_restored_when_harness_raises(self, monkeypatch, blas_threads, error, rc):
-        seen = self.spy_harness(monkeypatch, blas_threads, error)
-        if rc is None:
-            with pytest.raises(RuntimeError, match="forced"):
-                main(self.ARGV)
-        else:
-            assert main(self.ARGV) == rc
-        assert seen == [1]
-        assert blas_threads() == 2
-
-    def test_no_op_without_openblas(self, tmp_path, monkeypatch, blas_threads):
-        monkeypatch.setattr("chancert.linalg._openblas_thread_controls", lambda: None)
-        seen = self.spy_harness(monkeypatch, blas_threads)
-        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
-        assert seen == [2]
-        assert blas_threads() == 2
-
-    def test_lookup_loads_no_second_copy(self, tmp_path, monkeypatch, blas_threads):
-        # a copy of numpy's OpenBLAS is a library the process has not loaded
-        wheel_copies = list(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
-        if not wheel_copies:
-            pytest.skip("numpy's OpenBLAS is not a wheel copy")
-        copy = tmp_path / wheel_copies[0].name
-        shutil.copyfile(wheel_copies[0], copy)
-        monkeypatch.setattr("chancert.linalg._openblas_paths", lambda: iter([copy]))
-        assert linalg._openblas_thread_controls.__wrapped__() is None
-
-
-@pytest.fixture
-def mallopt_calls(monkeypatch):
-    """The (param, value) of every mallopt call made through the C library
-    that ``ctypes.CDLL(None)`` opens, which the fixture replaces; the CLI's
-    malloc policy is set anew on the next ``main``, during the test and
-    after it."""
+def policy(monkeypatch):
+    """The CLI's process policies, observed. ``mallopt`` lists the (param,
+    value) of every mallopt call made through the C library that
+    ``ctypes.CDLL(None)`` opens, which the fixture replaces. ``threads`` and
+    ``set_threads`` are OpenBLAS's thread-count functions, None where numpy's
+    BLAS is not OpenBLAS; the count is 2 when the test starts and restored
+    after it. The policies are set anew on the next ``main``, during the test
+    and after it."""
+    controls = chancert.cli._openblas_thread_controls()
+    if numpy_uses_openblas():
+        assert controls is not None, "numpy uses OpenBLAS, but the lookup did not find it"
+    get_threads, set_threads = controls or (None, None)
     calls = []
     real = ctypes.CDLL
 
@@ -1080,38 +998,101 @@ def mallopt_calls(monkeypatch):
         return SimpleNamespace(mallopt=mallopt) if name is None else real(name, *args, **kwargs)
 
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    chancert.cli._keep_freed_memory.cache_clear()
-    yield calls
-    chancert.cli._keep_freed_memory.cache_clear()
+    if controls is not None:
+        before = get_threads()
+        set_threads(2)
+    chancert.cli._set_process_policy.cache_clear()
+    yield SimpleNamespace(mallopt=calls, threads=get_threads, set_threads=set_threads)
+    chancert.cli._set_process_policy.cache_clear()
+    if controls is not None:
+        set_threads(before)
+
+
+def needs_openblas(policy):
+    if policy.threads is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
 
 
 class TestKeepFreedMemory:
-    """The CLI has glibc's malloc keep freed heap memory, once per process;
-    library calls leave the process's malloc policy alone."""
+    """The CLI sets its process policies once per process, and never
+    restores them: OpenBLAS held to one thread, and glibc's malloc keeping
+    freed heap memory. Library calls set neither."""
 
     ARGV = ["verify-theorem", "--trials", "3", "--dims", "2,2,2", "--seed", "1"]
 
-    def test_main_sets_both_thresholds_once(self, tmp_path, mallopt_calls):
+    def test_main_sets_both_thresholds_once(self, tmp_path, policy):
         # M_MMAP_THRESHOLD (-3) to 32 MiB and M_TRIM_THRESHOLD (-1) to 64 MiB
         for _ in range(2):
             assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
-        assert mallopt_calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert policy.mallopt == [(-3, 32 << 20), (-1, 64 << 20)]
 
-    def test_library_calls_leave_the_policy_alone(self, mallopt_calls):
+    def test_main_sets_one_thread_once(self, tmp_path, policy):
+        needs_openblas(policy)
+        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
+        assert policy.threads() == 1
+        policy.set_threads(2)
+        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
+        assert policy.threads() == 2
+
+    def test_harness_runs_on_one_thread(self, tmp_path, monkeypatch, policy):
+        needs_openblas(policy)
+        seen = []
+        original = chancert.cli.run_harness
+
+        def spy(*args):
+            seen.append(policy.threads())
+            return original(*args)
+
+        monkeypatch.setattr("chancert.cli.run_harness", spy)
+        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
+        assert seen == [1]
+        assert policy.threads() == 1
+
+    def test_analyze_runs_on_one_thread(self, tmp_path, policy):
+        needs_openblas(policy)
+        path = tmp_path / "id.json"
+        save_json(path, matrix_file_dict(np.eye(4), role="choi", dims=(2, 2)))
+        assert main(["analyze", str(path), "--output", str(tmp_path / "r.json")]) == 0
+        assert policy.threads() == 1
+
+    def test_library_calls_leave_the_policy_alone(self, policy):
         cfg = ToleranceConfig()
         run_harness((2, 2, 3), 20, 1, cfg)
         equivalence_check(random_stinespring(2, 2, 3, seed=1), cfg)
-        assert mallopt_calls == []
+        assert policy.mallopt == []
+        assert policy.threads is None or policy.threads() == 2
 
     @pytest.mark.parametrize("libc", ["raises", "no-mallopt"])
-    def test_no_op_without_mallopt(self, monkeypatch, libc):
+    def test_no_op_without_mallopt(self, monkeypatch, policy, libc):
+        real = ctypes.CDLL
+
         def cdll(name, *args, **kwargs):
+            if name is not None:
+                return real(name, *args, **kwargs)
             if libc == "raises":
                 raise OSError("no C library")
             return object()
 
         monkeypatch.setattr(ctypes, "CDLL", cdll)
-        assert chancert.cli._keep_freed_memory.__wrapped__() is None
+        assert chancert.cli._set_process_policy() is None
+        assert policy.threads is None or policy.threads() == 1
+
+    def test_no_op_without_openblas(self, tmp_path, monkeypatch, policy):
+        monkeypatch.setattr("chancert.cli._openblas_thread_controls", lambda: None)
+        assert main(self.ARGV + ["--output", str(tmp_path / "vt.json")]) == 0
+        assert policy.mallopt == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert policy.threads is None or policy.threads() == 2
+
+    def test_lookup_loads_no_second_copy(self, tmp_path, monkeypatch, policy):
+        needs_openblas(policy)
+        # a copy of numpy's OpenBLAS is a library the process has not loaded
+        wheel_copies = list(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
+        if not wheel_copies:
+            pytest.skip("numpy's OpenBLAS is not a wheel copy")
+        copy = tmp_path / wheel_copies[0].name
+        shutil.copyfile(wheel_copies[0], copy)
+        monkeypatch.setattr("chancert.cli._openblas_paths", lambda: iter([copy]))
+        assert chancert.cli._openblas_thread_controls() is None
 
     def test_second_command_faults_in_no_pages(self, tmp_path):
         # each chunk at (4, 4, 16) frees over 2 MiB. Under glibc's default
@@ -1258,6 +1239,14 @@ class TestReportDeterminism:
         stripped_a.pop("timestamp")
         stripped_b.pop("timestamp")
         assert dumps(stripped_a) == dumps(stripped_b)
+
+
+def test_version_stated_once():
+    # the package, its reports and its metadata give one version
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(chancert.__file__).resolve().parents[2] / "pyproject.toml"
+    version = tomllib.loads(pyproject.read_text())["project"]["version"]
+    assert chancert.__version__ == TOOL_VERSION == version
 
 
 def generated_bytes(tmp_path: Path, argv: list[str]) -> bytes:
