@@ -22,7 +22,11 @@ choi, state or stinespring object for ``generate`` and ``convert``. The
 and flags, environment and handler are read anew on every call. Its first
 call sets the process policies that the library leaves to its callers, for
 the rest of the process (``_set_process_policy``): OpenBLAS held to one
-thread, and glibc's malloc keeping freed heap memory.
+thread, and glibc's malloc keeping freed heap memory. A valid command line
+is parsed by its subcommand's parser alone; help, an unknown command, an
+empty argv and unrecognized arguments go to the full parser, so every parse
+gives the namespace, or the messages and exit code, of
+``build_parser().parse_args``.
 """
 
 from __future__ import annotations
@@ -337,7 +341,9 @@ def _set_process_policy() -> None:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first call; parsing never changes it."""
+    """The parser of this process, built on the first call; parsing never
+    changes it. Its ``commands`` attribute maps each subcommand's name to the
+    parser of its arguments."""
     parser = argparse.ArgumentParser(
         prog="chancert",
         description="Certify completely positive maps: representations, PPT tests, "
@@ -386,12 +392,30 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, required=True,
                         help="any non-negative integer, used whole")
 
+    parser.commands = {"analyze": analyze, "generate": generate, "convert": convert,
+                       "verify-theorem": verify}
     return parser
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``: the same namespace, or the same
+    output and exit. A valid command line is parsed by its subcommand's
+    parser alone, which spares the full parser's second scan of argv. Help,
+    an unknown command, an empty argv and unrecognized arguments go to the
+    full parser, whose messages name the whole program."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extras = command.parse_known_args(argv[1:])
+        if not extras:
+            return argparse.Namespace(command=argv[0], **vars(args))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
     _set_process_policy()
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     # Looked up per call, so a wrapper installed on a cmd_* handler applies.
     handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:

@@ -139,12 +139,17 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
+@functools.lru_cache(maxsize=64)
 def _hash_run(hash_const: int, count: int, mult: int = _MULT_A) -> np.ndarray:
-    """The hash constants of ``count`` successive hashmix calls, from hash_const on."""
+    """The hash constants of ``count`` successive hashmix calls, from hash_const
+    on, read-only: every command mixing an index into a seed of as many
+    words starts from the same constant."""
     run = [hash_const]
     for _ in range(count - 1):
         run.append(run[-1] * mult & _MASK32)
-    return np.array(run, dtype=np.uint64)
+    run = np.array(run, dtype=np.uint64)
+    run.flags.writeable = False
+    return run
 
 
 def _mix_word(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
@@ -171,19 +176,17 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * words, _MASK32 + 1) & _MASK32
 
 
-def _index_words(indices) -> tuple[np.ndarray, np.ndarray]:
+def _index_words(indices) -> tuple[np.ndarray, list[int]]:
     """The spawn-key words of each index, one row per index: a uint64 array
-    of 32-bit words, little-endian along the columns, and which of them exist.
-    An index of None has no words."""
+    of 32-bit words, little-endian along the columns, and how many of them
+    exist. An index of None has no words."""
     values = [None if i is None else _non_negative("index", i) for i in indices]
     counts = [0 if v is None else (v.bit_length() + 31) // 32 or 1 for v in values]
-    width = max(counts, default=0)
-    rest = np.array([v or 0 for v in values], dtype=object)
-    words = np.empty((len(values), width), dtype=np.uint64)
-    for t in range(width):
-        words[:, t] = rest & _MASK32
-        rest >>= 32
-    return words, np.arange(width) < np.array(counts)[:, None]
+    rest = [v or 0 for v in values]
+    words = np.empty((len(values), max(counts, default=0)), dtype=np.uint64)
+    for t, column in enumerate(words.T):
+        column[:] = [v >> 32 * t & _MASK32 for v in rest]
+    return words, counts
 
 
 # generate_state(4, np.uint64) hashes 8 uint32 words, cycling through the
@@ -195,12 +198,12 @@ _STATE_HASHES = _hash_run(_INIT_B, 8, _MULT_B)
 def _stream_states(seed: int, indices) -> np.ndarray:
     """PCG64's seed words of ``SeedSequence(seed, spawn_key=(i,))`` for each i
     in ``indices``: ``generate_state(4, np.uint64)``, one row per index."""
-    words, present = _index_words(indices)
+    words, counts = _index_words(indices)
     seed_pool, hash_const = _seed_pool(_non_negative("seed", seed))
     pool = np.tile(seed_pool, (len(words), 1))
     for t in range(words.shape[1]):
         mixed, hash_const = _mix_word(pool, hash_const, words[:, t, None])
-        pool = np.where(present[:, t, None], mixed, pool)
+        pool = np.where(np.greater(counts, t)[:, None], mixed, pool)
     state, _ = _hashmix(pool[:, _STATE_WORDS], _STATE_HASHES, _MULT_B)
     return state.astype(np.uint32, order="C").view(np.uint64)
 
@@ -214,7 +217,8 @@ class _StreamSeed(ISeedSequence):
         self.state = state
 
     def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 asks for (4, np.uint64): no dtype is built for that request
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("only PCG64's request, 4 uint64 words, is supported")
         return self.state
 

@@ -2,28 +2,37 @@
 
 Harness samples are independent, so a chunk of them is evaluated as one
 array program over a sample axis. A chunk holds what every sample needs:
-its dilation and its marginals on a, b and c, as many samples as fit the
-largest of those stacks into CHUNK_ENTRIES. A Choi matrix exists only in
-``_complementary_pair``, a block of samples at a time, each block's stack
-within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples: phi's
-16x16 Choi matrices of a 50-sample run fit one block, psi's 20x20 cut ones
-(step 4) run 40 samples per block, and its 64x64 ones, where formed, 4.
+its dilation, its purification vector in both orientations and its
+marginals on a, b and c, as many samples as fit the largest of those stacks
+into CHUNK_ENTRIES. A Choi matrix exists only in ``_complementary_pair``, a
+block of samples at a time, each block's stack within CHUNK_ENTRIES as
+well. At (4, 4, 16) a chunk holds 64 samples: phi's 16x16 Choi matrices of
+a 50-sample run fit one block, psi's 20x20 cut ones (step 4) run 40 samples
+per block, and its 64x64 ones, where formed, 4.
 
 1. ``run_harness`` draws the chunk's dilations from the per-sample streams
    ``SeedSequence(seed, spawn_key=(index,))`` that ``random_stinespring``
    uses, bit for bit, and ``_run_chunk`` evaluates the stack it is handed;
-2. form the marginals on a, b and c as stacked Gram products (``matmul``)
-   of reshapes of the chunk's vectors and take each one's Hermitian part
-   in one pass that also measures its deviation; Frobenius norms sum over
-   the float64 view, each marginal's once;
-3. per complementary pair, phi's Choi matrix with the marginal on c and
-   psi's with the marginal on b (psi is phi of the vector with b and c
-   swapped), block by block: form the Choi matrix as the same Gram product
-   in real arithmetic, one float64 ``matmul`` (``_purification_choi``),
-   cross-check it against the Kraus-vector route ``V V^dagger``, a complex
-   ``matmul``, and take its Hermitian part and its deviation. The two
-   routes run different BLAS kernels (dgemm and zgemm), so the check
-   compares two computations, not one twice;
+2. lay out the purification vectors (``_orientations``): phi's, indexed
+   (a, b, c), and psi's, the same with b and c swapped (psi is phi of that
+   vector). Where d_b = d_c the two have one shape and form one group, a
+   stack of 2n vectors, phi's then psi's, and the budget counts both;
+   otherwise each is a group of its own. Form the marginal on a of phi's
+   vectors and, per group, the marginal on its last factor, on c for phi
+   and on b for psi, as stacked Gram products (``matmul``) of reshapes, and
+   take each one's Hermitian part in one pass that also measures its
+   deviation; Frobenius norms sum over the float64 view, each marginal's
+   once;
+3. per group, one pass over its complementary pairs, phi's Choi matrix with
+   the marginal on c and psi's with the marginal on b, block by block, a
+   block of a stacked group spanning both orientations where it falls so:
+   form the Choi matrix as the same Gram product in real arithmetic, one
+   float64 ``matmul`` (``_purification_choi``), cross-check it against the
+   Kraus-vector route ``V V^dagger``, a complex ``matmul``, and take its
+   Hermitian part and its deviation. The two routes run different BLAS
+   kernels (dgemm and zgemm), so the check compares two computations, not
+   one twice. A stacked group's flags are cut back into phi's rows and
+   psi's after the pass;
 4. derive PSD flags, ranks and fragility with ``psd_rule`` and
    ``rank_rule``, the rules behind every ``PsdCheck`` and ``RankDecision``.
    The marginal on a, and the narrower member of each complementary pair,
@@ -80,8 +89,10 @@ from .generate import random_dilation_stack
 from .linalg import FRAGILITY_FACTOR, ToleranceConfig
 
 # Memory budget of a chunk, and of a block of Choi matrices: complex entries
-# in its largest stacked array (256 KiB). Larger stacks save little per-call
-# overhead but raise the peak memory of the widest tuples.
+# in its largest stacked array (256 KiB). Where d_b = d_c a chunk stacks both
+# orientations of its vectors, and its marginals on b and c, so the budget
+# counts both. Larger stacks save little per-call overhead but raise the peak
+# memory of the widest tuples.
 CHUNK_ENTRIES = 16384
 # An eigenvalue this factor or less outside a decision window (the PSD
 # threshold, the fragility window around a rank cutoff) escalates its sample.
@@ -131,9 +142,13 @@ class HarnessResult:
 
 def chunk_size(dims) -> int:
     """Samples per chunk: as many as fit the largest of a sample's dilation and
-    its marginals on a, b and c into CHUNK_ENTRIES."""
+    its marginals on a, b and c into CHUNK_ENTRIES, counting both orientations
+    of the vector and both marginals on b and c where ``_orientations``
+    stacks them (d_b = d_c)."""
     d_a, d_b, d_c = dims
-    return max(1, CHUNK_ENTRIES // max(d_a * d_b * d_c, d_a * d_a, d_b * d_b, d_c * d_c))
+    stacked = 2 if d_b == d_c else 1
+    largest = max(stacked * d_a * d_b * d_c, d_a * d_a, stacked * d_b * d_b, stacked * d_c * d_c)
+    return max(1, CHUNK_ENTRIES // largest)
 
 
 def block_size(side: int) -> int:
@@ -162,20 +177,37 @@ def _frobenius(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...ij,...ij->...", parts, parts))
 
 
-def _factor_marginals(vector: np.ndarray, swapped: np.ndarray) -> dict[str, np.ndarray]:
-    """The marginals on a, b and c of C-contiguous tripartite vectors of shape
-    (n, d_a, d_b, d_c), keyed 'a', 'b', 'c', given ``swapped``, the same
-    vectors with b and c swapped, C-contiguous too: each a stacked Gram
-    product of reshapes, L_a = X X^dagger of the rows a and
-    L_c = Y^T conj(Y) of the columns c, and L_b as L_c of ``swapped``."""
-    n, d_a, d_b, d_c = vector.shape
-    conj, swapped_conj = vector.conj(), swapped.conj()
-    return {
-        "a": np.matmul(vector.reshape(n, d_a, -1), conj.reshape(n, d_a, -1).swapaxes(1, 2)),
-        "b": np.matmul(swapped.reshape(n, -1, d_b).swapaxes(1, 2),
-                       swapped_conj.reshape(n, -1, d_b)),
-        "c": np.matmul(vector.reshape(n, -1, d_c).swapaxes(1, 2), conj.reshape(n, -1, d_c)),
-    }
+def _orientations(stack: np.ndarray, dims) -> list[np.ndarray]:
+    """The purification vectors of the dilations ``stack`` in both
+    orientations, C-contiguous: phi's |L> indexed (a, b, c), as
+    common_purification_vector, and psi's, the same with b and c swapped.
+    Grouped by shape: one array of 2n vectors, phi's rows then psi's, when
+    d_b = d_c, else phi's and psi's arrays of n each."""
+    n, (d_a, d_b, d_c) = len(stack), dims
+    vector = stack.swapaxes(1, 2).reshape(n, d_a, d_b, d_c)
+    if d_b == d_c:
+        both = np.empty((2, n, d_a, d_b, d_c), dtype=stack.dtype)
+        both[0] = vector
+        both[1] = both[0].swapaxes(2, 3)
+        return [both.reshape(2 * n, d_a, d_b, d_c)]
+    vector = np.ascontiguousarray(vector)
+    return [vector, np.ascontiguousarray(vector.swapaxes(2, 3))]
+
+
+def _factor_marginals(groups: list[np.ndarray], n: int) -> list[np.ndarray]:
+    """For ``_orientations`` of n samples: the marginals on a of phi's
+    vectors, the first n rows, then per group the marginals on the last
+    factor of its vectors, on c of phi's and on b of psi's. Each is a
+    stacked Gram product of reshapes, L_a = X X^dagger of the rows a and
+    L_c = Y^T conj(Y) of the columns c."""
+    conjugates = [v.conj() for v in groups]
+    rows, conj = groups[0][:n].reshape(n, groups[0].shape[1], -1), conjugates[0][:n]
+    marginals = [np.matmul(rows, conj.reshape(rows.shape).swapaxes(1, 2))]
+    for v, conj in zip(groups, conjugates):
+        m, d_last = len(v), v.shape[-1]
+        marginals.append(np.matmul(v.reshape(m, -1, d_last).swapaxes(1, 2),
+                                   conj.reshape(m, -1, d_last)))
+    return marginals
 
 
 def _purification_choi(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -279,14 +311,14 @@ def _stacked_cholesky(x: np.ndarray) -> np.ndarray:
 
 
 def _cholesky_succeeds(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """Per matrix of a Hermitian stack, whether the Cholesky of x + shift I,
-    one shift per matrix, runs to completion. x takes the shift in place
-    for the factorization, and gets its own diagonal back after it."""
-    index = np.arange(x.shape[-1])
-    diagonal = x[:, index, index]
-    x[:, index, index] = diagonal + shift[:, None]
+    """Per matrix of a C-contiguous Hermitian stack, whether the Cholesky of
+    x + shift I, one shift per matrix, runs to completion. x takes the shift
+    in place for the factorization, and gets its own diagonal back after it."""
+    diagonal = x.reshape(len(x), -1)[:, :: x.shape[-1] + 1]  # a view, x being C-contiguous
+    saved = diagonal.copy()
+    diagonal += shift[:, None]
     succeeds = ~np.isnan(_stacked_cholesky(x)[:, -1, -1])
-    x[:, index, index] = diagonal
+    diagonal[...] = saved
     return succeeds
 
 
@@ -601,7 +633,8 @@ def _complementary_pair(
             done = settled & certified
             pt_psd[done] = pt_near[done] = False
             rest = rest[~done]
-    for block, h, norm, passed, work in _choi_blocks(vector[rest], cfg):
+    formed = vector if len(rest) == n else vector[rest]
+    for block, h, norm, passed, work in _choi_blocks(formed, cfg):
         index = rest[block]
         checks[index] = passed
         if choi_narrower:
@@ -613,6 +646,11 @@ def _complementary_pair(
     if not settled.all():
         _fill(env_flags, ~settled, np.linalg.eigvalsh(environment[~settled]), cfg)
     return choi_flags, env_flags, checks, pt_psd, pt_near
+
+
+def _rows(values: tuple, rows) -> tuple:
+    """``values``, arrays over samples and tuples of such, each at ``rows``."""
+    return tuple(_rows(x, rows) if isinstance(x, tuple) else x[rows] for x in values)
 
 
 def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
@@ -629,29 +667,33 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     d_a, d_b, d_c = dims
     n = len(indices)
 
-    # Purification route: |L> indexed (a, b, c), as common_purification_vector.
-    # Contiguous copies, here and of psi's vector with b and c swapped (psi's
-    # Choi matrices, and the marginal on b): every product reads them through
-    # reshapes and float64 views, which need no copy.
-    vector = np.ascontiguousarray(stack.swapaxes(1, 2)).reshape(n, d_a, d_b, d_c)
-    swapped = np.ascontiguousarray(vector.swapaxes(2, 3))
+    # Both orientations of the purification vector, contiguous: every product
+    # reads them through reshapes and float64 views, which need no copy.
+    groups = _orientations(stack, dims)
     trace = np.square(_frobenius(stack))
-    checks = np.ones(n, dtype=bool)
-    hermitian, norm = {}, {}
-    for key, matrix in _factor_marginals(vector, swapped).items():
-        norm[key] = _frobenius(matrix)
-        hermitian[key], clear = _hermitian_part(matrix, norm[key], cfg)
-        checks &= clear
+    marginal_a, *environments = _factor_marginals(groups, n)
+    hermitian_a, checks = _hermitian_part(marginal_a, _frobenius(marginal_a), cfg)
     flags = {"a": _certified_flags(n, d_a, d_a, cfg)}
-    settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
+    settled = _cholesky_certified(hermitian_a, trace, d_a, cfg)
     if not settled.all():
-        _fill(flags["a"], ~settled, np.linalg.eigvalsh(hermitian["a"][~settled]), cfg)
-    flags["ab"], flags["c"], phi_checks, phi_pt, near_phi_pt = _complementary_pair(
-        vector, hermitian["c"], norm["c"], trace, cfg
-    )
-    flags["ac"], flags["b"], psi_checks, psi_pt, near_psi_pt = _complementary_pair(
-        swapped, hermitian["b"], norm["b"], trace, cfg
-    )
+        _fill(flags["a"], ~settled, np.linalg.eigvalsh(hermitian_a[~settled]), cfg)
+    # phi's pair, its Choi matrix with the marginal on c, then psi's, with the
+    # marginal on b: one pass per group, cut into its orientations after it
+    pairs = []
+    for v, environment in zip(groups, environments):
+        norm = _frobenius(environment)
+        hermitian, clear = _hermitian_part(environment, norm, cfg)
+        stacked = len(v) // n
+        choi, env, pair_checks, pt_psd, pt_near = _complementary_pair(
+            v, hermitian, norm, np.concatenate([trace] * stacked), cfg
+        )
+        outcome = (choi, env, pair_checks & clear, pt_psd, pt_near)
+        if stacked == 1:
+            pairs.append(outcome)
+        else:
+            pairs += [_rows(outcome, slice(k * n, (k + 1) * n)) for k in range(stacked)]
+    (flags["ab"], flags["c"], phi_checks, phi_pt, near_phi_pt), (
+        flags["ac"], flags["b"], psi_checks, psi_pt, near_psi_pt) = pairs
     checks &= phi_checks & psi_checks
     (phi_psd, near_phi), (psi_psd, near_psi) = flags["ab"][:2], flags["ac"][:2]
     unsure = near_phi | near_psi | near_phi_pt | near_psi_pt
@@ -675,7 +717,7 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
 
     counted = ~escalate & ~fragile
     result.counts["fragile_discarded"] += int(np.count_nonzero(~escalate & fragile))
-    _tally(result.counts, {key: value[counted] for key, value in records.items()})
+    _tally(result.counts, records, counted)
 
 
 def _escalate(
@@ -696,8 +738,9 @@ def _escalate(
     _tally(result.counts, certify.pair_records(report))
 
 
-def _tally(counts, records) -> None:
+def _tally(counts, records, counted=True) -> None:
     """Add checked samples to the counts by COUNT_RULES; ``records`` are
-    those of one sample, as scalars, or arrays over samples."""
+    those of one sample, as scalars, or arrays over samples of which
+    ``counted`` marks those to count."""
     for key, rule in COUNT_RULES.items():
-        counts[key] += int(np.count_nonzero(rule(**records)))
+        counts[key] += int(np.count_nonzero(np.logical_and(rule(**records), counted)))

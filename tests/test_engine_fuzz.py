@@ -103,6 +103,11 @@ def oracle_outcome(stack, dims, seed: int, cfg):
 # at rank_tol 1e-17, a rank cutoff inside the rounding band: the engine
 # counted a sample whose oracle spectrum reads a different rank
 @example(dims=(1, 1, 2), n=1, kind=("gaussian", None), seed=0, tol="rank=1e-17")
+# d_b = d_c, where one pass takes phi's and psi's pairs stacked
+@example(dims=(2, 3, 3), n=5, kind=("scaled", 300), seed=2, tol="rank=1e-17")
+@example(dims=(3, 2, 2), n=6, kind=("scaled", -300), seed=3, tol="psd=1e-17")
+@example(dims=(1, 4, 4), n=4, kind=("low-rank", 1), seed=4, tol="rank=1e-17")
+@example(dims=(4, 3, 3), n=3, kind=("blend", 1e-9), seed=5, tol="psd=0.1")
 def test_engine_agrees_with_oracle(dims, n, kind, seed, tol):
     stack, cfg = draw_stack(dims, n, kind, seed), TOLERANCES[tol]
     assert engine_outcome(stack, dims, seed, cfg) == oracle_outcome(stack, dims, seed, cfg)
@@ -110,6 +115,10 @@ def test_engine_agrees_with_oracle(dims, n, kind, seed, tol):
 
 @FUZZ
 @given(**DRAWS)
+# d_b = d_c: both orientations, stacked, in both runs
+@example(dims=(2, 3, 3), n=5, kind=("scaled", -300), seed=6, tol="rank=1e-17")
+@example(dims=(3, 4, 4), n=4, kind=("scaled", 300), seed=7, tol="default")
+@example(dims=(2, 2, 2), n=6, kind=("classical-copy", None), seed=8, tol="rank=1e-17")
 def test_swapped_environment_swaps_counts(dims, n, kind, seed, tol):
     # swap_environment exchanges the two maps of every pair, so it mirrors
     # each sample's verdicts: the counts of one map become the other's

@@ -131,6 +131,15 @@ class TestNumpyStreams:
         stack = random_dilation_stack(2, 2, 2, np.uint64(2**64 - 1), [np.int64(3)])
         assert stack[0].tobytes() == numpy_dilation(2, 2, 2, 2**64 - 1, 3).tobytes()
 
+    def test_stream_seed_serves_only_pcg64s_request(self):
+        state = np.arange(4, dtype=np.uint64)
+        seed = generate._StreamSeed(state)
+        assert seed.generate_state(4, np.uint64) is state
+        assert seed.generate_state(4, "uint64") is state
+        for request in ((4, np.uint32), (8, np.uint64), (4,)):
+            with pytest.raises(ValueError, match="PCG64's request"):
+                seed.generate_state(*request)
+
     def test_empty_index_list(self):
         assert random_dilation_stack(2, 3, 2, 5, []).shape == (0, 6, 2)
 

@@ -333,7 +333,7 @@ def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, tup
             assert_agrees(dims, trials, seed)
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)
+@pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16), (3, 3, 3)], ids=dims_id)
 def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
     # The engine's products deviate from Hermitian only by rounding, so only
     # an injected fault makes its Hermitian checks fire. Each chosen sample
@@ -343,7 +343,8 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
     # the V V^dagger route. The oracle forms its marginals through
     # chancert.complement, unpatched. At (4, 4, 16) the engine reads psi's
     # Choi matrix on the vectors cut to their first d_b + 1 values of c, so
-    # psi's fault lands on that compressed block.
+    # psi's fault lands on that compressed block. At (3, 3, 3) both
+    # orientations share one stack, and each fault still lands on its own row.
     cfg, seed, trials = DEFAULT_TOLERANCES, 3003, 12
     faults = {"phi": 1, "psi": 5, "a": 7, "b": 9, "c": 10}
     draws = {key: random_stinespring(*dims, seed=seed, index=i) for key, i in faults.items()}
@@ -368,10 +369,14 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
             injected[key] += inject(choi, key, v)
         return choi
 
-    def spoiled_factors(vector, swapped):
-        marginals = factor_marginals(vector, swapped)
-        for key in ("a", "b", "c"):
-            injected[key] += inject(marginals[key], key, vector)
+    def spoiled_factors(groups, n):
+        # the marginal on a of phi's vectors, then per group the marginals on
+        # c of phi's vectors and on b of psi's, each (a, c, b)
+        marginals = factor_marginals(groups, n)
+        injected["a"] += inject(marginals[0], "a", groups[0][:n])
+        for v, environment in zip(groups, marginals[1:]):
+            injected["c"] += inject(environment, "c", v)
+            injected["b"] += inject(environment, "b", v.swapaxes(2, 3))
         return marginals
 
     monkeypatch.setattr(chancert.harness, "_purification_choi", spoiled_choi)
@@ -415,7 +420,9 @@ def engine_marginals(vector, swapped) -> dict:
     for key, v in (("ab", vector), ("ac", swapped)):
         n, d_a, d_b, _ = v.shape
         marginals[key] = _purification_choi(v, np.empty((n, d_a * d_b, d_a * d_b), dtype=complex))
-    return {**marginals, **_factor_marginals(vector, swapped)}
+    marginals["a"], marginals["c"], marginals["b"] = _factor_marginals([vector, swapped],
+                                                                       len(vector))
+    return marginals
 
 
 @pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
@@ -518,16 +525,71 @@ def test_rotated_schur_stacks_agree(d):
 
 def test_chunk_fits_the_memory_budget():
     # a chunk holds dilations and marginals on a, b and c; a block holds Choi
-    # matrices; each stack as large as CHUNK_ENTRIES allows
+    # matrices; each stack as large as CHUNK_ENTRIES allows. Where d_b = d_c
+    # both orientations of the vector share one stack, as do the marginals
+    # on b and c, so a sample takes twice their entries
     for dims in ACCEPTANCE_TUPLES + WIDE_TUPLES:
         d_a, d_b, d_c = dims
-        entries = max(d_a * d_b * d_c, d_a**2, d_b**2, d_c**2)
+        stacked = 2 if d_b == d_c else 1
+        entries = max(stacked * d_a * d_b * d_c, d_a**2, stacked * d_b**2, stacked * d_c**2)
         size = chunk_size(dims)
         assert size == 1 or size * entries <= CHUNK_ENTRIES < (size + 1) * entries
         for side in (d_a * d_b, d_a * d_c):
             size = block_size(side)
             assert size == 1 or size * side**2 <= CHUNK_ENTRIES < (size + 1) * side**2
     assert chunk_size((4, 4, 16)) >= 50 and block_size(4 * 16) == 4
+
+
+# d_b = d_c, where one pass takes both orientations, then two tuples where it
+# cannot
+ROUTING_TUPLES = [(2, 2, 2), (2, 3, 3), (3, 3, 3), (2, 4, 4), (4, 3, 3), (1, 3, 3), (2, 2, 3),
+                  (2, 6, 2)]
+ROUTING_TOLERANCES = {"default": DEFAULT_TOLERANCES, "psd-0.1": ToleranceConfig(psd_tol=0.1),
+                      "psd-0.03": ToleranceConfig(psd_tol=0.03),
+                      "psd-1e-17": ToleranceConfig(psd_tol=1e-17),
+                      "rank-1e-17": ToleranceConfig(rank_tol=1e-17)}
+
+
+@pytest.mark.parametrize("tol", list(ROUTING_TOLERANCES))
+@pytest.mark.parametrize("dims", ROUTING_TUPLES, ids=dims_id)
+def test_equal_shapes_share_one_pair_pass(dims, tol, monkeypatch):
+    # where d_b = d_c, phi's vectors and psi's have one shape, and one
+    # _complementary_pair call per chunk takes both, 2n samples; otherwise
+    # each orientation takes its own call. The budget is cut so that runs
+    # span several chunks, and at (3, 3, 3) blocks of Choi matrices straddle
+    # the two orientations. Counts, counterexamples and escalations are
+    # those of the engine with the orientations kept apart, and counts and
+    # counterexamples those of the per-sample loop
+    cfg, trials, seed = ROUTING_TOLERANCES[tol], 40, 3003
+    monkeypatch.setattr(chancert.harness, "CHUNK_ENTRIES", 300)
+    size = chunk_size(dims)
+    assert size < trials
+    calls = []
+    pair = chancert.harness._complementary_pair
+    monkeypatch.setattr(chancert.harness, "_complementary_pair",
+                        lambda v, *args: calls.append(len(v)) or pair(v, *args))
+
+    def run():
+        calls.clear()
+        return run_harness(dims, trials, seed, cfg)
+
+    chunks = [min(size, trials - start) for start in range(0, trials, size)]
+    stacked = engine_outcome(run)
+    _, d_b, d_c = dims
+    want = [2 * m for m in chunks] if d_b == d_c else [m for m in chunks for _ in range(2)]
+    assert calls == want[:len(calls)]
+    assert len(calls) == len(want) or len(stacked) == 2  # or the run raised
+    orientations = chancert.harness._orientations
+    monkeypatch.setattr(chancert.harness, "_orientations", lambda stack, dims: [
+        part for v in orientations(stack, dims) for part in np.split(v, len(v) // len(stack))])
+    assert engine_outcome(run) == stacked
+    assert set(calls) <= set(chunks)
+    try:
+        counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+        loop = (counts, counterexamples)
+    except ChancertError as exc:
+        loop = (type(exc), str(exc))
+    assert stacked[:2] == loop
 
 
 def test_cli_report_matches_per_sample_loop(tmp_path):
@@ -970,7 +1032,7 @@ def test_npt_certificates_against_40_digit_spectra(case):
         bound = norm
     else:
         trace = np.square(_frobenius(full.reshape(len(full), 1, -1)))
-        environment = _frobenius(_factor_marginals(full, swapped)["b"])
+        environment = _frobenius(_factor_marginals([full, swapped], len(full))[2])
         bound = np.maximum(environment + SCHMIDT_ROUNDING * (dim + d_b) * eps * trace, trace / 8)
     g = _partial_transpose_left(h, d_a, d_right)
     fired = _npt_certified(g, bound, cfg, dim)

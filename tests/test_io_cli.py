@@ -36,7 +36,7 @@ from chancert.certify import (
     separability_verdict,
     witness_verdict,
 )
-from chancert.cli import main
+from chancert.cli import ENV_VARS, main
 from chancert.io import (
     MATRIX_SCALE_LIMIT,
     OPERATOR_SCALE_RANGE,
@@ -1190,6 +1190,71 @@ class TestReentrantMain:
         monkeypatch.setattr("chancert.cli.cmd_analyze", patched)
         assert main(["analyze", str(path)]) == 0
         assert calls == [str(path)]
+
+
+# per command: a valid argv, one missing a required argument, one with a bad type
+VALID_ARGV = {
+    "analyze": ["in.json", "--as", "choi", "--psd-tol", "0.1", "--output", "r.json"],
+    "generate": ["--kind", "random-stinespring", "--dims", "2,2,3", "--seed", "7",
+                 "--index", "3", "--normalize"],
+    "convert": ["a.json", "b.json", "--to", "kraus", "--from", "choi", "--output", "k.json"],
+    "verify-theorem": ["--dims", "2,2,3", "--trials", "5", "--seed", "1", "--rank-tol", "1e-17"],
+}
+MISSING_ARGV = {"analyze": ["--as", "choi"], "generate": ["--dims", "2"], "convert": ["a.json"],
+                "verify-theorem": ["--dims", "2,2,3", "--trials", "5"]}
+BAD_TYPE_ARGV = {"analyze": ["in.json", "--psd-tol", "loose"],
+                 "generate": ["--kind", "identity", "--seed", "x"],
+                 "convert": ["a.json", "--to", "choi", "--equality-tol", "tight"],
+                 "verify-theorem": ["--dims", "2,2,3", "--trials", "five", "--seed", "1"]}
+COMMANDS = tuple(chancert.cli.build_parser().commands)
+ARGV_CASES = [
+    *[[name, *VALID_ARGV[name]] for name in COMMANDS],
+    *[[name, "-h"] for name in COMMANDS],
+    *[[name, *MISSING_ARGV[name]] for name in COMMANDS],
+    *[[name, *BAD_TYPE_ARGV[name]] for name in COMMANDS],
+    *[[name, *VALID_ARGV[name], "--bogus"] for name in COMMANDS],
+    *[[name, *VALID_ARGV[name], "stray"] for name in COMMANDS if name != "convert"],
+    ["verify-theorem", "--dim", "2,2,3", "--tri", "5", "--seed", "1", "--out", "r.json"],
+    ["analyze", "--", "-in.json"],
+    ["generate", "--kind", "cat"],
+    [], ["-h"], ["--help"], ["frobnicate", "--kind", "identity"], ["analyz", "in.json"],
+    ["--psd-tol", "0.1", "analyze", "in.json"], ["--", "analyze", "in.json"],
+]
+
+
+class TestArgvParsing:
+    """``main`` hands a valid command line to its subcommand's parser alone.
+    Whatever the argv, it must parse as ``build_parser().parse_args`` does:
+    the same namespace, or the same exit code, stdout and stderr."""
+
+    def test_table_covers_every_command(self):
+        assert set(COMMANDS) == set(VALID_ARGV) == set(MISSING_ARGV) == set(BAD_TYPE_ARGV)
+
+    @pytest.mark.parametrize("argv", ARGV_CASES, ids=lambda argv: " ".join(argv) or "empty")
+    def test_main_parses_as_the_full_parser(self, argv, capsys, monkeypatch):
+        for name in ENV_VARS.values():
+            monkeypatch.delenv(name, raising=False)
+        try:
+            expected = chancert.cli.build_parser().parse_args(argv)
+        except SystemExit as exc:
+            captured = capsys.readouterr()
+            expected = (exc.code, captured.out, captured.err)
+        parsed = []
+        for name in COMMANDS:
+            monkeypatch.setattr(chancert.cli, "cmd_" + name.replace("-", "_"),
+                                lambda args, cfg: parsed.append(args) or 0)
+        monkeypatch.setattr(sys, "argv", ["chancert", *argv])
+        for call in (lambda: main(argv), lambda: main()):
+            try:
+                assert call() == 0
+                got = parsed.pop()
+            except SystemExit as exc:
+                captured = capsys.readouterr()
+                got = (exc.code, captured.out, captured.err)
+            assert got == expected
+            assert type(got) is type(expected)
+        if isinstance(expected, tuple):
+            assert expected[0] in (0, 2) and (expected[1] or expected[2])
 
 
 class TestToleranceOverrides:
