@@ -39,7 +39,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channels import (
     ChoiMatrix,
@@ -271,39 +271,31 @@ def cmd_verify_theorem(args, cfg: ToleranceConfig) -> int:
     return EXIT_COUNTEREXAMPLE if result.counterexamples else EXIT_OK
 
 
-def _openblas_paths():
-    """Where numpy's OpenBLAS may live: its wheel's copy, else a system library."""
-    numpy_dir = Path(np.__file__).parent
-    yield from sorted(numpy_dir.parent.glob("numpy.libs/*openblas*"))  # Linux wheels
-    yield from sorted(numpy_dir.glob(".dylibs/*openblas*"))  # macOS wheels
-    import ctypes.util  # imports subprocess and runs ldconfig: only without a wheel copy
-
-    yield ctypes.util.find_library("openblas")
-
-
 def _openblas_thread_controls():
     """``(get, set)`` thread-count functions of the OpenBLAS numpy loaded, or None.
 
-    Only a library already in the process is opened (``RTLD_NOLOAD``), so no
-    second copy is ever loaded; None when numpy's BLAS is another library.
+    They are looked up on a handle of numpy's linalg extension, which is
+    loaded with numpy and links its BLAS; a lookup on a library's handle
+    also searches the libraries it links. The handle is opened with
+    ``RTLD_NOLOAD``, so nothing is ever loaded; None when numpy's BLAS is
+    another library.
     """
     mode = getattr(os, "RTLD_NOLOAD", None)
     if mode is None:
         return None
-    for path in filter(None, _openblas_paths()):
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__, mode=mode)
+    except OSError:
+        return None
+    for prefix, suffix in itertools.product(_OPENBLAS_PREFIXES, _OPENBLAS_SUFFIXES):
         try:
-            lib = ctypes.CDLL(str(path), mode=mode)
-        except OSError:
+            get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
+            set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
             continue
-        for prefix, suffix in itertools.product(_OPENBLAS_PREFIXES, _OPENBLAS_SUFFIXES):
-            try:
-                get_threads = getattr(lib, f"{prefix}_get_num_threads{suffix}")
-                set_threads = getattr(lib, f"{prefix}_set_num_threads{suffix}")
-            except AttributeError:
-                continue
-            get_threads.argtypes, get_threads.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            return get_threads, set_threads
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        return get_threads, set_threads
     return None
 
 

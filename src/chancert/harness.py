@@ -86,7 +86,7 @@ from . import certify, linalg
 from .channels import StinespringOperator
 from .errors import CounterexampleOrBugError, FragileSampleError, PurityViolationError
 from .generate import random_dilation_stack
-from .linalg import FRAGILITY_FACTOR, ToleranceConfig
+from .linalg import FRAGILITY_FACTOR, ROUNDING_BAND, ToleranceConfig
 
 # Memory budget of a chunk, and of a block of Choi matrices: complex entries
 # in its largest stacked array (256 KiB). Where d_b = d_c a chunk stacks both
@@ -101,9 +101,6 @@ ESCALATION_MARGIN = 2.0
 # this factor escalates its sample: the per-sample path measures both on
 # other matrices, equal only up to rounding.
 EQUALITY_MARGIN = 10.0
-# Rounding allowance of eigvalsh in the NPT certificate's shift c, in units of
-# dim * eps times the Frobenius bound; see _npt_certified.
-NPT_ROUNDING = 32.0
 # How far a computed spectrum of a complementary pair may lie from its exact
 # one, in units of the pair's summed sides * eps times the trace; see
 # _cholesky_certified.
@@ -327,7 +324,7 @@ def _npt_certified(
 ) -> np.ndarray:
     """Per matrix of a Hermitian stack g of side n with Frobenius norms at
     most ``bound``: whether the Cholesky of g + c'I fails, for
-    c = (2 ESCALATION_MARGIN psd_tol + NPT_ROUNDING dim eps) bound, psd_tol
+    c = (2 ESCALATION_MARGIN psd_tol + ROUNDING_BAND dim eps) bound, psd_tol
     read from ``psd_rule``, and c' = c + CHOLESKY_ROUNDING (n + 1)^2 eps
     (bound + c). Where it fails, lambda_min(g) < -c, and ``_psd_flags`` of
     g's computed spectrum reads psd = near = False. ``dim`` defaults to n;
@@ -335,14 +332,12 @@ def _npt_certified(
     submatrix of the matrix it certifies.
     """
     # Why c. _psd_flags reads psd = near = False when w_0 < ESCALATION_MARGIN
-    # t, t = -psd_tol max(w_max, 0), and w_max <= ||g||_2 <= ||g||_F <= bound.
-    # The psd_tol term of c is twice that; the spare factor absorbs the
-    # relative rounding of bound, c and t. The dim eps term covers eigvalsh,
-    # which returns each eigenvalue within p(dim) eps ||g||_2, p a modestly
-    # growing function (LAPACK Users' Guide, error bounds for the symmetric
-    # eigenproblem). Against 40-digit mpmath spectra of the harness's partial
-    # transposes, dim 12 to 64, the error stayed below dim/4 eps ||g||_2
-    # (11 eps at dim 64), far inside NPT_ROUNDING dim eps bound.
+    # t, t = -psd_tol max(w_max, 0), and w_0 lies below the rounding band,
+    # ROUNDING_BAND dim eps max|w|; w_max and max|w| are at most ||g||_2 <=
+    # ||g||_F <= bound. The psd_tol term of c is twice ESCALATION_MARGIN |t|
+    # and its dim eps term is the band; the spare factor absorbs the relative
+    # rounding of bound, c and t. eigvalsh's own error (see
+    # linalg.ROUNDING_BAND) lies inside the spare of c' below.
     # Why c'. Let u = eps/2 and gamma_m = m u/(1 - m u). The Cholesky reads
     # A = g + c'I with its diagonal rounded: a_ii = (g_ii + c')(1 + d_i),
     # |d_i| <= u, and |g_ii| <= ||g||_F <= bound. Demmel's condition
@@ -364,15 +359,16 @@ def _npt_certified(
     # a = CHOLESKY_ROUNDING (n + 1)^2 eps, bound + c' = (1 + a)(bound + c),
     # so that is below -c wherever (kappa (1 + u) + u)(1 + a) < a. To first
     # order kappa + u is (n (n + 3)/sqrt(2) + 1/2) eps, below (n + 1)^2 eps,
-    # a quarter of a; the spare absorbs the rounding of bound, c and c', and
-    # a bound that ||g||_F exceeds only by rounding, as on the cut. A zero
+    # a quarter of a; the spare, about 3/4 a bound, absorbs the rounding of
+    # bound, c and c', a bound that ||g||_F exceeds only by rounding, as on
+    # the cut, and eigvalsh's error, below n/4 eps bound. A zero
     # bound makes c' = 0, and the zero matrix, PSD, fails the Cholesky: it
     # is left open. Scaling g by a power of two scales bound, c' and every
     # pivot alike.
     side = g.shape[-1]
     dim = dim or side
     eps = np.finfo(np.float64).eps
-    c = (-2 * ESCALATION_MARGIN * _unit_windows(dim, cfg)[1] + NPT_ROUNDING * dim * eps) * bound
+    c = (-2 * ESCALATION_MARGIN * _unit_windows(dim, cfg)[1] + ROUNDING_BAND * dim * eps) * bound
     shift = c + CHOLESKY_ROUNDING * (side + 1) ** 2 * eps * (bound + c)
     return ~_cholesky_succeeds(g, shift) & (bound > 0)
 
@@ -442,8 +438,8 @@ def _cholesky_certified(
     #   sqrt(2) gamma_{2l} together, below 3/2 l eps. Of a pair, one member
     #   contracts over dim terms and the other over k;
     # - each Hermitian part is exactly Hermitian and adds eps tr;
-    # - eigvalsh adds p(side) eps ||h||_2, below side/4 eps ||h||_2 against
-    #   40-digit mpmath spectra (see _npt_certified), and ||h||_2 <= tr.
+    # - eigvalsh adds below side/4 eps ||h||_2 (see linalg.ROUNDING_BAND),
+    #   and ||h||_2 <= tr.
     # By Weyl's inequality that is (7/4 (dim + k) + 2) eps tr
     # <= 3 (dim + k) eps tr in all. The marginal on a has no partner: only
     # eigvalsh's error, below k/4 eps tr, separates x from its spectrum.
@@ -570,11 +566,12 @@ def _cut_certificates(
     #   each lie within (3/2 d_c + 1) eps trace of the exact one (see
     #   _cholesky_certified), and lambda_min(g) is at most that of its
     #   principal submatrix (Cauchy interlacing); eigvalsh adds below side/4
-    #   eps trace. So g's computed lambda_min is below
-    #   -c + (3 d_c + 2 + side/4) eps trace. As d_c < side, that rounding is
-    #   below side/8 NPT_ROUNDING eps trace, inside c's NPT_ROUNDING side eps
-    #   bound as bound >= trace/8. The floor binds only where ||J||_F <
-    #   trace/8, which needs rank J > 64, since ||J||_F >= trace/sqrt(rank J).
+    #   eps trace (see linalg.ROUNDING_BAND). So g's computed lambda_min is
+    #   below -c + (3 d_c + 2 + side/4) eps trace. As d_c < side, that
+    #   rounding is below side/8 ROUNDING_BAND eps trace, inside c's
+    #   ROUNDING_BAND side eps bound as bound >= trace/8. The floor binds
+    #   only where ||J||_F < trace/8, which needs rank J > 64, since
+    #   ||J||_F >= trace/sqrt(rank J).
     #   c's psd_tol term is taken at the bound, at least ||J||_F = ||g||_F
     #   >= lambda_max(g) to rounding, so it still meets _psd_flags' threshold
     #   twice over. So _psd_flags of g's computed spectrum reads

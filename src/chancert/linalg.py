@@ -31,7 +31,8 @@ SIDES = ("left", "right")
 # Fragility window: a rank decision is fragile when some singular value lies
 # within a factor of 10 of the cutoff on either side.
 FRAGILITY_FACTOR = 10.0
-# Rounding band of a Hermitian spectrum of side n, in units of n eps sigma_max:
+# Rounding band of a Hermitian spectrum of side n, in units of n eps sigma_max,
+# and the allowance for eigvalsh's error in the harness's certificates:
 # eigvalsh returns each eigenvalue within p(n) eps ||x||_2, p a modestly
 # growing function (LAPACK Users' Guide, error bounds for the symmetric
 # eigenproblem), so a computed eigenvalue inside the band may be an exact zero

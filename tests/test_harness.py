@@ -53,12 +53,12 @@ import chancert.generate
 import chancert.harness
 import chancert.linalg
 from chancert.complement import choi_marginal, common_purification_vector, factor_marginals
+from chancert.linalg import ROUNDING_BAND
 from chancert.harness import (
     CHUNK_ENTRIES,
     COUNT_KEYS,
     CHOLESKY_ROUNDING,
     ESCALATION_MARGIN,
-    NPT_ROUNDING,
     SCHMIDT_ROUNDING,
     HarnessResult,
     _certified_flags,
@@ -792,7 +792,7 @@ def test_certificate_on_2x2_matrices_is_lambda_min_below_minus_c(psd_tol):
     bound, eps = 2.0, np.finfo(float).eps
     rotation = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     for dim in (None, 12):
-        c = (2 * ESCALATION_MARGIN * psd_tol + NPT_ROUNDING * (dim or 2) * eps) * bound
+        c = (2 * ESCALATION_MARGIN * psd_tol + ROUNDING_BAND * (dim or 2) * eps) * bound
         c_prime = c + CHOLESKY_ROUNDING * 9 * eps * (bound + c)
         for lam, fires in ((0.75 * c, False), (c, False), ((c + c_prime) / 2, False),
                            (c_prime + (c_prime - c) / 2, True), (1.25 * c_prime, True),
@@ -805,6 +805,25 @@ def test_certificate_on_2x2_matrices_is_lambda_min_below_minus_c(psd_tol):
     # the zero matrix with the bound 0: c' = 0, and its Cholesky fails at the
     # first pivot, but it is PSD
     assert _npt_certified(np.zeros((1, 2, 2), dtype=complex), np.zeros(1), cfg).tolist() == [False]
+
+
+@pytest.mark.parametrize("side", [2, 3, 4, 6, 9])
+def test_certificate_clears_the_rounding_band(side):
+    # at a rounding-level psd_tol, c is almost all its eigvalsh term,
+    # ROUNDING_BAND side eps bound, which _psd_flags' rounding band matches.
+    # Plant lambda_min on a log grid across the certificate's reach, with
+    # lambda_max = 1 and the other eigenvalues in [0.1, 1]: wherever the
+    # certificate fires, the computed spectrum must read psd = near = False
+    cfg = ToleranceConfig(psd_tol=ROUNDING_PSD_TOL)
+    rng = np.random.default_rng(side)
+    lam_min = -np.logspace(-15.5, -12.5, 61)
+    spectra = rng.uniform(0.1, 1.0, (len(lam_min) * 8, side))
+    spectra[:, -1], spectra[:, 0] = 1.0, np.repeat(lam_min, 8)
+    g = hermitian_stack(rng, spectra)
+    fired = _npt_certified(g, _frobenius(g), cfg)
+    psd, near = spectrum_flags(g[fired], cfg)
+    assert 0 < np.count_nonzero(fired) < len(g)
+    assert not psd.any() and not near.any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -1038,7 +1057,7 @@ def test_npt_certificates_against_40_digit_spectra(case):
     fired = _npt_certified(g, bound, cfg, dim)
     assert np.count_nonzero(fired) >= 5
     full_side = dim or d_a * d_right
-    shift = 2 * ESCALATION_MARGIN * cfg.psd_tol + NPT_ROUNDING * full_side * eps
+    shift = 2 * ESCALATION_MARGIN * cfg.psd_tol + ROUNDING_BAND * full_side * eps
     for k in np.flatnonzero(fired)[:5]:
         c = shift * bound[k]
         with mpmath.workdps(40):

@@ -1085,14 +1085,15 @@ class TestKeepFreedMemory:
 
     def test_lookup_loads_no_second_copy(self, tmp_path, monkeypatch, policy):
         needs_openblas(policy)
-        # a copy of numpy's OpenBLAS is a library the process has not loaded
-        wheel_copies = list(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
-        if not wheel_copies:
-            pytest.skip("numpy's OpenBLAS is not a wheel copy")
-        copy = tmp_path / wheel_copies[0].name
-        shutil.copyfile(wheel_copies[0], copy)
-        monkeypatch.setattr("chancert.cli._openblas_paths", lambda: iter([copy]))
+        # a copy of numpy's linalg extension is a library the process has not
+        # loaded; its OpenBLAS dependency, by name, is one it has
+        source = Path(chancert.cli._umath_linalg.__file__)
+        copy = tmp_path / source.name
+        shutil.copyfile(source, copy)
+        monkeypatch.setattr("chancert.cli._umath_linalg", SimpleNamespace(__file__=str(copy)))
         assert chancert.cli._openblas_thread_controls() is None
+        with pytest.raises(OSError):
+            ctypes.CDLL(str(copy), mode=os.RTLD_NOLOAD)
 
     def test_second_command_faults_in_no_pages(self, tmp_path):
         # each chunk at (4, 4, 16) frees over 2 MiB. Under glibc's default
