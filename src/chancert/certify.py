@@ -233,10 +233,10 @@ def pair_rules(**records):
     ``equivalence_check`` and the batched harness both call it.
     """
     purity = np.equal(records["lc"], records["lab"]) & np.equal(records["lb"], records["lac"])
-    failed = np.stack(np.broadcast_arrays(*(row.fails(**records) for row in RELATIONS)))
-    relation = np.where(np.logical_and(records["phi_ppt"], failed.any(axis=0)),
-                        failed.argmax(axis=0) + 1, 0)
-    return purity, relation
+    relation = 0  # from the last row to the first: the first that fails sets the code
+    for code in range(len(RELATIONS), 0, -1):
+        relation = np.where(RELATIONS[code - 1].fails(**records), code, relation)
+    return purity, np.where(records["phi_ppt"], relation, 0)
 
 
 def pair_records(report: CertificateReport) -> dict:

@@ -152,13 +152,6 @@ def _hash_run(hash_const: int, count: int, mult: int = _MULT_A) -> np.ndarray:
     return run
 
 
-def _mix_word(pool: np.ndarray, hash_const: int, word) -> tuple[np.ndarray, int]:
-    """Mix an entropy word past the pool size into every pool word; the pool
-    words lie on the last axis."""
-    values, consts = _hashmix(word, _hash_run(hash_const, _POOL_SIZE))
-    return _mix(pool, values), int(consts[-1])
-
-
 @functools.lru_cache(maxsize=32)
 def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     """Pool and hash constant of ``SeedSequence(seed, spawn_key=key)`` once
@@ -189,6 +182,36 @@ def _index_words(indices) -> tuple[np.ndarray, list[int]]:
     return words, counts
 
 
+def _spawn_key(indices):
+    """The memo key of ``_key_hashes`` for ``indices``: a range is its own,
+    anything else is the tuple of its indices as ints, so that an index that
+    is no integer, such as 1.0, never finds the entry of an equal one."""
+    if isinstance(indices, range):
+        return indices
+    return tuple(None if i is None else operator.index(i) for i in indices)
+
+
+# One entry holds a uint64 array of 4 words per index and word column: 256
+# KiB per column for a chunk's largest index set, 8192 samples at (1, 1, 1).
+@functools.lru_cache(maxsize=4)
+def _key_hashes(indices, hash_const: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hashed spawn-key words of ``indices``, a ``_spawn_key``, mixed in
+    after a seed that leaves the hash constant at ``hash_const``: per word
+    column t, the hashmix of each index's t-th word with the constants that
+    mix it into the pool words, shape (columns, n, _POOL_SIZE), and whether
+    the index has that word, shape (columns, n, 1). Both are read-only, and
+    depend on the seed only through ``hash_const``, one value for every seed
+    below 2^128."""
+    words, counts = _index_words(indices)
+    hashed = np.empty((words.shape[1], len(words), _POOL_SIZE), dtype=np.uint64)
+    for t, column in enumerate(words.T):
+        hashed[t], consts = _hashmix(column[:, None], _hash_run(hash_const, _POOL_SIZE))
+        hash_const = int(consts[-1])
+    present = np.greater.outer(counts, np.arange(words.shape[1])).T[..., None]
+    hashed.flags.writeable = present.flags.writeable = False
+    return hashed, present
+
+
 # generate_state(4, np.uint64) hashes 8 uint32 words, cycling through the
 # pool twice, and reads them in pairs as little-endian uint64 words.
 _STATE_WORDS = np.arange(8) % _POOL_SIZE
@@ -197,13 +220,14 @@ _STATE_HASHES = _hash_run(_INIT_B, 8, _MULT_B)
 
 def _stream_states(seed: int, indices) -> np.ndarray:
     """PCG64's seed words of ``SeedSequence(seed, spawn_key=(i,))`` for each i
-    in ``indices``: ``generate_state(4, np.uint64)``, one row per index."""
-    words, counts = _index_words(indices)
+    in ``indices``: ``generate_state(4, np.uint64)``, one row per index. Only
+    the mix of the indices' hashed words (``_key_hashes``) into the seed's
+    pool, and the hash of the state words, are computed on every call."""
     seed_pool, hash_const = _seed_pool(_non_negative("seed", seed))
-    pool = np.tile(seed_pool, (len(words), 1))
-    for t in range(words.shape[1]):
-        mixed, hash_const = _mix_word(pool, hash_const, words[:, t, None])
-        pool = np.where(np.greater(counts, t)[:, None], mixed, pool)
+    hashed, present = _key_hashes(_spawn_key(indices), hash_const)
+    pool = np.tile(seed_pool, (hashed.shape[1], 1))
+    for values, has_word in zip(hashed, present):
+        pool = np.where(has_word, _mix(pool, values), pool)
     state, _ = _hashmix(pool[:, _STATE_WORDS], _STATE_HASHES, _MULT_B)
     return state.astype(np.uint32, order="C").view(np.uint64)
 
@@ -254,8 +278,11 @@ def random_dilation_stack(d_a: int, d_b: int, d_c: int, seed: int, indices) -> n
     ``(re + 1j * im) / np.sqrt(2.0)``, and a zero keeps its sign. An index of
     None draws from the stream of ``seed`` itself.
     The streams' seed words are derived for all indices at once; each sample
-    then costs one ``PCG64``, one ``Generator`` and its draw. Raises
-    ValueError for a negative seed or index.
+    then costs one ``PCG64``, one ``Generator`` and its draw. The indices'
+    hashed spawn-key words are memoized for the last 4 index sets, read-only,
+    which pays where one process draws the same indices again under a seed
+    of as many words, as repeated harness commands do. Raises ValueError
+    for a negative seed or index.
     """
     if min(d_a, d_b, d_c) < 1:
         raise DimensionMismatchError("all dimensions must be at least 1")

@@ -86,7 +86,7 @@ from . import certify, linalg
 from .channels import StinespringOperator
 from .errors import CounterexampleOrBugError, FragileSampleError, PurityViolationError
 from .generate import random_dilation_stack
-from .linalg import FRAGILITY_FACTOR, ROUNDING_BAND, ToleranceConfig
+from .linalg import EPS, FRAGILITY_FACTOR, ROUNDING_BAND, ToleranceConfig
 
 # Memory budget of a chunk, and of a block of Choi matrices: complex entries
 # in its largest stacked array (256 KiB). Where d_b = d_c a chunk stacks both
@@ -283,13 +283,16 @@ def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndar
 
 @functools.lru_cache(maxsize=256)
 def _unit_rules(k: int, dim: int, cfg: ToleranceConfig, rank_rule, psd_rule):
-    """``_spectrum_flags`` of one spectrum of dim - k zeros and k ones, and
-    its rank cutoff and PSD threshold, rank_tol dim and -psd_tol. The
-    certificates read these from ``linalg``'s rules, passed here as part of
-    the memo's key, so that a rule patched on its module reaches them too;
+    """``_spectrum_flags`` of one spectrum of dim - k zeros and k ones, as
+    (psd, near, fragile, margin) stacked, shape (4, 1), and the rank, shape
+    (1,); and its rank cutoff and PSD threshold, rank_tol dim and -psd_tol.
+    The certificates read these from ``linalg``'s rules, passed here as part
+    of the memo's key, so that a rule patched on its module reaches them too;
     unpatched, evaluating them costs some 40 us, several times per chunk."""
     w = np.repeat([[0.0, 1.0]], (dim - k, k), axis=1)
-    return _spectrum_flags(w, cfg), float(rank_rule(w, cfg)[1][0]), float(psd_rule(w, cfg)[1][0])
+    psd, near, rank, fragile, margin = _spectrum_flags(w, cfg)
+    flags = (np.stack([psd, near, fragile, margin]), rank)
+    return flags, float(rank_rule(w, cfg)[1][0]), float(psd_rule(w, cfg)[1][0])
 
 
 def _unit_windows(dim: int, cfg: ToleranceConfig) -> tuple[float, float]:
@@ -320,16 +323,18 @@ def _cholesky_succeeds(x: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def _npt_certified(
-    g: np.ndarray, bound: np.ndarray, cfg: ToleranceConfig, dim: int | None = None
+    g: np.ndarray, bound: np.ndarray, cfg: ToleranceConfig, dim: int | None = None, rounding=0.0
 ) -> np.ndarray:
     """Per matrix of a Hermitian stack g of side n with Frobenius norms at
     most ``bound``: whether the Cholesky of g + c'I fails, for
-    c = (2 ESCALATION_MARGIN psd_tol + ROUNDING_BAND dim eps) bound, psd_tol
-    read from ``psd_rule``, and c' = c + CHOLESKY_ROUNDING (n + 1)^2 eps
-    (bound + c). Where it fails, lambda_min(g) < -c, and ``_psd_flags`` of
-    g's computed spectrum reads psd = near = False. ``dim`` defaults to n;
-    ``_cut_certificates`` passes a larger one, g being a principal
-    submatrix of the matrix it certifies.
+    c = (2 ESCALATION_MARGIN psd_tol + ROUNDING_BAND dim eps) bound +
+    ``rounding``, psd_tol read from ``psd_rule``, and
+    c' = c + CHOLESKY_ROUNDING (n + 1)^2 eps (bound + c). Where it fails,
+    lambda_min(g) < -c, and ``_psd_flags`` of g's computed spectrum reads
+    psd = near = False. ``dim`` defaults to n; ``_cut_certificates`` passes
+    a larger one, g being a principal submatrix of the matrix it certifies,
+    and as ``rounding`` how far that matrix's computed spectrum may lie
+    below g's.
     """
     # Why c. _psd_flags reads psd = near = False when w_0 < ESCALATION_MARGIN
     # t, t = -psd_tol max(w_max, 0), and w_0 lies below the rounding band,
@@ -367,9 +372,9 @@ def _npt_certified(
     # pivot alike.
     side = g.shape[-1]
     dim = dim or side
-    eps = np.finfo(np.float64).eps
-    c = (-2 * ESCALATION_MARGIN * _unit_windows(dim, cfg)[1] + ROUNDING_BAND * dim * eps) * bound
-    shift = c + CHOLESKY_ROUNDING * (side + 1) ** 2 * eps * (bound + c)
+    unit = -2 * ESCALATION_MARGIN * _unit_windows(dim, cfg)[1] + ROUNDING_BAND * dim * EPS
+    c = unit * bound + rounding
+    shift = c + CHOLESKY_ROUNDING * (side + 1) ** 2 * EPS * (bound + c)
     return ~_cholesky_succeeds(g, shift) & (bound > 0)
 
 
@@ -400,8 +405,7 @@ def _cholesky_shift(k: int, dim: int, cfg: ToleranceConfig) -> float | None:
     ESCALATION_MARGIN and delta/tr = SCHMIDT_ROUNDING (dim + k) eps. None
     when dim > k and the complementary marginals' dim - k zeros may meet a
     window."""
-    eps = np.finfo(np.float64).eps
-    rounding = SCHMIDT_ROUNDING * (dim + k) * eps
+    rounding = SCHMIDT_ROUNDING * (dim + k) * EPS
     wide = FRAGILITY_FACTOR * ESCALATION_MARGIN
     floor = 1.0 / k - rounding
     cutoff, threshold = _unit_windows(dim, cfg)
@@ -409,7 +413,7 @@ def _cholesky_shift(k: int, dim: int, cfg: ToleranceConfig) -> float | None:
         rounding * wide < cutoff * floor and rounding * ESCALATION_MARGIN < -threshold * floor
     ):
         return None
-    return (1 + 2.0**-10) * cutoff * wide + 3 * rounding + CHOLESKY_ROUNDING * (k + 1) ** 2 * eps
+    return (1 + 2.0**-10) * cutoff * wide + 3 * rounding + CHOLESKY_ROUNDING * (k + 1) ** 2 * EPS
 
 
 def _cholesky_certified(
@@ -492,9 +496,11 @@ def _spectrum_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ..
 def _certified_flags(n: int, k: int, dim: int, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
     """``_spectrum_flags`` of n matrices that ``_cholesky_certified`` settles
     at side k with complementary side ``dim``, or that are partners of such:
-    those of the exact spectrum it vouches for, dim - k zeros and k ones."""
-    flags = _unit_rules(k, dim, cfg, linalg.rank_rule, linalg.psd_rule)[0]
-    return tuple(flag.repeat(n) for flag in flags)
+    those of the exact spectrum it vouches for, dim - k zeros and k ones.
+    Fresh arrays, which ``_fill`` writes into."""
+    flags, rank = _unit_rules(k, dim, cfg, linalg.rank_rule, linalg.psd_rule)[0]
+    psd, near, fragile, margin = flags.repeat(n, axis=1)
+    return psd, near, rank.repeat(n), fragile, margin
 
 
 def _fill(flags: tuple[np.ndarray, ...], rows, w: np.ndarray, cfg: ToleranceConfig) -> None:
@@ -551,7 +557,8 @@ def _cut_certificates(
     # vectors with d_a > 1, so J' is not PPT (Horodecki-Smolin-Terhal-
     # Thapliyal) and the certificate mostly fires on it. Its shift c is
     # taken at g's side, with the bound norm + delta, delta = SCHMIDT_ROUNDING
-    # (side + d_c) eps trace, and no less than trace/8:
+    # (side + d_c) eps trace, plus the rounding r = (3 d_c + 2 + side/4) eps
+    # trace as a term of its own:
     # - the bound is at least ||J'||_F for the exact J'. J and the exact
     #   marginal on c, L, are complementary marginals of one vector and share
     #   their nonzero spectrum (Schmidt decomposition), so ||J'||_F <= ||J||_F
@@ -567,26 +574,27 @@ def _cut_certificates(
     #   _cholesky_certified), and lambda_min(g) is at most that of its
     #   principal submatrix (Cauchy interlacing); eigvalsh adds below side/4
     #   eps trace (see linalg.ROUNDING_BAND). So g's computed lambda_min is
-    #   below -c + (3 d_c + 2 + side/4) eps trace. As d_c < side, that
-    #   rounding is below side/8 ROUNDING_BAND eps trace, inside c's
-    #   ROUNDING_BAND side eps bound as bound >= trace/8. The floor binds
-    #   only where ||J||_F < trace/8, which needs rank J > 64, since
-    #   ||J||_F >= trace/sqrt(rank J).
-    #   c's psd_tol term is taken at the bound, at least ||J||_F = ||g||_F
-    #   >= lambda_max(g) to rounding, so it still meets _psd_flags' threshold
-    #   twice over. So _psd_flags of g's computed spectrum reads
-    #   psd = near = False, as where _npt_certified of g fires.
+    #   below -c + r, below -c0 for c0 = c - r, the shift _npt_certified of
+    #   g itself takes at this bound. No step spends the spare of the cut's
+    #   c' on it: that spare covers only the Cholesky's own rounding.
+    # - c0's ROUNDING_BAND side eps bound term clears _psd_flags' rounding
+    #   band of g's spectrum, as bound is at least ||J||_F = ||g||_F >=
+    #   max|w| to rounding, and its psd_tol term, taken at the bound, meets
+    #   _psd_flags' threshold twice over. So _psd_flags of g's computed
+    #   spectrum reads psd = near = False, as where _npt_certified of g fires.
+    # Planted cuts at (2, 30, 1), whose c0 is almost all band at a
+    # rounding-level psd_tol, read the same without r: the spare of c' has
+    # so far covered the rounding there too, but nothing bounds it to.
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
-    bound = np.maximum(
-        norm + SCHMIDT_ROUNDING * (side + d_c) * np.finfo(np.float64).eps * trace, trace / 8
-    )
+    bound = norm + SCHMIDT_ROUNDING * (side + d_c) * EPS * trace
+    rounding = (3 * d_c + 2 + side / 4) * EPS * trace
     checks, certified = np.empty((2, n), dtype=bool)
     cut = np.ascontiguousarray(vector[:, :, :d_c + 1])
     for block, h, _, passed, work in _choi_blocks(cut, cfg):
         checks[block] = passed
         g = _partial_transpose_left(h, d_a, d_c + 1, work)
-        certified[block] = _npt_certified(g, bound[block], cfg, side)
+        certified[block] = _npt_certified(g, bound[block], cfg, side, rounding[block])
     return checks, certified
 
 

@@ -27,6 +27,8 @@ from .errors import (
 )
 
 SIDES = ("left", "right")
+# Machine epsilon of binary64, 2^-52: the eps of every rounding allowance.
+EPS = float(np.finfo(np.float64).eps)
 
 # Fragility window: a rank decision is fragile when some singular value lies
 # within a factor of 10 of the cutoff on either side.
@@ -239,7 +241,7 @@ def psd_rule(w: np.ndarray, cfg: ToleranceConfig):
 def rounding_band(w: np.ndarray) -> np.ndarray:
     """``ROUNDING_BAND * dim * eps * sigma_max`` of Hermitian spectra on the
     last axis, elementwise over leading axes."""
-    return ROUNDING_BAND * w.shape[-1] * np.finfo(np.float64).eps * np.abs(w).max(axis=-1)
+    return ROUNDING_BAND * w.shape[-1] * EPS * np.abs(w).max(axis=-1)
 
 
 def rank_rule(w: np.ndarray, cfg: ToleranceConfig):
@@ -257,7 +259,7 @@ def rank_rule(w: np.ndarray, cfg: ToleranceConfig):
     near = (sigma > edge / FRAGILITY_FACTOR) & (sigma < edge * FRAGILITY_FACTOR)
     # The cutoff and the band both scale with sigma_max * dim, so only a
     # rank_tol this small puts FRAGILITY_FACTOR times the cutoff inside the band
-    if FRAGILITY_FACTOR * cfg.rank_tol < ROUNDING_BAND * np.finfo(np.float64).eps:
+    if FRAGILITY_FACTOR * cfg.rank_tol < ROUNDING_BAND * EPS:
         band = rounding_band(w)[..., None]
         near |= (sigma <= band) & (FRAGILITY_FACTOR * edge < band)
     return (sigma > edge).sum(axis=-1), cutoff, near

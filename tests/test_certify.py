@@ -491,6 +491,26 @@ class TestPairRules:
         _, relation = pair_rules(**{key: np.array([r[key] for r in rows]) for key in HOLDING})
         assert relation.tolist() == list(range(len(rows)))
 
+    def test_lowest_failing_row_sets_the_code(self, monkeypatch):
+        # each row fails or holds by a constant: all 64 patterns, as scalars
+        # one by one and as arrays over 64 samples at once
+        patterns = list(itertools.product((False, True), repeat=len(RELATIONS)))
+        codes = [pattern.index(True) + 1 if any(pattern) else 0 for pattern in patterns]
+
+        def patch(columns):
+            monkeypatch.setattr(chancert.certify, "RELATIONS", tuple(
+                dataclasses.replace(row, fails=lambda _column=column, **_: _column)
+                for row, column in zip(RELATIONS, columns)))
+
+        for pattern, code in zip(patterns, codes):
+            patch(pattern)
+            assert pair_rules(**HOLDING)[1] == code
+            assert pair_rules(**{**HOLDING, "phi_ppt": False})[1] == 0
+        patch(np.array(patterns).T)
+        for phi_ppt in (True, False):
+            _, relation = pair_rules(**{**HOLDING, "phi_ppt": np.full(len(patterns), phi_ppt)})
+            assert relation.tolist() == [code * phi_ppt for code in codes]
+
     @pytest.mark.parametrize("index", range(len(RELATIONS)),
                              ids=[f"relation-{i}" for i in range(1, len(RELATIONS) + 1)])
     def test_each_row_raises_its_own_message(self, tmp_path, capsys, monkeypatch, index):

@@ -172,7 +172,8 @@ class TestNumpyStreams:
         assert len(built) == len(indices)
 
     def test_mixing_calls_independent_of_sample_count(self, monkeypatch):
-        """Stream seeds are mixed column by column for all samples at once."""
+        """Stream seeds are mixed column by column for all samples at once,
+        and an index set drawn again hashes only the state words."""
         calls = Counter()
         for name in ("_hashmix", "_mix"):
             def counted(*args, _original=getattr(generate, name), _name=name):
@@ -186,10 +187,35 @@ class TestNumpyStreams:
             random_dilation_stack(3, 3, 3, 12, indices)
             return dict(calls)
 
+        generate._key_hashes.cache_clear()
         mixing_calls([0])  # caches the pool of seed 12
         one = mixing_calls([100])
         assert one == {"_hashmix": 2, "_mix": 1}
         assert mixing_calls(range(100, 150)) == one
+        assert mixing_calls(range(100, 150)) == mixing_calls([100]) == {"_hashmix": 1, "_mix": 1}
+
+    def test_memo_serves_seeds_of_other_widths_and_equal_lists(self):
+        """The memo of hashed index words is keyed by the seed's hash
+        constant: 1-word and 5-word seeds alternating over one range, and a
+        range against the equal list, each match numpy bit for bit."""
+        generate._key_hashes.cache_clear()
+        for seed in (12, 2**128 + 1, 13, 2**130 + 3, 12):
+            assert_numpy_streams((2, 2, 2), seed, range(20, 60))
+        for seed in (12, 2**128 + 1):
+            assert_numpy_streams((2, 2, 2), seed, list(range(20, 60)))
+
+    def test_memo_is_read_only_and_keyed_by_integers(self):
+        random_dilation_stack(2, 2, 2, 12, [3, None, 2**40])
+        hashed, present = generate._key_hashes(generate._spawn_key([3, None, 2**40]),
+                                               generate._seed_pool(12)[1])
+        assert hashed.shape == (2, 3, 4) and present[:, :, 0].tolist() == [
+            [True, False, True], [False, False, True]]
+        for memo in (hashed, present):
+            with pytest.raises(ValueError, match="read-only"):
+                memo[0, 0] = 0
+        # an index that is no integer does not find the entry of an equal one
+        with pytest.raises(TypeError):
+            random_dilation_stack(2, 2, 2, 12, [3.0, None, 2**40])
 
     @pytest.mark.parametrize("dims", GOLDEN_TUPLES, ids=lambda dims: ",".join(map(str, dims)))
     def test_golden_stacks_and_files(self, dims, tmp_path):

@@ -68,6 +68,7 @@ from chancert.harness import (
     _choi_blocks,
     _cut_certificates,
     _factor_marginals,
+    _fill,
     _frobenius,
     _npt_certified,
     _partial_transpose_flags,
@@ -82,7 +83,7 @@ from chancert.harness import (
     run_harness,
 )
 
-from conftest import complex_gaussian, rotated_schur_stack
+from conftest import complex_gaussian, haar_unitary, rotated_schur_stack
 
 ACCEPTANCE_TUPLES = list(itertools.product((2, 3), repeat=3))
 WIDE_TUPLES = [(2, 2, 6), (3, 3, 9), (4, 4, 16)]
@@ -331,6 +332,21 @@ def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, tup
         assert harness_outcome(dims, trials, seed) != unpatched[dims]
         if loop:
             assert_agrees(dims, trials, seed)
+
+
+def test_certified_flags_are_fresh_on_every_call():
+    # _fill writes the flags of the spectra the Cholesky left open into the
+    # rows of a _certified_flags call: the next call still returns the
+    # rules' flags of the spectrum it vouches for, 2 zeros and 2 ones
+    cfg = DEFAULT_TOLERANCES
+    unit = _spectrum_flags(np.array([[0.0, 0.0, 1.0, 1.0]]), cfg)
+    first = _certified_flags(5, 2, 4, cfg)
+    _fill(first, [1, 3], np.array([[-1.0, 0.0, 0.0, 1.0]] * 2), cfg)
+    assert first[0].tolist() == [True, False, True, False, True]
+    for n in (5, 3):
+        flags = _certified_flags(n, 2, 4, cfg)
+        assert [flag.dtype for flag in flags] == [flag.dtype for flag in unit]
+        assert all(np.array_equal(flag, want.repeat(n)) for flag, want in zip(flags, unit))
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16), (3, 3, 3)], ids=dims_id)
@@ -1009,6 +1025,29 @@ def test_cut_certificate_on_harness_and_noisy_vectors(psd_tol):
     assert certified_count > 0 or psd_tol == 0.1
 
 
+@pytest.mark.parametrize("psd_tol", [ROUNDING_PSD_TOL, 1e-9])
+def test_cut_certificate_at_its_edge_on_planted_vectors(psd_tol):
+    # (2, 30, 1), where d_b >> d_a d_c: the cut, of side 4, certifies the
+    # full partial transpose, of side 60. A pure state's partial transpose
+    # has lambda_min = -s_1 s_2, its Schmidt coefficients. Plant cuts with
+    # s_1 = 1 and s_2 on a grid around c, and the other 28 values of b along
+    # the cut's first Schmidt vector, so the full lambda_min lies just below
+    # the cut's; at a rounding-level psd_tol c is almost all band. Wherever
+    # the cut fires, the full flags read psd = near = False
+    cfg = ToleranceConfig(psd_tol=psd_tol)
+    rng = np.random.default_rng(30)
+    d_a, d_b, n = 2, 30, 244
+    c = 2 * ESCALATION_MARGIN * psd_tol + ROUNDING_BAND * d_a * d_b * np.finfo(float).eps
+    s_2 = c * np.repeat(np.logspace(-0.1, 0.1, 61), 4)
+    left, right = (np.stack([haar_unitary(rng, d_a) for _ in range(n)]) for _ in range(2))
+    vector = np.empty((n, d_a, d_b, 1), dtype=complex)
+    vector[:, :, :2, 0] = left @ (np.stack([np.ones(n), s_2], axis=1)[:, :, None] * right)
+    vector[:, :, 2:, 0] = left[:, :, :1] * 1e-4 * complex_gaussian(rng, (n, 1, d_b - 2))
+    certified, psd, near = cut_and_full_flags(vector, cfg)
+    assert 0 < np.count_nonzero(certified) < n
+    assert not (certified & (psd | near)).any()
+
+
 @pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
 def test_cut_npt_shift_is_taken_at_the_full_side(dims, monkeypatch):
     # the NPT certificate reads the cut, of side d_a (r + 1), and certifies
@@ -1018,9 +1057,9 @@ def test_cut_npt_shift_is_taken_at_the_full_side(dims, monkeypatch):
     calls = []
     certified = chancert.harness._npt_certified
 
-    def recording(g, bound, cfg, dim=None):
+    def recording(g, bound, cfg, dim=None, *rounding):
         calls.append((g.shape[-1], dim))
-        return certified(g, bound, cfg, dim)
+        return certified(g, bound, cfg, dim, *rounding)
 
     monkeypatch.setattr(chancert.harness, "_npt_certified", recording)
     run_harness(dims, 50, 3003, DEFAULT_TOLERANCES)
@@ -1052,7 +1091,7 @@ def test_npt_certificates_against_40_digit_spectra(case):
     else:
         trace = np.square(_frobenius(full.reshape(len(full), 1, -1)))
         environment = _frobenius(_factor_marginals([full, swapped], len(full))[2])
-        bound = np.maximum(environment + SCHMIDT_ROUNDING * (dim + d_b) * eps * trace, trace / 8)
+        bound = environment + SCHMIDT_ROUNDING * (dim + d_b) * eps * trace
     g = _partial_transpose_left(h, d_a, d_right)
     fired = _npt_certified(g, bound, cfg, dim)
     assert np.count_nonzero(fired) >= 5
