@@ -3,12 +3,13 @@
 Harness samples are independent, so a chunk of them is evaluated as one
 array program over a sample axis. A chunk holds what every sample needs:
 its dilation, its purification vector in both orientations and its
-marginals on a, b and c, as many samples as fit the largest of those stacks
-into CHUNK_ENTRIES. A Choi matrix exists only in ``_complementary_pair``, a
-block of samples at a time, each block's stack within CHUNK_ENTRIES as
-well. At (4, 4, 16) a chunk holds 64 samples: phi's 16x16 Choi matrices of
-a 50-sample run fit one block, psi's 20x20 cut ones (step 4) run 40 samples
-per block, and its 64x64 ones, where formed, 4.
+marginals on a, b and c where formed, as many samples as fit the largest
+of those stacks into CHUNK_ENTRIES. A Choi matrix exists only in
+``_complementary_pair``, a block of samples at a time, each block's stack
+within CHUNK_ENTRIES as well. At (4, 4, 16) a chunk holds 64 samples:
+phi's 16x16 Choi matrices of a 50-sample run fit one block, psi's 20x20
+cut ones (step 4) run 40 samples per block, and its 64x64 ones, where
+formed, 4.
 
 1. ``run_harness`` draws the chunk's dilations from the per-sample streams
    ``SeedSequence(seed, spawn_key=(index,))`` that ``random_stinespring``
@@ -18,14 +19,17 @@ per block, and its 64x64 ones, where formed, 4.
    vector). Where d_b = d_c the two have one shape and form one group, a
    stack of 2n vectors, phi's then psi's, and the budget counts both;
    otherwise each is a group of its own. Form the marginal on a of phi's
-   vectors and, per group, the marginal on its last factor, on c for phi
-   and on b for psi, as stacked Gram products (``matmul``) of reshapes, and
-   take each one's Hermitian part in one pass that also measures its
-   deviation; Frobenius norms sum over the float64 view, each marginal's
-   once;
+   vectors as a stacked Gram product (``matmul``) of a reshape, and take
+   its Hermitian part in one pass that also measures its deviation;
+   Frobenius norms sum over the float64 view, each marginal's once;
 3. per group, one pass over its complementary pairs, phi's Choi matrix with
-   the marginal on c and psi's with the marginal on b, block by block, a
-   block of a stacked group spanning both orientations where it falls so:
+   the marginal on c and psi's with the marginal on b. That marginal on the
+   last factor is the same kind of Gram product, with its Hermitian part
+   and deviation (``_environment``); where it is the narrower member, it is
+   formed for every sample before the pass, and otherwise after it, only
+   for the samples the Choi matrix's certificate leaves open (step 4).
+   The pass runs block by block, a block of a stacked group spanning both
+   orientations where it falls so:
    form the Choi matrix as the same Gram product in real arithmetic, one
    float64 ``matmul`` (``_purification_choi``), cross-check it against the
    Kraus-vector route ``V V^dagger``, a complex ``matmul``, and take its
@@ -41,19 +45,20 @@ per block, and its 64x64 ones, where formed, 4.
    every rank, fragility and escalation window, so the matrix and its
    wider partner get the rules' flags of the exact spectrum it vouches for,
    k ones and the partner's zeros, without a spectrum; scalar checks made
-   once per pair vouch for the zeros. The samples it leaves open
-   take a stacked ``eigvalsh`` of each matrix concerned. A partial
-   transpose g of a Choi matrix, formed with reshapes, gets its PSD flags
-   without a spectrum where the Cholesky of g + c'I fails
-   (``_npt_certified``): then g is clearly not PSD. What is left goes to
-   a stacked ``eigvalsh``. The wider side, when b exceeds d_c + 1, is first
-   formed on the vectors cut to d_c + 1 values of b (``_cut_certificates``):
-   a principal submatrix of rank at most d_c whose marginal on b has rank
-   d_c + 1, so not PPT. Its partial transpose is a principal submatrix of
-   the full one, so where the same certificate, with the shift of the full
-   side, fires on the cut, it certifies the full partial transpose. Where
-   it does and the Cholesky certificate of the pair holds, the full matrix
-   is never formed; the other samples form it as above;
+   once per pair vouch for the zeros, and a wider marginal on the last
+   factor is not even formed. The samples it leaves open take a stacked
+   ``eigvalsh`` of each matrix concerned. A partial transpose g of a Choi
+   matrix, formed with reshapes, gets its PSD flags without a spectrum
+   where the Cholesky of g + c'I fails (``_npt_certified``): then g is
+   clearly not PSD. What is left goes to a stacked ``eigvalsh``. The wider
+   side, when b exceeds d_c + 1, is first formed on the vectors cut to
+   d_c + 1 values of b (``_cut_certificates``): a principal submatrix of
+   rank at most d_c whose marginal on b has rank d_c + 1, so not PPT. Its
+   partial transpose is a principal submatrix of the full one, so where the
+   same certificate, with the shift of the full side, fires on the cut, it
+   certifies the full partial transpose. Where it does and the Cholesky
+   certificate of the pair holds, the full matrix is never formed; the
+   other samples form it as above;
 5. evaluate verdicts, purity equalities and proven relations with the rules
    in ``certify`` that ``equivalence_check`` calls as well.
 
@@ -191,20 +196,19 @@ def _orientations(stack: np.ndarray, dims) -> list[np.ndarray]:
     return [vector, np.ascontiguousarray(vector.swapaxes(2, 3))]
 
 
-def _factor_marginals(groups: list[np.ndarray], n: int) -> list[np.ndarray]:
-    """For ``_orientations`` of n samples: the marginals on a of phi's
-    vectors, the first n rows, then per group the marginals on the last
-    factor of its vectors, on c of phi's and on b of psi's. Each is a
-    stacked Gram product of reshapes, L_a = X X^dagger of the rows a and
+def _first_marginal(v: np.ndarray) -> np.ndarray:
+    """The marginals on the first factor of C-contiguous tripartite vectors,
+    a stacked Gram product of a reshape, L_a = X X^dagger of the rows a."""
+    rows = v.reshape(len(v), v.shape[1], -1)
+    return np.matmul(rows, rows.conj().swapaxes(1, 2))
+
+
+def _last_marginal(v: np.ndarray) -> np.ndarray:
+    """The marginals on the last factor of C-contiguous tripartite vectors,
+    on c of phi's and on b of psi's, a stacked Gram product of a reshape,
     L_c = Y^T conj(Y) of the columns c."""
-    conjugates = [v.conj() for v in groups]
-    rows, conj = groups[0][:n].reshape(n, groups[0].shape[1], -1), conjugates[0][:n]
-    marginals = [np.matmul(rows, conj.reshape(rows.shape).swapaxes(1, 2))]
-    for v, conj in zip(groups, conjugates):
-        m, d_last = len(v), v.shape[-1]
-        marginals.append(np.matmul(v.reshape(m, -1, d_last).swapaxes(1, 2),
-                                   conj.reshape(m, -1, d_last)))
-    return marginals
+    columns = v.reshape(len(v), -1, v.shape[-1])
+    return np.matmul(columns.swapaxes(1, 2), columns.conj())
 
 
 def _purification_choi(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -447,6 +451,11 @@ def _cholesky_certified(
     # By Weyl's inequality that is (7/4 (dim + k) + 2) eps tr
     # <= 3 (dim + k) eps tr in all. The marginal on a has no partner: only
     # eigvalsh's error, below k/4 eps tr, separates x from its spectrum.
+    # W's computed spectrum is that of any computed complementary marginal
+    # within these bounds, the engine's product or the oracle's einsum
+    # (below (l + 2)/2 eps tr): nothing below reads the engine's own W. So
+    # where x is a Choi matrix, _complementary_pair forms its partner, the
+    # marginal on the last factor, only for the samples left open.
     # Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     # ed., Thm 10.3, complex case): when it runs to completion on the
     # computed y = x - s I, s = tau tr, its factor has R^* R = y + E with
@@ -598,29 +607,36 @@ def _cut_certificates(
     return checks, certified
 
 
+def _environment(v: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
+    """The Hermitian parts of the ``_last_marginal``s of tripartite vectors,
+    whether each is clearly Hermitian, and their Frobenius norms as computed."""
+    marginal = _last_marginal(v)
+    norm = _frobenius(marginal)
+    return (*_hermitian_part(marginal, norm, cfg), norm)
+
+
 def _complementary_pair(
-    vector: np.ndarray,
-    environment: np.ndarray,
-    norm: np.ndarray,
-    trace: np.ndarray,
-    cfg: ToleranceConfig,
+    vector: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
 ) -> tuple[np.ndarray, ...]:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
-    ``trace``, ``environment`` the Hermitian parts of their marginals on c,
-    and ``norm`` the Frobenius norms of those marginals as computed:
-    ``_spectrum_flags`` of the Choi matrices of the maps that trace out c
-    and of ``environment``; whether each Choi matrix is clearly Hermitian
-    and agrees with the Kraus-vector route; and ``_psd_flags`` of its
-    partial transpose.
+    ``trace``: ``_spectrum_flags`` of the Choi matrices of the maps that
+    trace out c and of the marginals on c (``_environment``); whether each
+    Choi matrix agrees with the Kraus-vector route and, with each marginal
+    on c that is formed, is clearly Hermitian; and ``_psd_flags`` of the
+    Choi matrix's partial transpose.
 
     The Choi matrices are formed by ``_choi_blocks`` and nowhere else. The
     narrower member of the pair, the Choi matrix on a tie, takes
     ``_cholesky_certified``; the samples it leaves open take ``eigvalsh`` of
-    both members. A wider Choi matrix with d_b > d_c + 1 is first read on the
-    vectors cut to d_c + 1 values of b (``_cut_certificates``): a sample
-    whose cut certifies the matrix NPT, and whose certificate holds, has its
-    flags without the full matrix being formed, and the cut's checks. Every
-    other sample forms it.
+    both members. Where the Choi matrix is that member, the marginals on c
+    are formed after its pass, for the samples left open only: a
+    settled sample's flags come from the certificate, and nothing else
+    reads its marginal on c. A wider Choi matrix with d_b > d_c + 1 is first
+    read on the vectors cut to d_c + 1 values of b (``_cut_certificates``),
+    whose bound is the norm of the marginal on c: a sample whose cut
+    certifies the matrix NPT, and whose certificate holds, has its flags
+    without the full matrix being formed, and the cut's checks. Every other
+    sample forms it.
     """
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
@@ -630,8 +646,9 @@ def _complementary_pair(
     checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
     rest = np.arange(n)
     if choi_narrower:
-        settled = np.empty(n, dtype=bool)
+        settled, clear = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
     else:
+        environment, clear, norm = _environment(vector, cfg)
         settled = _cholesky_certified(environment, trace, dim, cfg)
         if d_b > d_c + 1:
             checks, certified = _cut_certificates(vector, norm, trace, cfg)
@@ -649,8 +666,13 @@ def _complementary_pair(
             _fill(choi_flags, index[open_rows], np.linalg.eigvalsh(h[open_rows]), cfg)
         pt_psd[index], pt_near[index] = _partial_transpose_flags(h, d_a, d_b, norm, cfg, work)
     if not settled.all():
-        _fill(env_flags, ~settled, np.linalg.eigvalsh(environment[~settled]), cfg)
-    return choi_flags, env_flags, checks, pt_psd, pt_near
+        open_rows = ~settled
+        if choi_narrower:
+            environment, clear[open_rows], _ = _environment(vector[open_rows], cfg)
+        else:
+            environment = environment[open_rows]
+        _fill(env_flags, open_rows, np.linalg.eigvalsh(environment), cfg)
+    return choi_flags, env_flags, checks & clear, pt_psd, pt_near
 
 
 def _rows(values: tuple, rows) -> tuple:
@@ -676,7 +698,7 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     # reads them through reshapes and float64 views, which need no copy.
     groups = _orientations(stack, dims)
     trace = np.square(_frobenius(stack))
-    marginal_a, *environments = _factor_marginals(groups, n)
+    marginal_a = _first_marginal(groups[0][:n])
     hermitian_a, checks = _hermitian_part(marginal_a, _frobenius(marginal_a), cfg)
     flags = {"a": _certified_flags(n, d_a, d_a, cfg)}
     settled = _cholesky_certified(hermitian_a, trace, d_a, cfg)
@@ -685,14 +707,9 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     # phi's pair, its Choi matrix with the marginal on c, then psi's, with the
     # marginal on b: one pass per group, cut into its orientations after it
     pairs = []
-    for v, environment in zip(groups, environments):
-        norm = _frobenius(environment)
-        hermitian, clear = _hermitian_part(environment, norm, cfg)
+    for v in groups:
         stacked = len(v) // n
-        choi, env, pair_checks, pt_psd, pt_near = _complementary_pair(
-            v, hermitian, norm, np.concatenate([trace] * stacked), cfg
-        )
-        outcome = (choi, env, pair_checks & clear, pt_psd, pt_near)
+        outcome = _complementary_pair(v, np.concatenate([trace] * stacked), cfg)
         if stacked == 1:
             pairs.append(outcome)
         else:

@@ -108,6 +108,14 @@ def oracle_outcome(stack, dims, seed: int, cfg):
 @example(dims=(3, 2, 2), n=6, kind=("scaled", -300), seed=3, tol="psd=1e-17")
 @example(dims=(1, 4, 4), n=4, kind=("low-rank", 1), seed=4, tol="rank=1e-17")
 @example(dims=(4, 3, 3), n=3, kind=("blend", 1e-9), seed=5, tol="psd=0.1")
+# d_a d_b <= d_c, where phi's marginal on c is formed only for the samples
+# its Choi matrix's certificate leaves open: here every sample, as the
+# certificate declines where dim > k at rank_tol 1e-17, and on the
+# rank-deficient Choi matrices of a tie
+@example(dims=(1, 2, 4), n=3, kind=("gaussian", None), seed=9, tol="rank=1e-17")
+@example(dims=(2, 2, 4), n=3, kind=("low-rank", 1), seed=10, tol="default")
+@example(dims=(2, 1, 3), n=3, kind=("scaled", 300), seed=11, tol="rank=1e-17")
+@example(dims=(2, 1, 3), n=3, kind=("scaled", -300), seed=12, tol="rank=1e-17")
 def test_engine_agrees_with_oracle(dims, n, kind, seed, tol):
     stack, cfg = draw_stack(dims, n, kind, seed), TOLERANCES[tol]
     assert engine_outcome(stack, dims, seed, cfg) == oracle_outcome(stack, dims, seed, cfg)

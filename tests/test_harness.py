@@ -8,8 +8,10 @@ Structured dilations, handed to ``_run_chunk`` as a chunk, are held to
 ``equivalence_check`` on each of them the same way; they reach the bi-PPT
 branch that the Gaussian draw at d_a > 1 does not.
 
-A chunk holds each sample's dilation and its marginals on a, b and c; the
-Choi matrices are formed in blocks inside it, and only there. The engine's
+A chunk holds each sample's dilation and its marginals on a, b and c, the
+last two, where the Choi matrix is the narrower member of their pair or
+ties with it, only for the samples its certificate leaves open; the Choi
+matrices are formed in blocks inside it, and only there. The engine's
 partial-transpose flags skip the spectrum where a Cholesky of the partial
 transpose shifted up by c' fails, which certifies it clearly not PSD, and
 the marginal on a and each complementary pair take the rules' flags of the
@@ -67,9 +69,10 @@ from chancert.harness import (
     _complementary_pair,
     _choi_blocks,
     _cut_certificates,
-    _factor_marginals,
     _fill,
+    _first_marginal,
     _frobenius,
+    _last_marginal,
     _npt_certified,
     _partial_transpose_flags,
     _partial_transpose_left,
@@ -359,13 +362,18 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
     # the V V^dagger route. The oracle forms its marginals through
     # chancert.complement, unpatched. At (4, 4, 16) the engine reads psi's
     # Choi matrix on the vectors cut to their first d_b + 1 values of c, so
-    # psi's fault lands on that compressed block. At (3, 3, 3) both
-    # orientations share one stack, and each fault still lands on its own row.
+    # psi's fault lands on that compressed block; phi's Choi matrix ties
+    # with its marginal on c, which is formed only for the samples the Choi
+    # matrix's certificate leaves open, so the certificate is made to leave
+    # c's sample open, and its fault lands on a marginal formed after the
+    # pass. At (3, 3, 3) both orientations share one stack, and each fault
+    # still lands on its own row.
     cfg, seed, trials = DEFAULT_TOLERANCES, 3003, 12
     faults = {"phi": 1, "psi": 5, "a": 7, "b": 9, "c": 10}
     draws = {key: random_stinespring(*dims, seed=seed, index=i) for key, i in faults.items()}
     vectors = {key: common_purification_vector(st).reshape(dims) for key, st in draws.items()}
     _, d_b, d_c = dims
+    choi_c = choi_marginal(vectors["c"])
     vectors["psi"] = vectors["psi"].swapaxes(1, 2)[:, :d_b + 1 if d_c > d_b + 1 else d_c]
     spoil = 1.0 + 0.075j * cfg.equality_tol
 
@@ -377,7 +385,9 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
 
     injected = Counter()
     purification_choi = chancert.harness._purification_choi
-    factor_marginals = chancert.harness._factor_marginals
+    first_marginal = chancert.harness._first_marginal
+    last_marginal = chancert.harness._last_marginal
+    certified = chancert.harness._cholesky_certified
 
     def spoiled_choi(v, out):
         choi = purification_choi(v, out)
@@ -385,18 +395,30 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
             injected[key] += inject(choi, key, v)
         return choi
 
-    def spoiled_factors(groups, n):
-        # the marginal on a of phi's vectors, then per group the marginals on
-        # c of phi's vectors and on b of psi's, each (a, c, b)
-        marginals = factor_marginals(groups, n)
-        injected["a"] += inject(marginals[0], "a", groups[0][:n])
-        for v, environment in zip(groups, marginals[1:]):
-            injected["c"] += inject(environment, "c", v)
-            injected["b"] += inject(environment, "b", v.swapaxes(2, 3))
+    def spoiled_first(v):
+        marginals = first_marginal(v)
+        injected["a"] += inject(marginals, "a", v)
         return marginals
 
+    def spoiled_last(v):
+        # the marginals on c of phi's vectors and on b of psi's
+        marginals = last_marginal(v)
+        injected["c"] += inject(marginals, "c", v)
+        injected["b"] += inject(marginals, "b", v.swapaxes(2, 3))
+        return marginals
+
+    def c_left_open(x, trace, dim, cfg):
+        # where phi's Choi matrix is the certified member, c's sample's is
+        # left open
+        settled = certified(x, trace, dim, cfg)
+        if x.shape[1:] == choi_c.shape:
+            settled[[np.allclose(h, choi_c) for h in x]] = False
+        return settled
+
     monkeypatch.setattr(chancert.harness, "_purification_choi", spoiled_choi)
-    monkeypatch.setattr(chancert.harness, "_factor_marginals", spoiled_factors)
+    monkeypatch.setattr(chancert.harness, "_first_marginal", spoiled_first)
+    monkeypatch.setattr(chancert.harness, "_last_marginal", spoiled_last)
+    monkeypatch.setattr(chancert.harness, "_cholesky_certified", c_left_open)
     result = run_harness(dims, trials, seed, cfg)
     assert injected == dict.fromkeys(faults, 1)
     assert sorted(result.escalated) == sorted(faults.values())
@@ -436,8 +458,8 @@ def engine_marginals(vector, swapped) -> dict:
     for key, v in (("ab", vector), ("ac", swapped)):
         n, d_a, d_b, _ = v.shape
         marginals[key] = _purification_choi(v, np.empty((n, d_a * d_b, d_a * d_b), dtype=complex))
-    marginals["a"], marginals["c"], marginals["b"] = _factor_marginals([vector, swapped],
-                                                                       len(vector))
+    marginals["a"] = _first_marginal(vector)
+    marginals["c"], marginals["b"] = _last_marginal(vector), _last_marginal(swapped)
     return marginals
 
 
@@ -606,6 +628,72 @@ def test_equal_shapes_share_one_pair_pass(dims, tol, monkeypatch):
     except ChancertError as exc:
         loop = (type(exc), str(exc))
     assert stacked[:2] == loop
+
+
+LAZY_TUPLES = [(2, 2, 6), (3, 3, 9), (4, 4, 16), (4, 16, 4), (1, 3, 3), (1, 2, 4)]
+
+
+def lazy_sides(dims) -> set:
+    """The sides of the marginals on the last factor that are formed after
+    their pair's Choi pass: on c where phi's Choi matrix is the narrower
+    member or ties with it, on b where psi's is."""
+    d_a, d_b, d_c = dims
+    return {d_last for d_other, d_last in ((d_b, d_c), (d_c, d_b)) if d_a * d_other <= d_last}
+
+
+def open_choi_rows(dims, trials, seed, cfg) -> int:
+    """How many Choi matrices of samples 0 .. trials-1 of ``seed`` that are
+    the narrower member of their pair, or tie with it, ``_cholesky_certified``
+    leaves open, over both orientations: each formed and certified as the
+    engine does."""
+    stack = np.stack([random_stinespring(*dims, seed=seed, index=i).matrix
+                      for i in range(trials)])
+    trace = np.square(_frobenius(stack))
+    vector = harness_vectors(dims, seed, trials)
+    rows = 0
+    for v in (vector, np.ascontiguousarray(vector.swapaxes(2, 3))):
+        _, d_a, d_other, d_last = v.shape
+        if d_a * d_other <= d_last:
+            for block, h, *_ in _choi_blocks(v, cfg):
+                rows += np.count_nonzero(~_cholesky_certified(h, trace[block], d_last, cfg))
+    return rows
+
+
+@pytest.mark.parametrize("tol", list(ROUTING_TOLERANCES))
+@pytest.mark.parametrize("dims", LAZY_TUPLES, ids=dims_id)
+def test_wider_marginal_formed_only_where_open(dims, tol, monkeypatch):
+    # where a pair's Choi matrix is its narrower member, or ties with it,
+    # the marginal on the last factor is formed, and checked Hermitian, only
+    # for the samples whose Choi matrix the certificate leaves open: none
+    # where it settles all, and all where it declines, as at rank_tol 1e-17
+    # wherever dim > k. Each Hermitian check outside the Choi pass on a
+    # matrix of that side is one such marginal; the marginal on a and the
+    # marginals formed for every sample have other sides. Counts,
+    # counterexamples and escalations are those of the engine with every
+    # certificate declined, which forms every marginal, and counts and
+    # counterexamples those of the per-sample loop
+    cfg, trials, seed = ROUTING_TOLERANCES[tol], 40, 3003
+    d_a, d_b, d_c = dims
+    sides = lazy_sides(dims)
+    assert sides and not sides & {d_a, *({d_b, d_c} - sides)}
+    formed = []
+    hermitian_part = chancert.harness._hermitian_part
+
+    def recording(x, *args):
+        if sys._getframe(1).f_code.co_name != "_choi_blocks" and x.shape[-1] in sides:
+            formed.append(len(x))
+        return hermitian_part(x, *args)
+
+    def run():
+        return run_harness(dims, trials, seed, cfg)
+
+    monkeypatch.setattr(chancert.harness, "_hermitian_part", recording)
+    engine_outcome(run)
+    rows = sum(formed)
+    assert rows == open_choi_rows(dims, trials, seed, cfg)
+    if tol == "rank-1e-17" and d_a * min(d_b, d_c) < max(d_b, d_c):
+        assert rows == trials
+    assert_decline_path_agrees(run, lambda: per_sample(dims, trials, seed, cfg), monkeypatch)
 
 
 def test_cli_report_matches_per_sample_loop(tmp_path):
@@ -1090,7 +1178,7 @@ def test_npt_certificates_against_40_digit_spectra(case):
         bound = norm
     else:
         trace = np.square(_frobenius(full.reshape(len(full), 1, -1)))
-        environment = _frobenius(_factor_marginals([full, swapped], len(full))[2])
+        environment = _frobenius(_last_marginal(swapped))
         bound = environment + SCHMIDT_ROUNDING * (dim + d_b) * eps * trace
     g = _partial_transpose_left(h, d_a, d_right)
     fired = _npt_certified(g, bound, cfg, dim)
@@ -1120,11 +1208,8 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals.items()}
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
     flags = {}
-    norm = {key: _frobenius(marginals[key]) for key in ("b", "c")}
-    flags["ab"], flags["c"], *_ = _complementary_pair(vector, hermitian["c"], norm["c"], trace,
-                                                      cfg)
-    flags["ac"], flags["b"], *_ = _complementary_pair(swapped, hermitian["b"], norm["b"], trace,
-                                                      cfg)
+    flags["ab"], flags["c"], *_ = _complementary_pair(vector, trace, cfg)
+    flags["ac"], flags["b"], *_ = _complementary_pair(swapped, trace, cfg)
     settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
     certified = np.count_nonzero(settled)
     for pair in (("ab", "c"), ("ac", "b")):
