@@ -171,8 +171,8 @@ class CertificateReport:
         }
 
 
-def _bool_verdict(flag: bool, reason: str, fragile: bool = False) -> Verdict:
-    return Verdict(YES if flag else NO, reason, fragile)
+def _bool_verdict(flag: bool, reason: str) -> Verdict:
+    return Verdict(YES if flag else NO, reason)
 
 
 def _spectra(

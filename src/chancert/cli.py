@@ -20,13 +20,9 @@ choi, state or stinespring object for ``generate`` and ``convert``. The
 
 ``main`` may be called repeatedly in one process: the parser is built once,
 and flags, environment and handler are read anew on every call. Its first
-call sets the process policies that the library leaves to its callers, for
-the rest of the process (``_set_process_policy``): OpenBLAS held to one
-thread, and glibc's malloc keeping freed heap memory. A valid command line
-is parsed by its subcommand's parser alone; help, an unknown command, an
-empty argv and unrecognized arguments go to the full parser, so every parse
-gives the namespace, or the messages and exit code, of
-``build_parser().parse_args``.
+call sets the process policies that the library leaves to its callers
+(``_set_process_policy``). Every parse gives the namespace, or the messages
+and exit code, of ``build_parser().parse_args`` (``_parse_args``).
 """
 
 from __future__ import annotations
@@ -304,8 +300,9 @@ def _set_process_policy() -> None:
     """Hold numpy's OpenBLAS to one thread, and have glibc's malloc keep
     freed heap memory, for the rest of the process; neither is restored.
 
-    At desk-scale dimensions BLAS worker threads buy no wall time and double
-    the CPU time. glibc's default raises the trim threshold only to twice
+    At desk-scale dimensions BLAS worker threads buy no wall time (a 64x64
+    ``eigvalsh`` takes as long on one thread as on two) and double the CPU
+    time. glibc's default raises the trim threshold only to twice
     the largest mapped block freed so far, below the working set that each
     harness chunk frees (about 2.3 MiB at (4, 4, 16)), so the heap top went
     back to the kernel after every chunk and was page-faulted in again by
@@ -316,7 +313,10 @@ def _set_process_policy() -> None:
     policies are process-wide, so they are for the owner of the process,
     and ``run_harness`` and ``equivalence_check`` leave them alone. Each
     does nothing where its library is missing: numpy's BLAS is not
-    OpenBLAS, or the C library has no ``mallopt``.
+    OpenBLAS, or the C library has no ``mallopt``. Neither changes a number:
+    the CI smokes and the benchmark corpora give the same output bytes on one
+    BLAS thread as on two, and the same matrices are computed in memory
+    from another place.
     """
     controls = _openblas_thread_controls()
     if controls is not None:

@@ -8,9 +8,9 @@ indices may be any non-negative integers.
 
 ``random_dilation_stack`` computes those seed sequences in bulk instead of
 building a ``SeedSequence`` per sample. numpy's ``SeedSequence(seed)`` mixes
-the seed's words, once per seed (the pool is cached). A replica of its
-mixing then mixes in the indices' words, and hashes out PCG64's four seed
-words (``generate_state(4, np.uint64)``), for all samples at once: as uint64
+the seed's words, once per call. A replica of its mixing then mixes in the
+indices' words, and hashes out PCG64's four seed words
+(``generate_state(4, np.uint64)``), for all samples at once: as uint64
 arrays of 32-bit words, one column per word, where an index with fewer
 words leaves its pool unchanged in the extra columns. Each sample's seed
 words reach ``PCG64`` through numpy's ``ISeedSequence`` interface, so PCG64
@@ -139,20 +139,14 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-@functools.lru_cache(maxsize=64)
 def _hash_run(hash_const: int, count: int, mult: int = _MULT_A) -> np.ndarray:
-    """The hash constants of ``count`` successive hashmix calls, from hash_const
-    on, read-only: every command mixing an index into a seed of as many
-    words starts from the same constant."""
+    """The hash constants of ``count`` successive hashmix calls, from hash_const on."""
     run = [hash_const]
     for _ in range(count - 1):
         run.append(run[-1] * mult & _MASK32)
-    run = np.array(run, dtype=np.uint64)
-    run.flags.writeable = False
-    return run
+    return np.array(run, dtype=np.uint64)
 
 
-@functools.lru_cache(maxsize=32)
 def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     """Pool and hash constant of ``SeedSequence(seed, spawn_key=key)`` once
     the seed's words are mixed in; the words of ``key`` follow.
@@ -164,7 +158,6 @@ def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
     constant once.
     """
     pool = np.random.SeedSequence(seed).pool.astype(np.uint64)
-    pool.flags.writeable = False
     words = max((seed.bit_length() + 31) // 32, _POOL_SIZE)
     return pool, _INIT_A * pow(_MULT_A, _POOL_SIZE * words, _MASK32 + 1) & _MASK32
 

@@ -1,6 +1,7 @@
 """Rejections at the library's boundary: each check that guards a constructor
-or a public helper against a wrong shape, an empty set or an out-of-range
-dimension raises its documented error type with its message."""
+or a public helper against a wrong shape, an empty set, an out-of-range
+dimension or an invalid value raises its documented error type with its
+message."""
 
 import re
 
@@ -14,6 +15,7 @@ from chancert import (
     KrausSet,
     NotPositiveSemidefiniteError,
     StinespringOperator,
+    Verdict,
     apply_channel,
     channels_equal,
     choi_from_map_action,
@@ -22,6 +24,7 @@ from chancert import (
     hermitian_eigensystem,
     kraus_from_choi,
     named_channel,
+    schur_stinespring,
 )
 from chancert.generate import random_dilation_stack
 from chancert.linalg import as_matrix, hermitian_spectrum
@@ -60,6 +63,11 @@ REJECTIONS = {
                         "expected a square matrix, got (2, 3)"),
     "dilation-stack-zero": (lambda: random_dilation_stack(2, 0, 3, 1, [0]),
                             DimensionMismatchError, "all dimensions must be at least 1"),
+    "schur-empty": (lambda: schur_stinespring([]), DimensionMismatchError,
+                    "t must be a nonempty vector"),
+    "named-channel-zero": (lambda: named_channel("identity", 0), DimensionMismatchError,
+                           "dimension must be at least 1"),
+    "verdict-value": (lambda: Verdict("maybe", "r"), ValueError, "invalid verdict value 'maybe'"),
 }
 
 

@@ -1,28 +1,12 @@
 """Agreement of the batched verify-theorem engine with a per-sample loop.
 
 The reference is the loop the engine replaces: ``random_stinespring`` then
-``equivalence_check`` for every sample, tallied here. Counts and
-counterexample records must be equal, and the non-vacuous configurations
-must actually reach escalation, fragile discards and the PPT branch.
-Structured dilations, handed to ``_run_chunk`` as a chunk, are held to
-``equivalence_check`` on each of them the same way; they reach the bi-PPT
-branch that the Gaussian draw at d_a > 1 does not.
-
-A chunk holds each sample's dilation and its marginals on a, b and c, the
-last two, where the Choi matrix is the narrower member of their pair or
-ties with it, only for the samples its certificate leaves open; the Choi
-matrices are formed in blocks inside it, and only there. The engine's
-partial-transpose flags skip the spectrum where a Cholesky of the partial
-transpose shifted up by c' fails, which certifies it clearly not PSD, and
-the marginal on a and each complementary pair take the rules' flags of the
-spectrum a Cholesky of the narrower member shifted down vouches for, where
-it succeeds; both must equal the flags of the computed spectrum exactly,
-and where the pair's certificate declines, the outcomes must be those of the
-engine without it. A wider Choi matrix
-whose non-transposed factor exceeds the inner dimension r + 1 is first read
-on the vectors cut to r + 1 values of that factor; where the certificate
-fires on the cut, the flags of the full partial transpose's spectrum must
-read not PSD and not near, and the full matrix is never formed.
+``equivalence_check`` for every sample, tallied here. Counts, counterexample
+records and exceptions must be equal, on Gaussian runs and on structured
+dilations handed to ``_run_chunk``, and the runs must reach escalation,
+fragile discards and the PPT branch. Each certificate of ``chancert.harness``
+is also held, on planted and random inputs, to the flags of the computed
+spectrum it stands in for, as its docstring states them.
 """
 
 import dataclasses
@@ -35,7 +19,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chancert import (
@@ -876,9 +860,11 @@ def test_partial_transpose_flags_match_spectrum_flags(psd_tol):
             g = hermitian_stack(rng, spectra)
             for exponent in (-40, 0, 40):
                 scaled = 2.0**exponent * g
-                h, bound = _partial_transpose_left(scaled, d_left, d_right), _frobenius(scaled)
+                h = _partial_transpose_left(scaled, d_left, d_right, np.empty_like(scaled))
+                bound = _frobenius(scaled)
                 want_psd, want_near = spectrum_flags(scaled, cfg)
-                psd, near = _partial_transpose_flags(h, d_left, d_right, bound, cfg)
+                psd, near = _partial_transpose_flags(
+                    h, d_left, d_right, bound, cfg, np.empty_like(h))
                 assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
                 certified += np.count_nonzero(_npt_certified(scaled, bound, cfg))
     assert certified > 0 or psd_tol == ROUNDING_PSD_TOL
@@ -943,12 +929,13 @@ def test_partial_transpose_flags_on_random_states(seed, d_left, d_right, rank, p
     g = complex_gaussian(np.random.default_rng(seed), (3, dim, min(rank, dim)))
     state = g @ g.conj().swapaxes(1, 2)
     h = (state + state.conj().swapaxes(1, 2)) / 2.0
-    psd, near = _partial_transpose_flags(h, d_left, d_right, _frobenius(h), cfg)
-    want_psd, want_near = spectrum_flags(_partial_transpose_left(h, d_left, d_right), cfg)
+    psd, near = _partial_transpose_flags(h, d_left, d_right, _frobenius(h), cfg, np.empty_like(h))
+    want_psd, want_near = spectrum_flags(
+        _partial_transpose_left(h, d_left, d_right, np.empty_like(h)), cfg)
     assert np.array_equal(psd, want_psd) and np.array_equal(near, want_near)
     scaled = 2.0**exponent * h
     scaled_psd, scaled_near = _partial_transpose_flags(
-        scaled, d_left, d_right, _frobenius(scaled), cfg
+        scaled, d_left, d_right, _frobenius(scaled), cfg, np.empty_like(scaled)
     )
     assert np.array_equal(scaled_psd, psd) and np.array_equal(scaled_near, near)
 
@@ -977,7 +964,7 @@ def test_npt_certificate_implies_spectrum_flags(seed, d_left, d_right, rank, noi
     dim = d_left * d_right
     h = 2.0**exponent * noisy_product_states(np.random.default_rng(seed), 4, d_left, d_right,
                                               min(rank, dim), 10.0**noise)
-    g = _partial_transpose_left(h, d_left, d_right)
+    g = _partial_transpose_left(h, d_left, d_right, np.empty_like(h))
     fired = _npt_certified(g, _frobenius(h), cfg)
     psd, near = spectrum_flags(g, cfg)
     assert not (fired & (psd | near)).any()
@@ -1059,7 +1046,7 @@ def cut_and_full_flags(vector, cfg) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     _, certified = _cut_certificates(vector, _frobenius(marginals["c"]), trace, cfg)
     choi = marginals["ab"]
     h = (choi + choi.conj().swapaxes(1, 2)) / 2.0
-    return certified, *spectrum_flags(_partial_transpose_left(h, d_a, d_b), cfg)
+    return certified, *spectrum_flags(_partial_transpose_left(h, d_a, d_b, np.empty_like(h)), cfg)
 
 
 def noisy_product_vectors(rng, n, dims, rank, noise) -> np.ndarray:
@@ -1180,7 +1167,7 @@ def test_npt_certificates_against_40_digit_spectra(case):
         trace = np.square(_frobenius(full.reshape(len(full), 1, -1)))
         environment = _frobenius(_last_marginal(swapped))
         bound = environment + SCHMIDT_ROUNDING * (dim + d_b) * eps * trace
-    g = _partial_transpose_left(h, d_a, d_right)
+    g = _partial_transpose_left(h, d_a, d_right, np.empty_like(h))
     fired = _npt_certified(g, bound, cfg, dim)
     assert np.count_nonzero(fired) >= 5
     full_side = dim or d_a * d_right
@@ -1328,6 +1315,8 @@ def test_wide_spectra_psd_flags_near_threshold(psd_tol):
 
 
 @settings(max_examples=300, deadline=None)
+@example(seed=1, k=2, extra=0, f=1 - 1e-6, psd_tol=1e-9, rank_tol=1e-17, exponent=0)
+@example(seed=0, k=2, extra=0, f=1 - 1e-6, psd_tol=1e-9, rank_tol=1e-17, exponent=0)
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 16), extra=st.integers(0, 16),
        f=st.sampled_from([1 - 1e-6, 1 + 1e-6, 1.01, 2.0]),
        psd_tol=st.sampled_from([1e-9, 1e-3, 0.1]),

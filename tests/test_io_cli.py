@@ -37,6 +37,7 @@ from chancert.certify import (
     witness_verdict,
 )
 from chancert.cli import ENV_VARS, main
+from chancert.errors import EigensolverError
 from chancert.io import (
     MATRIX_SCALE_LIMIT,
     OPERATOR_SCALE_RANGE,
@@ -328,6 +329,19 @@ class TestCliAnalyze:
         assert main(["analyze", str(st_path), "--output", str(tmp_path / "r.json")]) == 4
         assert "purity rank equalities failed on a non-fragile sample" in capsys.readouterr().err
 
+    def test_unmapped_error_is_internal_error(self, tmp_path, monkeypatch, capsys):
+        # a ChancertError that no other exit code covers is an internal error
+        choi_path = tmp_path / "id.json"
+        assert main(["generate", "--kind", "identity", "--dims", "2",
+                     "--output", str(choi_path)]) == 0
+
+        def fail(args, cfg):
+            raise EigensolverError("eigh did not converge")
+
+        monkeypatch.setattr(chancert.cli, "cmd_analyze", fail)
+        assert main(["analyze", str(choi_path)]) == 1
+        assert capsys.readouterr() == ("", "internal error: eigh did not converge\n")
+
     @pytest.mark.parametrize("role, psd_key", [("choi", "cp"), ("state", "psd")])
     def test_non_hermitian_input_gets_no_rank_records(self, tmp_path, role, psd_key):
         # ranks come from eigenvalues, and no verdict on a matrix that is not
@@ -496,6 +510,7 @@ class TestCliGenerateConvert:
         (["--kind", "schur", "--params=1,-0.5"], "entrywise multiplier weights must be nonnegative"),
         (["--kind", "schur", "--params=nan,1"], "entrywise multiplier weights must be finite"),
         (["--kind", "schur", "--params=inf,1"], "entrywise multiplier weights must be finite"),
+        (["--kind", "schur", "--params", "a,1"], "expected comma-separated numbers, got 'a,1'"),
     ])
     def test_argument_error_is_parse_error(self, tmp_path, capsys, args, message):
         path = tmp_path / "g.json"
@@ -932,6 +947,7 @@ class TestCliVerifyTheorem:
         (["--dims", "2,2,0"], {}, "--dims"),
         (["--trials", "0"], {}, "--trials"),
         ([], {"CHANCERT_PSD_TOL": "abc"}, "CHANCERT_PSD_TOL"),
+        (["--dims", "2,x,3"], {}, "error: expected comma-separated integers, got '2,x,3'\n"),
     ])
     def test_invalid_run_is_parse_error(self, tmp_path, monkeypatch, capsys, args, env, message):
         for name, value in env.items():
