@@ -29,12 +29,14 @@ one, states what it decides and why that is sound.
    and ``_tally`` counts them by COUNT_RULES.
 6. ``_escalate`` re-runs through ``equivalence_check``, the oracle, each
    sample whose outcome the batched evaluation cannot vouch for: a failed
-   check or relation, a Choi matrix that is not clearly PSD, or an
-   eigenvalue near a decision window (``_psd_flags``, ``_rank_flags``).
-   The oracle forms its matrices by einsum, so they match the engine's only
-   to rounding, which those margins absorb. The oracle's outcome is what
-   counts, so counts, counterexample records, exceptions and exit codes
-   are those of a per-sample loop.
+   check or relation, a Choi matrix that is not clearly PSD, a lambda_min
+   near the PSD threshold (``_psd_flags``), or a singular value within
+   rounding of an edge of a fragility window, or near it where rounding
+   spans the window (``_rank_flags``). The oracle forms its matrices by
+   einsum, so they match the engine's only to rounding, which those
+   margins absorb. The oracle's outcome is what counts, so counts,
+   counterexample records, exceptions and exit codes are those of a
+   per-sample loop.
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ from .linalg import EPS, FRAGILITY_FACTOR, ROUNDING_BAND, ToleranceConfig
 # counts both. Larger stacks save little per-call overhead but raise the peak
 # memory of the widest tuples.
 CHUNK_ENTRIES = 16384
-# An eigenvalue this factor or less outside a decision window (the PSD
-# threshold, the fragility window around a rank cutoff) escalates its sample.
+# A lambda_min this factor or less from the PSD threshold escalates its
+# sample (_psd_flags), and so does a singular value this factor or less
+# outside a fragility window where rounding may span it (_rank_flags). The
+# certificates take their shifts this factor past the windows they clear.
 ESCALATION_MARGIN = 2.0
 # A Hermitian deviation or a cross-check difference above equality_tol over
 # this factor escalates its sample: the per-sample path measures both on
@@ -125,8 +129,8 @@ def chunk_size(dims) -> int:
 
 def block_size(side: int) -> int:
     """Samples per block of Choi matrices of side ``side``: as many as fit
-    CHUNK_ENTRIES. At (4, 4, 16), 64 of phi's 16x16 Choi matrices, 40 of psi's
-    20x20 cuts and 4 of its 64x64 ones."""
+    CHUNK_ENTRIES. At (4, 4, 16), 64 of phi's 16x16 Choi matrices, 163 of
+    psi's 10x10 cuts and 4 of its 64x64 ones."""
     return max(1, CHUNK_ENTRIES // (side * side))
 
 
@@ -256,14 +260,15 @@ def _psd_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndar
 
 @functools.lru_cache(maxsize=256)
 def _unit_rules(k: int, dim: int, cfg: ToleranceConfig, rank_rule, psd_rule):
-    """``_spectrum_flags`` of one spectrum of dim - k zeros and k ones, as
-    (psd, near, fragile, margin) stacked, shape (4, 1), and the rank, shape
-    (1,); and its rank cutoff and PSD threshold, rank_tol dim and -psd_tol.
+    """``_spectrum_flags`` of one spectrum of dim - k zeros and k ones, of a
+    pair with summed sides dim + k, as (psd, near, fragile, margin)
+    stacked, shape (4, 1), and the rank, shape (1,); and its rank cutoff
+    and PSD threshold, rank_tol dim and -psd_tol.
     The certificates read these from ``linalg``'s rules, passed here as part
     of the memo's key, so that a rule patched on its module reaches them too;
     unpatched, evaluating them costs some 40 us, several times per chunk."""
     w = np.repeat([[0.0, 1.0]], (dim - k, k), axis=1)
-    psd, near, rank, fragile, margin = _spectrum_flags(w, cfg)
+    psd, near, rank, fragile, margin = _spectrum_flags(w, cfg, dim + k)
     flags = (np.stack([psd, near, fragile, margin]), rank)
     return flags, float(rank_rule(w, cfg)[1][0]), float(psd_rule(w, cfg)[1][0])
 
@@ -407,7 +412,8 @@ def _cholesky_certified(
     the side of the complementary marginal, k for the marginal on a, which
     has none. Where it holds, ``_psd_flags`` and ``_rank_flags`` of the
     computed spectra of x and of its complementary marginal read PSD, not
-    near, rank k, not fragile and no margin. It holds nowhere where
+    near, rank k, not fragile and no margin, whatever summed sides
+    ``_rank_flags`` is given. It holds nowhere where
     ``_cholesky_shift`` is None. At default tolerances, over 4000 samples
     of seed 3003, it settled every marginal on a and every pair at the
     acceptance tuples, (2, 2, 6) and (2, 6, 2), and left open 0.10% and
@@ -426,13 +432,17 @@ def _cholesky_certified(
     #   per unit of the rows' norms, (l + 2) eps/2 <= 3/2 l eps. The real
     #   route (a Choi matrix) sums 2 l real terms for Re and Im each,
     #   sqrt(2) gamma_{2l} together, below 3/2 l eps. Of a pair, one member
-    #   contracts over dim terms and the other over k;
+    #   contracts over dim terms and the other over k, and the marginal on
+    #   a over d_b d_c;
     # - each Hermitian part is exactly Hermitian and adds eps tr;
     # - eigvalsh adds below side/4 eps ||h||_2 (see linalg.ROUNDING_BAND),
     #   and ||h||_2 <= tr.
     # By Weyl's inequality that is (7/4 (dim + k) + 2) eps tr
-    # <= 3 (dim + k) eps tr in all. The marginal on a has no partner: only
-    # eigvalsh's error, below k/4 eps tr, separates x from its spectrum.
+    # <= 3 (dim + k) eps tr in all, and 3 (d_a + d_b d_c) eps tr for the
+    # marginal on a, for the oracle's matrices as for the engine's
+    # (_rank_flags reads these). The certificate of the marginal on a,
+    # which has no partner, needs less: only eigvalsh's error, below k/4
+    # eps tr, separates x from its computed spectrum.
     # W's computed spectrum is that of any computed complementary marginal
     # within these bounds, the engine's product or the oracle's einsum
     # (below (l + 2)/2 eps tr): nothing below reads the engine's own W. So
@@ -459,18 +469,23 @@ def _cholesky_certified(
     #   s. Each computed sigma_max is at most tr + delta and each side at
     #   most dim, so these eigenvalues lie past their spectrum's rank cutoff
     #   rank_tol sigma_max side by more than FRAGILITY_FACTOR
-    #   ESCALATION_MARGIN, and are positive. x's spectrum thus reads rank k,
-    #   not fragile, no margin, PSD (lambda_min > 0 >= the threshold) and
+    #   ESCALATION_MARGIN, and are positive. Where _rank_flags reads its
+    #   slack, that is below half the lower fragility edge, so below the
+    #   upper edge over 2 FRAGILITY_FACTOR^2, and these eigenvalues, past
+    #   twice the upper edge, clear it by more. x's spectrum thus reads rank
+    #   k, not fragile, no margin, PSD (lambda_min > 0 >= the threshold) and
     #   not near (that needs lambda_min < threshold / 2 <= 0).
     # - W's other dim - k computed eigenvalues lie in [-delta, delta], and
     #   its sigma_max, at least X's mean eigenvalue tr/k less delta, in
     #   [tr/k - delta, tr + delta]. If delta FRAGILITY_FACTOR
     #   ESCALATION_MARGIN < rank_tol (tr/k - delta) dim, they lie at or below
-    #   every cutoff over that factor: rank k, not fragile, no margin. If
-    #   delta ESCALATION_MARGIN < psd_tol (tr/k - delta), lambda_min >= -delta
-    #   lies above half the PSD threshold: PSD, not near. Both checks scale
-    #   with tr, so they are made once, on delta/tr; delta's spare factor
-    #   absorbs the rounding of tr, of delta and of the checks.
+    #   every cutoff over that factor, half the lower fragility edge, and so,
+    #   where _rank_flags reads its slack, below that edge by more than the
+    #   slack: rank k, not fragile, no margin. If delta ESCALATION_MARGIN <
+    #   psd_tol (tr/k - delta), lambda_min >= -delta lies above half the PSD
+    #   threshold: PSD, not near. Both checks scale with tr, so they are
+    #   made once, on delta/tr; delta's spare factor absorbs the rounding of
+    #   tr, of delta and of the checks.
     n, k = x.shape[0], x.shape[-1]
     tau = _cholesky_shift(k, dim, cfg)
     if tau is None:
@@ -478,10 +493,10 @@ def _cholesky_certified(
     return _cholesky_succeeds(x, -tau * trace)
 
 
-def _spectrum_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
-    """``_psd_flags`` and ``_rank_flags`` of ascending spectra: psd, near,
-    rank, fragile and margin."""
-    return (*_psd_flags(w, cfg), *_rank_flags(w, cfg))
+def _spectrum_flags(w: np.ndarray, cfg: ToleranceConfig, sides: int) -> tuple[np.ndarray, ...]:
+    """``_psd_flags`` and ``_rank_flags`` of ascending spectra, of a pair with
+    summed sides ``sides``: psd, near, rank, fragile and margin."""
+    return (*_psd_flags(w, cfg), *_rank_flags(w, cfg, sides))
 
 
 def _certified_flags(n: int, k: int, dim: int, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
@@ -494,9 +509,12 @@ def _certified_flags(n: int, k: int, dim: int, cfg: ToleranceConfig) -> tuple[np
     return psd, near, rank.repeat(n), fragile, margin
 
 
-def _fill(flags: tuple[np.ndarray, ...], rows, w: np.ndarray, cfg: ToleranceConfig) -> None:
-    """Write ``_spectrum_flags`` of the spectra ``w`` into ``flags`` at ``rows``."""
-    for target, value in zip(flags, _spectrum_flags(w, cfg)):
+def _fill(
+    flags: tuple[np.ndarray, ...], rows, w: np.ndarray, cfg: ToleranceConfig, sides: int
+) -> None:
+    """Write ``_spectrum_flags`` of the spectra ``w``, whose complementary
+    pair has summed sides ``sides``, into ``flags`` at ``rows``."""
+    for target, value in zip(flags, _spectrum_flags(w, cfg, sides)):
         target[rows] = value
 
 
@@ -530,18 +548,30 @@ def _cut_certificates(
 ) -> tuple[np.ndarray, np.ndarray]:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
     ``trace``, and ``norm`` the Frobenius norms of their computed marginals on
-    c, cut to their first d_c + 1 values of b: whether each cut's Choi
-    matrix is clearly Hermitian and agrees with the Kraus-vector route,
+    c, cut to their first min(d_a, 2) values of a and d_c + 1 of b: whether
+    each cut's Choi matrix, of side min(d_a, 2) (d_c + 1), 10x10 at
+    (4, 16, 4), is clearly Hermitian and agrees with the Kraus-vector route,
     which stand for the full matrix's checks where it is not formed, and
     whether ``_npt_certified`` of the cut, with the shift of the full side,
     certifies the full Choi matrix's partial transpose: where it does,
     ``_psd_flags`` of that partial transpose's computed spectrum reads
-    psd = near = False."""
+    psd = near = False. At default tolerances it certified all 800 samples
+    of seeds 1 and 3003 at (3, 3, 9) and (4, 4, 16), as the cut on all of a
+    did; a 50-sample call at (4, 16, 4), one 10x10 block, took 175 us
+    against 411 us for two 20x20 blocks on all of a. At psd_tol 0.03 it
+    certifies fewer: 100 of those 800 at (3, 3, 9), where all of a
+    certified 625, and none at (4, 4, 16), against 15."""
     # Why. The cut's Choi matrix J' is the principal submatrix of J on
-    # b < d_c + 1, and its partial transpose g' that of J's, g. Its rank is
-    # at most d_c, below that of its marginal on b, d_c + 1 for generic
-    # vectors with d_a > 1, so J' is not PPT (Horodecki-Smolin-Terhal-
-    # Thapliyal) and the certificate mostly fires on it. Its shift c is
+    # a < min(d_a, 2), b < d_c + 1, and its partial transpose g' that of
+    # J's, g: the partial transpose swaps the a indices of an entry, and
+    # the cut keeps both or neither. J' is the Gram matrix of its rows (a, b)
+    # over c, so its rank is at most d_c, below that of its marginal on b,
+    # d_c + 1 for generic vectors with d_a > 1, as two values of a already
+    # give it 2 d_c >= d_c + 1 terms. So J' is not PPT (Horodecki-Smolin-
+    # Terhal-Thapliyal: a PPT state's rank is at least each marginal's) and
+    # the certificate mostly fires on it. Only the block's shape differs
+    # from that of the cut on all of a: the steps below read it as a
+    # principal submatrix and no more. Its shift c is
     # taken at g's side, with the bound norm + delta, delta = SCHMIDT_ROUNDING
     # (side + d_c) eps trace, plus the rounding r = (3 d_c + 2 + side/4) eps
     # trace as a term of its own:
@@ -576,10 +606,10 @@ def _cut_certificates(
     bound = norm + SCHMIDT_ROUNDING * (side + d_c) * EPS * trace
     rounding = (3 * d_c + 2 + side / 4) * EPS * trace
     checks, certified = np.empty((2, n), dtype=bool)
-    cut = np.ascontiguousarray(vector[:, :, :d_c + 1])
+    cut = np.ascontiguousarray(vector[:, :2, :d_c + 1])
     for block, h, _, passed, work in _choi_blocks(cut, cfg):
         checks[block] = passed
-        g = _partial_transpose_left(h, d_a, d_c + 1, work)
+        g = _partial_transpose_left(h, cut.shape[1], d_c + 1, work)
         certified[block] = _npt_certified(g, bound[block], cfg, side, rounding[block])
     return checks, certified
 
@@ -609,7 +639,8 @@ def _complementary_pair(
     are formed after its pass, for the samples left open only: a
     settled sample's flags come from the certificate, and nothing else
     reads its marginal on c. A wider Choi matrix with d_b > d_c + 1 is first
-    read on the vectors cut to d_c + 1 values of b (``_cut_certificates``),
+    read on the vectors cut to two values of a and d_c + 1 of b
+    (``_cut_certificates``),
     whose bound is the norm of the marginal on c: a sample whose cut
     certifies the matrix NPT, and whose certificate holds, has its flags
     without the full matrix being formed, and the cut's checks. Every other
@@ -640,7 +671,7 @@ def _complementary_pair(
             settled[index] = _cholesky_certified(h, trace[index], dim, cfg)
         open_rows = ~settled[index]
         if open_rows.any():
-            _fill(choi_flags, index[open_rows], np.linalg.eigvalsh(h[open_rows]), cfg)
+            _fill(choi_flags, index[open_rows], np.linalg.eigvalsh(h[open_rows]), cfg, k + dim)
         pt_psd[index], pt_near[index] = _partial_transpose_flags(h, d_a, d_b, norm, cfg, work)
     if not settled.all():
         open_rows = ~settled
@@ -648,7 +679,7 @@ def _complementary_pair(
             environment, clear[open_rows], _ = _environment(vector[open_rows], cfg)
         else:
             environment = environment[open_rows]
-        _fill(env_flags, open_rows, np.linalg.eigvalsh(environment), cfg)
+        _fill(env_flags, open_rows, np.linalg.eigvalsh(environment), cfg, k + dim)
     return choi_flags, env_flags, checks & clear, pt_psd, pt_near
 
 
@@ -657,12 +688,43 @@ def _rows(values: tuple, rows) -> tuple:
     return tuple(_rows(x, rows) if isinstance(x, tuple) else x[rows] for x in values)
 
 
-def _rank_flags(w: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
-    """Ranks and fragility of spectra, and whether a singular value lies within
-    a factor ESCALATION_MARGIN outside the fragility window."""
+def _rank_flags(w: np.ndarray, cfg: ToleranceConfig, sides: int) -> tuple[np.ndarray, ...]:
+    """Ranks and fragility of spectra, and whether a singular value lies
+    near an edge of the fragility window, the cutoff over and times
+    FRAGILITY_FACTOR: within the slack 2 SCHMIDT_ROUNDING ``sides`` eps
+    trace (1 + FRAGILITY_FACTOR rank_tol side), on either side, or, where
+    that slack reaches half the lower edge, within a factor
+    ESCALATION_MARGIN outside the window. The trace is the sum of the
+    singular values, and ``sides`` the summed sides of the complementary
+    pair the spectrum belongs to."""
+    # Why. The engine's and the oracle's computed spectra each lie within
+    # delta = SCHMIDT_ROUNDING sides eps tr of the exact one, eigenvalue by
+    # eigenvalue (see _cholesky_certified; for the marginal on a, sides is
+    # d_a + d_b d_c, the terms of its Gram product and its side), so within
+    # 2 delta of each other. The cutoff rank_tol sigma_max side moves with
+    # sigma_max, by at most rank_tol side 2 delta, and so each edge by at
+    # most FRAGILITY_FACTOR rank_tol side 2 delta. So a singular value past
+    # both edges by the slack lies on the same side of each in the oracle's
+    # spectrum, and the oracle reads the same rank and fragility. The trace
+    # taken here differs from tr only by rounding and by at most the
+    # spectrum's side times delta, which delta's tenfold spare absorbs.
+    # Where the slack is below half the lower edge, FRAGILITY_FACTOR times
+    # the cutoff lies far above the rounding band, which the rule then does
+    # not read. Where it is not, as at a rounding-level rank_tol, the slack
+    # reaches every computed zero and would escalate each sample that has
+    # one: the margin a factor ESCALATION_MARGIN outside the window stands
+    # there instead, and rests, as the rounding band does, on eigvalsh's
+    # observed error rather than on delta.
     rank, cutoff, near = linalg.rank_rule(w, cfg)
-    sigma, wide = np.abs(w), FRAGILITY_FACTOR * ESCALATION_MARGIN
-    margin = (sigma > cutoff[:, None] / wide) & (sigma < cutoff[:, None] * wide) & ~near
+    sigma, side = np.abs(w), w.shape[-1]
+    reach = 2 * SCHMIDT_ROUNDING * sides * EPS * (1 + FRAGILITY_FACTOR * cfg.rank_tol * side)
+    slack = reach * sigma.sum(axis=-1)[:, None]
+    low, high = cutoff[:, None] / FRAGILITY_FACTOR, cutoff[:, None] * FRAGILITY_FACTOR
+    margin = np.where(
+        slack < low / ESCALATION_MARGIN,
+        (np.abs(sigma - low) < slack) | (np.abs(sigma - high) < slack),
+        (sigma > low / ESCALATION_MARGIN) & (sigma < high * ESCALATION_MARGIN) & ~near,
+    )
     return rank, near.any(axis=1), margin.any(axis=1)
 
 
@@ -677,10 +739,13 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     trace = np.square(_frobenius(stack))
     marginal_a = _first_marginal(groups[0][:n])
     hermitian_a, checks = _hermitian_part(marginal_a, _frobenius(marginal_a), cfg)
+    # the marginal on a is a Gram product over d_b d_c terms: _rank_flags
+    # reads its spectrum with the summed sides d_a + d_b d_c
     flags = {"a": _certified_flags(n, d_a, d_a, cfg)}
     settled = _cholesky_certified(hermitian_a, trace, d_a, cfg)
     if not settled.all():
-        _fill(flags["a"], ~settled, np.linalg.eigvalsh(hermitian_a[~settled]), cfg)
+        w = np.linalg.eigvalsh(hermitian_a[~settled])
+        _fill(flags["a"], ~settled, w, cfg, d_a + d_b * d_c)
     # phi's pair, its Choi matrix with the marginal on c, then psi's, with the
     # marginal on b: one pass per group, cut into its orientations after it
     pairs = []

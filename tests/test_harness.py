@@ -39,7 +39,7 @@ import chancert.generate
 import chancert.harness
 import chancert.linalg
 from chancert.complement import choi_marginal, common_purification_vector, factor_marginals
-from chancert.linalg import ROUNDING_BAND
+from chancert.linalg import FRAGILITY_FACTOR, ROUNDING_BAND
 from chancert.harness import (
     CHUNK_ENTRIES,
     COUNT_KEYS,
@@ -62,6 +62,7 @@ from chancert.harness import (
     _partial_transpose_left,
     _psd_flags,
     _purification_choi,
+    _rank_flags,
     _run_chunk,
     _spectrum_flags,
     _stacked_cholesky,
@@ -165,11 +166,11 @@ def test_escalations_inside_wide_chunks_agree(dims):
 
 
 def test_chunk_peak_allocation():
-    # At (4,4,16) the default run reads psi's Choi matrices on the cut to 5
-    # values of c and peaks near 0.4 MiB. At psd_tol = 0.1 the cut certifies
-    # none, so psi's 64 x 64 Choi matrices are formed 4 samples per block,
-    # about 1.2 MiB at peak; at four times the budget all 8 samples share
-    # one block and peak near 2.3 MiB
+    # At (4,4,16) the default run reads psi's Choi matrices on the cut to 2
+    # values of a and 5 of c and peaks near 0.3 MiB. At psd_tol = 0.1 the
+    # cut certifies none, so psi's 64 x 64 Choi matrices are formed 4
+    # samples per block, about 1.2 MiB at peak; at four times the budget all
+    # 8 samples share one block and peak near 2.3 MiB
     for cfg in (DEFAULT_TOLERANCES, ToleranceConfig(psd_tol=0.1)):
         run_harness((4, 4, 16), 8, 3003, cfg)
         tracemalloc.start()
@@ -203,10 +204,11 @@ def test_escalations_check_the_drawn_dilations(monkeypatch):
 
     monkeypatch.setattr(chancert.harness, "random_dilation_stack", counting)
     monkeypatch.setattr(chancert.generate, "random_dilation_stack", counting)
-    cfg = ToleranceConfig(rank_tol=1e-3)
+    cfg = ToleranceConfig(psd_tol=0.1)
     result = run_harness((2, 2, 3), 50, 8, cfg)
     assert calls == [range(50)]
-    assert result.escalated == [2, 12, 13, 16, 19, 24, 28, 30, 33, 36, 38, 39, 40, 41, 42, 44, 49]
+    assert result.escalated == [0, 1, 3, 5, 9, 11, 14, 20, 22, 23, 24, 26, 27, 29, 30, 35, 36, 38,
+                                39, 40, 43, 44, 46, 47, 48, 49]
     monkeypatch.undo()
     counts, counterexamples, _ = per_sample((2, 2, 3), 50, 8, cfg)
     assert (result.counts, result.counterexamples) == (counts, counterexamples)
@@ -214,7 +216,7 @@ def test_escalations_check_the_drawn_dilations(monkeypatch):
 
 def test_wide_command_peak_allocation():
     # the whole 50-sample chunk, with psi's Choi matrices read on the cut to
-    # 5 values of c, 40 samples per block, peaks near 2.2 MiB; formed in
+    # 2 values of a and 5 of c, one block, peaks near 1.7 MiB; formed in
     # full, 4 samples at a time, near 2.1 MiB, and near 5.2 MiB at four
     # times the budget; 13 chunks of 4 samples peaked near 1.0 MiB
     run_harness((4, 4, 16), 50, 3003, DEFAULT_TOLERANCES)
@@ -228,9 +230,12 @@ def test_wide_command_peak_allocation():
 
 
 def test_coarse_rank_tolerance_makes_every_sample_fragile():
+    # every sample has a singular value well inside a fragility window, and
+    # none within rounding of an edge, so the engine discards each one
+    # without asking the oracle
     result, _ = assert_agrees((2, 2, 3), 300, 3003, ToleranceConfig(rank_tol=1e-2))
     assert result.counts["fragile_discarded"] == 300
-    assert len(result.escalated) > 0
+    assert result.escalated == []
 
 
 def test_fragile_samples_discarded_without_escalation():
@@ -253,13 +258,52 @@ def test_rank_cutoff_inside_rounding_band_agrees(dims, seed):
     # at rank_tol 1e-17 the fragility window lies inside eigvalsh's rounding
     # band: a singular value there forces no rank, and is fragile in both
     # paths alike. The loop read rounding noise as a rank (purity
-    # "counterexamples"), and the engine discarded samples the loop counted
+    # "counterexamples"), and the engine discarded samples the loop counted.
+    # The engine discards every sample itself, without the oracle
     result, _ = assert_agrees(dims, 300, seed, ToleranceConfig(rank_tol=1e-17))
     assert result.counterexamples == []
+    assert result.counts["fragile_discarded"] == 300 and result.escalated == []
 
 
 def test_default_tolerances_need_no_escalation():
     assert run_harness((2, 2, 3), 500, 3003, DEFAULT_TOLERANCES).escalated == []
+
+
+@pytest.mark.parametrize("edge", ["lower", "upper"])
+def test_rank_margin_is_the_rounding_slack_around_each_edge(edge):
+    # a singular value at -2, -1/2, 1/2 and 2 slacks from an edge of the
+    # fragility window, the cutoff over or times FRAGILITY_FACTOR: margin is
+    # set exactly inside the slack, on either side
+    cfg = ToleranceConfig(rank_tol=1e-8)
+    eps, side, sides, rest = np.finfo(float).eps, 4, 10, [0.5, 0.75, 1.0]
+    cutoff = cfg.rank_tol * side
+    at = cutoff / FRAGILITY_FACTOR if edge == "lower" else cutoff * FRAGILITY_FACTOR
+    slack = (2 * SCHMIDT_ROUNDING * sides * eps * (sum(rest) + at)
+             * (1 + FRAGILITY_FACTOR * cfg.rank_tol * side))
+    w = np.sort([[at + k * slack, *rest] for k in (-2, -0.5, 0.5, 2)], axis=1)
+    assert _rank_flags(w, cfg, sides)[2].tolist() == [False, True, True, False]
+
+
+@pytest.mark.parametrize("rank_tol, fragile, margin", [
+    (1e-15, [False, False, True, True, False, False, True],
+     [False, True, False, False, True, False, False]),
+    (1e-17, [True] * 6 + [False], [False] * 7)], ids=["1e-15", "1e-17"])
+def test_rank_margin_where_rounding_spans_the_window(rank_tol, fragile, margin):
+    # at a rounding-level rank_tol the slack reaches past half the lower
+    # edge, so margin is set only a factor 2 or less outside the window:
+    # values a tenth inside and outside half the lower edge, the lower
+    # edge, the upper edge and twice it, and a tenth above the rounding
+    # band, inside the window at 1e-15. At 1e-17 the window lies inside the band, whose values are
+    # fragile, and no value sets margin: the engine discards those samples
+    # itself
+    cfg = ToleranceConfig(rank_tol=rank_tol)
+    side, rest = 4, [0.5, 0.75, 1.0]
+    low, high = rank_tol * side / FRAGILITY_FACTOR, rank_tol * side * FRAGILITY_FACTOR
+    values = [low / 2 * 0.9, low / 2 * 1.1, low * 1.1, high * 0.9, high * 1.1, high * 2.2,
+              ROUNDING_BAND * side * np.finfo(float).eps * 1.1]
+    w = np.sort([[value, *rest] for value in values], axis=1)
+    _, got_fragile, got_margin = _rank_flags(w, cfg, 10)
+    assert (got_fragile.tolist(), got_margin.tolist()) == (fragile, margin)
 
 
 def harness_outcome(dims, trials, seed):
@@ -326,9 +370,9 @@ def test_certified_flags_are_fresh_on_every_call():
     # rows of a _certified_flags call: the next call still returns the
     # rules' flags of the spectrum it vouches for, 2 zeros and 2 ones
     cfg = DEFAULT_TOLERANCES
-    unit = _spectrum_flags(np.array([[0.0, 0.0, 1.0, 1.0]]), cfg)
+    unit = _spectrum_flags(np.array([[0.0, 0.0, 1.0, 1.0]]), cfg, 6)
     first = _certified_flags(5, 2, 4, cfg)
-    _fill(first, [1, 3], np.array([[-1.0, 0.0, 0.0, 1.0]] * 2), cfg)
+    _fill(first, [1, 3], np.array([[-1.0, 0.0, 0.0, 1.0]] * 2), cfg, 6)
     assert first[0].tolist() == [True, False, True, False, True]
     for n in (5, 3):
         flags = _certified_flags(n, 2, 4, cfg)
@@ -345,8 +389,8 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
     # equality_tol/10, while a Choi matrix stays within equality_tol/10 of
     # the V V^dagger route. The oracle forms its marginals through
     # chancert.complement, unpatched. At (4, 4, 16) the engine reads psi's
-    # Choi matrix on the vectors cut to their first d_b + 1 values of c, so
-    # psi's fault lands on that compressed block; phi's Choi matrix ties
+    # Choi matrix on the vectors cut to their first 2 values of a and d_b + 1
+    # of c, so psi's fault lands on that 10 x 10 block; phi's Choi matrix ties
     # with its marginal on c, which is formed only for the samples the Choi
     # matrix's certificate leaves open, so the certificate is made to leave
     # c's sample open, and its fault lands on a marginal formed after the
@@ -358,7 +402,9 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
     vectors = {key: common_purification_vector(st).reshape(dims) for key, st in draws.items()}
     _, d_b, d_c = dims
     choi_c = choi_marginal(vectors["c"])
-    vectors["psi"] = vectors["psi"].swapaxes(1, 2)[:, :d_b + 1 if d_c > d_b + 1 else d_c]
+    vectors["psi"] = vectors["psi"].swapaxes(1, 2)
+    if d_c > d_b + 1:
+        vectors["psi"] = vectors["psi"][:2, :d_b + 1]
     spoil = 1.0 + 0.075j * cfg.equality_tol
 
     def inject(marginals, key, psi):
@@ -976,8 +1022,8 @@ def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
     # at default tolerances the NPT certificate on the cut certifies every
     # wider Choi matrix's partial transpose, and the Cholesky certificate of
     # the narrower member settles the pair's flags. So the blocks formed
-    # are the narrower Choi matrices and the cuts, of the inner dimension
-    # plus one values of the wider factor
+    # are the narrower Choi matrices and the cuts, of two values of a (one
+    # where d_a = 1) and the inner dimension plus one of the wider factor
     d_a, d_b, d_c = dims
     sides = []
     purification_choi = chancert.harness._purification_choi
@@ -988,7 +1034,7 @@ def test_no_wider_choi_matrix_is_formed(dims, monkeypatch):
 
     monkeypatch.setattr(chancert.harness, "_purification_choi", recording)
     assert run_harness(dims, 50, 3003, DEFAULT_TOLERANCES).escalated == []
-    assert set(sides) == {min(d_a * d_b, d_a * d_c), d_a * (min(d_b, d_c) + 1)}
+    assert set(sides) == {min(d_a * d_b, d_a * d_c), min(d_a, 2) * (min(d_b, d_c) + 1)}
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 6), (2, 6, 2)], ids=dims_id)
@@ -1015,14 +1061,14 @@ def test_certificate_runs_once_per_pair(dims, declined, monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, least", [(DEFAULT_TOLERANCES, 200),
-                                        (ToleranceConfig(psd_tol=0.03), 150)],
-                         ids=["default", "psd-0.03"])
+                                        (ToleranceConfig(psd_tol=0.015), 150)],
+                         ids=["default", "psd-0.015"])
 def test_cut_bound_is_the_complementary_norm(cfg, least, monkeypatch):
     # the cut's norm bound is ||L_b||_F plus rounding, about tr/2 at
-    # (3, 3, 9), not the trace: at psd_tol 0.03 (c = 0.12 ||L_b||_F) it
-    # certifies 160 of psi's 200 cuts of seed 3003, against 8 with the trace
-    # as the bound, and at default tolerances all 200. The engine still
-    # agrees with the per-sample loop
+    # (3, 3, 9), not the trace: at psd_tol 0.015 (c = 0.06 ||L_b||_F) it
+    # certifies 169 of psi's 200 two-row cuts of seed 3003, against 64 with
+    # the trace as the bound, and at default tolerances all 200. The engine
+    # still agrees with the per-sample loop
     certified = []
     cut_certificates = chancert.harness._cut_certificates
 
@@ -1066,15 +1112,55 @@ def noisy_product_vectors(rng, n, dims, rank, noise) -> np.ndarray:
        exponent=st.integers(-40, 40))
 def test_cut_certificate_implies_full_flags(seed, d_a, d_c, extra, rank, noise, psd_tol,
                                             exponent):
-    # wherever the cut to d_c + 1 values of b certifies, the full partial
-    # transpose's computed spectrum reads psd = near = False: low-rank
-    # vectors near and far from product ones, at any scale
+    # wherever the cut to two values of a and d_c + 1 of b certifies, the
+    # full partial transpose's computed spectrum reads psd = near = False:
+    # low-rank vectors near and far from product ones, at any scale
     cfg = ToleranceConfig(psd_tol=psd_tol)
     dims = (d_a, d_c + extra, d_c)
     vector = noisy_product_vectors(np.random.default_rng(seed), 3, dims, min(rank, d_c),
                                    10.0**noise)
     certified, psd, near = cut_and_full_flags(2.0**exponent * vector, cfg)
     assert not (certified & (psd | near)).any()
+
+
+def test_cut_leaves_open_the_rows_it_does_not_read(monkeypatch):
+    # at (4, 16, 4) phi's Choi matrix is the wider member, read first on the
+    # cut a < 2, b < 5. Dilations whose rows a < 2 hold a product vector, and
+    # rows a >= 2 a generic one: the cut's block has rank 1 and is PPT, so
+    # it certifies none, while the full matrix, of rank at most 4 below its
+    # marginal on b's, is NPT. Every sample forms the full 64 x 64 matrix,
+    # which decides it, and the outcomes are the per-sample loop's
+    dims, seed, n, cfg = (4, 16, 4), 3003, 20, DEFAULT_TOLERANCES
+    d_a, d_b, d_c = dims
+    rng = np.random.default_rng(34)
+    vector = complex_gaussian(rng, (n, *dims))
+    vector[:, :2] = np.einsum("na,nb,nc->nabc", *(complex_gaussian(rng, (n, d))
+                                                  for d in (2, d_b, d_c)))
+    stack = np.ascontiguousarray(vector.reshape(n, d_a, d_b * d_c).swapaxes(1, 2))
+    certified, psd, near = cut_and_full_flags(vector, cfg)
+    assert not certified.any() and not (psd | near).any()
+    formed, fired = Counter(), []
+    purification_choi, cut_certificates = (chancert.harness._purification_choi,
+                                           chancert.harness._cut_certificates)
+
+    def recording_choi(v, out):
+        formed[v.shape[1] * v.shape[2]] += len(v)
+        return purification_choi(v, out)
+
+    def recording_cut(*args):
+        checks, cut_fired = cut_certificates(*args)
+        fired.append(int(np.count_nonzero(cut_fired)))
+        return checks, cut_fired
+
+    monkeypatch.setattr(chancert.harness, "_purification_choi", recording_choi)
+    monkeypatch.setattr(chancert.harness, "_cut_certificates", recording_cut)
+    result = HarnessResult()
+    _run_chunk(stack, dims, seed, range(n), cfg, result)
+    assert fired == [0] and formed[d_a * d_b] == n
+    counts, counterexamples, _ = per_dilation(
+        (StinespringOperator(*dims, m) for m in stack), seed, cfg)
+    assert (result.counts, result.counterexamples) == (counts, counterexamples)
+    assert result.counts["phi_ppt"] == 0
 
 
 @pytest.mark.parametrize("psd_tol", [1e-9, 1e-3, 0.1, ROUNDING_PSD_TOL])
@@ -1184,11 +1270,13 @@ def test_npt_certificates_against_40_digit_spectra(case):
 def assert_marginal_flags_match(vector, cfg) -> int:
     """Every marginal of a stack of tripartite vectors gets from the engine
     the rank flags, and each Choi matrix the PSD flags, of its computed
-    spectrum: the pairs from ``_complementary_pair``, the marginal on a from
+    spectrum, each read with its complementary pair's summed sides (d_a +
+    d_b d_c for the marginal on a): the pairs from ``_complementary_pair``,
+    the marginal on a from
     ``_cholesky_certified`` where it holds. Returns the number of matrices
     the certificate settles. The spectra are those of the matrices the
     engine forms, with its own products."""
-    n, d_a = vector.shape[:2]
+    n, d_a, d_b, d_c = vector.shape
     vector = np.ascontiguousarray(vector)
     swapped = np.ascontiguousarray(vector.swapaxes(2, 3))
     marginals = engine_marginals(vector, swapped)
@@ -1197,6 +1285,8 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     flags = {}
     flags["ab"], flags["c"], *_ = _complementary_pair(vector, trace, cfg)
     flags["ac"], flags["b"], *_ = _complementary_pair(swapped, trace, cfg)
+    sides = {"ab": d_a * d_b + d_c, "c": d_a * d_b + d_c, "ac": d_a * d_c + d_b,
+             "b": d_a * d_c + d_b, "a": d_a + d_b * d_c}
     settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
     certified = np.count_nonzero(settled)
     for pair in (("ab", "c"), ("ac", "b")):
@@ -1206,7 +1296,7 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     flags["a"] = _certified_flags(n, d_a, d_a, cfg)
     for key, h in hermitian.items():
         rows = settled if key == "a" else slice(None)
-        want = _spectrum_flags(np.linalg.eigvalsh(h), cfg)
+        want = _spectrum_flags(np.linalg.eigvalsh(h), cfg, sides[key])
         start = 0 if key in ("ab", "ac") else 2
         for got, expected in zip(flags[key][start:], want[start:]):
             assert np.array_equal(got[rows], expected[rows]), key
@@ -1271,10 +1361,12 @@ def test_wide_spectra_flags_match_spectrum_flags(psd_tol, rank_tol):
     assert certified > 0 or rank_tol == ROUNDING_RANK_TOL
 
 
-def assert_certified_flags(fired, h, k, cfg) -> None:
-    """``_spectrum_flags`` of each computed spectrum of h on the rows
-    ``fired`` read PSD, not near, rank k, not fragile and no margin."""
-    for got, want in zip(_spectrum_flags(np.linalg.eigvalsh(h), cfg), (True, False, k, False, False)):
+def assert_certified_flags(fired, h, k, dim, cfg) -> None:
+    """``_spectrum_flags`` of each computed spectrum of h, of a pair of sides
+    k and ``dim``, on the rows ``fired`` read PSD, not near, rank k, not
+    fragile and no margin."""
+    flags = _spectrum_flags(np.linalg.eigvalsh(h), cfg, k + dim)
+    for got, want in zip(flags, (True, False, k, False, False)):
         assert (got[fired] == want).all()
 
 
@@ -1308,8 +1400,8 @@ def test_wide_spectra_psd_flags_near_threshold(psd_tol):
             for exponent in (-40, 0, 40):
                 scale = 2.0**exponent
                 fired = _cholesky_certified(x * scale, narrow.sum(axis=1) * scale, dim, cfg)
-                assert_certified_flags(fired, x * scale, narrow_dim, cfg)
-                assert_certified_flags(fired, h * scale, narrow_dim, cfg)
+                assert_certified_flags(fired, x * scale, narrow_dim, dim, cfg)
+                assert_certified_flags(fired, h * scale, narrow_dim, dim, cfg)
                 certified += np.count_nonzero(fired)
     assert certified > 0
 
@@ -1342,8 +1434,8 @@ def test_cholesky_certificate_on_planted_spectra(seed, k, extra, f, psd_tol, ran
     padded = np.concatenate([np.zeros((4, extra)), spectra], axis=1)
     wide = scale * hermitian_stack(rng, padded)
     fired = _cholesky_certified(x, scale * spectra.sum(axis=1), dim, cfg)
-    assert_certified_flags(fired, x, k, cfg)
-    assert_certified_flags(fired, wide, k, cfg)
+    assert_certified_flags(fired, x, k, dim, cfg)
+    assert_certified_flags(fired, wide, k, dim, cfg)
     if tau is None:
         assert dim > k and not fired.any()
     elif f >= 1.01:
