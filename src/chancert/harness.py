@@ -22,11 +22,16 @@ one, states what it decides and why that is sound.
    (``_certified_flags``). ``_partial_transpose_flags`` settles by
    ``_npt_certified`` the partial transposes that are clearly not PSD, and
    ``_cut_certificates`` a wider Choi matrix's on a cut, so that the matrix
-   is formed only where a certificate leaves its sample open. What is left takes ``eigvalsh``, read by ``_psd_flags`` and
-   ``_rank_flags`` through ``linalg.psd_rule`` and ``linalg.rank_rule``.
-5. ``_run_chunk`` evaluates verdicts, purity equalities and proven relations
-   with the rules of ``certify`` that ``equivalence_check`` calls as well,
-   and ``_tally`` counts them by COUNT_RULES.
+   is formed only where a certificate leaves its sample open. What is left
+   takes ``eigvalsh``, read by ``_psd_flags`` and ``_rank_flags`` through
+   ``linalg.psd_rule`` and ``linalg.rank_rule``.
+5. ``_run_chunk`` reduces each sample to a row: its ranks, its PPT flags,
+   whether a flag or check escalates it, and whether a rank is fragile. A
+   chunk holds few distinct rows, so ``_row_outcome`` evaluates each one
+   on scalars, through a memo that outlives the chunk: verdicts, purity
+   equalities and proven relations by the rules of ``certify`` that
+   ``equivalence_check`` calls as well, and ``_tally`` counts them by
+   COUNT_RULES.
 6. ``_escalate`` re-runs through ``equivalence_check``, the oracle, each
    sample whose outcome the batched evaluation cannot vouch for: a failed
    check or relation, a Choi matrix that is not clearly PSD, a lambda_min
@@ -42,6 +47,7 @@ one, states what it decides and why that is sound.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,21 +88,24 @@ SCHMIDT_ROUNDING = 32.0
 # the derivations it cites.
 CHOLESKY_ROUNDING = 4.0
 
-# The counts of checked samples: each key's rule marks the samples it counts,
-# over the records ``certify.pair_rules`` takes, passed by name.
+# The counts of checked samples: each key's rule says whether one checked
+# sample counts, from its scalar records, those ``certify.pair_rules``
+# takes, passed by name.
 COUNT_RULES = {
-    "samples": lambda phi_ppt, **_: np.ones_like(phi_ppt, dtype=bool),
+    "samples": lambda **_: True,
     "phi_ppt": lambda phi_ppt, **_: phi_ppt,
     "psi_ppt": lambda psi_ppt, **_: psi_ppt,
-    "both_ppt": lambda phi_ppt, psi_ppt, **_: np.logical_and(phi_ppt, psi_ppt),
+    "both_ppt": lambda phi_ppt, psi_ppt, **_: phi_ppt and psi_ppt,
     "witness_phi_fired": lambda witness_phi, **_: witness_phi,
     "witness_psi_fired": lambda witness_psi, **_: witness_psi,
-    "eb_psi_yes": lambda eb_psi, **_: np.equal(eb_psi, certify.EB_YES),
-    "eb_phi_yes": lambda eb_phi, **_: np.equal(eb_phi, certify.EB_YES),
+    "eb_psi_yes": lambda eb_psi, **_: eb_psi == certify.EB_YES,
+    "eb_phi_yes": lambda eb_phi, **_: eb_phi == certify.EB_YES,
     "regime_applied_to_psi_given_phi_ppt": lambda phi_ppt, eb_psi, **_: (
-        np.logical_and(phi_ppt, np.not_equal(eb_psi, certify.EB_UNKNOWN))),
+        phi_ppt and eb_psi != certify.EB_UNKNOWN),
 }
 COUNT_KEYS = (*COUNT_RULES, "fragile_discarded")
+# The rank records of a sample, in the order ``_run_chunk``'s rows hold them.
+RANK_KEYS = ("lab", "lac", "la", "lb", "lc")
 
 
 @dataclass
@@ -729,7 +738,9 @@ def _rank_flags(w: np.ndarray, cfg: ToleranceConfig, sides: int) -> tuple[np.nda
 
 
 def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: HarnessResult):
-    """Add to ``result`` the outcomes of ``stack``, the dilations of samples ``indices``."""
+    """Add to ``result`` the outcomes of ``stack``, the dilations of samples
+    ``indices``: each distinct row's ``_row_outcome`` times the samples that
+    hold it, and ``_escalate`` of each sample whose row escalates."""
     d_a, d_b, d_c = dims
     n = len(indices)
 
@@ -741,11 +752,11 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     hermitian_a, checks = _hermitian_part(marginal_a, _frobenius(marginal_a), cfg)
     # the marginal on a is a Gram product over d_b d_c terms: _rank_flags
     # reads its spectrum with the summed sides d_a + d_b d_c
-    flags = {"a": _certified_flags(n, d_a, d_a, cfg)}
+    flags = {"la": _certified_flags(n, d_a, d_a, cfg)}
     settled = _cholesky_certified(hermitian_a, trace, d_a, cfg)
     if not settled.all():
         w = np.linalg.eigvalsh(hermitian_a[~settled])
-        _fill(flags["a"], ~settled, w, cfg, d_a + d_b * d_c)
+        _fill(flags["la"], ~settled, w, cfg, d_a + d_b * d_c)
     # phi's pair, its Choi matrix with the marginal on c, then psi's, with the
     # marginal on b: one pass per group, cut into its orientations after it
     pairs = []
@@ -753,32 +764,66 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
         stacked = len(v) // n
         outcome = _complementary_pair(v, np.concatenate([trace] * stacked), cfg)
         pairs += [_rows(outcome, slice(k * n, (k + 1) * n)) for k in range(stacked)]
-    (flags["ab"], flags["c"], phi_checks, phi_pt, near_phi_pt), (
-        flags["ac"], flags["b"], psi_checks, psi_pt, near_psi_pt) = pairs
+    (flags["lab"], flags["lc"], phi_checks, phi_pt, near_phi_pt), (
+        flags["lac"], flags["lb"], psi_checks, psi_pt, near_psi_pt) = pairs
     checks &= phi_checks & psi_checks
-    (phi_psd, near_phi), (psi_psd, near_psi) = flags["ab"][:2], flags["ac"][:2]
+    (phi_psd, near_phi), (psi_psd, near_psi) = flags["lab"][:2], flags["lac"][:2]
     unsure = near_phi | near_psi | near_phi_pt | near_psi_pt
-    records, fragile = {}, np.zeros(n, dtype=bool)
-    for key in ("ab", "ac", "a", "b", "c"):
-        records[f"l{key}"], fragile_key, margin = flags[key][2:]
+    columns, fragile = [], np.zeros(n, dtype=bool)
+    for key in RANK_KEYS:
+        rank, fragile_key, margin = flags[key][2:]
+        columns.append(rank)
         fragile |= fragile_key
         unsure |= margin
+    columns += [certify.ppt_rule(phi_psd, phi_pt), certify.ppt_rule(psi_psd, psi_pt),
+                ~checks | unsure | ~phi_psd | ~psi_psd, fragile]
 
-    records["phi_ppt"] = certify.ppt_rule(phi_psd, phi_pt)
-    records["psi_ppt"] = certify.ppt_rule(psi_psd, psi_pt)
+    # A 60-trial run holds at most 2 distinct rows at default tolerances and
+    # 15 at --rank-tol 1e-17: the rules run once per row, not per sample.
+    rows = list(zip(*(column.tolist() for column in columns)))
+    rules = (certify.witness_rule, certify.eb_rule, certify.pair_rules, certify.RELATIONS,
+             *COUNT_RULES.values())
+    outcomes = {}
+    for row, times in Counter(rows).items():
+        outcomes[row] = _row_outcome(row, rules)
+        for key, step in outcomes[row] or ():
+            result.counts[key] += times * step
+    # escalations in index order, so that records and the first exception
+    # raised are those of a per-sample loop
+    if None in outcomes.values():
+        for k, row in enumerate(rows):
+            if outcomes[row] is None:
+                st = StinespringOperator(d_a, d_b, d_c, stack[k])
+                _escalate(st, seed, indices[k], cfg, result)
+
+
+@functools.lru_cache(maxsize=1024)
+def _row_outcome(row: tuple, rules: tuple) -> tuple | None:
+    """The outcome of a sample whose ``_run_chunk`` row is ``row``: the
+    ranks of RANK_KEYS, then phi_ppt, psi_ppt, whether its flags or checks
+    escalate it, and whether a rank is fragile. None where it escalates,
+    else its increments of the counts, as (key, step) pairs. ``rules`` are
+    the rules read here and in ``certify.pair_rules`` and ``_tally``, as
+    ``_run_chunk`` reads them off their modules: part of the memo's key, so
+    that a rule patched on its module reaches the next chunk. The memo keeps
+    1024 rows; a 60-trial run has held at most 15."""
+    *ranks, phi_ppt, psi_ppt, gate, fragile = row
+    if gate:
+        return None
+    if fragile:
+        return (("fragile_discarded", 1),)
+    witness_rule, eb_rule, pair_rules = rules[:3]
+    records = dict(zip(RANK_KEYS, ranks), phi_ppt=phi_ppt, psi_ppt=psi_ppt)
     for name, whole, side in (("phi", "lab", "lb"), ("psi", "lac", "lc")):
-        records[f"witness_{name}"], regime = certify.witness_rule(
+        records[f"witness_{name}"], regime = witness_rule(
             records[whole], records["la"], records[side])
-        records[f"eb_{name}"] = certify.eb_rule(records[f"{name}_ppt"], regime)
-    purity, relation = certify.pair_rules(**records)
-
-    escalate = ~checks | unsure | ~phi_psd | ~psi_psd | (~fragile & (~purity | (relation != 0)))
-    for k in np.flatnonzero(escalate):
-        _escalate(StinespringOperator(d_a, d_b, d_c, stack[k]), seed, indices[k], cfg, result)
-
-    counted = ~escalate & ~fragile
-    result.counts["fragile_discarded"] += int(np.count_nonzero(~escalate & fragile))
-    _tally(result.counts, records, counted)
+        records[f"eb_{name}"] = eb_rule(records[f"{name}_ppt"], regime)
+    purity, relation = pair_rules(**records)
+    if not purity or relation:
+        return None
+    counts = dict.fromkeys(COUNT_RULES, 0)
+    _tally(counts, records)
+    return tuple(counts.items())
 
 
 def _escalate(
@@ -799,9 +844,8 @@ def _escalate(
     _tally(result.counts, certify.pair_records(report))
 
 
-def _tally(counts, records, counted=True) -> None:
-    """Add checked samples to the counts by COUNT_RULES; ``records`` are
-    those of one sample, as scalars, or arrays over samples of which
-    ``counted`` marks those to count."""
+def _tally(counts, records) -> None:
+    """Add one checked sample, whose ``records`` are scalars, to the counts
+    by COUNT_RULES."""
     for key, rule in COUNT_RULES.items():
-        counts[key] += int(np.count_nonzero(np.logical_and(rule(**records), counted)))
+        counts[key] += bool(rule(**records))

@@ -365,6 +365,92 @@ def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, tup
             assert_agrees(dims, trials, seed)
 
 
+def eb_never_yes(rule):
+    return lambda ppt, regime: np.minimum(rule(ppt, regime), chancert.certify.EB_UNKNOWN)
+
+
+ALWAYS_FAILS = chancert.certify.Relation("an added relation that always fails", lambda **_: True)
+
+
+def witness_phi_complement(counts):
+    return {**counts, "witness_phi_fired": counts["samples"] - counts["witness_phi_fired"]}
+
+
+@pytest.mark.parametrize("patch, loop_counts", [
+    (lambda m: m.setattr(chancert.certify, "eb_rule", eb_never_yes(chancert.certify.eb_rule)),
+     None),
+    (lambda m: m.setitem(chancert.harness.COUNT_RULES, "witness_phi_fired",
+                         lambda witness_phi, **_: not witness_phi), witness_phi_complement),
+    (lambda m: m.setattr(chancert.certify, "RELATIONS", (*chancert.certify.RELATIONS, ALWAYS_FAILS)),
+     None),
+], ids=["eb-rule", "count-rule", "relations"])
+def test_patched_rule_reaches_the_next_chunk_and_so_does_its_restore(patch, loop_counts,
+                                                                      monkeypatch):
+    # _row_outcome's memo outlives a chunk: its key carries every rule it
+    # reads, so each chunk reads the rules on their modules as they stand.
+    # A count rule patched here changes the engine's counts only; the loop
+    # tallies by hand, so its counts are mapped as the patch maps them
+    dims, trials, seed = (1, 2, 2), 20, 3003
+
+    def outcome(adjust=None):
+        result = run_harness(dims, trials, seed, DEFAULT_TOLERANCES)
+        counts, counterexamples, _ = per_sample(dims, trials, seed, DEFAULT_TOLERANCES)
+        assert result.counts == (adjust(counts) if adjust else counts)
+        assert result.counterexamples == counterexamples
+        return result.counts, result.counterexamples
+
+    unpatched = outcome()
+    with monkeypatch.context() as patched:
+        patch(patched)
+        assert outcome(loop_counts) != unpatched
+    assert outcome() == unpatched
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (2, 1, 2)], ids=dims_id)
+def test_escalations_over_distinct_rows_keep_the_loop_order(dims, monkeypatch):
+    # at psd_tol 0.1 these runs give counterexamples (ROADMAP item 1), and
+    # the samples that escalate in their one chunk hold several distinct
+    # rows: each goes to the oracle in index order all the same
+    cfg, trials, seed = ToleranceConfig(psd_tol=0.1), 200, 3003
+    escalating, row_outcome = set(), chancert.harness._row_outcome
+
+    def recorded(row, rules):
+        outcome = row_outcome(row, rules)
+        if outcome is None:
+            escalating.add(row)
+        return outcome
+
+    monkeypatch.setattr(chancert.harness, "_row_outcome", recorded)
+    result = run_harness(dims, trials, seed, cfg)
+    assert chunk_size(dims) >= trials and len(escalating) >= 2
+    assert all(a < b for a, b in zip(result.escalated, result.escalated[1:]))
+    counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+    assert counterexamples and result.counterexamples == counterexamples
+    assert result.counts == counts
+
+
+def test_rules_run_once_per_distinct_row(monkeypatch):
+    # the wrapper is a new pair_rules, so it re-keys the memo: each distinct
+    # row of the 20 chunks reaches it once, where a rule over the chunk ran
+    # once per chunk
+    seed, calls, pair_rules = 3003, [], chancert.certify.pair_rules
+
+    def wrapped(**records):
+        calls.append(repr(sorted(records.items())))
+        return pair_rules(**records)
+
+    monkeypatch.setattr(chancert.certify, "pair_rules", wrapped)
+    for dims in [(2, 2, 3), (3, 3, 3)]:
+        calls.clear()
+        for start in range(0, 200, 10):
+            indices = range(start, start + 10)
+            result = HarnessResult()
+            stack = chancert.generate.random_dilation_stack(*dims, seed, indices)
+            _run_chunk(stack, dims, seed, indices, DEFAULT_TOLERANCES, result)
+            assert result.escalated == []
+        assert 1 <= len(calls) == len(set(calls)) <= 2
+
+
 def test_certified_flags_are_fresh_on_every_call():
     # _fill writes the flags of the spectra the Cholesky left open into the
     # rows of a _certified_flags call: the next call still returns the
