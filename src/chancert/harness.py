@@ -9,14 +9,14 @@ one, states what it decides and why that is sound.
    streams of ``random_stinespring``, bit for bit; ``_run_chunk`` evaluates
    the stack it is handed.
 2. ``_orientations`` lays out the purification vectors of phi and psi, as
-   one stacked group where d_b = d_c. ``_first_marginal`` and
-   ``_last_marginal`` form marginals as Gram products, and
-   ``_hermitian_part`` takes their Hermitian part and checks it.
-3. ``_complementary_pair`` takes one pass per group over phi's Choi matrix
-   with its marginal on c and psi's with its marginal on b. ``_choi_blocks``
-   forms the Choi matrices a block at a time (``block_size``), by
-   ``_purification_choi``, and checks them against the Kraus-vector route
-   (``_agrees``).
+   one stacked group where d_b = d_c.
+3. ``_pairs`` takes one pass per group over its Choi matrices
+   (``_complementary_pair``), which ``_choi_blocks`` forms a block at a time
+   (``block_size``), by ``_purification_choi``, and checks. ``_partial_trace``
+   reads the marginals off their Hermitian parts, exactly Hermitian and
+   guarded by those checks: on a and b from phi's (on a from psi's where
+   phi's are read on the cut), on c from psi's. ``_close_pair`` completes
+   each map's pair with its marginal on the last factor.
 4. ``_cholesky_certified`` settles the marginal on a, and the narrower
    member of each pair with its partner, without a spectrum
    (``_certified_flags``). ``_partial_transpose_flags`` settles by
@@ -47,7 +47,7 @@ one, states what it decides and why that is sound.
 from __future__ import annotations
 
 import functools
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,12 +124,11 @@ def chunk_size(dims) -> int:
     of the vector and both marginals on b and c where ``_orientations``
     stacks them (d_b = d_c).
 
-    The budget counts the wider marginals on b and c too, though
-    ``_complementary_pair`` forms them only for the samples the certificate
-    leaves open: it may leave every one open, as at ``--rank-tol 1e-17``
-    with dim > k, where ``_cholesky_shift`` is None. Wherever a chunk fits
-    this budget, the same term also keeps a narrower stack of Choi matrices
-    in one block (``block_size``)."""
+    The marginals, partial traces of Choi matrices formed a block at a time
+    (``block_size``), are kept for the chunk, the wider ones on b and c too,
+    though ``_close_pair`` reads those only for the samples the certificate
+    leaves open, every one where ``_cholesky_shift`` is None. Wherever a
+    chunk fits this budget, a narrower stack of Choi matrices fits one block."""
     d_a, d_b, d_c = dims
     stacked = 2 if d_b == d_c else 1
     largest = max(stacked * d_a * d_b * d_c, d_a * d_a, stacked * d_b * d_b, stacked * d_c * d_c)
@@ -181,19 +180,15 @@ def _orientations(stack: np.ndarray, dims) -> list[np.ndarray]:
     return [vector, np.ascontiguousarray(vector.swapaxes(2, 3))]
 
 
-def _first_marginal(v: np.ndarray) -> np.ndarray:
-    """The marginals on the first factor of C-contiguous tripartite vectors,
-    a stacked Gram product of a reshape, L_a = X X^dagger of the rows a."""
-    rows = v.reshape(len(v), v.shape[1], -1)
-    return np.matmul(rows, rows.conj().swapaxes(1, 2))
-
-
-def _last_marginal(v: np.ndarray) -> np.ndarray:
-    """The marginals on the last factor of C-contiguous tripartite vectors,
-    on c of phi's and on b of psi's, a stacked Gram product of a reshape,
-    L_c = Y^T conj(Y) of the columns c."""
-    columns = v.reshape(len(v), -1, v.shape[-1])
-    return np.matmul(columns.swapaxes(1, 2), columns.conj())
+def _partial_trace(h: np.ndarray, d_a: int, d_b: int, over_a: bool) -> np.ndarray:
+    """The partial traces over a, or else over b, of Hermitian stacks h of
+    side d_a d_b indexed (a, b). Every entry adds its blocks in one order,
+    so those of an exactly Hermitian h are exactly Hermitian: each sum of
+    conjugates rounds to the conjugate of the sum."""
+    x = h.reshape(len(h), d_a, d_b, d_a, d_b)
+    blocks = [x[:, i, :, i] for i in range(d_a)] if over_a else [
+        x[:, :, j, :, j] for j in range(d_b)]
+    return sum(blocks[1:], blocks[0])
 
 
 def _purification_choi(v: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -207,7 +202,8 @@ def _purification_choi(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     forms both, into the float64 view of ``out``: its right factor
     interleaves the rows of F and of -G, the float64 view of i times the
     rows. So this route is a real product (dgemm), distinct from the complex
-    one of the Kraus-vector route (zgemm) that ``_agrees`` checks it against.
+    one of the Kraus-vector route (zgemm) that ``_choi_blocks`` checks it
+    against.
     """
     m, d_a, d_b, d_c = v.shape
     side = d_a * d_b
@@ -218,30 +214,6 @@ def _purification_choi(v: np.ndarray, out: np.ndarray) -> np.ndarray:
     right = pairs.view(np.float64).reshape(m, 2 * side, 2 * d_c).swapaxes(1, 2)
     np.matmul(rows.view(np.float64), right, out=out.view(np.float64))
     return out
-
-
-def _hermitian_part(
-    x: np.ndarray, norm: np.ndarray, cfg: ToleranceConfig, work=(None, None, None)
-) -> tuple[np.ndarray, np.ndarray]:
-    """(x + x^dagger) / 2 per matrix, and whether x is clearly Hermitian;
-    ``norm`` holds the Frobenius norms of x. ``work`` may name C-contiguous
-    arrays shaped like x to receive its conjugate, x - x^dagger and the
-    result; the last may be x itself."""
-    conj, deviation, part = work
-    adjoint = np.conjugate(x, out=conj).swapaxes(-2, -1)
-    clear = _frobenius(np.subtract(x, adjoint, out=deviation)) <= (
-        cfg.equality_tol / EQUALITY_MARGIN * norm
-    )
-    part = np.add(x, adjoint, out=part)
-    part *= 0.5
-    return part, clear
-
-
-def _agrees(x: np.ndarray, norm: np.ndarray, y: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Per-matrix relative Frobenius agreement, inside the escalation margin;
-    ``norm`` holds the Frobenius norms of x. Overwrites y with x - y."""
-    scale = np.maximum(norm, _frobenius(y))
-    return _frobenius(np.subtract(x, y, out=y)) <= cfg.equality_tol / EQUALITY_MARGIN * scale
 
 
 def _partial_transpose_left(
@@ -322,10 +294,8 @@ def _npt_certified(
     psd = near = False. ``dim`` defaults to n; ``_cut_certificates`` passes
     a larger one, g being a principal submatrix of the matrix it certifies,
     and as ``rounding`` how far that matrix's computed spectrum may lie
-    below g's. A failing Cholesky stops at its first non-positive pivot: on
-    50 of phi's partial transposes at (4, 4, 16), all certified, it took
-    111 us against 1123 us for ``eigvalsh`` (9x9 at (3, 3, 9): 75 against
-    418 us).
+    below g's. A failing Cholesky stops at its first non-positive pivot, a
+    tenth of the time of ``eigvalsh`` at (4, 4, 16).
     """
     # Why c. _psd_flags reads psd = near = False when w_0 < ESCALATION_MARGIN
     # t, t = -psd_tol max(w_max, 0), and w_0 lies below the rounding band,
@@ -381,11 +351,7 @@ def _partial_transpose_flags(
     Hermitian stack with Frobenius norms at most ``bound``, formed in
     ``work``: from one stacked ``eigvalsh`` on those that ``_npt_certified``
     leaves open, none when it settles all. A PPT partial transpose is never
-    settled so. At default tolerances, over 200 samples each of seeds 1,
-    77, 3003 and 20220404, the ones left open were exactly the PPT ones at
-    the wide and mirrored tuples: 462 of phi's 4x4 at (2, 2, 6), 472 of
-    psi's at (2, 6, 2), one of psi's 9x9 at (3, 9, 3) and none at the
-    others."""
+    settled so."""
     psd, near = np.zeros((2, h.shape[0]), dtype=bool)
     g = _partial_transpose_left(h, d_left, d_right, work)
     rest = np.flatnonzero(~_npt_certified(g, bound, cfg))
@@ -422,41 +388,41 @@ def _cholesky_certified(
     has none. Where it holds, ``_psd_flags`` and ``_rank_flags`` of the
     computed spectra of x and of its complementary marginal read PSD, not
     near, rank k, not fragile and no margin, whatever summed sides
-    ``_rank_flags`` is given. It holds nowhere where
-    ``_cholesky_shift`` is None. At default tolerances, over 4000 samples
-    of seed 3003, it settled every marginal on a and every pair at the
-    acceptance tuples, (2, 2, 6) and (2, 6, 2), and left open 0.10% and
-    1.50% of phi's ties at (3, 3, 9) and (4, 4, 16), and 0.15% and 1.30% of
-    psi's at (3, 9, 3) and (4, 16, 4).
+    ``_rank_flags`` is given. It holds nowhere where ``_cholesky_shift``
+    is None.
     """
     # Why. Let X be the exact marginal of the vector, of trace tr, and W its
     # complementary marginal, of side dim. W's spectrum is X's padded with
     # dim - k zeros (Schmidt decomposition). x lies within delta of X, and
     # each computed spectrum within delta of its exact one, eigenvalue by
     # eigenvalue, more than ten times over:
-    # - a Gram product over l complex terms errs by at most 3/2 l eps tr in
-    #   Frobenius norm, whichever BLAS kernel sums it, since any summation
-    #   order obeys the dot-product bound gamma_n = n eps/2 (to first
-    #   order). The complex route (a factor marginal) errs by gamma_{l+2}
-    #   per unit of the rows' norms, (l + 2) eps/2 <= 3/2 l eps. The real
-    #   route (a Choi matrix) sums 2 l real terms for Re and Im each,
-    #   sqrt(2) gamma_{2l} together, below 3/2 l eps. Of a pair, one member
-    #   contracts over dim terms and the other over k, and the marginal on
-    #   a over d_b d_c;
-    # - each Hermitian part is exactly Hermitian and adds eps tr;
-    # - eigvalsh adds below side/4 eps ||h||_2 (see linalg.ROUNDING_BAND),
-    #   and ||h||_2 <= tr.
-    # By Weyl's inequality that is (7/4 (dim + k) + 2) eps tr
-    # <= 3 (dim + k) eps tr in all, and 3 (d_a + d_b d_c) eps tr for the
-    # marginal on a, for the oracle's matrices as for the engine's
-    # (_rank_flags reads these). The certificate of the marginal on a,
-    # which has no partner, needs less: only eigvalsh's error, below k/4
-    # eps tr, separates x from its computed spectrum.
+    # - a Choi matrix of side s, a Gram product over l complex terms (s + l
+    #   = dim + k in a pair), errs by at most 3/2 l eps tr in Frobenius norm,
+    #   whichever BLAS kernel sums it, since any summation order obeys the
+    #   dot-product bound gamma_n = n eps/2 (to first order): its real route
+    #   sums 2 l real terms for Re and Im each, sqrt(2) gamma_{2l} together.
+    #   Its Hermitian part H is exactly Hermitian and adds eps tr;
+    # - a marginal of side s sums m blocks H_i of the other map's H (phi's
+    #   or psi's for the marginal on a); m l = dim + k - s is its
+    #   complementary side, d_b d_c on a. By Cauchy-Schwarz the blocks'
+    #   errors add to at most sqrt(m) (3/2 l + 1) eps tr, and its fixed-order
+    #   sums round by at most gamma_{m-1} sum ||H_i||_F <= (m - 1)/2 eps tr,
+    #   the exact H_i being PSD with traces summing to tr: 3 m l eps tr in
+    #   all, exactly Hermitian. The oracle's marginal, a complex Gram product
+    #   over m l terms, errs by (m l + 2)/2 eps tr, and its Hermitian part
+    #   adds eps tr;
+    # - eigvalsh adds below s/4 eps ||h||_2 <= s/4 eps tr (see
+    #   linalg.ROUNDING_BAND).
+    # By Weyl's inequality that is (3/2 l + 1 + s/4) or (3 m l + s/4) eps tr,
+    # <= 3 (dim + k) eps tr, and 3 (d_a + d_b d_c) eps tr on a, for the
+    # oracle's matrices as for the engine's (_rank_flags reads these). The
+    # certificate of the marginal on a, which has no partner, needs less:
+    # only eigvalsh's error, below k/4 eps tr, separates x from its spectrum.
     # W's computed spectrum is that of any computed complementary marginal
-    # within these bounds, the engine's product or the oracle's einsum
-    # (below (l + 2)/2 eps tr): nothing below reads the engine's own W. So
-    # where x is a Choi matrix, _complementary_pair forms its partner, the
-    # marginal on the last factor, only for the samples left open.
+    # within these bounds, the engine's partial trace or the oracle's
+    # einsum: nothing below reads the engine's own W. So where x is a Choi
+    # matrix, _close_pair reads its partner, the marginal on the last
+    # factor, only for the samples left open.
     # Cholesky (Higham, Accuracy and Stability of Numerical Algorithms, 2nd
     # ed., Thm 10.3, complex case): when it runs to completion on the
     # computed y = x - s I, s = tau tr, its factor has R^* R = y + E with
@@ -530,9 +496,10 @@ def _fill(
 def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
     """For tripartite vectors of shape (n, d_a, d_b, d_c), ``block_size``
     samples at a time: the block's slice, the Hermitian parts of its Choi
-    matrices of the maps that trace out c, their Frobenius norms, and whether
-    each is clearly Hermitian and agrees with the Kraus-vector route; and a
-    work array shaped like the block's stack, free until the next block."""
+    matrices J of the maps that trace out c, their Frobenius norms, whether
+    each J is within equality_tol / EQUALITY_MARGIN, relative, of the
+    Kraus-vector route and of J^dagger; and a work array shaped like the
+    block's stack, free until the next block."""
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
     size = block_size(side)
@@ -544,12 +511,17 @@ def _choi_blocks(vector: np.ndarray, cfg: ToleranceConfig):
         m = v.shape[0]
         choi = _purification_choi(v, choi_out[:m])
         norm = _frobenius(choi)
+        allowed = cfg.equality_tol / EQUALITY_MARGIN
         # Kraus-vector route: the rows (a, b) of V hold L's entries over c
         kraus = v.reshape(m, side, d_c)
         product = np.matmul(kraus, kraus.conj().swapaxes(1, 2), out=kraus_out[:m])
-        agrees = _agrees(choi, norm, product, cfg)
-        h, clear = _hermitian_part(choi, norm, cfg, (conj_out[:m], kraus_out[:m], choi))
-        yield block, h, norm, agrees & clear, kraus_out[:m]
+        scale = allowed * np.maximum(norm, _frobenius(product))
+        passed = _frobenius(np.subtract(choi, product, out=product)) <= scale
+        adjoint = np.conjugate(choi, out=conj_out[:m]).swapaxes(1, 2)
+        passed &= _frobenius(np.subtract(choi, adjoint, out=kraus_out[:m])) <= allowed * norm
+        h = np.add(choi, adjoint, out=choi)
+        h *= 0.5
+        yield block, h, norm, passed, kraus_out[:m]
 
 
 def _cut_certificates(
@@ -565,11 +537,8 @@ def _cut_certificates(
     certifies the full Choi matrix's partial transpose: where it does,
     ``_psd_flags`` of that partial transpose's computed spectrum reads
     psd = near = False. At default tolerances it certified all 800 samples
-    of seeds 1 and 3003 at (3, 3, 9) and (4, 4, 16), as the cut on all of a
-    did; a 50-sample call at (4, 16, 4), one 10x10 block, took 175 us
-    against 411 us for two 20x20 blocks on all of a. At psd_tol 0.03 it
-    certifies fewer: 100 of those 800 at (3, 3, 9), where all of a
-    certified 625, and none at (4, 4, 16), against 15."""
+    of seeds 1 and 3003 at (3, 3, 9) and (4, 4, 16), and at psd_tol 0.03
+    100 at (3, 3, 9) and none at (4, 4, 16)."""
     # Why. The cut's Choi matrix J' is the principal submatrix of J on
     # a < min(d_a, 2), b < d_c + 1, and its partial transpose g' that of
     # J's, g: the partial transpose swaps the a indices of an entry, and
@@ -587,9 +556,10 @@ def _cut_certificates(
     # - the bound is at least ||J'||_F for the exact J'. J and the exact
     #   marginal on c, L, are complementary marginals of one vector and share
     #   their nonzero spectrum (Schmidt decomposition), so ||J'||_F <= ||J||_F
-    #   = ||L||_F exactly. The computed L, a Gram product over side terms,
-    #   lies within 3/2 side eps trace of L in Frobenius norm (see
-    #   _cholesky_certified), which delta covers twenty times over; the
+    #   = ||L||_F exactly. The computed L, a partial trace of the other
+    #   map's Choi matrix, whose complementary side is side, lies within
+    #   3 side eps trace of L in Frobenius norm (see _cholesky_certified),
+    #   which delta covers ten times over; the
     #   relative rounding of its norm, a sum of squares, is absorbed by c's
     #   spare factors (see _npt_certified). The computed g' exceeds ||J'||_F
     #   only by rounding;
@@ -623,73 +593,114 @@ def _cut_certificates(
     return checks, certified
 
 
-def _environment(v: np.ndarray, cfg: ToleranceConfig) -> tuple[np.ndarray, ...]:
-    """The Hermitian parts of the ``_last_marginal``s of tripartite vectors,
-    whether each is clearly Hermitian, and their Frobenius norms as computed."""
-    marginal = _last_marginal(v)
-    norm = _frobenius(marginal)
-    return (*_hermitian_part(marginal, norm, cfg), norm)
+# What ``_complementary_pair`` leaves ``_close_pair``: its inputs, flags and
+# checks, ``settled`` or None, the partial traces over a of the Choi matrices
+# it formed and over b of its leading rows, and the rows the cut settled.
+_ChoiPass = namedtuple("_ChoiPass", "vector trace outcome settled on_b on_a unformed")
 
 
 def _complementary_pair(
-    vector: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig
-) -> tuple[np.ndarray, ...]:
+    vector: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig, environment=None, leading=0
+) -> _ChoiPass:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
-    ``trace``: ``_spectrum_flags`` of the Choi matrices of the maps that
-    trace out c and of the marginals on c (``_environment``); whether each
-    Choi matrix agrees with the Kraus-vector route and, with each marginal
-    on c that is formed, is clearly Hermitian; and ``_psd_flags`` of the
-    Choi matrix's partial transpose.
+    ``trace``, the pass over the Choi matrices of the maps that trace out c,
+    formed by ``_choi_blocks`` only: their checks, ``_psd_flags`` of their
+    partial transposes, and the partial traces of their Hermitian parts
+    over a, the marginals on b, and over b, on a, of the first ``leading``.
 
-    The Choi matrices are formed by ``_choi_blocks`` and nowhere else. The
-    narrower member of the pair, the Choi matrix on a tie, takes
+    The narrower member of the pair, the Choi matrix on a tie, takes
     ``_cholesky_certified``; the samples it leaves open take ``eigvalsh`` of
-    both members. Where the Choi matrix is that member, the marginals on c
-    are formed after its pass, for the samples left open only: a
-    settled sample's flags come from the certificate, and nothing else
-    reads its marginal on c. A wider Choi matrix with d_b > d_c + 1 is first
-    read on the vectors cut to two values of a and d_c + 1 of b
-    (``_cut_certificates``),
-    whose bound is the norm of the marginal on c: a sample whose cut
-    certifies the matrix NPT, and whose certificate holds, has its flags
-    without the full matrix being formed, and the cut's checks. Every other
-    sample forms it.
+    both members, in ``_close_pair`` for a wider Choi matrix whose marginals
+    on c (``environment``) are not given. A wider one with d_b > d_c + 1 is
+    first read on the vectors cut to two values of a and d_c + 1 of b
+    (``_cut_certificates``), bound by the marginals on c: a sample whose cut
+    certifies it NPT, and whose certificate holds, needs it no further.
     """
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
-    choi_narrower = side <= d_c
+    narrower = side <= d_c
     k, dim = min(side, d_c), max(side, d_c)
-    choi_flags, env_flags = _certified_flags(n, k, dim, cfg), _certified_flags(n, k, dim, cfg)
-    checks, pt_psd, pt_near = (np.empty(n, dtype=bool) for _ in range(3))
-    rest = np.arange(n)
-    if choi_narrower:
-        settled, clear = np.empty(n, dtype=bool), np.ones(n, dtype=bool)
-    else:
-        environment, clear, norm = _environment(vector, cfg)
+    choi_flags = _certified_flags(n, k, dim, cfg)
+    checks, pt_psd, pt_near = np.empty(n, dtype=bool), *np.zeros((2, n), dtype=bool)
+    settled = np.empty(n, dtype=bool) if narrower else None
+    on_b, on_a = np.empty((n, d_b, d_b), complex), np.empty((leading, d_a, d_a), complex)
+    rest, unformed = np.arange(n), np.zeros(n, dtype=bool)
+    if environment is not None and not narrower:
         settled = _cholesky_certified(environment, trace, dim, cfg)
         if d_b > d_c + 1:
-            checks, certified = _cut_certificates(vector, norm, trace, cfg)
-            done = settled & certified
-            pt_psd[done] = pt_near[done] = False
-            rest = rest[~done]
+            cut_checks, certified = _cut_certificates(vector, _frobenius(environment), trace, cfg)
+            checks[:], unformed = cut_checks, settled & certified
+            rest = rest[~unformed]
     formed = vector if len(rest) == n else vector[rest]
     for block, h, norm, passed, work in _choi_blocks(formed, cfg):
         index = rest[block]
         checks[index] = passed
-        if choi_narrower:
+        if narrower:
             settled[index] = _cholesky_certified(h, trace[index], dim, cfg)
-        open_rows = ~settled[index]
-        if open_rows.any():
+        if settled is not None and not settled[index].all():
+            open_rows = ~settled[index]
             _fill(choi_flags, index[open_rows], np.linalg.eigvalsh(h[open_rows]), cfg, k + dim)
         pt_psd[index], pt_near[index] = _partial_transpose_flags(h, d_a, d_b, norm, cfg, work)
-    if not settled.all():
-        open_rows = ~settled
-        if choi_narrower:
-            environment, clear[open_rows], _ = _environment(vector[open_rows], cfg)
-        else:
-            environment = environment[open_rows]
-        _fill(env_flags, open_rows, np.linalg.eigvalsh(environment), cfg, k + dim)
-    return choi_flags, env_flags, checks & clear, pt_psd, pt_near
+        on_b[index] = _partial_trace(h, d_a, d_b, True)
+        if block.start < leading:
+            on_a[block] = _partial_trace(h[: leading - block.start], d_a, d_b, False)
+    outcome = choi_flags, checks, pt_psd, pt_near
+    return _ChoiPass(vector, trace, outcome, settled, on_b, on_a, unformed)
+
+
+def _environment(partner: _ChoiPass, rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
+    """The marginals on the last factor of the map whose other map's pass is
+    ``partner``, at its ``rows``: its partial traces over a, of Choi
+    matrices it left unformed formed here, whose checks join its own."""
+    marginals = partner.on_b[rows]
+    late = np.flatnonzero(partner.unformed[rows])
+    if late.size:
+        _, d_a, d_b, _ = partner.vector.shape
+        for block, h, _, passed, _ in _choi_blocks(partner.vector[rows[late]], cfg):
+            partner.outcome[1][rows[late[block]]] &= passed
+            marginals[late[block]] = _partial_trace(h, d_a, d_b, True)
+    return marginals
+
+
+def _close_pair(pair: _ChoiPass, partner: _ChoiPass, shift: int, cfg: ToleranceConfig) -> tuple:
+    """``_spectrum_flags`` of a pass's Choi matrices and of their marginals
+    on c, the Choi matrices' checks, and ``_psd_flags`` of their partial
+    transposes. The marginals on c are read from ``partner``, the other
+    map's pass, whose row (i + shift) % n is row i's sample, only for the
+    samples the certificate leaves open."""
+    n, d_a, d_b, d_c = pair.vector.shape
+    k, dim = min(d_a * d_b, d_c), max(d_a * d_b, d_c)
+    choi_flags, checks, pt_psd, pt_near = pair.outcome
+    env_flags = _certified_flags(n, k, dim, cfg)
+    rows = np.arange(n) if pair.settled is None else np.flatnonzero(~pair.settled)
+    if rows.size:
+        marginals = _environment(partner, (rows + shift) % n, cfg)
+        if pair.settled is None:
+            rows = np.flatnonzero(~_cholesky_certified(marginals, pair.trace, dim, cfg))
+            marginals = marginals[rows]
+            for block, h, *_ in _choi_blocks(pair.vector[rows], cfg) if rows.size else ():
+                _fill(choi_flags, rows[block], np.linalg.eigvalsh(h), cfg, k + dim)
+    if rows.size:
+        _fill(env_flags, rows, np.linalg.eigvalsh(marginals), cfg, k + dim)
+    return choi_flags, env_flags, checks, pt_psd, pt_near
+
+
+def _pairs(groups: list[np.ndarray], trace: np.ndarray, cfg: ToleranceConfig) -> tuple:
+    """``_close_pair`` of phi's and psi's pairs after each group's Choi pass
+    (one where d_b = d_c), and the marginals on a, from the first pass, which
+    forms every Choi matrix: psi's where phi's may be read on the cut, whose
+    certificate and norm bound read phi's marginals on c, psi's traces."""
+    n = len(trace)
+    if len(groups) == 1:
+        both = _complementary_pair(groups[0], np.concatenate([trace, trace]), cfg, leading=n)
+        outcome = _close_pair(both, both, n, cfg)
+        return _rows(outcome, slice(0, n)), _rows(outcome, slice(n, 2 * n)), both.on_a
+    swap = groups[0].shape[2] > groups[0].shape[3] + 1
+    head, tail = groups[::-1] if swap else groups
+    first = _complementary_pair(head, trace, cfg, leading=n)
+    second = _complementary_pair(tail, trace, cfg, first.on_b)
+    outcomes = _close_pair(first, second, 0, cfg), _close_pair(second, first, 0, cfg)
+    return (*(outcomes[::-1] if swap else outcomes), first.on_a)
 
 
 def _rows(values: tuple, rows) -> tuple:
@@ -708,11 +719,12 @@ def _rank_flags(w: np.ndarray, cfg: ToleranceConfig, sides: int) -> tuple[np.nda
     pair the spectrum belongs to."""
     # Why. The engine's and the oracle's computed spectra each lie within
     # delta = SCHMIDT_ROUNDING sides eps tr of the exact one, eigenvalue by
-    # eigenvalue (see _cholesky_certified; for the marginal on a, sides is
-    # d_a + d_b d_c, the terms of its Gram product and its side), so within
-    # 2 delta of each other. The cutoff rank_tol sigma_max side moves with
-    # sigma_max, by at most rank_tol side 2 delta, and so each edge by at
-    # most FRAGILITY_FACTOR rank_tol side 2 delta. So a singular value past
+    # eigenvalue (see _cholesky_certified, which bounds the partial traces
+    # too; for the marginal on a, sides is d_a + d_b d_c, its side and its
+    # complementary side), so within 2 delta of each other. The cutoff
+    # rank_tol sigma_max side moves with sigma_max, by at most rank_tol side
+    # 2 delta, and so each edge by at most FRAGILITY_FACTOR rank_tol side 2
+    # delta. So a singular value past
     # both edges by the slack lies on the same side of each in the oracle's
     # spectrum, and the oracle reads the same rank and fragility. The trace
     # taken here differs from tr only by rounding and by at most the
@@ -741,32 +753,20 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
     """Add to ``result`` the outcomes of ``stack``, the dilations of samples
     ``indices``: each distinct row's ``_row_outcome`` times the samples that
     hold it, and ``_escalate`` of each sample whose row escalates."""
-    d_a, d_b, d_c = dims
-    n = len(indices)
+    (d_a, d_b, d_c), n = dims, len(indices)
 
     # Both orientations of the purification vector, contiguous: every product
     # reads them through reshapes and float64 views, which need no copy.
-    groups = _orientations(stack, dims)
-    trace = np.square(_frobenius(stack))
-    marginal_a = _first_marginal(groups[0][:n])
-    hermitian_a, checks = _hermitian_part(marginal_a, _frobenius(marginal_a), cfg)
-    # the marginal on a is a Gram product over d_b d_c terms: _rank_flags
-    # reads its spectrum with the summed sides d_a + d_b d_c
-    flags = {"la": _certified_flags(n, d_a, d_a, cfg)}
-    settled = _cholesky_certified(hermitian_a, trace, d_a, cfg)
+    trace, flags = np.square(_frobenius(stack)), {}
+    phi, psi, marginal_a = _pairs(_orientations(stack, dims), trace, cfg)
+    flags["lab"], flags["lc"], phi_checks, phi_pt, near_phi_pt = phi
+    flags["lac"], flags["lb"], psi_checks, psi_pt, near_psi_pt = psi
+    # the marginal on a's complementary side is d_b d_c (see _rank_flags)
+    flags["la"] = _certified_flags(n, d_a, d_a, cfg)
+    settled = _cholesky_certified(marginal_a, trace, d_a, cfg)
     if not settled.all():
-        w = np.linalg.eigvalsh(hermitian_a[~settled])
+        w = np.linalg.eigvalsh(marginal_a[~settled])
         _fill(flags["la"], ~settled, w, cfg, d_a + d_b * d_c)
-    # phi's pair, its Choi matrix with the marginal on c, then psi's, with the
-    # marginal on b: one pass per group, cut into its orientations after it
-    pairs = []
-    for v in groups:
-        stacked = len(v) // n
-        outcome = _complementary_pair(v, np.concatenate([trace] * stacked), cfg)
-        pairs += [_rows(outcome, slice(k * n, (k + 1) * n)) for k in range(stacked)]
-    (flags["lab"], flags["lc"], phi_checks, phi_pt, near_phi_pt), (
-        flags["lac"], flags["lb"], psi_checks, psi_pt, near_psi_pt) = pairs
-    checks &= phi_checks & psi_checks
     (phi_psd, near_phi), (psi_psd, near_psi) = flags["lab"][:2], flags["lac"][:2]
     unsure = near_phi | near_psi | near_phi_pt | near_psi_pt
     columns, fragile = [], np.zeros(n, dtype=bool)
@@ -776,7 +776,7 @@ def _run_chunk(stack, dims, seed: int, indices, cfg: ToleranceConfig, result: Ha
         fragile |= fragile_key
         unsure |= margin
     columns += [certify.ppt_rule(phi_psd, phi_pt), certify.ppt_rule(psi_psd, psi_pt),
-                ~checks | unsure | ~phi_psd | ~psi_psd, fragile]
+                ~(phi_checks & psi_checks) | unsure | ~phi_psd | ~psi_psd, fragile]
 
     # A 60-trial run holds at most 2 distinct rows at default tolerances and
     # 15 at --rank-tol 1e-17: the rules run once per row, not per sample.

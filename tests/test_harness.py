@@ -50,15 +50,14 @@ from chancert.harness import (
     _certified_flags,
     _cholesky_certified,
     _cholesky_shift,
-    _complementary_pair,
     _choi_blocks,
     _cut_certificates,
     _fill,
-    _first_marginal,
     _frobenius,
-    _last_marginal,
     _npt_certified,
+    _pairs,
     _partial_transpose_flags,
+    _partial_trace,
     _partial_transpose_left,
     _psd_flags,
     _purification_choi,
@@ -468,59 +467,64 @@ def test_certified_flags_are_fresh_on_every_call():
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16), (3, 3, 3)], ids=dims_id)
 def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
-    # The engine's products deviate from Hermitian only by rounding, so only
-    # an injected fault makes its Hermitian checks fire. Each chosen sample
-    # gets an anti-Hermitian part i r M on one marginal M, r = 3/40
-    # equality_tol: its deviation, 2r, fails the check against
-    # equality_tol/10, while a Choi matrix stays within equality_tol/10 of
-    # the V V^dagger route. The oracle forms its marginals through
+    # The engine's Choi matrices deviate from Hermitian only by rounding, so
+    # only an injected fault makes their Hermitian checks fire: phi's and
+    # psi's chosen samples get an anti-Hermitian part i r J, r = 3/40
+    # equality_tol, whose deviation, 2r, fails the check against
+    # equality_tol/10, while the matrix stays within equality_tol/10 of the
+    # V V^dagger route. The marginals on a, b and c are partial traces of
+    # those checked matrices, exactly Hermitian, with no check of their own,
+    # so their faults are shifts of the spectrum: each chosen marginal's
+    # lambda_min is moved onto the lower edge of its fragility window, where
+    # rounding could carry it to either side, and the certificate it then
+    # fails hands it to eigvalsh. The oracle forms its marginals through
     # chancert.complement, unpatched. At (4, 4, 16) the engine reads psi's
     # Choi matrix on the vectors cut to their first 2 values of a and d_b + 1
     # of c, so psi's fault lands on that 10 x 10 block; phi's Choi matrix ties
-    # with its marginal on c, which is formed only for the samples the Choi
+    # with its marginal on c, which is read only for the samples the Choi
     # matrix's certificate leaves open, so the certificate is made to leave
-    # c's sample open, and its fault lands on a marginal formed after the
-    # pass. At (3, 3, 3) both orientations share one stack, and each fault
-    # still lands on its own row.
+    # c's sample open, and that marginal is the partial trace of psi's full
+    # Choi matrix, formed for that sample alone. At (3, 3, 3) both
+    # orientations share one stack, and each fault still lands on its own row
     cfg, seed, trials = DEFAULT_TOLERANCES, 3003, 12
     faults = {"phi": 1, "psi": 5, "a": 7, "b": 9, "c": 10}
     draws = {key: random_stinespring(*dims, seed=seed, index=i) for key, i in faults.items()}
     vectors = {key: common_purification_vector(st).reshape(dims) for key, st in draws.items()}
     _, d_b, d_c = dims
     choi_c = choi_marginal(vectors["c"])
+    exact = {key: factor_marginals(vectors[key][None])[key][0] for key in ("a", "b", "c")}
     vectors["psi"] = vectors["psi"].swapaxes(1, 2)
     if d_c > d_b + 1:
         vectors["psi"] = vectors["psi"][:2, :d_b + 1]
     spoil = 1.0 + 0.075j * cfg.equality_tol
 
-    def inject(marginals, key, psi):
-        """Spoil the marginals of the rows of psi that are sample ``key``'s vector."""
-        hits = [k for k in range(len(psi)) if np.array_equal(psi[k], vectors[key])]
-        marginals[hits] *= spoil
-        return len(hits)
+    def to_edge(m):
+        """m shifted by a multiple of I onto its lower fragility edge:
+        lambda_min = rank_tol sigma_max side / FRAGILITY_FACTOR."""
+        w = np.linalg.eigvalsh(m)
+        r = cfg.rank_tol * len(m) / FRAGILITY_FACTOR
+        return m + (r * (w[-1] - w[0]) / (1 - r) - w[0]) * np.eye(len(m))
 
     injected = Counter()
     purification_choi = chancert.harness._purification_choi
-    first_marginal = chancert.harness._first_marginal
-    last_marginal = chancert.harness._last_marginal
+    partial_trace = chancert.harness._partial_trace
     certified = chancert.harness._cholesky_certified
 
     def spoiled_choi(v, out):
         choi = purification_choi(v, out)
         for key in ("phi", "psi"):
-            injected[key] += inject(choi, key, v)
+            hits = [k for k in range(len(v)) if np.array_equal(v[k], vectors[key])]
+            choi[hits] *= spoil
+            injected[key] += len(hits)
         return choi
 
-    def spoiled_first(v):
-        marginals = first_marginal(v)
-        injected["a"] += inject(marginals, "a", v)
-        return marginals
-
-    def spoiled_last(v):
-        # the marginals on c of phi's vectors and on b of psi's
-        marginals = last_marginal(v)
-        injected["c"] += inject(marginals, "c", v)
-        injected["b"] += inject(marginals, "b", v.swapaxes(2, 3))
+    def spoiled_trace(h, *args):
+        marginals = partial_trace(h, *args)
+        for key, target in exact.items():
+            for k, m in enumerate(marginals):
+                if m.shape == target.shape and np.allclose(m, target, rtol=1e-9, atol=0):
+                    marginals[k] = to_edge(m)
+                    injected[key] += 1
         return marginals
 
     def c_left_open(x, trace, dim, cfg):
@@ -532,12 +536,47 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
         return settled
 
     monkeypatch.setattr(chancert.harness, "_purification_choi", spoiled_choi)
-    monkeypatch.setattr(chancert.harness, "_first_marginal", spoiled_first)
-    monkeypatch.setattr(chancert.harness, "_last_marginal", spoiled_last)
+    monkeypatch.setattr(chancert.harness, "_partial_trace", spoiled_trace)
     monkeypatch.setattr(chancert.harness, "_cholesky_certified", c_left_open)
     result = run_harness(dims, trials, seed, cfg)
     assert injected == dict.fromkeys(faults, 1)
     assert sorted(result.escalated) == sorted(faults.values())
+    counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+    assert (result.counts, result.counterexamples) == (counts, counterexamples)
+
+
+def test_late_choi_matrix_checks_join_its_pass(monkeypatch):
+    # at (4, 4, 16) psi's Choi matrices are read on the cut, and phi's tie
+    # certificate is made to leave one sample open, so its marginal on c is
+    # the partial trace of psi's full Choi matrix, formed for that sample
+    # alone. A fault in that matrix, an anti-Hermitian part as above, fails
+    # its Hermitian check, which must escalate the sample: the outcome is the
+    # per-sample loop's
+    cfg, seed, trials, dims, index = DEFAULT_TOLERANCES, 3003, 12, (4, 4, 16), 4
+    vector = common_purification_vector(random_stinespring(*dims, seed=seed, index=index))
+    vector = vector.reshape(dims)
+    psi, choi_phi = vector.swapaxes(1, 2), choi_marginal(vector)
+    injected = []
+    purification_choi = chancert.harness._purification_choi
+    certified = chancert.harness._cholesky_certified
+
+    def spoiled_choi(v, out):
+        choi = purification_choi(v, out)
+        hits = [k for k in range(len(v)) if np.array_equal(v[k], psi)]
+        choi[hits] *= 1.0 + 0.075j * cfg.equality_tol
+        injected.extend(hits)
+        return choi
+
+    def left_open(x, trace, dim, cfg):
+        settled = certified(x, trace, dim, cfg)
+        if x.shape[1:] == choi_phi.shape:
+            settled[[np.allclose(h, choi_phi) for h in x]] = False
+        return settled
+
+    monkeypatch.setattr(chancert.harness, "_purification_choi", spoiled_choi)
+    monkeypatch.setattr(chancert.harness, "_cholesky_certified", left_open)
+    result = run_harness(dims, trials, seed, cfg)
+    assert len(injected) == 1 and result.escalated == [index]
     counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
     assert (result.counts, result.counterexamples) == (counts, counterexamples)
 
@@ -568,23 +607,37 @@ def harness_vectors(dims, seed, trials) -> np.ndarray:
 
 def engine_marginals(vector, swapped) -> dict:
     """The five marginals of C-contiguous tripartite vectors, given also with
-    b and c swapped, formed with the engine's products, keyed as
-    ``purification_marginals``."""
+    b and c swapped, formed as the engine forms them, keyed as
+    ``purification_marginals``: the Choi matrices with its products, and
+    the marginals on a and b as partial traces of phi's Choi matrix's
+    Hermitian part, and on c of psi's."""
     marginals = {}
     for key, v in (("ab", vector), ("ac", swapped)):
         n, d_a, d_b, _ = v.shape
         marginals[key] = _purification_choi(v, np.empty((n, d_a * d_b, d_a * d_b), dtype=complex))
-    marginals["a"] = _first_marginal(vector)
-    marginals["c"], marginals["b"] = _last_marginal(vector), _last_marginal(swapped)
+    _, d_a, d_b, d_c = vector.shape
+    phi, psi = ((m + m.conj().swapaxes(1, 2)) * 0.5 for m in (marginals["ab"], marginals["ac"]))
+    marginals["a"] = _partial_trace(phi, d_a, d_b, False)
+    marginals["b"] = _partial_trace(phi, d_a, d_b, True)
+    marginals["c"] = _partial_trace(psi, d_a, d_c, True)
     return marginals
+
+
+# each marginal's partial trace: (the factor traced out, the Choi matrix's
+# terms), by the dims (d_a, d_b, d_c)
+PARTIAL_TRACES = {"a": lambda d_a, d_b, d_c: (d_b, d_c), "b": lambda d_a, d_b, d_c: (d_a, d_c),
+                  "c": lambda d_a, d_b, d_c: (d_a, d_b)}
 
 
 @pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
 def test_products_within_the_rounding_bound(dims):
-    # _cholesky_certified takes every marginal the engine forms, over l complex
-    # terms, within 3/2 l eps tr of exact in Frobenius norm; the einsums of
-    # chancert.complement err by at most (l + 2)/2 eps tr, so the two lie
-    # within (2 l + 1) eps tr of each other, sample by sample
+    # _cholesky_certified takes each Choi matrix the engine forms, over l
+    # complex terms, within 3/2 l eps tr of exact in Frobenius norm, and its
+    # Hermitian part within (3/2 l + 1) eps tr; a marginal, the partial trace
+    # of that part over m blocks, within sqrt(m) (3/2 l + 1) eps tr plus
+    # (m - 1)/2 eps tr for its m-term sums. The einsums of
+    # chancert.complement err by at most (L + 2)/2 eps tr over L terms, so
+    # engine and einsum lie within the sum of the two, sample by sample
     d_a, d_b, d_c = dims
     n, eps = 40, np.finfo(np.float64).eps
     vector = harness_vectors(dims, 3003, n)
@@ -592,10 +645,37 @@ def test_products_within_the_rounding_bound(dims):
     engine = engine_marginals(vector, np.ascontiguousarray(vector.swapaxes(2, 3)))
     reference = {"ab": choi_marginal(vector), "ac": choi_marginal(vector.swapaxes(2, 3)),
                  **factor_marginals(vector)}
-    terms = {"ab": d_c, "ac": d_b, "a": d_b * d_c, "b": d_a * d_c, "c": d_a * d_b}
-    for key, l in terms.items():
+    bounds = {"ab": 2 * d_c + 1, "ac": 2 * d_b + 1}
+    for key, traced in PARTIAL_TRACES.items():
+        m, l = traced(*dims)
+        bounds[key] = np.sqrt(m) * (1.5 * l + 1) + (m - 1) / 2 + (m * l + 2) / 2
+    for key, bound in bounds.items():
         error = _frobenius(engine[key] - reference[key])
-        assert (error <= (2 * l + 1) * eps * trace).all(), key
+        assert (error <= bound * eps * trace).all(), key
+
+
+@pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES + MIRRORED_TUPLES, ids=dims_id)
+def test_engine_marginals_are_exactly_hermitian(dims):
+    # the marginals on a, b and c are partial traces of exactly Hermitian
+    # Choi matrices, each entry summed in one order, so they need no
+    # Hermitian part and no check of their own: bit for bit, each equals its
+    # conjugate transpose, in the engine's run as in engine_marginals
+    vector = harness_vectors(dims, 3003, 20)
+    engine = engine_marginals(vector, np.ascontiguousarray(vector.swapaxes(2, 3)))
+    for key in PARTIAL_TRACES:
+        assert np.array_equal(engine[key], engine[key].conj().swapaxes(1, 2)), key
+    marginals = []
+    partial_trace = chancert.harness._partial_trace
+
+    def recording(h, *args):
+        marginals.append(partial_trace(h, *args))
+        return marginals[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(chancert.harness, "_partial_trace", recording)
+        run_harness(dims, 20, 3003, DEFAULT_TOLERANCES)
+    assert marginals
+    assert all(np.array_equal(m, m.conj().swapaxes(1, 2)) for m in marginals)
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 3), (4, 4, 16)], ids=dims_id)
@@ -721,7 +801,7 @@ def test_equal_shapes_share_one_pair_pass(dims, tol, monkeypatch):
     calls = []
     pair = chancert.harness._complementary_pair
     monkeypatch.setattr(chancert.harness, "_complementary_pair",
-                        lambda v, *args: calls.append(len(v)) or pair(v, *args))
+                        lambda v, *args, **kwargs: calls.append(len(v)) or pair(v, *args, **kwargs))
 
     def run():
         calls.clear()
@@ -779,37 +859,91 @@ def open_choi_rows(dims, trials, seed, cfg) -> int:
 @pytest.mark.parametrize("dims", LAZY_TUPLES, ids=dims_id)
 def test_wider_marginal_formed_only_where_open(dims, tol, monkeypatch):
     # where a pair's Choi matrix is its narrower member, or ties with it,
-    # the marginal on the last factor is formed, and checked Hermitian, only
-    # for the samples whose Choi matrix the certificate leaves open: none
-    # where it settles all, and all where it declines, as at rank_tol 1e-17
-    # wherever dim > k. Each Hermitian check outside the Choi pass on a
-    # matrix of that side is one such marginal; the marginal on a and the
-    # marginals formed for every sample have other sides. Counts,
-    # counterexamples and escalations are those of the engine with every
-    # certificate declined, which forms every marginal, and counts and
-    # counterexamples those of the per-sample loop
+    # the marginal on the last factor is read, from the other map's partial
+    # traces, only for the samples whose Choi matrix the certificate leaves
+    # open: none where it settles all, and all where it declines, as at
+    # rank_tol 1e-17 wherever dim > k. Each marginal of that side that
+    # _environment reads is one such; the marginal on a and the marginals
+    # read for every sample have other sides. Counts, counterexamples and
+    # escalations are those of the engine with every certificate declined,
+    # which reads every marginal, and counts and counterexamples those of
+    # the per-sample loop
     cfg, trials, seed = ROUTING_TOLERANCES[tol], 40, 3003
     d_a, d_b, d_c = dims
     sides = lazy_sides(dims)
     assert sides and not sides & {d_a, *({d_b, d_c} - sides)}
     formed = []
-    hermitian_part = chancert.harness._hermitian_part
+    environment = chancert.harness._environment
 
-    def recording(x, *args):
-        if sys._getframe(1).f_code.co_name != "_choi_blocks" and x.shape[-1] in sides:
-            formed.append(len(x))
-        return hermitian_part(x, *args)
+    def recording(partner, rows, cfg):
+        if partner.vector.shape[2] in sides:
+            formed.append(len(rows))
+        return environment(partner, rows, cfg)
 
     def run():
         return run_harness(dims, trials, seed, cfg)
 
-    monkeypatch.setattr(chancert.harness, "_hermitian_part", recording)
+    monkeypatch.setattr(chancert.harness, "_environment", recording)
     engine_outcome(run)
     rows = sum(formed)
     assert rows == open_choi_rows(dims, trials, seed, cfg)
     if tol == "rank-1e-17" and d_a * min(d_b, d_c) < max(d_b, d_c):
         assert rows == trials
     assert_decline_path_agrees(run, lambda: per_sample(dims, trials, seed, cfg), monkeypatch)
+
+
+@pytest.fixture
+def marginal_routes(monkeypatch):
+    """The routes of the marginals in ``run_harness``: the harness functions
+    that call ``np.matmul``, the marginals on a taken as partial traces, and
+    the Choi matrices that ``_environment`` forms late, by side."""
+    routes = {"matmul": set(), "on_a": 0, "late": Counter()}
+
+    def matmul(*args, _original=np.matmul, **kwargs):
+        caller = sys._getframe(1).f_code
+        if caller.co_filename == chancert.harness.__file__:
+            routes["matmul"].add(caller.co_name)
+        return _original(*args, **kwargs)
+
+    def partial_trace(h, d_a, d_b, over_a, _original=chancert.harness._partial_trace):
+        routes["on_a"] += 0 if over_a else len(h)
+        if sys._getframe(1).f_code.co_name == "_environment":
+            routes["late"][d_a * d_b] += len(h)
+        return _original(h, d_a, d_b, over_a)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(chancert.harness, "_partial_trace", partial_trace)
+    return routes
+
+
+@pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
+def test_marginals_are_partial_traces_of_choi_matrices(dims, marginal_routes):
+    # at default tolerances, seeds 1 and 3003, the marginals on a, b and c
+    # are partial traces of the Choi matrices the engine forms and checks:
+    # its only products are the two routes of each Choi matrix, and no
+    # marginal is a Gram product. Where a tie's certificate leaves a sample
+    # open and psi's Choi matrix was read on the cut, psi's full matrix is
+    # formed for that sample alone, as at (4, 4, 16) seed 1 for 5 samples
+    for seed in (1, 3003):
+        run_harness(dims, 200, seed, DEFAULT_TOLERANCES)
+    assert marginal_routes["matmul"] == {"_purification_choi", "_choi_blocks"}
+    assert marginal_routes["on_a"] == 400
+    d_a, d_b, d_c = dims
+    assert set(marginal_routes["late"]) <= {d_a * max(d_b, d_c)}
+    if dims == (4, 4, 16):
+        assert marginal_routes["late"][64] >= 5
+
+
+@pytest.mark.parametrize("dims", [(4, 16, 4), (2, 6, 2)], ids=dims_id)
+def test_marginals_stay_partial_traces_at_a_loose_psd_tolerance(dims, marginal_routes):
+    # at psd_tol 0.1 the cut certifies fewer wider Choi matrices, and a
+    # sample whose other map's Choi matrix is not formed still reads its
+    # marginal as a partial trace, of that matrix formed late; the outcome
+    # is the per-sample loop's
+    for seed in (1, 3003):
+        assert_agrees(dims, 200, seed, ToleranceConfig(psd_tol=0.1))
+    assert marginal_routes["matmul"] == {"_purification_choi", "_choi_blocks"}
+    assert marginal_routes["on_a"] == 400
 
 
 def test_cli_report_matches_per_sample_loop(tmp_path):
@@ -873,7 +1007,7 @@ def left_open(declined) -> Counter:
     matrices = Counter()
     for caller, k, dim, _, rows in declined:
         matrices[k] += rows
-        if caller == "_complementary_pair":
+        if caller != "_run_chunk":
             matrices[dim] += rows
     return +matrices
 
@@ -881,7 +1015,8 @@ def left_open(declined) -> Counter:
 def marginal_stacks(stacks) -> Counter:
     """The marginals handed to eigvalsh, by side: the one on a and the
     members of each complementary pair."""
-    return matrices_by_dim(stacks, "_run_chunk") + matrices_by_dim(stacks, "_complementary_pair")
+    return sum((matrices_by_dim(stacks, caller)
+                for caller in ("_run_chunk", "_complementary_pair", "_close_pair")), Counter())
 
 
 @pytest.mark.parametrize("dims", WIDE_TUPLES + MIRRORED_TUPLES, ids=dims_id)
@@ -937,7 +1072,8 @@ def test_wide_marginal_fallback_agrees(dims, cfg, eigvalsh_stacks):
     # meet a decision window, so the wider marginals go to eigvalsh
     d_a, d_b, d_c = dims
     assert_agrees(dims, 40, 8, cfg)
-    matrices = matrices_by_dim(eigvalsh_stacks, "_complementary_pair")
+    matrices = (matrices_by_dim(eigvalsh_stacks, "_complementary_pair")
+                + matrices_by_dim(eigvalsh_stacks, "_close_pair"))
     assert matrices[max(d_a * d_b, d_c)] + matrices[max(d_a * d_c, d_b)] > 0
 
 
@@ -1128,8 +1264,10 @@ def test_certificate_runs_once_per_pair(dims, declined, monkeypatch):
     # at psd_tol 0.03 (c = 0.12 tr) the cut leaves some wider Choi matrices
     # open and certifies others (39 and 33 of 50 formed in full), so a pair
     # runs both the cut and the block loop over the rest; the Cholesky
-    # certificate still reads each sample's narrower member once: the
-    # marginal on a, then phi's pair, then psi's, every call on all 50
+    # certificate still reads each sample's narrower member once: first in
+    # the pass that forms every Choi matrix, phi's at (2, 2, 6) and psi's at
+    # (2, 6, 2), then the pair read on the cut, then the marginal on a,
+    # every call on all 50
     d_a, d_b, d_c = dims
     sides = []
     purification_choi = chancert.harness._purification_choi
@@ -1140,9 +1278,10 @@ def test_certificate_runs_once_per_pair(dims, declined, monkeypatch):
 
     monkeypatch.setattr(chancert.harness, "_purification_choi", recording_choi)
     run_harness(dims, 50, 3003, ToleranceConfig(psd_tol=0.03))
+    pairs = [(min(d_a * d_b, d_c), max(d_a * d_b, d_c), 50),
+             (min(d_a * d_c, d_b), max(d_a * d_c, d_b), 50)]
     assert [(k, dim, n) for _, k, dim, n, _ in declined] == [
-        (d_a, d_a, 50), (min(d_a * d_b, d_c), max(d_a * d_b, d_c), 50),
-        (min(d_a * d_c, d_b), max(d_a * d_c, d_b), 50)]
+        *(pairs if d_c > d_b else pairs[::-1]), (d_a, d_a, 50)]
     assert d_a * max(d_b, d_c) in sides
 
 
@@ -1321,7 +1460,8 @@ def test_npt_certificates_against_40_digit_spectra(case):
     # Checked on five harness matrices each, rebuilt from the same float64
     # entries at 40 digits: phi's 9 x 9 ones at (3, 3, 9), and psi's 6 x 6
     # cuts at (2, 2, 6), c taken at the full side 12 with the cut's bound,
-    # the norm of the marginal on b plus its rounding allowance
+    # the norm of the marginal on b, phi's partial trace, plus its rounding
+    # allowance
     mpmath = pytest.importorskip("mpmath")
     cfg, eps = DEFAULT_TOLERANCES, np.finfo(float).eps
     if case == "phi-3,3,9":
@@ -1337,7 +1477,7 @@ def test_npt_certificates_against_40_digit_spectra(case):
         bound = norm
     else:
         trace = np.square(_frobenius(full.reshape(len(full), 1, -1)))
-        environment = _frobenius(_last_marginal(swapped))
+        environment = _frobenius(engine_marginals(full, swapped)["b"])
         bound = environment + SCHMIDT_ROUNDING * (dim + d_b) * eps * trace
     g = _partial_transpose_left(h, d_a, d_right, np.empty_like(h))
     fired = _npt_certified(g, bound, cfg, dim)
@@ -1357,9 +1497,8 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     """Every marginal of a stack of tripartite vectors gets from the engine
     the rank flags, and each Choi matrix the PSD flags, of its computed
     spectrum, each read with its complementary pair's summed sides (d_a +
-    d_b d_c for the marginal on a): the pairs from ``_complementary_pair``,
-    the marginal on a from
-    ``_cholesky_certified`` where it holds. Returns the number of matrices
+    d_b d_c for the marginal on a): the pairs from ``_pairs``, the marginal
+    on a from ``_cholesky_certified`` where it holds. Returns the number of matrices
     the certificate settles. The spectra are those of the matrices the
     engine forms, with its own products."""
     n, d_a, d_b, d_c = vector.shape
@@ -1368,9 +1507,10 @@ def assert_marginal_flags_match(vector, cfg) -> int:
     marginals = engine_marginals(vector, swapped)
     hermitian = {key: (m + m.conj().swapaxes(1, 2)) / 2.0 for key, m in marginals.items()}
     trace = np.square(_frobenius(vector.reshape(n, 1, -1)))
+    # one stacked pass where d_b = d_c, as _orientations lays them out
+    groups = [np.concatenate([vector, swapped])] if d_b == d_c else [vector, swapped]
     flags = {}
-    flags["ab"], flags["c"], *_ = _complementary_pair(vector, trace, cfg)
-    flags["ac"], flags["b"], *_ = _complementary_pair(swapped, trace, cfg)
+    (flags["ab"], flags["c"], *_), (flags["ac"], flags["b"], *_), _ = _pairs(groups, trace, cfg)
     sides = {"ab": d_a * d_b + d_c, "c": d_a * d_b + d_c, "ac": d_a * d_c + d_b,
              "b": d_a * d_c + d_b, "a": d_a + d_b * d_c}
     settled = _cholesky_certified(hermitian["a"], trace, d_a, cfg)
@@ -1631,13 +1771,17 @@ def test_rotated_schur_certificate_agrees(d, monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
+@example(seed=0, d_a=2, d_b=3, d_c=3, cut="b", rank=1, psd_tol=1e-9, rank_tol=1e-8, exponent=0)
 @given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(1, 4), d_b=st.integers(1, 4),
        d_c=st.integers(1, 4), cut=st.sampled_from(["b", "c"]), rank=st.integers(1, 16),
        psd_tol=st.sampled_from([ROUNDING_PSD_TOL, 1e-9, 1e-3]),
        rank_tol=st.sampled_from([ROUNDING_RANK_TOL, 1e-8, 1e-3]), exponent=st.integers(-40, 40))
 def test_marginal_spectra_flags_on_random_vectors(seed, d_a, d_b, d_c, cut, rank, psd_tol,
                                                   rank_tol, exponent):
-    # random vectors of any Schmidt rank across the cut
+    # random vectors of any Schmidt rank across the cut; where d_b = d_c one
+    # pass takes both maps, and a low rank leaves its pairs to eigvalsh, so
+    # each map's marginal on its last factor must be read off the other's
+    # rows (the @example)
     rng = np.random.default_rng(seed)
     dims = (d_a, d_b, d_c)
     single, rest = cut_widths(dims, cut)
