@@ -85,21 +85,18 @@ NOT_HERMITIAN_NOTE = "matrix is not Hermitian: rank records skipped"
 # A Choi matrix's entanglement-breaking certificate is read only for a CP map.
 EB_NOT_CP = "eb certificate requires a CP map (PSD Choi matrix)"
 
-# Entanglement-breaking certificate codes of ``eb_rule``, as indices into
-# EB_VERDICTS.
-EB_NO, EB_UNKNOWN, EB_YES = 0, 1, 2
-EB_VERDICTS = ((NO, NOT_PPT), (UNKNOWN, OUTSIDE_LOW_RANK_REGIME), (YES, LOW_RANK_PPT_SEPARABLE))
-EB_CODES = {value: code for code, (value, _) in enumerate(EB_VERDICTS)}
+# The reason each entanglement-breaking verdict value of ``eb_rule`` cites.
+EB_REASONS = {NO: NOT_PPT, UNKNOWN: OUTSIDE_LOW_RANK_REGIME, YES: LOW_RANK_PPT_SEPARABLE}
 
 
 @dataclass(frozen=True)
 class Relation:
     """A proven relation of a complementary pair whose primary map is PPT:
     the message of its counterexample, and the rule under which it fails,
-    elementwise over the records ``pair_rules`` takes, passed by name."""
+    over one sample's records, those ``pair_rules`` takes, passed by name."""
 
     message: str
-    fails: Callable[..., np.ndarray]
+    fails: Callable[..., bool]
 
 
 # The one statement of the proven relations, in the order ``pair_rules``
@@ -107,19 +104,19 @@ class Relation:
 # Read at each call, so a patched row reaches the engine and the oracle alike.
 RELATIONS = (
     Relation("Choi rank of a PPT map fell below one of its marginal ranks",
-             lambda lab, la, lb, **_: np.less(lab, np.maximum(la, lb))),
+             lambda lab, la, lb, **_: lab < max(la, lb)),
     Relation("low-rank regime failed to apply to the complement of a PPT map",
-             lambda eb_psi, **_: np.equal(eb_psi, EB_UNKNOWN)),
+             lambda eb_psi, **_: eb_psi == UNKNOWN),
     Relation("PPT and entanglement-breaking certification disagree on the complement",
-             lambda psi_ppt, eb_psi, **_: np.not_equal(psi_ppt, np.equal(eb_psi, EB_YES))),
+             lambda psi_ppt, eb_psi, **_: psi_ppt != (eb_psi == YES)),
     Relation("distillability witness fired on a PPT Choi matrix",
-             lambda witness_psi, psi_ppt, **_: np.logical_and(witness_psi, psi_ppt)),
+             lambda witness_psi, psi_ppt, **_: witness_psi and psi_ppt),
     Relation("entanglement-breaking certificate returned no for a PPT map",
-             lambda eb_phi, **_: np.equal(eb_phi, EB_NO)),
+             lambda eb_phi, **_: eb_phi == NO),
     # the primary map is outside the low-rank regime and the chain is strict
     Relation("strict rank gap did not trigger the witness on the complement",
              lambda eb_phi, lb, lc, witness_psi, **_: (
-                 np.equal(eb_phi, EB_UNKNOWN) & np.greater(lc, lb) & np.logical_not(witness_psi))),
+                 eb_phi == UNKNOWN and lc > lb and not witness_psi)),
 )
 
 
@@ -206,50 +203,47 @@ def _spectra(
 
 
 def witness_rule(whole, left, right):
-    """Rank-gap witness and low-rank regime flags from rank triples, elementwise.
+    """Rank-gap witness and low-rank regime flags from a rank triple.
 
     Returns ``(fires, regime)``: the witness fires when rank(X) is below the
     larger marginal rank, and the low-rank regime applies when rank(X) is at
-    most that. Arguments are ints or integer arrays that broadcast together.
+    most that.
     """
-    top = np.maximum(left, right)
-    return np.less(whole, top), np.less_equal(whole, top)
+    top = max(left, right)
+    return whole < top, whole <= top
 
 
 def eb_rule(ppt, regime):
-    """Entanglement-breaking certificate code (EB_NO, EB_UNKNOWN or EB_YES),
-    elementwise: no unless PPT, yes only inside the low-rank regime."""
-    return np.where(ppt, np.where(regime, EB_YES, EB_UNKNOWN), EB_NO)
+    """Entanglement-breaking verdict value (NO, UNKNOWN or YES): no unless
+    PPT, yes only inside the low-rank regime."""
+    return (YES if regime else UNKNOWN) if ppt else NO
 
 
 def pair_rules(**records):
-    """Purity equalities and proven relations of a complementary pair, elementwise.
+    """Purity equalities and proven relations of a complementary pair.
 
-    ``records`` are those ``pair_records`` names, as scalars or arrays over
-    samples that broadcast together. Returns ``(purity, relation)``.
-    ``purity`` holds when rank_lc == rank_lab and rank_lb == rank_lac.
-    ``relation`` is 0 when the primary map is not PPT or every row of
-    RELATIONS holds, else 1 + the index of the first that fails.
-    ``equivalence_check`` and the batched harness both call it.
+    ``records`` are one sample's, those ``pair_records`` names. Returns
+    ``(purity, relation)``. ``purity`` holds when rank_lc == rank_lab and
+    rank_lb == rank_lac. ``relation`` is 0 when the primary map is not PPT
+    or every row of RELATIONS holds, else 1 + the index of the first that
+    fails. ``equivalence_check`` and the batched harness both call it.
     """
-    purity = np.equal(records["lc"], records["lab"]) & np.equal(records["lb"], records["lac"])
-    relation = 0  # from the last row to the first: the first that fails sets the code
-    for code in range(len(RELATIONS), 0, -1):
-        relation = np.where(RELATIONS[code - 1].fails(**records), code, relation)
-    return purity, np.where(records["phi_ppt"], relation, 0)
+    purity = records["lc"] == records["lab"] and records["lb"] == records["lac"]
+    failing = (code for code, row in enumerate(RELATIONS, start=1) if row.fails(**records))
+    return purity, next(failing, 0) if records["phi_ppt"] else 0
 
 
 def pair_records(report: CertificateReport) -> dict:
     """A sample's records by name, from its ``equivalence_check`` report: the
     PPT flags ``phi_ppt`` and ``psi_ppt``, the witness flags ``witness_phi``
-    and ``witness_psi``, the EB codes ``eb_phi`` and ``eb_psi``, and the ranks
-    ``lab``, ``lac``, ``la``, ``lb`` and ``lc`` of the rank chain."""
+    and ``witness_psi``, the EB verdict values ``eb_phi`` and ``eb_psi``, and
+    the ranks ``lab``, ``lac``, ``la``, ``lb`` and ``lc`` of the rank chain."""
     p, chain = report.predicates, report.chain
     records = {key: getattr(chain, f"rank_{key}") for key in ("lab", "lac", "la", "lb", "lc")}
     for name in ("phi", "psi"):
         records[f"{name}_ppt"] = p[f"ppt_{name}"].is_yes
         records[f"witness_{name}"] = p[f"witness_{name}"].is_yes
-        records[f"eb_{name}"] = EB_CODES[p[f"eb_{name}"].value]
+        records[f"eb_{name}"] = p[f"eb_{name}"].value
     return records
 
 
@@ -263,7 +257,7 @@ def _rank_flags(ranks) -> tuple[bool, bool, bool]:
     """``(fires, regime, fragile)`` of a (whole, left, right) rank decision triple."""
     whole, left, right = ranks
     fires, regime = witness_rule(whole.rank, left.rank, right.rank)
-    return bool(fires), bool(regime), whole.fragile or left.fragile or right.fragile
+    return fires, regime, whole.fragile or left.fragile or right.fragile
 
 
 def witness_verdict(ranks) -> Verdict:
@@ -291,9 +285,10 @@ def eb_verdict(ppt: bool, ranks) -> Verdict:
     triple of its Choi matrix, by ``eb_rule``. Outside PPT the verdict is no
     and ``ranks`` is not read."""
     if not ppt:
-        return Verdict(*EB_VERDICTS[EB_NO])
+        return Verdict(NO, EB_REASONS[NO])
     _, regime, fragile = _rank_flags(ranks)
-    return Verdict(*EB_VERDICTS[int(eb_rule(True, regime))], fragile)
+    value = eb_rule(True, regime)
+    return Verdict(value, EB_REASONS[value], fragile)
 
 
 def _psd_predicate(report: CertificateReport, spectrum: str, predicate: str, message: str) -> Verdict:
@@ -467,7 +462,7 @@ def equivalence_check(
         report.notes.append("primary map is not PPT: consistency branch vacuous")
     if relation:
         raise CounterexampleOrBugError(
-            RELATIONS[int(relation) - 1].message, {**ctx, "report": report.to_json()}
+            RELATIONS[relation - 1].message, {**ctx, "report": report.to_json()}
         )
     return report
 

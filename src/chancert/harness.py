@@ -27,9 +27,10 @@ one, states what it decides and why that is sound.
    ``linalg.psd_rule`` and ``linalg.rank_rule``.
 5. ``_run_chunk`` reduces each sample to a row: its ranks, its PPT flags,
    whether a flag or check escalates it, and whether a rank is fragile. A
-   chunk holds few distinct rows, so ``_row_outcome`` evaluates each one
-   on scalars, through a memo that outlives the chunk: verdicts, purity
-   equalities and proven relations by the rules of ``certify`` that
+   chunk holds few distinct rows, so ``_row_outcome`` evaluates each one,
+   through a memo that outlives the chunk, as one sample's records, the
+   names ``certify.pair_records`` gives: verdict values, purity equalities
+   and proven relations by the plain-Python rules of ``certify`` that
    ``equivalence_check`` calls as well, and ``_tally`` counts them by
    COUNT_RULES.
 6. ``_escalate`` re-runs through ``equivalence_check``, the oracle, each
@@ -98,10 +99,10 @@ COUNT_RULES = {
     "both_ppt": lambda phi_ppt, psi_ppt, **_: phi_ppt and psi_ppt,
     "witness_phi_fired": lambda witness_phi, **_: witness_phi,
     "witness_psi_fired": lambda witness_psi, **_: witness_psi,
-    "eb_psi_yes": lambda eb_psi, **_: eb_psi == certify.EB_YES,
-    "eb_phi_yes": lambda eb_phi, **_: eb_phi == certify.EB_YES,
+    "eb_psi_yes": lambda eb_psi, **_: eb_psi == certify.YES,
+    "eb_phi_yes": lambda eb_phi, **_: eb_phi == certify.YES,
     "regime_applied_to_psi_given_phi_ppt": lambda phi_ppt, eb_psi, **_: (
-        phi_ppt and eb_psi != certify.EB_UNKNOWN),
+        phi_ppt and eb_psi != certify.UNKNOWN),
 }
 COUNT_KEYS = (*COUNT_RULES, "fragile_discarded")
 # The rank records of a sample, in the order ``_run_chunk``'s rows hold them.
@@ -802,7 +803,9 @@ def _row_outcome(row: tuple, rules: tuple) -> tuple | None:
     """The outcome of a sample whose ``_run_chunk`` row is ``row``: the
     ranks of RANK_KEYS, then phi_ppt, psi_ppt, whether its flags or checks
     escalate it, and whether a rank is fragile. None where it escalates,
-    else its increments of the counts, as (key, step) pairs. ``rules`` are
+    else its increments of the counts, as (key, step) pairs. Its records,
+    with the EB verdict values, are those ``certify.pair_records`` reads
+    off the sample's ``equivalence_check`` report. ``rules`` are
     the rules read here and in ``certify.pair_rules`` and ``_tally``, as
     ``_run_chunk`` reads them off their modules: part of the memo's key, so
     that a rule patched on its module reaches the next chunk. The memo keeps

@@ -13,6 +13,15 @@ and the report file's bytes, with its ``timestamp`` value blanked. Run it
 on two trees, each in its own process, and diff the two files: a change
 that keeps every outcome gives identical files. The script reads only
 ``chancert`` from the path it is given, so it runs on an older tree too.
+
+    PYTHONPATH=src python tests/agreement.py --check one-process
+
+runs the 88 ``verify-theorem`` commands of ONE_PROCESS as commands of one
+process, as the benchmark does, so that each meets the memo of outcomes
+(``harness._row_outcome``) the commands before it filled. Each command's
+counts, counterexamples and exit code must be those of the per-sample loop
+of ``tests/test_harness.py``; it prints each disagreement, then the tally,
+and exits 1 on any disagreement.
 """
 
 from __future__ import annotations
@@ -59,6 +68,11 @@ CORPORA = {
            for tol in ("default", "psd=0.1", "rank=1e-17")]
     ),
 }
+
+# The benchmark's 11 tuples x four tolerances x seeds 1 and 3003 at 60
+# trials: (dims, tolerance, trials, seed) of 88 commands.
+ONE_PROCESS = [(dims, tol, 60, seed) for dims in ACCEPTANCE + WIDE
+               for tol in ("default", "psd=0.1", "rank=1e-3", "rank=1e-17") for seed in (1, 3003)]
 
 
 def tolerances(tol: str) -> tuple[ToleranceConfig, list[str]]:
@@ -112,13 +126,40 @@ def digest(run, path: str) -> str:
     return f"{name} {tol} {trials} {seed} {budget or '-'} {hashed}"
 
 
+def check_one_process(path: str) -> int:
+    """The number of ONE_PROCESS's commands, run in this process, whose
+    counts, counterexamples or exit code differ from the per-sample loop's;
+    prints each of them, then the tally."""
+    from test_harness import per_sample  # imports pytest and hypothesis
+
+    failures = 0
+    for dims, tol, trials, seed in ONE_PROCESS:
+        cfg, flags = tolerances(tol)
+        outcome = command_outcome(dims, trials, seed, flags, path)
+        report = json.loads(outcome["report"])
+        counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+        engine = report["counts"]
+        agrees = (engine, report["counterexamples"]) == (counts, counterexamples)
+        if not agrees or outcome["exit"] != (4 if counterexamples else 0):
+            failures += 1
+            print(f"{dims} {tol} seed {seed}: engine {engine} exit {outcome['exit']}, "
+                  f"loop {counts}", flush=True)
+    print(f"{len(ONE_PROCESS) - failures} of {len(ONE_PROCESS)} commands agree")
+    return failures
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--digest", choices=sorted(CORPORA), required=True,
-                        help="print one outcome hash per run of this corpus")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--digest", choices=sorted(CORPORA),
+                      help="print one outcome hash per run of this corpus")
+    mode.add_argument("--check", choices=["one-process"],
+                      help="check ONE_PROCESS's commands against the per-sample loop")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "report.json")
+        if args.check:
+            return int(check_one_process(path) > 0)
         for run in CORPORA[args.digest]:
             print(digest(run, path), flush=True)
     return 0

@@ -39,17 +39,19 @@ from chancert import (
     tiles_upb_choi,
 )
 from chancert.certify import (
-    EB_NO,
-    EB_UNKNOWN,
-    EB_YES,
     LOW_RANK_NPT,
     LOW_RANK_PPT_SEPARABLE,
+    NO,
     NO_RANK_GAP,
     NOT_PPT,
     OUTSIDE_LOW_RANK_REGIME,
     RANK_GAP_WITNESS,
     RELATIONS,
+    UNKNOWN,
+    YES,
+    eb_rule,
     pair_rules,
+    witness_rule,
     witness_verdict,
 )
 import chancert.certify
@@ -460,18 +462,63 @@ class TestDegradablePptCheck:
 # pair_rules inputs of a pure pair whose PPT primary map meets every
 # relation: phi is PPT outside the low-rank regime (rank_lab > rank_la,
 # rank_lb), and psi is NPT with the witness firing.
-HOLDING = {"phi_ppt": True, "psi_ppt": False, "witness_psi": True, "eb_phi": EB_UNKNOWN,
-           "eb_psi": EB_NO, "lab": 3, "lac": 2, "la": 2, "lb": 2, "lc": 3}
+HOLDING = {"phi_ppt": True, "psi_ppt": False, "witness_psi": True, "eb_phi": UNKNOWN,
+           "eb_psi": NO, "lab": 3, "lac": 2, "la": 2, "lb": 2, "lc": 3}
 # One row per entry of RELATIONS, in order: the inputs it changes in HOLDING,
 # which break that relation and no other.
 RELATION_ROWS = [
     {"lab": 1},
-    {"eb_psi": EB_UNKNOWN},
-    {"eb_psi": EB_YES},
-    {"psi_ppt": True, "eb_psi": EB_YES},
-    {"eb_phi": EB_NO},
+    {"eb_psi": UNKNOWN},
+    {"eb_psi": YES},
+    {"psi_ppt": True, "eb_psi": YES},
+    {"eb_phi": NO},
     {"witness_psi": False},
 ]
+
+# The elementwise numpy form of the rules, kept as a reference for the plain
+# Python rules over one sample: its EB codes index REFERENCE_VALUES.
+REFERENCE_VALUES = (NO, UNKNOWN, YES)
+CODE_NO, CODE_UNKNOWN, CODE_YES = range(len(REFERENCE_VALUES))
+
+
+def reference_witness_rule(whole, left, right):
+    top = np.maximum(left, right)
+    return np.less(whole, top), np.less_equal(whole, top)
+
+
+def reference_eb_rule(ppt, regime):
+    return np.where(ppt, np.where(regime, CODE_YES, CODE_UNKNOWN), CODE_NO)
+
+
+REFERENCE_RELATIONS = (
+    lambda lab, la, lb, **_: np.less(lab, np.maximum(la, lb)),
+    lambda eb_psi, **_: np.equal(eb_psi, CODE_UNKNOWN),
+    lambda psi_ppt, eb_psi, **_: np.not_equal(psi_ppt, np.equal(eb_psi, CODE_YES)),
+    lambda witness_psi, psi_ppt, **_: np.logical_and(witness_psi, psi_ppt),
+    lambda eb_phi, **_: np.equal(eb_phi, CODE_NO),
+    lambda eb_phi, lb, lc, witness_psi, **_: (
+        np.equal(eb_phi, CODE_UNKNOWN) & np.greater(lc, lb) & np.logical_not(witness_psi)),
+)
+
+
+def reference_pair_rules(**records):
+    purity = np.equal(records["lc"], records["lab"]) & np.equal(records["lb"], records["lac"])
+    relation = 0  # from the last row to the first: the first that fails sets the code
+    for code in range(len(REFERENCE_RELATIONS), 0, -1):
+        relation = np.where(REFERENCE_RELATIONS[code - 1](**records), code, relation)
+    return purity, np.where(records["phi_ppt"], relation, 0)
+
+
+def derived_records(ranks, phi_ppt, psi_ppt, witness_rule, eb_rule) -> dict:
+    """A sample's records, or arrays of them over samples, with the witness
+    and EB flags derived from its ranks and PPT flags by the given rules."""
+    records = dict(zip(("lab", "lac", "la", "lb", "lc"), ranks), phi_ppt=phi_ppt,
+                   psi_ppt=psi_ppt)
+    for name, whole, side in (("phi", "lab", "lb"), ("psi", "lac", "lc")):
+        records[f"witness_{name}"], regime = witness_rule(
+            records[whole], records["la"], records[side])
+        records[f"eb_{name}"] = eb_rule(records[f"{name}_ppt"], regime)
+    return records
 
 
 class TestPairRules:
@@ -485,31 +532,35 @@ class TestPairRules:
         assert pair_rules(**{**HOLDING, **row})[1] == code
         assert pair_rules(**{**HOLDING, **row, "phi_ppt": False})[1] == 0
 
-    def test_rows_cover_relations_elementwise(self):
-        assert len(RELATION_ROWS) == len(RELATIONS)
-        rows = [HOLDING] + [{**HOLDING, **row} for row in RELATION_ROWS]
-        _, relation = pair_rules(**{key: np.array([r[key] for r in rows]) for key in HOLDING})
-        assert relation.tolist() == list(range(len(rows)))
+    def test_scalar_rules_match_the_elementwise_reference(self):
+        # every rank 1..4 of the five purification marginals under both PPT
+        # flags: 4096 records, each flag derived by each form of the rules
+        grid = list(itertools.product(*[range(1, 5)] * 5, (False, True), (False, True)))
+        *ranks, phi_ppt, psi_ppt = map(np.array, zip(*grid))
+        reference = derived_records(ranks, phi_ppt, psi_ppt, reference_witness_rule,
+                                    reference_eb_rule)
+        purity, relation = reference_pair_rules(**reference)
+        assert len(RELATIONS) == len(REFERENCE_RELATIONS)
+        # rows 3 and 5 cannot fail where the EB values are derived from the
+        # PPT flags; RELATION_ROWS sets them by hand
+        assert set(relation.tolist()) == {0, 1, 2, 4, 6}
+        for i, (*sample_ranks, sample_phi_ppt, sample_psi_ppt) in enumerate(grid):
+            records = derived_records(sample_ranks, sample_phi_ppt, sample_psi_ppt,
+                                      witness_rule, eb_rule)
+            for name in ("phi", "psi"):
+                assert records[f"witness_{name}"] == reference[f"witness_{name}"][i]
+                assert records[f"eb_{name}"] == REFERENCE_VALUES[reference[f"eb_{name}"][i]]
+            assert pair_rules(**records) == (purity[i], relation[i])
 
     def test_lowest_failing_row_sets_the_code(self, monkeypatch):
-        # each row fails or holds by a constant: all 64 patterns, as scalars
-        # one by one and as arrays over 64 samples at once
-        patterns = list(itertools.product((False, True), repeat=len(RELATIONS)))
-        codes = [pattern.index(True) + 1 if any(pattern) else 0 for pattern in patterns]
-
-        def patch(columns):
+        # each row fails or holds by a constant: all 64 patterns
+        for pattern in itertools.product((False, True), repeat=len(RELATIONS)):
             monkeypatch.setattr(chancert.certify, "RELATIONS", tuple(
                 dataclasses.replace(row, fails=lambda _column=column, **_: _column)
-                for row, column in zip(RELATIONS, columns)))
-
-        for pattern, code in zip(patterns, codes):
-            patch(pattern)
+                for row, column in zip(RELATIONS, pattern)))
+            code = pattern.index(True) + 1 if any(pattern) else 0
             assert pair_rules(**HOLDING)[1] == code
             assert pair_rules(**{**HOLDING, "phi_ppt": False})[1] == 0
-        patch(np.array(patterns).T)
-        for phi_ppt in (True, False):
-            _, relation = pair_rules(**{**HOLDING, "phi_ppt": np.full(len(patterns), phi_ppt)})
-            assert relation.tolist() == [code * phi_ppt for code in codes]
 
     @pytest.mark.parametrize("index", range(len(RELATIONS)),
                              ids=[f"relation-{i}" for i in range(1, len(RELATIONS) + 1)])

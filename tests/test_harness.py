@@ -32,6 +32,7 @@ from chancert import (
     ToleranceConfig,
     equivalence_check,
     random_stinespring,
+    schur_stinespring,
 )
 from chancert.cli import main
 import chancert.certify
@@ -365,7 +366,10 @@ def test_rule_patched_on_its_module_reaches_the_engine(module, name, mutate, tup
 
 
 def eb_never_yes(rule):
-    return lambda ppt, regime: np.minimum(rule(ppt, regime), chancert.certify.EB_UNKNOWN)
+    def mutant(ppt, regime):
+        value = rule(ppt, regime)
+        return chancert.certify.UNKNOWN if value == chancert.certify.YES else value
+    return mutant
 
 
 ALWAYS_FAILS = chancert.certify.Relation("an added relation that always fails", lambda **_: True)
@@ -448,6 +452,33 @@ def test_rules_run_once_per_distinct_row(monkeypatch):
             _run_chunk(stack, dims, seed, indices, DEFAULT_TOLERANCES, result)
             assert result.escalated == []
         assert 1 <= len(calls) == len(set(calls)) <= 2
+
+
+def test_row_records_are_the_records_of_the_report(monkeypatch):
+    # _row_outcome names a row's records as pair_records reads them off the
+    # sample's equivalence_check report: on every sample the engine counts
+    # by itself, both builders give the same plain-Python records
+    built, row_outcome = [], chancert.harness._row_outcome
+
+    def capture(**records):
+        built.append(records)
+        return chancert.certify.pair_rules(**records)
+
+    def recording(row, rules):
+        assert row[-2:] == (False, False)  # neither escalated nor fragile
+        row_outcome.__wrapped__(row, (*rules[:2], capture, *rules[3:]))
+        return row_outcome(row, rules)
+
+    monkeypatch.setattr(chancert.harness, "_row_outcome", recording)
+    dilations = [random_stinespring(*dims, seed=3003, index=index)
+                 for dims in ACCEPTANCE_TUPLES for index in range(20)]
+    for st in dilations + [schur_stinespring((0.5, 0.3, 0.2))]:
+        built.clear()
+        _run_chunk(st.matrix[None], (st.d_a, st.d_b, st.d_c), 3003, [0], DEFAULT_TOLERANCES,
+                   HarnessResult())
+        expected = chancert.certify.pair_records(equivalence_check(st))
+        assert [repr(sorted(records.items())) for records in built] == [
+            repr(sorted(expected.items()))]
 
 
 def test_certified_flags_are_fresh_on_every_call():

@@ -28,7 +28,6 @@ from chancert import (
     random_stinespring,
 )
 from chancert.certify import (
-    EB_CODES,
     NOT_HERMITIAN_NOTE,
     eb_verdict,
     pair_rules,
@@ -446,8 +445,8 @@ def rederive_predicates(role: str, analysis: dict, dims) -> None:
             assert predicates[f"witness_{side}"] == witness_verdict(triple).to_json()
         purity, relation = pair_rules(
             phi_ppt=ppt["phi"], psi_ppt=ppt["psi"], witness_phi=value("witness_phi"),
-            witness_psi=value("witness_psi"), eb_phi=EB_CODES[eb["phi"].value],
-            eb_psi=EB_CODES[eb["psi"].value],
+            witness_psi=value("witness_psi"), eb_phi=eb["phi"].value,
+            eb_psi=eb["psi"].value,
             **{f"l{key}": chain[f"rank_l{key}"] for key in ("ab", "ac", "a", "b", "c")},
         )
         assert purity and relation == 0
@@ -974,8 +973,8 @@ class TestCliVerifyTheorem:
         original = certify_mod.pair_rules
 
         def explode(**records):
-            purity, relation = original(**records)
-            return purity, np.ones_like(relation)
+            purity, _ = original(**records)
+            return purity, 1
 
         monkeypatch.setattr("chancert.certify.pair_rules", explode)
         out = tmp_path / "vt.json"

@@ -23,7 +23,7 @@ import pytest
 
 from chancert import DEFAULT_TOLERANCES, eb_certificate, tiles_upb_choi
 import chancert.certify
-from chancert.certify import EB_UNKNOWN, RELATIONS
+from chancert.certify import RELATIONS, UNKNOWN, YES
 from chancert.cli import main
 from chancert.harness import HarnessResult, _run_chunk
 
@@ -36,7 +36,10 @@ TRIALS = 20
 
 
 def eb_never_yes(rule):
-    return lambda ppt, regime: np.minimum(rule(ppt, regime), EB_UNKNOWN)
+    def mutant(ppt, regime):
+        value = rule(ppt, regime)
+        return UNKNOWN if value == YES else value
+    return mutant
 
 
 def eb_yes_outside_regime(rule):
