@@ -20,6 +20,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import linalg
 from .channels import (
     ChoiMatrix,
     StinespringOperator,
@@ -34,7 +35,7 @@ from .complement import (
     ComplementaryPair,
     RankChain,
     _chain_of,
-    _choi_spectrum,
+    _require_psd,
     purification_marginals,
     swap_environment,
 )
@@ -52,11 +53,9 @@ from .linalg import (
     ToleranceConfig,
     close_frobenius,
     frobenius,
-    hermitian_part_spectrum,
-    hermitian_spectrum,
-    partial_trace,
-    partial_transpose,
+    hermitian_deviation,
     psd_check,
+    psd_record,
     rank_record,
 )
 
@@ -172,30 +171,41 @@ def _bool_verdict(flag: bool, reason: str) -> Verdict:
     return Verdict(YES if flag else NO, reason)
 
 
+def _transpose_pair(m, layout: BipartiteLayout, cfg: ToleranceConfig, others: dict):
+    """The spectra of ``m``, a matrix checked against ``layout``, of its left
+    partial transpose and of ``others``, keyed "x", "pt" and as ``others``,
+    by ``_hermitian_part_spectra``; and the PSD records of m and of its
+    partial transpose, each with its own Hermitian check."""
+    pt = linalg._partial_transpose(m, layout, "left")
+    w = linalg._hermitian_part_spectra({"x": m, "pt": pt, **others})
+    tol = cfg.equality_tol
+    return (w, psd_record(w["x"], hermitian_deviation(m) <= tol, cfg),
+            psd_record(w["pt"], hermitian_deviation(pt) <= tol, cfg))
+
+
 def _spectra(
-    report: CertificateReport, x, layout: BipartiteLayout, cfg: ToleranceConfig,
+    report: CertificateReport, m, layout: BipartiteLayout, cfg: ToleranceConfig,
     keys: tuple[str, str, str],
 ) -> tuple[bool, bool, tuple[RankDecision, RankDecision, RankDecision] | None]:
-    """Record in ``report`` the PSD records of ``x`` and of its left partial
-    transpose, as ``keys[0]`` and ``keys[0] + "_pt"``, and the rank decisions
-    of (x, left marginal, right marginal) under ``keys``, or, unless ``x`` is
-    Hermitian, the not-Hermitian note. Returns x's PSD and PPT flags and the
-    rank triple, None when it is not recorded. The marginals of a Hermitian
-    ``x`` are Hermitian too, so no deviation check precedes their spectra.
+    """Record in ``report`` the PSD records of ``m``, a matrix checked against
+    ``layout``, and of its left partial transpose, as ``keys[0]`` and
+    ``keys[0] + "_pt"``, and the rank decisions of (m, left marginal, right
+    marginal) under ``keys``, or, unless ``m`` is Hermitian, the
+    not-Hermitian note. Returns m's PSD and PPT flags and the rank triple,
+    None when it is not recorded. The marginals of a Hermitian ``m`` are
+    Hermitian too, so no deviation check precedes their spectra, two
+    eigvalsh calls in all where the factors are equal, else three.
 
     The "left marginal" is what remains after tracing out the right factor,
     and vice versa.
     """
-    w, direct = hermitian_spectrum(x, cfg)
-    transposed = psd_check(partial_transpose(x, layout, "left"), cfg)
+    marginals = {"left": linalg._partial_trace(m, layout, "right"),
+                 "right": linalg._partial_trace(m, layout, "left")}
+    w, direct, transposed = _transpose_pair(m, layout, cfg, marginals)
     report.spectra.update({keys[0]: direct, f"{keys[0]}_pt": transposed})
     ranks = None
     if direct.hermitian:
-        ranks = (
-            rank_record(w, cfg),
-            rank_record(hermitian_part_spectrum(partial_trace(x, layout, "right")), cfg),
-            rank_record(hermitian_part_spectrum(partial_trace(x, layout, "left")), cfg),
-        )
+        ranks = tuple(rank_record(w[key], cfg) for key in ("x", "left", "right"))
         report.ranks.update(zip(keys, ranks))
     else:
         report.notes.append(NOT_HERMITIAN_NOTE)
@@ -387,7 +397,9 @@ def equivalence_check(
     The Choi matrices of phi and psi are the purification marginals L_ab
     and L_ac. One spectrum of each of the five marginals and one of each
     Choi matrix's partial transpose, seven in all, give the PSD records, the
-    rank chain and both Choi rank triples. Every predicate is read from
+    rank chain and both Choi rank triples. They take at most five eigvalsh
+    calls: one per Choi matrix with its partial transpose, stacked, and one
+    per distinct side of L_a, L_b and L_c. Every predicate is read from
     them, and, whenever the primary map is PPT, the proven consistency
     relations, the rows of RELATIONS, are asserted.
 
@@ -407,11 +419,14 @@ def equivalence_check(
 
     marginals = purification_marginals(st)
     members = (("phi", st.d_b, ("ab", "a", "b")), ("psi", st.d_c, ("ac", "a", "c")))
-    chois, spectra, direct = {}, {}, {}
+    chois, spectra, records = {}, {}, {}
     for name, d_out, (key, _, _) in members:
-        chois[name] = ChoiMatrix(st.d_a, d_out, marginals[key])
-        spectra[key], direct[name] = _choi_spectrum(name, chois[name].matrix, cfg)
-    spectra.update({key: hermitian_part_spectrum(marginals[key]) for key in ("a", "b", "c")})
+        choi = chois[name] = ChoiMatrix(st.d_a, d_out, marginals[key])
+        w, psd, pt = _transpose_pair(choi.matrix, choi.layout, cfg, {})
+        _require_psd(name, psd)
+        spectra[key], records[name] = w["x"], (psd, pt)
+    factors = {key: marginals[key] for key in ("a", "b", "c")}
+    spectra.update(linalg._hermitian_part_spectra(factors))
     chain, decisions = _chain_of(spectra, cfg)
 
     report = CertificateReport(tolerances=cfg, chain=chain)
@@ -423,8 +438,7 @@ def equivalence_check(
         close_frobenius(marginals["a"], np.eye(st.d_a), cfg.equality_tol), TRACE_BLOCK
     )
     for name, _, keys in members:
-        choi, psd = chois[name], direct[name]
-        pt = psd_check(partial_transpose(choi.matrix, choi.layout, "left"), cfg)
+        psd, pt = records[name]
         report.spectra.update({f"{name}_choi": psd, f"{name}_choi_pt": pt})
         ppt = ppt_rule(psd.psd, pt.psd)
         ranks = tuple(decisions[key] for key in keys)
@@ -529,7 +543,8 @@ def state_report(
 ) -> CertificateReport:
     """Predicate suite for a bipartite matrix treated as an (unnormalized) state."""
     report = CertificateReport(tolerances=cfg)
-    psd, ppt, ranks = _spectra(report, x, layout, cfg, ("state", "marginal_left", "marginal_right"))
+    m = linalg._fitted(linalg._square(x), layout)
+    psd, ppt, ranks = _spectra(report, m, layout, cfg, ("state", "marginal_left", "marginal_right"))
     report.predicates["psd"] = _bool_verdict(psd, PSD_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
     if psd:

@@ -36,10 +36,7 @@ from .linalg import (
     ToleranceConfig,
     as_matrix,
     close_frobenius,
-    hermitian_eigensystem,
     is_psd,
-    partial_trace,
-    partial_transpose,
 )
 
 
@@ -176,7 +173,7 @@ def kraus_from_choi(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     operator so the set stays well formed.
     """
     try:
-        w, v = hermitian_eigensystem(choi.matrix, cfg)
+        w, v = linalg._hermitian_eigensystem(choi.matrix, cfg)
     except NonHermitianError:
         psd = False
     else:
@@ -229,7 +226,7 @@ def is_cp(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
 
 def is_cocp(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """Completely copositive: PSD partial transpose of the Choi matrix."""
-    return is_psd(partial_transpose(choi.matrix, choi.layout, "left"), cfg)
+    return is_psd(linalg._partial_transpose(choi.matrix, choi.layout, "left"), cfg)
 
 
 def is_ppt_map(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
@@ -242,7 +239,7 @@ def is_ppt_map(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> b
 
 def is_trace_preserving(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:
     """True iff Tr_B J equals the identity on A within equality_tol."""
-    marginal = partial_trace(choi.matrix, choi.layout, "right")
+    marginal = linalg._partial_trace(choi.matrix, choi.layout, "right")
     return close_frobenius(marginal, np.eye(choi.d_a, dtype=complex), cfg.equality_tol)
 
 

@@ -24,10 +24,11 @@ from .channels import ChoiMatrix, StinespringOperator, choi_from_stinespring
 from .errors import NotPositiveSemidefiniteError
 from .linalg import (
     DEFAULT_TOLERANCES,
+    PsdCheck,
     RankDecision,
     ToleranceConfig,
-    hermitian_part_spectrum,
-    hermitian_spectrum,
+    _hermitian_part_spectra,
+    psd_check,
     rank_record,
 )
 
@@ -111,20 +112,18 @@ def complementary_pair_from_stinespring(
     pair = ComplementaryPair(
         st, choi_from_stinespring(st), choi_from_stinespring(swap_environment(st))
     )
-    _choi_spectrum("phi", pair.choi_phi.matrix, cfg)
-    _choi_spectrum("psi", pair.choi_psi.matrix, cfg)
+    _require_psd("phi", psd_check(pair.choi_phi.matrix, cfg))
+    _require_psd("psi", psd_check(pair.choi_psi.matrix, cfg))
     return pair
 
 
-def _choi_spectrum(name: str, choi: np.ndarray, cfg: ToleranceConfig):
-    """``hermitian_spectrum`` of the Choi matrix ``choi`` of map ``name`` of a
-    dilation; raises NotPositiveSemidefiniteError unless it is PSD."""
-    w, check = hermitian_spectrum(choi, cfg)
+def _require_psd(name: str, check: PsdCheck) -> None:
+    """Raise NotPositiveSemidefiniteError unless ``check``, the PSD record of
+    the Choi matrix of map ``name`` of a dilation, is PSD."""
     if not check.psd:
         raise NotPositiveSemidefiniteError(
             f"Choi matrix of {name} is not PSD; numerical breakdown in pair construction"
         )
-    return w, check
 
 
 def rank_chain(
@@ -137,8 +136,7 @@ def rank_chain(
     evaluates them, and ``certify.equivalence_check`` raises
     PurityViolationError when they fail on a non-fragile sample.
     """
-    marginals = purification_marginals(st)
-    return _chain_of({key: hermitian_part_spectrum(m) for key, m in marginals.items()}, cfg)
+    return _chain_of(_hermitian_part_spectra(purification_marginals(st)), cfg)
 
 
 def _chain_of(spectra: dict[str, np.ndarray], cfg: ToleranceConfig):

@@ -13,7 +13,9 @@ encoder, whose bytes are exactly those of
 ``json.dumps(obj, sort_keys=True, allow_nan=False, indent=1)``. The standard
 library encodes through its C accelerator only without ``indent``, so an
 indented dump runs every float through pure-Python generators; ``dumps``
-joins a list of floats with one C-level ``map(float.__repr__, ...)``.
+joins a list of floats with one C-level ``map(float.__repr__, ...)``, writes
+a matrix a block of rows at a time, and looks each scalar's exact type up
+in one table.
 
 Every output file is written by ``save_json``, in place: an existing file
 is overwritten and then cut to the new length, never truncated to zero
@@ -30,7 +32,7 @@ import json
 import math
 import os
 import stat
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -94,8 +96,18 @@ def dumps(obj: dict) -> str:
     return _encode(obj, "")
 
 
-def _float_list(items, sep: str) -> str | None:
-    """The entries of ``items`` joined by ``sep`` if all are finite floats, else None."""
+def _float_block(items, inner: str) -> str | None:
+    """The body of the list ``items``, written ``len(inner)`` levels deep as
+    ``_encode`` writes it, if its entries are all finite floats, joined with
+    one ``map(float.__repr__, ...)``, or all non-empty lists of them, a
+    matrix, a row at a time and one join; else None."""
+    sep = ",\n" + inner
+    if type(items[0]) is list:
+        rows = [type(row) is list and row and _float_block(row, inner + " ") for row in items]
+        if not all(rows):
+            return None
+        opening, closing = "[\n" + inner + " ", "\n" + inner + "]"
+        return opening + (closing + sep + opening).join(rows) + closing
     if not isinstance(items[0], float):
         return None
     try:
@@ -106,28 +118,30 @@ def _float_list(items, sep: str) -> str | None:
     return None if "n" in text else text
 
 
+def _finite(x: float) -> str:
+    """A float as json writes it, or json's error if it is NaN or infinite."""
+    if math.isfinite(x):
+        return float.__repr__(x)
+    raise ValueError("Out of range float values are not JSON compliant: " + repr(x))
+
+
+# What ``_encode`` writes for a value of each exact scalar type. A value of a
+# subclass, such as np.float64, takes its isinstance tests instead.
+_SCALARS = {float: _finite, str: encode_basestring_ascii, int: int.__repr__,
+            bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
 def _encode(obj, indent: str) -> str:
     """``obj`` as ``dumps`` writes it, nested ``len(indent)`` levels deep."""
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return float.__repr__(obj)
-        raise ValueError("Out of range float values are not JSON compliant: " + repr(obj))
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
     inner = indent + " "
     sep = ",\n" + inner
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        body = _float_list(obj, sep) or sep.join([_encode(x, inner) for x in obj])
+        body = _float_block(obj, inner) or sep.join([_encode(x, inner) for x in obj])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -136,6 +150,9 @@ def _encode(obj, indent: str) -> str:
             [encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(obj.items())]
         )
         return "{\n" + inner + body + "\n" + indent + "}"
+    for base in (float, str, int):
+        if isinstance(obj, base):
+            return _SCALARS[base](obj)
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
@@ -147,7 +164,14 @@ def matrix_file_dict(
     kraus_index: int | None = None,
     kraus_count: int | None = None,
 ) -> dict:
-    m = as_matrix(matrix)
+    """The matrix file of ``matrix``, checked by ``as_matrix``, with the
+    fields that are not None."""
+    return _matrix_file_dict(as_matrix(matrix), role, layout, dims, kraus_index, kraus_count)
+
+
+def _matrix_file_dict(m: np.ndarray, role=None, layout=None, dims=None, kraus_index=None,
+                      kraus_count=None) -> dict:
+    """``matrix_file_dict`` of a matrix a value object holds, already checked."""
     out: dict = {
         "schema_version": SCHEMA_VERSION,
         "rows": int(m.shape[0]),
@@ -191,7 +215,7 @@ def _number_array(entries, key: str) -> np.ndarray:
         raise MatrixFileError(f"re/im arrays are malformed: {exc}") from exc
 
 
-def parse_matrix_file(obj: dict) -> ParsedMatrix:
+def parse_matrix_file(obj: dict, digest: str | None = None) -> ParsedMatrix:
     if obj.get("schema_version") != SCHEMA_VERSION:
         raise MatrixFileError(
             f"unsupported schema_version {obj.get('schema_version')!r}, expected {SCHEMA_VERSION!r}"
@@ -246,6 +270,7 @@ def parse_matrix_file(obj: dict) -> ParsedMatrix:
         dims=dims,
         kraus_index=obj.get("kraus_index"),
         kraus_count=obj.get("kraus_count"),
+        digest=digest,
     )
 
 
@@ -307,7 +332,7 @@ def load_matrix(path) -> ParsedMatrix:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise MatrixFileError(f"cannot read {path}: {exc}") from exc
-    return replace(parse_matrix_file(loads(data.decode())), digest=bytes_digest(data))
+    return parse_matrix_file(loads(data.decode()), bytes_digest(data))
 
 
 def save_json(path, obj: dict) -> None:

@@ -11,6 +11,15 @@ row-major reshape of shape ``(d_left, d_right)``, and it makes
 
 All scalars are complex binary64. All functions are pure and never mutate
 their inputs.
+
+Input is validated where it enters the program: the value objects of
+``channels`` check their matrices with ``as_matrix`` when they are built,
+and ``io`` checks a file when it is read. The public functions here take
+outside input and check it too. The report builders and other internal
+callers pass a matrix a value object already holds to the private forms
+(``_partial_trace``, ``_partial_transpose``, ``_hermitian_eigensystem``),
+which check nothing, and decompose the matrices of one side in a single
+stacked eigvalsh call (``_hermitian_part_spectra``).
 """
 
 from __future__ import annotations
@@ -97,10 +106,17 @@ def as_matrix(x) -> np.ndarray:
     return m
 
 
-def _bipartite_indices(x, layout: BipartiteLayout, side: str) -> np.ndarray:
-    """``x`` checked by ``as_matrix`` against ``layout``, with ``side`` one
-    of SIDES, reshaped to its four indices (left, right, left, right)."""
+def _square(x) -> np.ndarray:
+    """``x`` checked by ``as_matrix`` and square."""
     m = as_matrix(x)
+    if m.shape[0] != m.shape[1]:
+        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+    return m
+
+
+def _fitted(m: np.ndarray, layout: BipartiteLayout, side: str = "left") -> np.ndarray:
+    """The 2-d array ``m``, checked to be square of side ``layout.dim``,
+    with ``side`` one of SIDES."""
     if m.shape != (layout.dim, layout.dim):
         raise DimensionMismatchError(
             f"matrix shape {m.shape} does not match layout "
@@ -108,7 +124,7 @@ def _bipartite_indices(x, layout: BipartiteLayout, side: str) -> np.ndarray:
         )
     if side not in SIDES:
         raise DimensionMismatchError(f"side must be one of {SIDES}, got {side!r}")
-    return m.reshape(layout.d_left, layout.d_right, layout.d_left, layout.d_right)
+    return m
 
 
 def _unit_scale(*xs: np.ndarray) -> float:
@@ -131,11 +147,14 @@ def close_frobenius(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
     """Symmetric relative Frobenius comparison: ||x - y|| <= tol * max(||x||, ||y||).
 
     Scale invariant at any finite scale: both sides are taken of x and y over
-    their common ``_unit_scale``. Two zero matrices compare equal.
+    their common ``_unit_scale``. Two zero matrices compare equal. Their
+    plain norms are their ``frobenius``: the unit scale of the quotient with
+    the largest entry is 1, and the other's norm can differ only where
+    squares underflow, where it is the smaller one.
     """
     scale = _unit_scale(x, y)
     x, y = x / scale, y / scale
-    return frobenius(x - y) <= tol * max(frobenius(x), frobenius(y))
+    return frobenius(x - y) <= tol * max(float(np.linalg.norm(x)), float(np.linalg.norm(y)))
 
 
 def partial_trace(x, layout: BipartiteLayout, side: str) -> np.ndarray:
@@ -144,21 +163,33 @@ def partial_trace(x, layout: BipartiteLayout, side: str) -> np.ndarray:
     ``side`` names the factor that is traced out: ``side="left"`` returns a
     d_right-dimensional matrix, ``side="right"`` a d_left-dimensional one.
     """
-    axis1, axis2 = (0, 2) if side == "left" else (1, 3)
-    return np.trace(_bipartite_indices(x, layout, side), axis1=axis1, axis2=axis2)
+    return _partial_trace(_fitted(as_matrix(x), layout, side), layout, side)
 
 
 def partial_transpose(x, layout: BipartiteLayout, side: str) -> np.ndarray:
     """Transpose one tensor factor in the computational basis. Involutive."""
+    return _partial_transpose(_fitted(as_matrix(x), layout, side), layout, side)
+
+
+def _partial_trace(m: np.ndarray, layout: BipartiteLayout, side: str) -> np.ndarray:
+    """``partial_trace`` of a matrix already checked against ``layout``."""
+    axis1, axis2 = (0, 2) if side == "left" else (1, 3)
+    d_left, d_right = layout.d_left, layout.d_right
+    return np.trace(m.reshape(d_left, d_right, d_left, d_right), axis1=axis1, axis2=axis2)
+
+
+def _partial_transpose(m: np.ndarray, layout: BipartiteLayout, side: str) -> np.ndarray:
+    """``partial_transpose`` of a matrix already checked against ``layout``."""
     axes = (2, 1, 0, 3) if side == "left" else (0, 3, 2, 1)
-    return _bipartite_indices(x, layout, side).transpose(axes).reshape(layout.dim, layout.dim)
+    four = m.reshape(layout.d_left, layout.d_right, layout.d_left, layout.d_right)
+    return four.transpose(axes).reshape(layout.dim, layout.dim)
 
 
 def hermitian_deviation(x: np.ndarray) -> float:
     """Relative Frobenius distance ||x - x^dagger|| / ||x||, in [0, 2], taken
     of x over its ``_unit_scale`` so that it is finite at any finite scale."""
     x = x / _unit_scale(x)
-    norm = frobenius(x)
+    norm = float(np.linalg.norm(x))  # frobenius(x), as in close_frobenius
     if norm == 0.0:
         return 0.0
     return frobenius(x - x.conj().T) / norm
@@ -179,9 +210,11 @@ def hermitian_eigensystem(
     EigensolverError
         if the LAPACK solver does not converge.
     """
-    m = as_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
+    return _hermitian_eigensystem(_square(x), cfg)
+
+
+def _hermitian_eigensystem(m: np.ndarray, cfg: ToleranceConfig):
+    """``hermitian_eigensystem`` of a square matrix ``as_matrix`` has checked."""
     if hermitian_deviation(m) > cfg.equality_tol:
         raise NonHermitianError(
             f"matrix is not Hermitian within equality_tol={cfg.equality_tol}"
@@ -272,21 +305,32 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return x / 2.0 + x.conj().T / 2.0
 
 
-def hermitian_part_spectrum(x: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of ``(x + x^dagger) / 2``, for square ``x``."""
-    return np.linalg.eigvalsh(_hermitian_part(x))
+def _hermitian_part_spectra(matrices: dict) -> dict:
+    """The ascending eigenvalues of the Hermitian part of each of the square
+    ``matrices``, keyed alike, from one eigvalsh call per distinct side:
+    LAPACK decomposes each matrix of a stack as it would that matrix alone."""
+    spectra = {}
+    for side in {len(m) for m in matrices.values()}:
+        keys = [key for key, m in matrices.items() if len(m) == side]
+        stack = np.stack([_hermitian_part(matrices[key]) for key in keys])
+        spectra.update(zip(keys, np.linalg.eigvalsh(stack)))
+    return spectra
 
 
 def hermitian_spectrum(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, PsdCheck]:
     """The ascending spectrum of a square matrix's Hermitian part, and its PSD
     record by ``psd_rule``, which also requires Hermitian within equality_tol."""
-    m = as_matrix(x)
-    if m.shape[0] != m.shape[1]:
-        raise DimensionMismatchError(f"expected a square matrix, got {m.shape}")
-    w = hermitian_part_spectrum(m)
-    hermitian = hermitian_deviation(m) <= cfg.equality_tol
+    m = _square(x)
+    w = np.linalg.eigvalsh(_hermitian_part(m))
+    return w, psd_record(w, hermitian_deviation(m) <= cfg.equality_tol, cfg)
+
+
+def psd_record(w: np.ndarray, hermitian: bool, cfg: ToleranceConfig) -> PsdCheck:
+    """PSD record of one ascending spectrum of a matrix's Hermitian part, by
+    ``psd_rule``; ``hermitian`` says whether the matrix is Hermitian within
+    equality_tol, as a PSD verdict requires."""
     psd, threshold = psd_rule(w, cfg)
-    return w, PsdCheck(
+    return PsdCheck(
         psd=bool(hermitian and psd),
         hermitian=bool(hermitian),
         lambda_min=float(w[0]),

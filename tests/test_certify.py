@@ -735,72 +735,95 @@ class TestReportBuilders:
 
 class TestLapackBudget:
     """Each report builder computes one spectrum per distinct matrix, and
-    derives both its PSD record and its rank decision from it."""
+    derives both its PSD record and its rank decision from it. The spectra
+    of equal side come from one stacked call: ``lapack`` counts the calls of
+    each routine and, apart, the matrices they decompose."""
 
     @pytest.fixture
-    def lapack_calls(self, monkeypatch):
+    def lapack(self, monkeypatch):
         calls = dict.fromkeys(("eigvalsh", "svd", "eigh"), 0)
+        matrices = dict.fromkeys(calls, 0)
         for name in calls:
-            def counted(*args, _original=getattr(np.linalg, name), _name=name, **kwargs):
+            def counted(a, *args, _original=getattr(np.linalg, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _original(*args, **kwargs)
+                matrices[_name] += int(np.prod(np.shape(a)[:-2]))
+                return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, name, counted)
-        return calls
+
+        def counts():
+            return tuple({k: v for k, v in c.items() if v} for c in (calls, matrices))
+
+        return counts
 
     @pytest.mark.parametrize("kind", ["depolarizing", "identity", "transpose"])
-    def test_choi_report(self, cfg, lapack_calls, kind):
-        # a PPT map, an NPT CP map and a non-CP map: the Choi matrix, its
-        # partial transpose and its two marginals
+    def test_choi_report(self, cfg, lapack, kind):
+        # a PPT map, an NPT CP map and a non-CP map: the Choi matrix and its
+        # partial transpose in one call, and its two marginals, of equal
+        # side, in another
         choi_report(named_channel(kind, 3), cfg)
-        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
+        assert lapack() == ({"eigvalsh": 2}, {"eigvalsh": 4})
 
-    def test_state_report_on_tiles(self, cfg, lapack_calls):
+    @pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (2, 1)])
+    def test_choi_report_of_unequal_factors(self, cfg, lapack, d_a, d_b):
+        # marginals of unequal side take a call each, unless one has the
+        # side of the Choi matrix, as at d_b = 1
+        rng = np.random.default_rng(11)
+        choi = choi_from_kraus(KrausSet(d_a, d_b, tuple(complex_gaussian(rng, (d_b, d_a))
+                                                         for _ in range(2))))
+        choi_report(choi, cfg)
+        assert lapack() == ({"eigvalsh": 2 if d_b == 1 else 3}, {"eigvalsh": 4})
+
+    def test_state_report_on_tiles(self, cfg, lapack):
         tiles = tiles_upb_choi()
         state_report(tiles.matrix, tiles.layout, cfg)
-        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
+        assert lapack() == ({"eigvalsh": 2}, {"eigvalsh": 4})
 
     @pytest.mark.parametrize("decide", [distillability_witness, separability_decision])
-    def test_matrix_level_state_functions(self, cfg, lapack_calls, decide):
+    def test_matrix_level_state_functions(self, cfg, lapack, decide):
         # read from state_report: the same 4 spectra
         tiles = tiles_upb_choi()
         decide(tiles.matrix, tiles.layout, cfg)
-        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
+        assert lapack() == ({"eigvalsh": 2}, {"eigvalsh": 4})
 
     @pytest.mark.parametrize("kind", ["depolarizing", "identity"])
-    def test_eb_certificate(self, cfg, lapack_calls, kind):
+    def test_eb_certificate(self, cfg, lapack, kind):
         # read from choi_report, on a PPT and on an NPT map
         eb_certificate(named_channel(kind, 3), cfg)
-        assert lapack_calls == {"eigvalsh": 4, "svd": 0, "eigh": 0}
+        assert lapack() == ({"eigvalsh": 2}, {"eigvalsh": 4})
 
-    @pytest.mark.parametrize("st", [
-        StinespringOperator(2, 2, 3, complex_gaussian(np.random.default_rng(8), (6, 2))),
-        schur_stinespring([0.5, 0.3, 0.2]),
-    ], ids=["random-2-2-3", "ppt-schur"])
-    def test_equivalence_check(self, cfg, lapack_calls, st):
+    @pytest.mark.parametrize("st, calls", [
+        (StinespringOperator(2, 2, 3, complex_gaussian(np.random.default_rng(8), (6, 2))), 4),
+        (StinespringOperator(2, 3, 4, complex_gaussian(np.random.default_rng(8), (12, 2))), 5),
+        (schur_stinespring([0.5, 0.3, 0.2]), 3),
+    ], ids=["random-2-2-3", "random-2-3-4", "ppt-schur"])
+    def test_equivalence_check(self, cfg, lapack, st, calls):
         # 5 purification marginals, of which L_ab and L_ac are the Choi
-        # matrices, and the Choi matrices' 2 partial transposes
+        # matrices, and the Choi matrices' 2 partial transposes: a call per
+        # Choi matrix with its partial transpose, and one per distinct side
+        # of L_a, L_b and L_c
         equivalence_check(st, cfg)
-        assert lapack_calls == {"eigvalsh": 7, "svd": 0, "eigh": 0}
+        assert lapack() == ({"eigvalsh": calls}, {"eigvalsh": 7})
 
     @pytest.mark.parametrize("kind", ["depolarizing", "dephasing"])
-    def test_kraus_from_choi(self, cfg, lapack_calls, kind):
+    def test_kraus_from_choi(self, cfg, lapack, kind):
         kraus_from_choi(named_channel(kind, 3), cfg)
-        assert lapack_calls == {"eigvalsh": 0, "svd": 0, "eigh": 1}
+        assert lapack() == ({"eigh": 1}, {"eigh": 1})
 
     @pytest.mark.parametrize("pair", [schur_multiplier_pair([0.5, 0.3, 0.2])], ids=["schur"])
-    def test_degradable_ppt_check_on_psi_ppt_pair(self, cfg, lapack_calls, pair):
-        # choi_report's 4 spectra per member and the degrading candidate's;
-        # the candidate's pinv calls none of the counted routines
+    def test_degradable_ppt_check_on_psi_ppt_pair(self, cfg, lapack, pair):
+        # choi_report's 4 spectra in 2 calls per member and the degrading
+        # candidate's; the candidate's pinv calls none of the counted routines
         report = degradable_ppt_check(pair, cfg)
         assert report.predicates["ppt_psi"].is_yes and report.predicates["ppt_phi"].is_yes
-        assert lapack_calls == {"eigvalsh": 9, "svd": 0, "eigh": 0}
+        assert lapack() == ({"eigvalsh": 5}, {"eigvalsh": 9})
 
     @pytest.mark.parametrize("pair", [complementary_pair_from_stinespring(
         swap_environment(StinespringOperator(2, 2, 1, np.eye(2, dtype=complex))))
     ], ids=["identity-psi"])
-    def test_degradable_ppt_check_on_npt_psi(self, cfg, lapack_calls, pair):
-        # choi_report's 4 spectra per member, and no degrading candidate
+    def test_degradable_ppt_check_on_npt_psi(self, cfg, lapack, pair):
+        # choi_report's 4 spectra in 2 calls per member, and no degrading
+        # candidate
         report = degradable_ppt_check(pair, cfg)
         assert not report.predicates["ppt_psi"].is_yes
-        assert lapack_calls == {"eigvalsh": 8, "svd": 0, "eigh": 0}
+        assert lapack() == ({"eigvalsh": 4}, {"eigvalsh": 8})

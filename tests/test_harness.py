@@ -991,14 +991,15 @@ def test_cli_report_matches_per_sample_loop(tmp_path):
 
 @pytest.fixture
 def eigvalsh_stacks(monkeypatch):
-    """Calling function and shape of the stacks handed to eigvalsh; single
-    matrices, which only escalation and the per-sample loop hand it, are not
-    recorded."""
+    """Calling function and shape of the stacks the engine's own functions
+    hand to eigvalsh; single matrices, and the stacks that escalation and the
+    per-sample loop hand it through ``certify``, are not recorded."""
     stacks = []
 
     def counted(a, *args, _original=np.linalg.eigvalsh, **kwargs):
-        if a.ndim == 3:
-            stacks.append((sys._getframe(1).f_code.co_name, *a.shape[:2]))
+        caller = sys._getframe(1)
+        if a.ndim == 3 and caller.f_globals["__name__"] == "chancert.harness":
+            stacks.append((caller.f_code.co_name, *a.shape[:2]))
         return _original(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)

@@ -177,6 +177,31 @@ JSON_VALUES = st.recursive(
     ),
     max_leaves=40,
 )
+# Matrix-shaped values: lists of rows, which ``dumps`` writes a block of
+# float rows at a time, and the rows that send a matrix to its per-entry path.
+FLOAT_ROWS = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(JSON_FLOATS, min_size=n, max_size=n), min_size=1, max_size=4))
+ODD_ENTRIES = st.sampled_from([0, -7, 2**70, True, False, None, "0.5", math.nan, math.inf,
+                               -math.inf, np.float64(math.nan), np.float64(0.5)])
+
+
+def planted(rows_at_entry):
+    rows, i, j, entry = rows_at_entry
+    row = rows[i % len(rows)]
+    row[j % len(row)] = entry
+    return rows
+
+
+MATRIX_VALUES = st.one_of(
+    FLOAT_ROWS,  # equal-length float rows
+    st.tuples(FLOAT_ROWS, st.integers(0, 3), st.integers(0, 3), ODD_ENTRIES).map(planted),
+    st.lists(st.lists(JSON_FLOATS, max_size=4), min_size=1, max_size=4),  # ragged and empty
+    FLOAT_ROWS.map(tuple),  # a tuple of rows
+    FLOAT_ROWS.map(lambda rows: [tuple(row) for row in rows]),  # rows that are tuples
+    FLOAT_ROWS.map(lambda rows: [[np.float64(x) for x in row] for row in rows]),
+    st.lists(st.lists(st.one_of(st.booleans(), st.integers(-3, 3), JSON_FLOATS),
+                      min_size=1, max_size=4), min_size=1, max_size=4),
+)
 
 
 class TestEncoder:
@@ -211,6 +236,25 @@ class TestEncoder:
     def test_other_types_raise_type_error(self, obj):
         with pytest.raises(TypeError):
             dumps(obj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=st.dictionaries(st.one_of(JSON_STRINGS, st.integers(0, 2)), MATRIX_VALUES,
+                               max_size=3))
+    def test_matrices_match_json(self, obj):
+        # json's bytes, or its error: a NaN or infinity anywhere in a matrix
+        # raises json's ValueError; a key that is not a string, TypeError
+        if not all(isinstance(key, str) for key in obj):
+            with pytest.raises(TypeError):
+                dumps(obj)
+            return
+        try:
+            expected = json_reference(obj)
+        except ValueError as error:
+            with pytest.raises(ValueError) as raised:
+                dumps(obj)
+            assert str(raised.value) == str(error)
+        else:
+            assert dumps(obj) == expected
 
 
 class TestOutputFormat:
@@ -734,6 +778,95 @@ class TestRoleTable:
         for argv, rc, line in table:
             assert main(argv) == rc, argv
             assert capsys.readouterr() == ("", line + "\n"), argv
+
+
+@pytest.fixture
+def as_matrix_calls(monkeypatch):
+    """A list that gains an entry per call of ``linalg.as_matrix``, wherever
+    a chancert module binds it."""
+    calls, original = [], chancert.linalg.as_matrix
+
+    def counted(x):
+        calls.append(None)
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("chancert") and getattr(module, "as_matrix", None) is original:
+            monkeypatch.setattr(module, "as_matrix", counted)
+    return calls
+
+
+class TestValidationBudget:
+    """Each matrix on the analyze and convert path is checked once: by the
+    constructor of the value object that first holds it, or by
+    ``state_report``, which takes the state's matrix as it is. Helpers, the
+    report builders and the file writer take checked matrices unchecked."""
+
+    @pytest.fixture
+    def files(self, tmp_path) -> dict[str, list[str]]:
+        paths = {name: str(tmp_path / f"{name}.json") for name in ("choi", "state", "dilation")}
+        for name, argv in (("choi", ["--kind", "depolarizing", "--dims", "3"]),
+                           ("state", ["--kind", "tiles"]),
+                           ("dilation", ["--kind", "random-stinespring", "--dims", "2,2,3",
+                                         "--seed", "1"])):
+            assert main(["generate", *argv, "--output", paths[name]]) == 0
+        assert main(["convert", paths["choi"], "--to", "kraus",
+                     "--output", str(tmp_path / "k.json")]) == 0
+        files = {f"<{name}>": [path] for name, path in paths.items()}
+        files["<kraus>"] = sorted(map(str, tmp_path.glob("k.k*.json")))  # 9 operators
+        files["<out>"] = [str(tmp_path / "out" / "x.json")]
+        (tmp_path / "out").mkdir()
+        return files
+
+    # (argv, with each file named by its key in ``files``, and the calls:
+    # one per object built, and for a state one where state_report takes it)
+    @pytest.mark.parametrize("argv, calls", [
+        (["analyze", "<choi>"], 1),
+        (["analyze", "<choi>", "--as", "state"], 1),
+        (["analyze", "<state>"], 1),
+        # the dilation, the Choi matrices of its purification, and the Kraus
+        # route's two Choi matrices and swapped dilation
+        (["analyze", "<dilation>"], 6),
+        (["convert", "<choi>", "--to", "choi"], 1),
+        (["convert", "<choi>", "--to", "kraus", "--output", "<out>"], 10),
+        (["convert", "<choi>", "--to", "stinespring"], 11),
+        (["convert", "<dilation>", "--to", "choi"], 2),
+        (["convert", "<dilation>", "--to", "kraus", "--output", "<out>"], 4),
+        (["convert", "<dilation>", "--to", "stinespring"], 1),
+        (["convert", "<kraus>", "--to", "choi"], 10),
+        (["convert", "<kraus>", "--to", "stinespring"], 10),
+        (["convert", "<kraus>", "--to", "kraus", "--output", "<out>"], 9),
+    ])
+    def test_each_matrix_checked_once(self, files, capsys, as_matrix_calls, argv, calls):
+        argv = [part for word in argv for part in files.get(word, [word])]
+        as_matrix_calls.clear()
+        assert main(argv) == 0
+        assert len(as_matrix_calls) == calls
+
+    def test_files_corpus(self, tmp_path, capsys, as_matrix_calls):
+        # the commands of ``agreement.py --digest files``: per verb and
+        # target, the commands and their calls, for exit 0 and otherwise
+        from agreement import file_commands
+
+        totals = {}
+        for argv in file_commands(str(tmp_path)):
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            (tmp_path / "out").mkdir()
+            before = len(as_matrix_calls)
+            code = main(argv)
+            key = (argv[0], argv[argv.index("--to") + 1] if "--to" in argv else None, code == 0)
+            commands, calls = totals.get(key, (0, 0))
+            totals[key] = (commands + 1, calls + len(as_matrix_calls) - before)
+        assert totals == {
+            ("analyze", None, True): (112, 342),
+            ("analyze", None, False): (24, 1),
+            ("convert", "choi", True): (96, 198),
+            ("convert", "choi", False): (16, 0),
+            ("convert", "kraus", True): (47, 238),
+            ("convert", "kraus", False): (13, 6),
+            ("convert", "stinespring", True): (88, 308),
+            ("convert", "stinespring", False): (21, 8),
+        }
 
 
 def scaled_copy(src: Path, dst: Path, scale: float) -> Path:
