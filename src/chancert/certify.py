@@ -28,7 +28,6 @@ from .channels import (
     choi_from_stinespring,
     choi_from_transfer,
     compose,
-    is_trace_preserving,
     transfer_from_choi,
 )
 from .complement import (
@@ -186,15 +185,16 @@ def _transpose_pair(m, layout: BipartiteLayout, cfg: ToleranceConfig, others: di
 def _spectra(
     report: CertificateReport, m, layout: BipartiteLayout, cfg: ToleranceConfig,
     keys: tuple[str, str, str],
-) -> tuple[bool, bool, tuple[RankDecision, RankDecision, RankDecision] | None]:
+) -> tuple[bool, bool, tuple[RankDecision, RankDecision, RankDecision] | None, np.ndarray]:
     """Record in ``report`` the PSD records of ``m``, a matrix checked against
     ``layout``, and of its left partial transpose, as ``keys[0]`` and
     ``keys[0] + "_pt"``, and the rank decisions of (m, left marginal, right
     marginal) under ``keys``, or, unless ``m`` is Hermitian, the
-    not-Hermitian note. Returns m's PSD and PPT flags and the rank triple,
-    None when it is not recorded. The marginals of a Hermitian ``m`` are
-    Hermitian too, so no deviation check precedes their spectra, two
-    eigvalsh calls in all where the factors are equal, else three.
+    not-Hermitian note. Returns m's PSD and PPT flags, the rank triple,
+    None when it is not recorded, and the left marginal. The marginals of a
+    Hermitian ``m`` are Hermitian too, so no deviation check precedes their
+    spectra, two eigvalsh calls in all where the factors are equal, else
+    three.
 
     The "left marginal" is what remains after tracing out the right factor,
     and vice versa.
@@ -209,7 +209,7 @@ def _spectra(
         report.ranks.update(zip(keys, ranks))
     else:
         report.notes.append(NOT_HERMITIAN_NOTE)
-    return direct.psd, ppt_rule(direct.psd, transposed.psd), ranks
+    return direct.psd, ppt_rule(direct.psd, transposed.psd), ranks, marginals["left"]
 
 
 def witness_rule(whole, left, right):
@@ -544,7 +544,8 @@ def state_report(
     """Predicate suite for a bipartite matrix treated as an (unnormalized) state."""
     report = CertificateReport(tolerances=cfg)
     m = linalg._fitted(linalg._square(x), layout)
-    psd, ppt, ranks = _spectra(report, m, layout, cfg, ("state", "marginal_left", "marginal_right"))
+    psd, ppt, ranks, _ = _spectra(report, m, layout, cfg,
+                                  ("state", "marginal_left", "marginal_right"))
     report.predicates["psd"] = _bool_verdict(psd, PSD_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
     if psd:
@@ -558,12 +559,14 @@ def state_report(
 def choi_report(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> CertificateReport:
     """Predicate suite for a map given by its Choi matrix."""
     report = CertificateReport(tolerances=cfg)
-    cp, ppt, ranks = _spectra(report, choi.matrix, choi.layout, cfg,
-                              ("choi", "marginal_a", "marginal_b"))
+    cp, ppt, ranks, on_a = _spectra(report, choi.matrix, choi.layout, cfg,
+                                    ("choi", "marginal_a", "marginal_b"))
     report.predicates["cp"] = _bool_verdict(cp, PSD_SPECTRUM)
     report.predicates["cocp"] = _bool_verdict(report.spectra["choi_pt"].psd, PT_SPECTRUM)
     report.predicates["ppt"] = _bool_verdict(ppt, PT_SPECTRUM)
-    report.predicates["trace_preserving"] = _bool_verdict(is_trace_preserving(choi, cfg), TRACE_BLOCK)
+    # Tr_B J = I, read off the marginal _spectra formed, as is_trace_preserving reads it
+    tp = close_frobenius(on_a, np.eye(choi.d_a, dtype=complex), cfg.equality_tol)
+    report.predicates["trace_preserving"] = _bool_verdict(tp, TRACE_BLOCK)
     if cp:
         report.predicates["eb"] = eb_verdict(ppt, ranks)
     else:

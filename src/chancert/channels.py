@@ -183,7 +183,7 @@ def kraus_from_choi(choi: ChoiMatrix, cfg: ToleranceConfig = DEFAULT_TOLERANCES)
     kept = np.flatnonzero(w > linalg.rank_rule(w, cfg)[1])
     if kept.size == 0:
         return KrausSet(choi.d_a, choi.d_b, (np.zeros((choi.d_b, choi.d_a), dtype=complex),))
-    ops = [(np.sqrt(w[k]) * v[:, k]).reshape(choi.d_a, choi.d_b).T.copy() for k in kept]
+    ops = [(np.sqrt(w[k]) * v[:, k]).reshape(choi.d_a, choi.d_b).T for k in kept]
     return KrausSet(choi.d_a, choi.d_b, tuple(ops))
 
 
@@ -206,7 +206,7 @@ def stinespring_from_kraus(kraus: KrausSet) -> StinespringOperator:
 def kraus_from_stinespring(st: StinespringOperator) -> KrausSet:
     """Slice a dilation back into its Kraus operators (one per environment index)."""
     cube = st.matrix.reshape(st.d_b, st.d_c, st.d_a)
-    ops = tuple(cube[:, k, :].copy() for k in range(st.d_c))
+    ops = tuple(cube[:, k, :] for k in range(st.d_c))
     return KrausSet(st.d_a, st.d_b, ops)
 
 

@@ -63,9 +63,9 @@ from .generate import GENERATOR_ALGORITHM, GENERATOR_KINDS, SEED_DERIVATION, Gen
 from .harness import run_harness
 from .io import (
     ParsedMatrix,
-    _matrix_file_dict,
     dumps,
     load_matrix,
+    matrix_file_dict,
     ordered_kraus_files,
     report_envelope,
     require_matrix_scale,
@@ -182,8 +182,8 @@ def _load(parsed: list[ParsedMatrix], role: str, accepted, verb: str):
 def _payload(obj, role: str) -> dict:
     """The matrix file of a choi, state or stinespring object."""
     if role == "stinespring":
-        return _matrix_file_dict(obj.matrix, role=role, dims=(obj.d_a, obj.d_b, obj.d_c))
-    return _matrix_file_dict(obj.matrix, role=role, layout=obj.layout, dims=(obj.d_a, obj.d_b))
+        return matrix_file_dict(obj.matrix, role=role, dims=(obj.d_a, obj.d_b, obj.d_c))
+    return matrix_file_dict(obj.matrix, role=role, layout=obj.layout, dims=(obj.d_a, obj.d_b))
 
 
 def cmd_analyze(args, cfg: ToleranceConfig) -> int:
@@ -233,7 +233,7 @@ def cmd_convert(args, cfg: ToleranceConfig) -> int:
     stem = base.name[: -len(base.suffix)] if base.suffix else base.name
     count = len(obj.operators)
     for index, op in enumerate(obj.operators):
-        payload = _matrix_file_dict(
+        payload = matrix_file_dict(
             op, role="kraus", dims=(obj.d_a, obj.d_b), kraus_index=index, kraus_count=count
         )
         path = base.with_name(f"{stem}.k{index:02d}{base.suffix or '.json'}")

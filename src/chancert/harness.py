@@ -21,8 +21,10 @@ one, states what it decides and why that is sound.
    member of each pair with its partner, without a spectrum
    (``_certified_flags``). ``_partial_transpose_flags`` settles by
    ``_npt_certified`` the partial transposes that are clearly not PSD, and
-   ``_cut_certificates`` a wider Choi matrix's on a cut, so that the matrix
-   is formed only where a certificate leaves its sample open. What is left
+   ``_cut_certificates`` a wider Choi matrix's on a cut where the other
+   map's certificate has run first. Each Choi matrix is formed in its map's
+   pass and nowhere else, and skipped only where the cut, its own
+   certificate and its partner's settle its sample. What is left
    takes ``eigvalsh``, read by ``_psd_flags`` and ``_rank_flags`` through
    ``linalg.psd_rule`` and ``linalg.rank_rule``.
 5. ``_run_chunk`` reduces each sample to a row: its ranks, its PPT flags,
@@ -125,11 +127,12 @@ def chunk_size(dims) -> int:
     of the vector and both marginals on b and c where ``_orientations``
     stacks them (d_b = d_c).
 
-    The marginals, partial traces of Choi matrices formed a block at a time
-    (``block_size``), are kept for the chunk, the wider ones on b and c too,
-    though ``_close_pair`` reads those only for the samples the certificate
-    leaves open, every one where ``_cholesky_shift`` is None. Wherever a
-    chunk fits this budget, a narrower stack of Choi matrices fits one block."""
+    The marginals, partial traces of the Choi matrices each map's pass forms
+    a block at a time (``block_size``), are kept for the chunk, the wider
+    ones on b and c too, though ``_close_pair`` reads those only for the
+    samples the certificate leaves open, every one where ``_cholesky_shift``
+    is None. Wherever a chunk fits this budget, a narrower stack of Choi
+    matrices fits one block."""
     d_a, d_b, d_c = dims
     stacked = 2 if d_b == d_c else 1
     largest = max(stacked * d_a * d_b * d_c, d_a * d_a, stacked * d_b * d_b, stacked * d_c * d_c)
@@ -595,27 +598,30 @@ def _cut_certificates(
 
 
 # What ``_complementary_pair`` leaves ``_close_pair``: its inputs, flags and
-# checks, ``settled`` or None, the partial traces over a of the Choi matrices
-# it formed and over b of its leading rows, and the rows the cut settled.
-_ChoiPass = namedtuple("_ChoiPass", "vector trace outcome settled on_b on_a unformed")
+# checks, ``settled`` or None, and the partial traces over a of the Choi
+# matrices it formed and over b of its leading rows.
+_ChoiPass = namedtuple("_ChoiPass", "vector trace outcome settled on_b on_a")
 
 
 def _complementary_pair(
-    vector: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig, environment=None, leading=0
+    vector: np.ndarray, trace: np.ndarray, cfg: ToleranceConfig, partner=None, leading=0
 ) -> _ChoiPass:
     """For tripartite vectors of shape (n, d_a, d_b, d_c) with squared norms
     ``trace``, the pass over the Choi matrices of the maps that trace out c,
-    formed by ``_choi_blocks`` only: their checks, ``_psd_flags`` of their
-    partial transposes, and the partial traces of their Hermitian parts
-    over a, the marginals on b, and over b, on a, of the first ``leading``.
+    formed by ``_choi_blocks`` here and nowhere else: their checks,
+    ``_psd_flags`` of their partial transposes, and the partial traces of
+    their Hermitian parts over a, the marginals on b, and over b, on a, of
+    the first ``leading``.
 
     The narrower member of the pair, the Choi matrix on a tie, takes
     ``_cholesky_certified``; the samples it leaves open take ``eigvalsh`` of
     both members, in ``_close_pair`` for a wider Choi matrix whose marginals
-    on c (``environment``) are not given. A wider one with d_b > d_c + 1 is
-    first read on the vectors cut to two values of a and d_c + 1 of b
-    (``_cut_certificates``), bound by the marginals on c: a sample whose cut
-    certifies it NPT, and whose certificate holds, needs it no further.
+    on c, the other map's pass ``partner``, are not given. A wider one with
+    d_b > d_c + 1 whose partner's certificate has run is first read on the
+    vectors cut to two values of a and d_c + 1 of b (``_cut_certificates``),
+    bound by the marginals on c: a sample needs it no further where the cut
+    certifies it NPT, its own certificate holds and so does its partner's,
+    which then reads none of its marginals on b.
     """
     n, d_a, d_b, d_c = vector.shape
     side = d_a * d_b
@@ -625,13 +631,12 @@ def _complementary_pair(
     checks, pt_psd, pt_near = np.empty(n, dtype=bool), *np.zeros((2, n), dtype=bool)
     settled = np.empty(n, dtype=bool) if narrower else None
     on_b, on_a = np.empty((n, d_b, d_b), complex), np.empty((leading, d_a, d_a), complex)
-    rest, unformed = np.arange(n), np.zeros(n, dtype=bool)
-    if environment is not None and not narrower:
-        settled = _cholesky_certified(environment, trace, dim, cfg)
-        if d_b > d_c + 1:
-            cut_checks, certified = _cut_certificates(vector, _frobenius(environment), trace, cfg)
-            checks[:], unformed = cut_checks, settled & certified
-            rest = rest[~unformed]
+    rest = np.arange(n)
+    if partner is not None and not narrower:
+        settled = _cholesky_certified(partner.on_b, trace, dim, cfg)
+        if d_b > d_c + 1 and partner.settled is not None:
+            checks[:], certified = _cut_certificates(vector, _frobenius(partner.on_b), trace, cfg)
+            rest = np.flatnonzero(~(settled & certified & partner.settled))
     formed = vector if len(rest) == n else vector[rest]
     for block, h, norm, passed, work in _choi_blocks(formed, cfg):
         index = rest[block]
@@ -646,21 +651,7 @@ def _complementary_pair(
         if block.start < leading:
             on_a[block] = _partial_trace(h[: leading - block.start], d_a, d_b, False)
     outcome = choi_flags, checks, pt_psd, pt_near
-    return _ChoiPass(vector, trace, outcome, settled, on_b, on_a, unformed)
-
-
-def _environment(partner: _ChoiPass, rows: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """The marginals on the last factor of the map whose other map's pass is
-    ``partner``, at its ``rows``: its partial traces over a, of Choi
-    matrices it left unformed formed here, whose checks join its own."""
-    marginals = partner.on_b[rows]
-    late = np.flatnonzero(partner.unformed[rows])
-    if late.size:
-        _, d_a, d_b, _ = partner.vector.shape
-        for block, h, _, passed, _ in _choi_blocks(partner.vector[rows[late]], cfg):
-            partner.outcome[1][rows[late[block]]] &= passed
-            marginals[late[block]] = _partial_trace(h, d_a, d_b, True)
-    return marginals
+    return _ChoiPass(vector, trace, outcome, settled, on_b, on_a)
 
 
 def _close_pair(pair: _ChoiPass, partner: _ChoiPass, shift: int, cfg: ToleranceConfig) -> tuple:
@@ -668,14 +659,15 @@ def _close_pair(pair: _ChoiPass, partner: _ChoiPass, shift: int, cfg: ToleranceC
     on c, the Choi matrices' checks, and ``_psd_flags`` of their partial
     transposes. The marginals on c are read from ``partner``, the other
     map's pass, whose row (i + shift) % n is row i's sample, only for the
-    samples the certificate leaves open."""
+    samples the certificate leaves open: ``partner`` formed the Choi
+    matrices of all of them."""
     n, d_a, d_b, d_c = pair.vector.shape
     k, dim = min(d_a * d_b, d_c), max(d_a * d_b, d_c)
     choi_flags, checks, pt_psd, pt_near = pair.outcome
     env_flags = _certified_flags(n, k, dim, cfg)
     rows = np.arange(n) if pair.settled is None else np.flatnonzero(~pair.settled)
     if rows.size:
-        marginals = _environment(partner, (rows + shift) % n, cfg)
+        marginals = partner.on_b[(rows + shift) % n]
         if pair.settled is None:
             rows = np.flatnonzero(~_cholesky_certified(marginals, pair.trace, dim, cfg))
             marginals = marginals[rows]
@@ -699,7 +691,7 @@ def _pairs(groups: list[np.ndarray], trace: np.ndarray, cfg: ToleranceConfig) ->
     swap = groups[0].shape[2] > groups[0].shape[3] + 1
     head, tail = groups[::-1] if swap else groups
     first = _complementary_pair(head, trace, cfg, leading=n)
-    second = _complementary_pair(tail, trace, cfg, first.on_b)
+    second = _complementary_pair(tail, trace, cfg, first)
     outcomes = _close_pair(first, second, 0, cfg), _close_pair(second, first, 0, cfg)
     return (*(outcomes[::-1] if swap else outcomes), first.on_a)
 

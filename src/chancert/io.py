@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputScaleError, MatrixFileError
-from .linalg import BipartiteLayout, ToleranceConfig, as_matrix
+from .linalg import BipartiteLayout, ToleranceConfig
 
 SCHEMA_VERSION = "1"
 TOOL_VERSION = "0.1.0"
@@ -156,22 +156,11 @@ def _encode(obj, indent: str) -> str:
     raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
-def matrix_file_dict(
-    matrix,
-    role: str | None = None,
-    layout: BipartiteLayout | None = None,
-    dims: tuple[int, ...] | None = None,
-    kraus_index: int | None = None,
-    kraus_count: int | None = None,
-) -> dict:
-    """The matrix file of ``matrix``, checked by ``as_matrix``, with the
-    fields that are not None."""
-    return _matrix_file_dict(as_matrix(matrix), role, layout, dims, kraus_index, kraus_count)
-
-
-def _matrix_file_dict(m: np.ndarray, role=None, layout=None, dims=None, kraus_index=None,
-                      kraus_count=None) -> dict:
-    """``matrix_file_dict`` of a matrix a value object holds, already checked."""
+def matrix_file_dict(m: np.ndarray, role=None, layout=None, dims=None, kraus_index=None,
+                     kraus_count=None) -> dict:
+    """The matrix file of the 2-d array ``m``, already checked, as a value
+    object's matrix is, with the fields that are not None. ``dumps`` refuses
+    a NaN or an infinity."""
     out: dict = {
         "schema_version": SCHEMA_VERSION,
         "rows": int(m.shape[0]),

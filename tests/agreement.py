@@ -5,7 +5,7 @@ Usage, from the root of a chancert checkout:
 
     PYTHONPATH=src python tests/agreement.py --digest identity > identity.txt
 
-prints one line per run of the named corpus, 287 for ``identity``: the
+prints one line per run of the named corpus, 371 for ``identity``: the
 run's dims, tolerance, trials, seed and memory budget, then a SHA-256 over
 what the run gave. That is, through ``run_harness``, its counts, counterexample records in
 order and escalated indices, or the type and message of the error it
@@ -25,7 +25,7 @@ blanked. Compare two trees the same way.
 
     PYTHONPATH=src python tests/agreement.py --check ci-smoke
 
-runs the 65 ``verify-theorem`` legs of CI_SMOKE, each as a command of a
+runs the 77 ``verify-theorem`` legs of CI_SMOKE, each as a command of a
 fresh process, as a shell user runs it. Each leg's counts, counterexamples
 and exit code must be those of the per-sample loop of
 ``tests/test_harness.py``; it prints each leg, or its disagreement, then
@@ -67,6 +67,9 @@ MIRRORED = [(2, 6, 2), (3, 9, 3), (4, 16, 4)]
 # unit factors, and (2, 30, 1), whose cut block of side 4 stands for a Choi
 # matrix of side 60
 EDGES = [(1, 2, 4), (1, 3, 3), (2, 1, 3), (3, 1, 1), (2, 30, 1)]
+# both Choi matrices the wider members of their pairs, one of them with
+# d_b > d_c + 1, so that a cut would have a wider partner; then their mirrors
+WIDER_PARTNERS = [(3, 4, 2), (3, 5, 2), (4, 5, 3), (3, 2, 4), (3, 2, 5), (4, 3, 5)]
 TOLERANCES = ["default", "psd=0.1", "psd=0.03", "psd=1e-17", "rank=1e-3", "rank=1e-17",
               "equality=1e-16"]
 # A memory budget cut so far that a chunk holds a few samples and its Choi
@@ -78,8 +81,9 @@ TIMESTAMP = re.compile(r'"timestamp": "[^"]*"')
 # Named corpora of runs: (dims, tolerance, trials, seed, CHUNK_ENTRIES or None).
 CORPORA = {
     "identity": (
-        # 19 tuples x 7 tolerances x seeds 1 and 3003 at 60 trials: 266 runs
-        [(dims, tol, 60, seed, None) for dims in ACCEPTANCE + WIDE + MIRRORED + EDGES
+        # 25 tuples x 7 tolerances x seeds 1 and 3003 at 60 trials: 350 runs
+        [(dims, tol, 60, seed, None)
+         for dims in ACCEPTANCE + WIDE + MIRRORED + EDGES + WIDER_PARTNERS
          for tol in TOLERANCES for seed in (1, 3003)]
         # tuples where one chunk spans several blocks of Choi matrices, so a
         # pair reads its marginals from blocks that are gone
@@ -92,7 +96,7 @@ CORPORA = {
 }
 
 # The legs of CI's "Engine agreement smoke", (dims, tolerance, trials, seed),
-# 65 in all. The first group runs each route where the certificates fire,
+# 77 in all. The first group runs each route where the certificates fire,
 # partly fire and decline: _cut_certificates at the wide and mirrored
 # tuples, with the full matrix formed where the cut certifies nothing
 # (--psd-tol 0.1, d_a = 1); _cholesky_certified declining at --rank-tol
@@ -107,11 +111,13 @@ CORPORA = {
 # chunk spans several blocks of Choi matrices: each map's Choi pass takes
 # its marginals as partial traces block by block, and the other map's pair
 # reads them after the blocks are gone, so the Choi-first order is checked
-# against the per-sample loop across blocks. The last leg's 130 trials make
-# three chunks, (0,64), (64,128) and (128,130), and its 5-word seed 2^128 + 1
-# mixes its indices from another hash constant; the loop draws each sample
-# from a one-index list, so it checks the stream memo's range keys against
-# its list keys.
+# against the per-sample loop across blocks. The sixth is one leg, whose
+# 130 trials make three chunks, (0,64), (64,128) and (128,130), and whose
+# 5-word seed 2^128 + 1 mixes its indices from another hash constant; the
+# loop draws each sample from a one-index list, so it checks the stream
+# memo's range keys against its list keys. The last runs the tuples where both Choi matrices are the
+# wider members of their pairs, and their mirrors: no cut is read there, and
+# each map's pass forms its Choi matrix for every sample.
 CI_SMOKE = (
     [(dims, tol, 60, 3003)
      for dims in [(2, 2, 6), (2, 6, 2), (3, 3, 9), (3, 9, 3), (4, 4, 16), (4, 16, 4), (1, 3, 3),
@@ -124,6 +130,7 @@ CI_SMOKE = (
     + [(dims, tol, 500, 3003) for dims in [(3, 3, 2), (2, 3, 2), (3, 2, 3)]
        for tol in ("default", "psd=0.1")]
     + [((4, 4, 16), "default", 130, 2**128 + 1)]
+    + [(dims, tol, 60, 3003) for dims in WIDER_PARTNERS for tol in ("default", "psd=0.1")]
 )
 
 # The benchmark's 11 tuples x four tolerances x seeds 1 and 3003 at 60

@@ -576,13 +576,13 @@ def test_injected_non_hermitian_marginals_escalate(dims, monkeypatch):
     assert (result.counts, result.counterexamples) == (counts, counterexamples)
 
 
-def test_late_choi_matrix_checks_join_its_pass(monkeypatch):
+def test_choi_matrix_formed_for_an_open_partner_checks_in_its_pass(monkeypatch):
     # at (4, 4, 16) psi's Choi matrices are read on the cut, and phi's tie
-    # certificate is made to leave one sample open, so its marginal on c is
-    # the partial trace of psi's full Choi matrix, formed for that sample
-    # alone. A fault in that matrix, an anti-Hermitian part as above, fails
-    # its Hermitian check, which must escalate the sample: the outcome is the
-    # per-sample loop's
+    # certificate is made to leave one sample open, so psi's pass forms that
+    # sample's full Choi matrix, whose partial trace is its marginal on c. A
+    # fault in that matrix, an anti-Hermitian part as above, fails its
+    # Hermitian check in psi's pass, which must escalate the sample: the
+    # outcome is the per-sample loop's
     cfg, seed, trials, dims, index = DEFAULT_TOLERANCES, 3003, 12, (4, 4, 16), 4
     vector = common_purification_vector(random_stinespring(*dims, seed=seed, index=index))
     vector = vector.reshape(dims)
@@ -894,41 +894,91 @@ def test_wider_marginal_formed_only_where_open(dims, tol, monkeypatch):
     # traces, only for the samples whose Choi matrix the certificate leaves
     # open: none where it settles all, and all where it declines, as at
     # rank_tol 1e-17 wherever dim > k. Each marginal of that side that
-    # _environment reads is one such; the marginal on a and the marginals
-    # read for every sample have other sides. Counts, counterexamples and
-    # escalations are those of the engine with every certificate declined,
-    # which reads every marginal, and counts and counterexamples those of
-    # the per-sample loop
+    # _close_pair reads from its partner is one such; the marginal on a and
+    # the marginals read for every sample have other sides. Counts,
+    # counterexamples and escalations are those of the engine with every
+    # certificate declined, which reads every marginal, and counts and
+    # counterexamples those of the per-sample loop
     cfg, trials, seed = ROUTING_TOLERANCES[tol], 40, 3003
     d_a, d_b, d_c = dims
     sides = lazy_sides(dims)
     assert sides and not sides & {d_a, *({d_b, d_c} - sides)}
-    formed = []
-    environment = chancert.harness._environment
+    read = []
+    close_pair = chancert.harness._close_pair
 
-    def recording(partner, rows, cfg):
+    class Recorded:
+        def __init__(self, on_b):
+            self.on_b = on_b
+
+        def __getitem__(self, rows):
+            read.append(len(rows))
+            return self.on_b[rows]
+
+    def recording(pair, partner, shift, cfg):
         if partner.vector.shape[2] in sides:
-            formed.append(len(rows))
-        return environment(partner, rows, cfg)
+            partner = partner._replace(on_b=Recorded(partner.on_b))
+        return close_pair(pair, partner, shift, cfg)
 
     def run():
         return run_harness(dims, trials, seed, cfg)
 
-    monkeypatch.setattr(chancert.harness, "_environment", recording)
+    monkeypatch.setattr(chancert.harness, "_close_pair", recording)
     engine_outcome(run)
-    rows = sum(formed)
+    rows = sum(read)
     assert rows == open_choi_rows(dims, trials, seed, cfg)
     if tol == "rank-1e-17" and d_a * min(d_b, d_c) < max(d_b, d_c):
         assert rows == trials
     assert_decline_path_agrees(run, lambda: per_sample(dims, trials, seed, cfg), monkeypatch)
 
 
+# Tuples where both Choi matrices are the wider members of their pairs and
+# one is read on the cut where its partner's certificate has run, then their
+# mirrors, a tie whose partner is read on the cut, and one stacked pass
+CUT_PARTNER_TUPLES = [(3, 4, 2), (3, 5, 2), (4, 5, 3), (3, 2, 4), (3, 2, 5), (4, 3, 5)]
+
+
+@pytest.mark.parametrize("tol", ["default", "psd-0.1", "rank-1e-17"])
+@pytest.mark.parametrize("dims", CUT_PARTNER_TUPLES + [(4, 4, 16), (4, 16, 4), (3, 3, 3)],
+                         ids=dims_id)
+def test_each_choi_matrix_formed_once_in_its_pass(dims, tol, monkeypatch):
+    # outside _close_pair's spectra of the rows its certificate leaves open,
+    # each map's Choi matrix is formed at most once per sample, in its own
+    # pass, and the cut runs only where the partner's certificate has run
+    # first: never where both Choi matrices are the wider members. Counts
+    # and counterexamples are the per-sample loop's
+    cfg, trials, seed = ROUTING_TOLERANCES[tol], 40, 3003
+    formed, callers = Counter(), set()
+    purification_choi = chancert.harness._purification_choi
+    cut_certificates = chancert.harness._cut_certificates
+
+    def recording_choi(v, out):
+        caller = sys._getframe(2).f_code.co_name  # the function iterating _choi_blocks
+        callers.add(caller)
+        if caller == "_complementary_pair":
+            formed.update(x.tobytes() for x in v)
+        return purification_choi(v, out)
+
+    def recording_cut(*args):
+        callers.add("_cut_certificates")
+        return cut_certificates(*args)
+
+    monkeypatch.setattr(chancert.harness, "_purification_choi", recording_choi)
+    monkeypatch.setattr(chancert.harness, "_cut_certificates", recording_cut)
+    result = run_harness(dims, trials, seed, cfg)
+    assert formed and max(formed.values()) == 1
+    assert callers <= {"_complementary_pair", "_close_pair", "_cut_certificates"}
+    assert ("_cut_certificates" in callers) == (dims in [(4, 4, 16), (4, 16, 4)])
+    counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+    assert (result.counts, result.counterexamples) == (counts, counterexamples)
+
+
 @pytest.fixture
 def marginal_routes(monkeypatch):
     """The routes of the marginals in ``run_harness``: the harness functions
-    that call ``np.matmul``, the marginals on a taken as partial traces, and
-    the Choi matrices that ``_environment`` forms late, by side."""
-    routes = {"matmul": set(), "on_a": 0, "late": Counter()}
+    that call ``np.matmul``, the marginals on a taken as partial traces, the
+    marginals on b that each map's Choi pass takes, by side of the Choi
+    matrix, and the partial traces taken anywhere else, by side."""
+    routes = {"matmul": set(), "on_a": 0, "pass": Counter(), "late": Counter()}
 
     def matmul(*args, _original=np.matmul, **kwargs):
         caller = sys._getframe(1).f_code
@@ -938,8 +988,9 @@ def marginal_routes(monkeypatch):
 
     def partial_trace(h, d_a, d_b, over_a, _original=chancert.harness._partial_trace):
         routes["on_a"] += 0 if over_a else len(h)
-        if sys._getframe(1).f_code.co_name == "_environment":
-            routes["late"][d_a * d_b] += len(h)
+        in_pass = sys._getframe(1).f_code.co_name == "_complementary_pair"
+        if over_a or not in_pass:
+            routes["pass" if in_pass else "late"][d_a * d_b] += len(h)
         return _original(h, d_a, d_b, over_a)
 
     monkeypatch.setattr(np, "matmul", matmul)
@@ -950,27 +1001,26 @@ def marginal_routes(monkeypatch):
 @pytest.mark.parametrize("dims", ACCEPTANCE_TUPLES + WIDE_TUPLES, ids=dims_id)
 def test_marginals_are_partial_traces_of_choi_matrices(dims, marginal_routes):
     # at default tolerances, seeds 1 and 3003, the marginals on a, b and c
-    # are partial traces of the Choi matrices the engine forms and checks:
-    # its only products are the two routes of each Choi matrix, and no
-    # marginal is a Gram product. Where a tie's certificate leaves a sample
-    # open and psi's Choi matrix was read on the cut, psi's full matrix is
-    # formed for that sample alone, as at (4, 4, 16) seed 1 for 5 samples
+    # are partial traces of the Choi matrices the engine forms and checks,
+    # each in its map's own Choi pass: its only products are the two routes
+    # of each Choi matrix, and no marginal is a Gram product. Where a tie's
+    # certificate leaves a sample open and psi's Choi matrix is read on the
+    # cut, psi's pass forms psi's full matrix for that sample, as at
+    # (4, 4, 16) seed 1 for 5 samples
     for seed in (1, 3003):
         run_harness(dims, 200, seed, DEFAULT_TOLERANCES)
     assert marginal_routes["matmul"] == {"_purification_choi", "_choi_blocks"}
     assert marginal_routes["on_a"] == 400
-    d_a, d_b, d_c = dims
-    assert set(marginal_routes["late"]) <= {d_a * max(d_b, d_c)}
+    assert not marginal_routes["late"]
     if dims == (4, 4, 16):
-        assert marginal_routes["late"][64] >= 5
+        assert marginal_routes["pass"][64] >= 5
 
 
 @pytest.mark.parametrize("dims", [(4, 16, 4), (2, 6, 2)], ids=dims_id)
 def test_marginals_stay_partial_traces_at_a_loose_psd_tolerance(dims, marginal_routes):
-    # at psd_tol 0.1 the cut certifies fewer wider Choi matrices, and a
-    # sample whose other map's Choi matrix is not formed still reads its
-    # marginal as a partial trace, of that matrix formed late; the outcome
-    # is the per-sample loop's
+    # at psd_tol 0.1 the cut certifies fewer wider Choi matrices, and each
+    # sample's marginals are still partial traces of Choi matrices formed
+    # in their maps' passes; the outcome is the per-sample loop's
     for seed in (1, 3003):
         assert_agrees(dims, 200, seed, ToleranceConfig(psd_tol=0.1))
     assert marginal_routes["matmul"] == {"_purification_choi", "_choi_blocks"}
