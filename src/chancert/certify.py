@@ -52,9 +52,7 @@ from .linalg import (
     ToleranceConfig,
     close_frobenius,
     frobenius,
-    hermitian_deviation,
     psd_check,
-    psd_record,
     rank_record,
 )
 
@@ -170,18 +168,6 @@ def _bool_verdict(flag: bool, reason: str) -> Verdict:
     return Verdict(YES if flag else NO, reason)
 
 
-def _transpose_pair(m, layout: BipartiteLayout, cfg: ToleranceConfig, others: dict):
-    """The spectra of ``m``, a matrix checked against ``layout``, of its left
-    partial transpose and of ``others``, keyed "x", "pt" and as ``others``,
-    by ``_hermitian_part_spectra``; and the PSD records of m and of its
-    partial transpose, each with its own Hermitian check."""
-    pt = linalg._partial_transpose(m, layout, "left")
-    w = linalg._hermitian_part_spectra({"x": m, "pt": pt, **others})
-    tol = cfg.equality_tol
-    return (w, psd_record(w["x"], hermitian_deviation(m) <= tol, cfg),
-            psd_record(w["pt"], hermitian_deviation(pt) <= tol, cfg))
-
-
 def _spectra(
     report: CertificateReport, m, layout: BipartiteLayout, cfg: ToleranceConfig,
     keys: tuple[str, str, str],
@@ -201,7 +187,9 @@ def _spectra(
     """
     marginals = {"left": linalg._partial_trace(m, layout, "right"),
                  "right": linalg._partial_trace(m, layout, "left")}
-    w, direct, transposed = _transpose_pair(m, layout, cfg, marginals)
+    w, checks = linalg._hermitian_spectra(
+        {"x": m, "pt": linalg._partial_transpose(m, layout, "left"), **marginals}, cfg, ("x", "pt"))
+    direct, transposed = checks["x"], checks["pt"]
     report.spectra.update({keys[0]: direct, f"{keys[0]}_pt": transposed})
     ranks = None
     if direct.hermitian:
@@ -263,7 +251,7 @@ def ppt_rule(psd, pt_psd):
     return np.logical_and(psd, pt_psd)
 
 
-def _rank_flags(ranks) -> tuple[bool, bool, bool]:
+def _triple_flags(ranks) -> tuple[bool, bool, bool]:
     """``(fires, regime, fragile)`` of a (whole, left, right) rank decision triple."""
     whole, left, right = ranks
     fires, regime = witness_rule(whole.rank, left.rank, right.rank)
@@ -273,7 +261,7 @@ def _rank_flags(ranks) -> tuple[bool, bool, bool]:
 def witness_verdict(ranks) -> Verdict:
     """Distillability witness verdict from the (whole, left, right) rank triple
     of a PSD matrix: yes when the witness fires, else unknown, never no."""
-    fires, _, fragile = _rank_flags(ranks)
+    fires, _, fragile = _triple_flags(ranks)
     if fires:
         return Verdict(YES, RANK_GAP_WITNESS, fragile)
     return Verdict(UNKNOWN, NO_RANK_GAP, fragile)
@@ -282,7 +270,7 @@ def witness_verdict(ranks) -> Verdict:
 def separability_verdict(ppt: bool, ranks) -> Verdict:
     """Separability verdict of a PSD matrix from its PPT flag and rank triple:
     decided by ``ppt`` inside the low-rank regime, unknown outside it."""
-    _, regime, fragile = _rank_flags(ranks)
+    _, regime, fragile = _triple_flags(ranks)
     if not regime:
         return Verdict(UNKNOWN, OUTSIDE_LOW_RANK_REGIME, fragile)
     if ppt:
@@ -296,7 +284,7 @@ def eb_verdict(ppt: bool, ranks) -> Verdict:
     and ``ranks`` is not read."""
     if not ppt:
         return Verdict(NO, EB_REASONS[NO])
-    _, regime, fragile = _rank_flags(ranks)
+    _, regime, fragile = _triple_flags(ranks)
     value = eb_rule(True, regime)
     return Verdict(value, EB_REASONS[value], fragile)
 
@@ -397,11 +385,12 @@ def equivalence_check(
     The Choi matrices of phi and psi are the purification marginals L_ab
     and L_ac. One spectrum of each of the five marginals and one of each
     Choi matrix's partial transpose, seven in all, give the PSD records, the
-    rank chain and both Choi rank triples. They take at most five eigvalsh
-    calls: one per Choi matrix with its partial transpose, stacked, and one
-    per distinct side of L_a, L_b and L_c. Every predicate is read from
-    them, and, whenever the primary map is PPT, the proven consistency
-    relations, the rows of RELATIONS, are asserted.
+    rank chain and both Choi rank triples. They come from one
+    ``linalg._hermitian_spectra`` call: one eigvalsh call per distinct side
+    of the seven, at most five, and two at d_a = d_b = d_c. phi's PSD check
+    is raised before psi's. Every predicate is read from them, and,
+    whenever the primary map is PPT, the proven consistency relations, the
+    rows of RELATIONS, are asserted.
 
     The rank-gap witness stays one-sided even here: a silent witness on the
     complement does not certify PPT (there are PPT maps whose complement is
@@ -419,14 +408,13 @@ def equivalence_check(
 
     marginals = purification_marginals(st)
     members = (("phi", st.d_b, ("ab", "a", "b")), ("psi", st.d_c, ("ac", "a", "c")))
-    chois, spectra, records = {}, {}, {}
+    chois, matrices = {}, dict(marginals)
     for name, d_out, (key, _, _) in members:
         choi = chois[name] = ChoiMatrix(st.d_a, d_out, marginals[key])
-        w, psd, pt = _transpose_pair(choi.matrix, choi.layout, cfg, {})
-        _require_psd(name, psd)
-        spectra[key], records[name] = w["x"], (psd, pt)
-    factors = {key: marginals[key] for key in ("a", "b", "c")}
-    spectra.update(linalg._hermitian_part_spectra(factors))
+        matrices[f"{key}_pt"] = linalg._partial_transpose(choi.matrix, choi.layout, "left")
+    spectra, checks = linalg._hermitian_spectra(matrices, cfg, ("ab", "ab_pt", "ac", "ac_pt"))
+    for name, _, (key, _, _) in members:
+        _require_psd(name, checks[key])
     chain, decisions = _chain_of(spectra, cfg)
 
     report = CertificateReport(tolerances=cfg, chain=chain)
@@ -438,7 +426,7 @@ def equivalence_check(
         close_frobenius(marginals["a"], np.eye(st.d_a), cfg.equality_tol), TRACE_BLOCK
     )
     for name, _, keys in members:
-        psd, pt = records[name]
+        psd, pt = checks[keys[0]], checks[f"{keys[0]}_pt"]
         report.spectra.update({f"{name}_choi": psd, f"{name}_choi_pt": pt})
         ppt = ppt_rule(psd.psd, pt.psd)
         ranks = tuple(decisions[key] for key in keys)

@@ -27,8 +27,7 @@ from .linalg import (
     PsdCheck,
     RankDecision,
     ToleranceConfig,
-    _hermitian_part_spectra,
-    psd_check,
+    _hermitian_spectra,
     rank_record,
 )
 
@@ -107,13 +106,16 @@ def complementary_pair_from_stinespring(
     psi's of the dilation with B and C swapped.
 
     Both are PSD by construction; this is asserted within psd_tol as a
-    numerical sanity check.
+    numerical sanity check, phi's before psi's, on spectra from one
+    ``_hermitian_spectra`` call: one eigvalsh call where d_b = d_c, else two.
     """
     pair = ComplementaryPair(
         st, choi_from_stinespring(st), choi_from_stinespring(swap_environment(st))
     )
-    _require_psd("phi", psd_check(pair.choi_phi.matrix, cfg))
-    _require_psd("psi", psd_check(pair.choi_psi.matrix, cfg))
+    _, checks = _hermitian_spectra({"phi": pair.choi_phi.matrix, "psi": pair.choi_psi.matrix},
+                                   cfg, ("phi", "psi"))
+    for name, check in checks.items():
+        _require_psd(name, check)
     return pair
 
 
@@ -136,13 +138,14 @@ def rank_chain(
     evaluates them, and ``certify.equivalence_check`` raises
     PurityViolationError when they fail on a non-fragile sample.
     """
-    return _chain_of(_hermitian_part_spectra(purification_marginals(st)), cfg)
+    return _chain_of(_hermitian_spectra(purification_marginals(st), cfg)[0], cfg)
 
 
 def _chain_of(spectra: dict[str, np.ndarray], cfg: ToleranceConfig):
     """``rank_chain`` from the ascending spectra of the purification
-    marginals, keyed as ``purification_marginals``."""
-    decisions = {key: rank_record(w, cfg) for key, w in spectra.items()}
+    marginals, keyed as ``purification_marginals``; other keys of
+    ``spectra`` are not read."""
+    decisions = {key: rank_record(spectra[key], cfg) for key in ("ab", "ac", "a", "b", "c")}
     chain = RankChain(
         rank_lab=decisions["ab"].rank,
         rank_lac=decisions["ac"].rank,

@@ -18,8 +18,11 @@ and ``io`` checks a file when it is read. The public functions here take
 outside input and check it too. The report builders and other internal
 callers pass a matrix a value object already holds to the private forms
 (``_partial_trace``, ``_partial_transpose``, ``_hermitian_eigensystem``),
-which check nothing, and decompose the matrices of one side in a single
-stacked eigvalsh call (``_hermitian_part_spectra``).
+which check nothing. Every spectrum outside the verify-theorem engine comes
+from ``_hermitian_spectra``: one eigvalsh call per distinct side of the
+matrices a caller decomposes, ``psd_check`` and ``rank_decision`` one
+matrix, the report builders, ``rank_chain`` and the pair constructor
+several.
 """
 
 from __future__ import annotations
@@ -305,24 +308,20 @@ def _hermitian_part(x: np.ndarray) -> np.ndarray:
     return x / 2.0 + x.conj().T / 2.0
 
 
-def _hermitian_part_spectra(matrices: dict) -> dict:
+def _hermitian_spectra(matrices: dict, cfg: ToleranceConfig, psd=()) -> tuple[dict, dict]:
     """The ascending eigenvalues of the Hermitian part of each of the square
     ``matrices``, keyed alike, from one eigvalsh call per distinct side:
-    LAPACK decomposes each matrix of a stack as it would that matrix alone."""
+    LAPACK decomposes each matrix of a stack as it would that matrix alone.
+    Also the PSD record by ``psd_record`` of each matrix named in ``psd``,
+    each with its own Hermitian check."""
     spectra = {}
     for side in {len(m) for m in matrices.values()}:
         keys = [key for key, m in matrices.items() if len(m) == side]
         stack = np.stack([_hermitian_part(matrices[key]) for key in keys])
         spectra.update(zip(keys, np.linalg.eigvalsh(stack)))
-    return spectra
-
-
-def hermitian_spectrum(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> tuple[np.ndarray, PsdCheck]:
-    """The ascending spectrum of a square matrix's Hermitian part, and its PSD
-    record by ``psd_rule``, which also requires Hermitian within equality_tol."""
-    m = _square(x)
-    w = np.linalg.eigvalsh(_hermitian_part(m))
-    return w, psd_record(w, hermitian_deviation(m) <= cfg.equality_tol, cfg)
+    tol = cfg.equality_tol
+    return spectra, {key: psd_record(spectra[key], hermitian_deviation(matrices[key]) <= tol, cfg)
+                     for key in psd}
 
 
 def psd_record(w: np.ndarray, hermitian: bool, cfg: ToleranceConfig) -> PsdCheck:
@@ -356,10 +355,10 @@ def rank_record(w: np.ndarray, cfg: ToleranceConfig) -> RankDecision:
 def rank_decision(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> RankDecision:
     """Numerical rank of a Hermitian matrix with audit data, by ``rank_rule``.
     Raises NonHermitianError if ``||x - x^dagger||_F > equality_tol * ||x||_F``."""
-    w, check = hermitian_spectrum(x, cfg)
-    if not check.hermitian:
+    w, check = _hermitian_spectra({"x": _square(x)}, cfg, ("x",))
+    if not check["x"].hermitian:
         raise NonHermitianError(f"matrix is not Hermitian within equality_tol={cfg.equality_tol}")
-    return rank_record(w, cfg)
+    return rank_record(w["x"], cfg)
 
 
 def psd_check(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PsdCheck:
@@ -368,7 +367,7 @@ def psd_check(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> PsdCheck:
     True iff the matrix is Hermitian within ``equality_tol`` and its
     spectrum passes ``psd_rule``.
     """
-    return hermitian_spectrum(x, cfg)[1]
+    return _hermitian_spectra({"x": _square(x)}, cfg, ("x",))[1]["x"]
 
 
 def is_psd(x, cfg: ToleranceConfig = DEFAULT_TOLERANCES) -> bool:

@@ -33,9 +33,13 @@ the tally, and exits 1 on any disagreement.
 
     PYTHONPATH=src python tests/agreement.py --check one-process
 
-runs the 88 ``verify-theorem`` commands of ONE_PROCESS the same way, but as
+runs the 89 ``verify-theorem`` commands of ONE_PROCESS the same way, but as
 commands of one process, as the benchmark does, so that each meets the memo
 of outcomes (``harness._row_outcome``) the commands before it filled.
+
+Where the loop raises, as every sample's ``equivalence_check`` does at
+``--psd-tol 1e-17``, a leg agrees when its command writes no report and
+exits 3 with the loop's error message.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ import tempfile
 import chancert.harness
 import chancert.io
 from chancert import ChancertError, ToleranceConfig
-from chancert.cli import main as cli_main
+from chancert.cli import EXIT_COUNTEREXAMPLE, EXIT_PRECONDITION, main as cli_main
 
 ACCEPTANCE = list(itertools.product((2, 3), repeat=3))
 WIDE = [(2, 2, 6), (3, 3, 9), (4, 4, 16)]
@@ -134,22 +138,31 @@ CI_SMOKE = (
 )
 
 # The benchmark's 11 tuples x four tolerances x seeds 1 and 3003 at 60
-# trials: (dims, tolerance, trials, seed) of 88 commands.
+# trials, then one command at --psd-tol 1e-17, where its samples escalate
+# and the loop raises: (dims, tolerance, trials, seed) of 89 commands. The
+# last one's rows differ from rows of the commands before it only in the
+# gate column, so a memo that left the gate out of its key would read their
+# outcomes and exit 0.
 ONE_PROCESS = [(dims, tol, 60, seed) for dims in ACCEPTANCE + WIDE
                for tol in ("default", "psd=0.1", "rank=1e-3", "rank=1e-17") for seed in (1, 3003)]
+ONE_PROCESS.append(((2, 2, 3), "psd=1e-17", 60, 3003))
 
 
 # Inputs of the files corpus, as (name, generate arguments): the benchmark's
 # kinds, named channels at d = 2, 3, 4, the tiles state, the Schur dilation
 # and random dilations, here at seeds 1 to 3, and dilations whose maps have
-# d_a != d_b, converted to Choi files below.
+# d_a != d_b, converted to Choi files below. (1,2,2) and (2,2,4) are there
+# for the sides that equivalence_check stacks: at (1,2,2) every matrix but
+# L_a has side 2, and at (2,2,4) L_ab and its partial transpose share side 4
+# with L_c.
 FILE_SOURCES = (
     [(f"{kind}-{d}", ["--kind", kind, "--dims", str(d)])
      for kind in ("identity", "transpose", "dephasing", "depolarizing") for d in (2, 3, 4)]
     + [("tiles", ["--kind", "tiles"]), ("schur", ["--kind", "schur", "--params", "0.5,0.3,0.2"])]
     + [(f"random-{'-'.join(map(str, dims))}-{seed}",
         ["--kind", "random-stinespring", "--dims", ",".join(map(str, dims)), "--seed", str(seed)])
-       for dims in [(2, 2, 3), (3, 3, 3), (2, 2, 6), (3, 3, 9), (2, 3, 2), (3, 2, 2)]
+       for dims in [(2, 2, 3), (3, 3, 3), (2, 2, 6), (3, 3, 9), (2, 3, 2), (3, 2, 2), (1, 2, 2),
+                    (2, 2, 4)]
        for seed in (1, 2, 3)]
 )
 
@@ -375,7 +388,8 @@ def check_legs(legs, path: str, run, noun: str) -> int:
     """The number of ``legs`` whose command, run by ``run`` (in this process
     or in one of its own), gives counts, counterexamples or an exit code that
     differ from the per-sample loop's; prints each leg's counts or
-    disagreement, then the tally."""
+    disagreement, then the tally. Where the loop raises, the command must
+    write no report and exit 3, naming the same error."""
     from test_harness import per_sample  # imports pytest and hypothesis
 
     failures = 0
@@ -383,10 +397,14 @@ def check_legs(legs, path: str, run, noun: str) -> int:
         cfg, flags = tolerances(tol)
         outcome = run(dims, trials, seed, flags, path)
         report = json.loads(outcome["report"] or "{}")
-        counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+        try:
+            counts, counterexamples, _ = per_sample(dims, trials, seed, cfg)
+            code, error = (EXIT_COUNTEREXAMPLE if counterexamples else 0), ""
+        except ChancertError as exc:
+            counts, counterexamples, code, error = None, None, EXIT_PRECONDITION, str(exc)
         engine = report.get("counts")
         agrees = (engine, report.get("counterexamples")) == (counts, counterexamples)
-        if not agrees or outcome["exit"] != (4 if counterexamples else 0):
+        if not agrees or outcome["exit"] != code or error not in outcome["stderr"]:
             failures += 1
             print(f"{dims} {tol} seed {seed}: engine {engine} exit {outcome['exit']}, "
                   f"loop {counts}", flush=True)

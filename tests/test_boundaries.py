@@ -27,7 +27,7 @@ from chancert import (
     schur_stinespring,
 )
 from chancert.generate import random_dilation_stack
-from chancert.linalg import as_matrix, hermitian_spectrum
+from chancert.linalg import as_matrix, psd_check
 
 EYE2, EYE3 = np.eye(2, dtype=complex), np.eye(3, dtype=complex)
 
@@ -59,7 +59,7 @@ REJECTIONS = {
                      "expected a 2-d matrix, got ndim=3"),
     "eigensystem-square": (lambda: hermitian_eigensystem(np.zeros((2, 3))),
                            DimensionMismatchError, "expected a square matrix, got (2, 3)"),
-    "spectrum-square": (lambda: hermitian_spectrum(np.zeros((2, 3))), DimensionMismatchError,
+    "spectrum-square": (lambda: psd_check(np.zeros((2, 3))), DimensionMismatchError,
                         "expected a square matrix, got (2, 3)"),
     "dilation-stack-zero": (lambda: random_dilation_stack(2, 0, 3, 1, [0]),
                             DimensionMismatchError, "all dimensions must be at least 1"),

@@ -797,15 +797,27 @@ class TestLapackBudget:
     @pytest.mark.parametrize("st, calls", [
         (StinespringOperator(2, 2, 3, complex_gaussian(np.random.default_rng(8), (6, 2))), 4),
         (StinespringOperator(2, 3, 4, complex_gaussian(np.random.default_rng(8), (12, 2))), 5),
-        (schur_stinespring([0.5, 0.3, 0.2]), 3),
-    ], ids=["random-2-2-3", "random-2-3-4", "ppt-schur"])
+        (schur_stinespring([0.5, 0.3, 0.2]), 2),
+        (StinespringOperator(3, 3, 9, complex_gaussian(np.random.default_rng(8), (27, 3))), 3),
+        (StinespringOperator(1, 2, 2, complex_gaussian(np.random.default_rng(8), (4, 1))), 2),
+    ], ids=["random-2-2-3", "random-2-3-4", "ppt-schur", "random-3-3-9", "random-1-2-2"])
     def test_equivalence_check(self, cfg, lapack, st, calls):
         # 5 purification marginals, of which L_ab and L_ac are the Choi
-        # matrices, and the Choi matrices' 2 partial transposes: a call per
-        # Choi matrix with its partial transpose, and one per distinct side
-        # of L_a, L_b and L_c
+        # matrices, and the Choi matrices' 2 partial transposes: one call
+        # per distinct side of the 7, so 2 at (3,3,3), where the Choi
+        # matrices have side 9 and the factor marginals side 3, and 2 at
+        # (1,2,2), where all but L_a have side 2
         equivalence_check(st, cfg)
         assert lapack() == ({"eigvalsh": calls}, {"eigvalsh": 7})
+
+    @pytest.mark.parametrize("dims, calls", [((2, 3, 3), 1), ((2, 2, 3), 2)])
+    def test_complementary_pair_from_stinespring(self, cfg, lapack, dims, calls):
+        # both Choi matrices in one call where d_b = d_c, else one call each
+        d_a, d_b, d_c = dims
+        st = StinespringOperator(*dims, complex_gaussian(np.random.default_rng(8),
+                                                         (d_b * d_c, d_a)))
+        complementary_pair_from_stinespring(st, cfg)
+        assert lapack() == ({"eigvalsh": calls}, {"eigvalsh": 2})
 
     @pytest.mark.parametrize("kind", ["depolarizing", "dephasing"])
     def test_kraus_from_choi(self, cfg, lapack, kind):

@@ -858,13 +858,13 @@ class TestValidationBudget:
             commands, calls = totals.get(key, (0, 0))
             totals[key] = (commands + 1, calls + len(as_matrix_calls) - before)
         assert totals == {
-            ("analyze", None, True): (112, 342),
+            ("analyze", None, True): (124, 414),
             ("analyze", None, False): (24, 1),
-            ("convert", "choi", True): (96, 198),
+            ("convert", "choi", True): (108, 222),
             ("convert", "choi", False): (16, 0),
-            ("convert", "kraus", True): (47, 238),
+            ("convert", "kraus", True): (53, 262),
             ("convert", "kraus", False): (13, 6),
-            ("convert", "stinespring", True): (88, 308),
+            ("convert", "stinespring", True): (100, 320),
             ("convert", "stinespring", False): (21, 8),
         }
 

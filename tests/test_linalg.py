@@ -16,8 +16,10 @@ from chancert import (
     psd_check,
     rank_decision,
 )
+from chancert.complement import purification_marginals
 from chancert.errors import DimensionMismatchError
-from chancert.linalg import FRAGILITY_FACTOR, as_matrix
+from chancert.generate import random_stinespring, schur_stinespring
+from chancert.linalg import FRAGILITY_FACTOR, _hermitian_part, _hermitian_spectra, as_matrix
 
 from conftest import complex_gaussian, random_hermitian, random_psd
 
@@ -292,3 +294,50 @@ class TestIsPsd:
         assert chk.lambda_max == pytest.approx(2.0)
         assert chk.lambda_min == pytest.approx(-1.0)
         assert not chk.psd
+
+
+def oracle_matrices(st) -> dict:
+    """The seven matrices ``equivalence_check`` decomposes: the five
+    purification marginals and the left partial transposes of L_ab and L_ac."""
+    matrices = purification_marginals(st)
+    for key, d_out in (("ab", st.d_b), ("ac", st.d_c)):
+        layout = BipartiteLayout(st.d_a, d_out)
+        matrices[f"{key}_pt"] = partial_transpose(matrices[key], layout, "left")
+    return matrices
+
+
+class TestStackedSpectra:
+    """One ``_hermitian_spectra`` call decomposes each matrix of an
+    equal-side stack as an eigvalsh call of its own would, bit for bit, and
+    gives each the PSD record ``psd_check`` gives it alone: the report
+    builders, ``rank_chain``, the pair constructor and ``equivalence_check``
+    stack matrices on this."""
+
+    @staticmethod
+    def assert_as_alone(matrices: dict, cfg):
+        spectra, checks = _hermitian_spectra(matrices, cfg, tuple(matrices))
+        assert set(spectra) == set(checks) == set(matrices)
+        for key, m in matrices.items():
+            alone = np.linalg.eigvalsh(_hermitian_part(m))
+            assert spectra[key].dtype == alone.dtype and spectra[key].tobytes() == alone.tobytes()
+            assert checks[key] == psd_check(m, cfg)
+
+    @pytest.mark.parametrize("dims", [(1, 2, 2), (2, 2, 4), (3, 3, 3), (3, 3, 9)],
+                             ids=lambda d: "-".join(map(str, d)))
+    def test_oracle_matrices(self, cfg, dims):
+        for index in range(5):
+            self.assert_as_alone(oracle_matrices(random_stinespring(*dims, 1, index)), cfg)
+        if dims == (3, 3, 3):
+            self.assert_as_alone(oracle_matrices(schur_stinespring([0.5, 0.3, 0.2])), cfg)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_stacks_of_sides_1_to_64(self, cfg, seed):
+        # per side a Hermitian, a rank-deficient PSD and a non-Hermitian
+        # matrix, in one call over all 64 sides
+        rng = np.random.default_rng(seed)
+        matrices = {}
+        for n in range(1, 65):
+            matrices[f"hermitian-{n}"] = random_hermitian(rng, n)
+            matrices[f"psd-{n}"] = random_psd(rng, n, rank=n // 2)
+            matrices[f"gaussian-{n}"] = complex_gaussian(rng, (n, n))
+        self.assert_as_alone(matrices, cfg)
